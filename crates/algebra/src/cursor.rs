@@ -1205,20 +1205,22 @@ impl Cursor for TwigCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{tag_derived, tag_derived_attr};
+    use crate::eval::{derived, ColumnDemand};
     use crate::plan::{Axis, CmpOp, JoinKind, Predicate};
     use crate::value::Value;
     use crate::OrderSpec;
     use xmltree::generate::bib_sample;
-    use xmltree::Document;
+    use xmltree::{Document, NodeKind};
 
     fn setup() -> (Document, Catalog) {
         let doc = bib_sample();
         let mut cat = Catalog::new();
         for l in ["library", "book", "phdthesis", "title", "author"] {
-            cat.insert_ordered(l, tag_derived(&doc, l), OrderSpec::by("ID"));
+            let rel = derived(&doc, Some(l), NodeKind::Element, ColumnDemand::ALL);
+            cat.insert_ordered(l, rel, OrderSpec::by("ID"));
         }
-        cat.insert("year_attr", tag_derived_attr(&doc, "year"));
+        let years = derived(&doc, Some("year"), NodeKind::Attribute, ColumnDemand::ALL);
+        cat.insert("year_attr", years);
         (doc, cat)
     }
 

@@ -11,6 +11,7 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 use obs::{ExecMetrics, Meter, OpProfile};
@@ -86,6 +87,13 @@ impl Catalog {
 
     pub fn get(&self, name: &str) -> Option<&Relation> {
         self.relations.get(name)
+    }
+
+    /// Unregister a relation and its declared order; every other entry
+    /// is left as it was.
+    pub fn remove(&mut self, name: &str) -> Option<Relation> {
+        self.orders.remove(name);
+        self.relations.remove(name)
     }
 
     /// The [`OrderSpec`] a relation was registered with via
@@ -535,8 +543,7 @@ impl<'a> Evaluator<'a> {
         let schema = spec.schema(&rel.schema);
         let mut tuples: Vec<Tuple> = rel.tuples.iter().map(|t| spec.apply(t)).collect();
         if distinct {
-            let mut seen: HashSet<String> = HashSet::with_capacity(tuples.len());
-            tuples.retain(|t| seen.insert(dedup_key(t)));
+            retain_first_occurrences(&mut tuples);
         }
         Ok(Relation::new(schema, tuples))
     }
@@ -1279,47 +1286,85 @@ fn is_sorted_by_pre(ids: &[(StructuralId, usize)]) -> bool {
 // ----------------------------------------------------------------------
 // duplicate elimination
 
-/// Canonical key for duplicate elimination: two tuples map to the same
-/// key iff [`tuple_cmp_all`] orders them `Equal`. Values are type-tagged
-/// (`Int(1)` and `Str("1")` never collide), strings are length-prefixed,
-/// IDs key on `pre` alone (the equality class of [`value_cmp`]), and
-/// collections recurse element-wise ignoring their [`CollKind`], exactly
-/// as the comparator does.
-pub(crate) fn dedup_key(t: &Tuple) -> String {
+/// A tuple under the equality of [`tuple_cmp_all`]: strings by content,
+/// IDs by `pre` alone, `⊥ = ⊥`, collections element-wise whatever their
+/// [`crate::CollKind`]; values of different types never collide.
+struct ByValue<'a>(&'a Tuple);
+
+impl PartialEq for ByValue<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        tuple_cmp_all(self.0, other.0) == std::cmp::Ordering::Equal
+    }
+}
+
+impl Eq for ByValue<'_> {}
+
+impl Hash for ByValue<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        fn hash_tuple<H: Hasher>(t: &Tuple, state: &mut H) {
+            state.write_usize(t.arity());
+            for v in &t.0 {
+                std::mem::discriminant(v).hash(state);
+                match v {
+                    Value::Null => {}
+                    Value::Id(id) => id.pre.hash(state),
+                    Value::Int(x) => x.hash(state),
+                    Value::Str(s) => s.hash(state),
+                    Value::Coll(c) => {
+                        state.write_usize(c.tuples.len());
+                        for t in &c.tuples {
+                            hash_tuple(t, state);
+                        }
+                    }
+                }
+            }
+        }
+        hash_tuple(self.0, state);
+    }
+}
+
+/// Duplicate elimination of `π°`: keep the first of every class of
+/// [`ByValue`]-equal tuples, in order.
+fn retain_first_occurrences(tuples: &mut Vec<Tuple>) {
+    let mut seen: HashSet<ByValue<'_>> = HashSet::with_capacity(tuples.len());
+    let first: Vec<bool> = tuples.iter().map(|t| seen.insert(ByValue(t))).collect();
+    drop(seen);
+    let mut first = first.into_iter();
+    tuples.retain(|_| first.next().expect("one flag per tuple"));
+}
+
+/// [`tuple_cmp_all`]'s equality classes rendered as a string key: the
+/// oracle for [`ByValue`]'s `Hash`.
+#[cfg(test)]
+fn dedup_key(t: &Tuple) -> String {
+    use std::fmt::Write as _;
+    fn write_tuple_key(t: &Tuple, out: &mut String) {
+        let _ = write!(out, "({}", t.arity());
+        for v in &t.0 {
+            match v {
+                Value::Null => out.push('n'),
+                Value::Id(id) => {
+                    let _ = write!(out, "i{}", id.pre);
+                }
+                Value::Int(x) => {
+                    let _ = write!(out, "d{x}");
+                }
+                Value::Str(s) => {
+                    let _ = write!(out, "s{}:{s}", s.len());
+                }
+                Value::Coll(c) => {
+                    let _ = write!(out, "c{}", c.tuples.len());
+                    for t in &c.tuples {
+                        write_tuple_key(t, out);
+                    }
+                }
+            }
+        }
+        out.push(')');
+    }
     let mut out = String::new();
     write_tuple_key(t, &mut out);
     out
-}
-
-fn write_tuple_key(t: &Tuple, out: &mut String) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "({}", t.arity());
-    for i in 0..t.arity() {
-        write_value_key(t.get(i), out);
-    }
-    out.push(')');
-}
-
-fn write_value_key(v: &Value, out: &mut String) {
-    use std::fmt::Write as _;
-    match v {
-        Value::Null => out.push('n'),
-        Value::Id(id) => {
-            let _ = write!(out, "i{}", id.pre);
-        }
-        Value::Int(x) => {
-            let _ = write!(out, "d{x}");
-        }
-        Value::Str(s) => {
-            let _ = write!(out, "s{}:{s}", s.len());
-        }
-        Value::Coll(c) => {
-            let _ = write!(out, "c{}", c.tuples.len());
-            for t in &c.tuples {
-                write_tuple_key(t, out);
-            }
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -1567,47 +1612,80 @@ pub fn project_relation(rel: &Relation, paths: &[Path]) -> Result<Relation, Eval
 }
 
 // ----------------------------------------------------------------------
-// convenience constructors for catalogs over documents
+// tag-derived collections over documents
 
-/// Build the *tag-derived list* `R_t(ID, Tag, Val, Cont)` of Definition
-/// 2.2.1 for a label (element nodes), in document order.
-pub fn tag_derived(doc: &Document, label: &str) -> Relation {
-    derived(doc, Some(label), NodeKind::Element)
+/// Which columns of a tag-derived collection to build besides `ID`.
+/// `Val` and `Cont` cost a subtree walk and a string per node, so a
+/// caller asks only for the ones it reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ColumnDemand {
+    pub tag: bool,
+    pub val: bool,
+    pub cont: bool,
 }
 
-/// `R_t^α` for attributes with the given name.
-pub fn tag_derived_attr(doc: &Document, label: &str) -> Relation {
-    derived(doc, Some(label), NodeKind::Attribute)
-}
-
-/// `R_*`: all elements.
-pub fn all_elements(doc: &Document) -> Relation {
-    derived(doc, None, NodeKind::Element)
-}
-
-/// `R_*^α`: all attributes.
-pub fn all_attributes(doc: &Document) -> Relation {
-    derived(doc, None, NodeKind::Attribute)
-}
-
-fn derived(doc: &Document, label: Option<&str>, kind: NodeKind) -> Relation {
-    let schema = Schema::atoms(&["ID", "Tag", "Val", "Cont"]);
-    let nodes: Vec<NodeId> = match label {
-        Some(l) => doc.nodes_with_label(l, kind).collect(),
-        None => doc.all_nodes().filter(|&n| doc.kind(n) == kind).collect(),
+impl ColumnDemand {
+    /// All of `R_t(ID, Tag, Val, Cont)`.
+    pub const ALL: ColumnDemand = ColumnDemand {
+        tag: true,
+        val: true,
+        cont: true,
     };
-    let tuples = nodes
-        .into_iter()
-        .map(|n| {
-            Tuple::new(vec![
-                Value::Id(doc.structural_id(n)),
-                Value::str(doc.label(n)),
-                Value::str(doc.value(n)),
-                Value::str(doc.content(n)),
-            ])
-        })
-        .collect();
-    Relation::new(schema, tuples)
+}
+
+/// Build the *tag-derived list* of Definition 2.2.1 in document order:
+/// `R_t` (or `R_t^α` for `kind = Attribute`) for `Some(label)`, `R_*` for
+/// `None`. Its columns are `ID` and those of `Tag`, `Val`, `Cont` that
+/// `demand` asks for, in that order. Costs `O(|R_t|)` plus the bytes of
+/// the demanded columns: the nodes come from the document's postings.
+pub fn derived(
+    doc: &Document,
+    label: Option<&str>,
+    kind: NodeKind,
+    demand: ColumnDemand,
+) -> Relation {
+    let mut names = vec!["ID"];
+    for (on, name) in [
+        (demand.tag, "Tag"),
+        (demand.val, "Val"),
+        (demand.cont, "Cont"),
+    ] {
+        if on {
+            names.push(name);
+        }
+    }
+    let nodes = match (label, kind) {
+        (Some(l), _) => doc.nodes_with_label(l, kind),
+        (None, NodeKind::Element) => doc.elements(),
+        (None, NodeKind::Attribute) => doc.attributes(),
+        (None, NodeKind::Text) => doc.nodes_with_label("#text", kind),
+    };
+    // one shared string per label instead of one allocation per node
+    let mut tags: HashMap<u32, Value> = HashMap::new();
+    let mut buf = String::new();
+    let mut tuples = Vec::with_capacity(nodes.len());
+    for n in nodes {
+        let mut t = Vec::with_capacity(names.len());
+        t.push(Value::Id(doc.structural_id(n)));
+        if demand.tag {
+            let tag = tags
+                .entry(doc.label_id(n))
+                .or_insert_with(|| Value::str(doc.label(n)));
+            t.push(tag.clone());
+        }
+        if demand.val {
+            buf.clear();
+            doc.write_value(n, &mut buf);
+            t.push(Value::str(&buf));
+        }
+        if demand.cont {
+            buf.clear();
+            xmltree::parser::serialize_node(doc, n, &mut buf);
+            t.push(Value::str(&buf));
+        }
+        tuples.push(Tuple::new(t));
+    }
+    Relation::new(Schema::atoms(&names), tuples)
 }
 
 #[cfg(test)]
@@ -1619,9 +1697,11 @@ mod tests {
         let doc = bib_sample();
         let mut cat = Catalog::new();
         for l in ["library", "book", "phdthesis", "title", "author"] {
-            cat.insert_ordered(l, tag_derived(&doc, l), OrderSpec::by("ID"));
+            let rel = derived(&doc, Some(l), NodeKind::Element, ColumnDemand::ALL);
+            cat.insert_ordered(l, rel, OrderSpec::by("ID"));
         }
-        cat.insert("year_attr", tag_derived_attr(&doc, "year"));
+        let years = derived(&doc, Some("year"), NodeKind::Attribute, ColumnDemand::ALL);
+        cat.insert("year_attr", years);
         (doc, cat)
     }
 

@@ -1,16 +1,19 @@
 //! E8 + ablation 4 — algebra benchmarks: the QEP catalogue plans and the
 //! StackTree vs nested-loop structural-join comparison (DESIGN.md).
 
+use algebra::eval::{derived, ColumnDemand};
 use algebra::{Axis, Evaluator, JoinKind, LogicalPlan};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use summary::Summary;
-use xmltree::generate;
+use xmltree::{generate, NodeKind};
 
 fn stacktree_vs_nested_loop(c: &mut Criterion) {
     let doc = generate::xmark(40, 42);
     let mut cat = algebra::Catalog::new();
-    cat.insert("items", algebra::eval::tag_derived(&doc, "item"));
-    cat.insert("keywords", algebra::eval::tag_derived(&doc, "keyword"));
+    for (name, label) in [("items", "item"), ("keywords", "keyword")] {
+        let rel = derived(&doc, Some(label), NodeKind::Element, ColumnDemand::ALL);
+        cat.insert(name, rel);
+    }
     let plan = LogicalPlan::scan("items")
         .rename(&["i_id", "i_tag", "i_val", "i_cont"])
         .struct_join(

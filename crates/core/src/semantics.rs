@@ -14,12 +14,18 @@
 //! Multiple children of `⊤` are combined by cartesian product (they share
 //! no structural relation other than living in the same document, cf. the
 //! `V10 × V11` rewriting of §3.3.3).
+//!
+//! Evaluation builds only what the XAM reads: each node's collection
+//! carries `ID` plus the columns the XAM stores or tests
+//! ([`build_catalog`]), and `Π_χ` skips duplicate elimination when the
+//! IDs it keeps already tell all tuples apart ([`final_projection`]).
 
 use algebra::{
-    eval as aeval, Axis, Catalog, EvalError, Evaluator, JoinKind, LogicalPlan, Operand, Path,
-    Predicate, Relation, Schema, Value,
+    eval::{derived, ColumnDemand},
+    Axis, Catalog, EvalError, Evaluator, JoinKind, LogicalPlan, Operand, Path, Predicate, Relation,
+    Value,
 };
-use xmltree::Document;
+use xmltree::{Document, NodeKind};
 
 use crate::ast::{EdgeSem, Formula, FormulaConst, Xam, XamNodeId};
 
@@ -52,8 +58,9 @@ pub struct OutputColumn {
     pub path: String,
 }
 
-/// The base-relation name used for a XAM node in generated catalogs.
-fn base_name(xam: &Xam, n: XamNodeId) -> String {
+/// The name [`build_join_plan`] scans, and [`build_catalog`] registers,
+/// the tag-derived collection of node `n` under.
+pub fn base_name(xam: &Xam, n: XamNodeId) -> String {
     format!("__xam_base_{}", xam.node(n).name)
 }
 
@@ -153,34 +160,56 @@ fn formula_to_predicate(col: &str, f: &Formula) -> Predicate {
     }
 }
 
-/// Build the catalog of tag-derived base relations for a XAM over `doc`,
-/// with per-node renamed columns `{name}_ID, {name}_Tag, {name}_Val,
-/// {name}_Cont`.
+/// The columns of each node's tag-derived collection (indexed by XAM
+/// node) that evaluating the XAM reads besides `ID`: those `Π_χ` keeps,
+/// and `Val` where the node's value formula tests it.
+fn column_demand(xam: &Xam) -> Vec<ColumnDemand> {
+    let mut demand = vec![ColumnDemand::default(); xam.len()];
+    for c in output_columns(xam) {
+        let d = &mut demand[c.node.index()];
+        match c.attr {
+            StoredAttr::Id => {}
+            StoredAttr::Tag => d.tag = true,
+            StoredAttr::Val => d.val = true,
+            StoredAttr::Cont => d.cont = true,
+        }
+    }
+    for n in xam.pattern_nodes() {
+        if xam.node(n).value_predicate != Formula::True {
+            demand[n.index()].val = true;
+        }
+    }
+    demand
+}
+
+/// Build the catalog of tag-derived base relations for a XAM over `doc`:
+/// per node, the columns `{name}_ID` and those of `{name}_Tag`,
+/// `{name}_Val`, `{name}_Cont` that the XAM's plans read
+/// ([`build_join_plan`] under [`final_projection`] or any projection to
+/// [`output_columns`]).
 pub fn build_catalog(xam: &Xam, doc: &Document) -> Catalog {
+    let demand = column_demand(xam);
     let mut cat = Catalog::new();
     for n in xam.pattern_nodes() {
         let node = xam.node(n);
-        let mut rel = match (&node.tag_predicate, node.is_attribute) {
-            (Some(t), false) => aeval::tag_derived(doc, t),
-            (None, false) => aeval::all_elements(doc),
-            (Some(t), true) => aeval::tag_derived_attr(doc, t),
-            (None, true) => aeval::all_attributes(doc),
+        let kind = if node.is_attribute {
+            NodeKind::Attribute
+        } else {
+            NodeKind::Element
         };
-        rel.schema = Schema::atoms(&[
-            &field_name(xam, n, StoredAttr::Id),
-            &field_name(xam, n, StoredAttr::Tag),
-            &field_name(xam, n, StoredAttr::Val),
-            &field_name(xam, n, StoredAttr::Cont),
-        ]);
+        let mut rel = derived(doc, node.tag_predicate.as_deref(), kind, demand[n.index()]);
+        for f in &mut rel.schema.fields {
+            // `derived` names its columns by the `StoredAttr` suffixes
+            f.name = format!("{}_{}", node.name, f.name);
+        }
         cat.insert(base_name(xam, n), rel);
     }
     cat
 }
 
 /// Build the structural-join plan isomorphic to the XAM tree, *without*
-/// the final projection (all four columns of every node are kept so the
-/// rewriting layer can post-process); apply [`final_projection`] to get
-/// `⟦χ⟧_d` proper.
+/// the final projection (every column [`build_catalog`] built is kept);
+/// apply [`final_projection`] to get `⟦χ⟧_d` proper.
 pub fn build_join_plan(xam: &Xam) -> LogicalPlan {
     let top_children = xam.children(XamNodeId::TOP);
     assert!(
@@ -252,8 +281,47 @@ fn node_plan(xam: &Xam, n: XamNodeId) -> LogicalPlan {
     plan
 }
 
+/// Can no two tuples of [`build_join_plan`]'s output agree on every `ID`
+/// column `Π_χ` keeps? Then the projection has no duplicates to remove.
+///
+/// Join tuples are one per binding of the nodes reached from `⊤` through
+/// join and outerjoin edges only (a semijoin filters, a nest edge folds
+/// its subtree into one collection). Two of them differ at some such
+/// node, so it is enough that each one's binding can be read off the
+/// kept IDs: it keeps its own ID, or it is the root element (`/` from
+/// `⊤`), or it is the parent — `/`, plain join — of a node whose binding
+/// can.
+fn kept_ids_form_a_key(xam: &Xam) -> bool {
+    fn pinned(xam: &Xam, n: XamNodeId) -> bool {
+        let node = xam.node(n);
+        (node.stores_id.is_some() && !under_semijoin(xam, n))
+            || (xam.parent(n) == Some(XamNodeId::TOP) && node.edge.axis == Axis::Child)
+            || xam.children(n).iter().any(|&c| {
+                let edge = xam.node(c).edge;
+                edge.axis == Axis::Child && edge.sem == EdgeSem::Join && pinned(xam, c)
+            })
+    }
+    // does `n`'s binding multiply top-level tuples? (`build_join_plan`
+    // reads only nestedness off the edges leaving `⊤`)
+    fn multiplies(xam: &Xam, n: XamNodeId) -> bool {
+        let mut cur = n;
+        while let Some(p) = xam.parent(cur) {
+            let sem = xam.node(cur).edge.sem;
+            if sem.is_nested() || (sem.is_semijoin() && p != XamNodeId::TOP) {
+                return false;
+            }
+            cur = p;
+        }
+        true
+    }
+    xam.pattern_nodes()
+        .all(|n| !multiplies(xam, n) || pinned(xam, n))
+}
+
 /// Wrap a join plan with the final `Π_χ` projection: keep exactly the
-/// stored attributes (by dotted path) and eliminate duplicate tuples.
+/// stored attributes (by dotted path) and eliminate duplicate tuples —
+/// a pass the plan leaves out when the kept `ID` columns already tell
+/// every tuple from every other.
 pub fn final_projection(xam: &Xam, plan: LogicalPlan) -> LogicalPlan {
     let cols: Vec<Path> = output_columns(xam)
         .into_iter()
@@ -262,7 +330,7 @@ pub fn final_projection(xam: &Xam, plan: LogicalPlan) -> LogicalPlan {
     LogicalPlan::Project {
         input: Box::new(plan),
         cols,
-        distinct: true,
+        distinct: !kept_ids_form_a_key(xam),
     }
 }
 
@@ -279,14 +347,7 @@ pub fn final_projection(xam: &Xam, plan: LogicalPlan) -> LogicalPlan {
 pub fn evaluate(xam: &Xam, doc: &Document) -> Result<Relation, EvalError> {
     let cat = build_catalog(xam, doc);
     let plan = final_projection(xam, build_join_plan(xam));
-    let ev = Evaluator::with_document(&cat, doc);
-    let mut rel = ev.eval(&plan)?;
-    if !xam.ordered {
-        // unordered XAMs expose set semantics; we keep the tuples but the
-        // order carries no meaning (document order is the natural one here)
-        rel.schema = rel.schema.clone();
-    }
-    Ok(rel)
+    Evaluator::with_document(&cat, doc).eval(&plan)
 }
 
 #[cfg(test)]

@@ -226,7 +226,58 @@ pub fn index_fabric_raw(s: &Summary) -> Vec<(String, Xam)> {
 mod tests {
     use super::*;
     use crate::MaterializedStore;
-    use xmltree::generate::{bib_document, bib_sample};
+    use algebra::eval::{derived, ColumnDemand};
+    use algebra::{Catalog, Evaluator, LogicalPlan, Path, Relation};
+    use xam_core::semantics::{base_name, build_join_plan, output_columns};
+    use xmltree::generate::{bib_document, bib_sample, dblp, xmark};
+    use xmltree::Document;
+
+    /// View materialization as it was before it became demand-driven,
+    /// kept as the oracle: all of `R_t(ID, Tag, Val, Cont)` for every
+    /// node whatever the XAM stores, and a `Π_χ` that always eliminates
+    /// duplicates.
+    fn evaluate_eagerly(xam: &Xam, doc: &Document) -> Relation {
+        let mut cat = Catalog::new();
+        for n in xam.pattern_nodes() {
+            let node = xam.node(n);
+            let kind = if node.is_attribute {
+                NodeKind::Attribute
+            } else {
+                NodeKind::Element
+            };
+            let mut rel = derived(doc, node.tag_predicate.as_deref(), kind, ColumnDemand::ALL);
+            for f in &mut rel.schema.fields {
+                f.name = format!("{}_{}", node.name, f.name);
+            }
+            cat.insert(base_name(xam, n), rel);
+        }
+        let plan = LogicalPlan::Project {
+            input: Box::new(build_join_plan(xam)),
+            cols: output_columns(xam)
+                .into_iter()
+                .map(|c| Path::new(c.path))
+                .collect(),
+            distinct: true,
+        };
+        Evaluator::with_document(&cat, doc).eval(&plan).unwrap()
+    }
+
+    #[test]
+    fn partition_models_materialize_as_the_eager_evaluator_did() {
+        for doc in [xmark(15, 42), dblp(200, 42)] {
+            let s = Summary::of_document(&doc);
+            let mut views = tag_partition_model(&s);
+            views.extend(path_partition_model(&s));
+            assert!(
+                views.len() > 40,
+                "tag and path views of every label and path"
+            );
+            for (name, xam) in views {
+                let stored = xam_core::evaluate(&xam, &doc).unwrap();
+                assert!(stored == evaluate_eagerly(&xam, &doc), "{name} ← {xam}");
+            }
+        }
+    }
 
     #[test]
     fn edge_model_materializes() {

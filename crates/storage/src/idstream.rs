@@ -1,6 +1,6 @@
 //! Columnar ID-stream index: per `(label, kind)` sorted
-//! [`StructuralId`] columns, built in one pass over a document and
-//! cached in a [`Catalog`] as scannable `ids_<label>` relations.
+//! [`StructuralId`] columns, built in one pass over a document's label
+//! postings and cached in a [`Catalog`] as scannable `ids_<label>` relations.
 //!
 //! The holistic twig operator (`algebra::twig`) consumes one pre-sorted
 //! ID stream per pattern node. Before this index, every pattern node
@@ -86,8 +86,8 @@ pub struct IdStreamIndex {
 }
 
 impl IdStreamIndex {
-    /// Build all columns in a single document pass (document order is
-    /// pre order, so every column is born sorted).
+    /// Build all columns in one walk over the document's postings
+    /// (document order is pre order, so every column is born sorted).
     pub fn build(doc: &Document) -> IdStreamIndex {
         IdStreamIndex::build_inner(doc, None)
     }
@@ -103,43 +103,41 @@ impl IdStreamIndex {
     fn build_inner(doc: &Document, phi: Option<&[SummaryNodeId]>) -> IdStreamIndex {
         let span = tracing::debug_span!(target: "uload::storage", "idstream_build");
         let _g = span.enter();
-        let mut ids: HashMap<(String, NodeKind), Vec<StructuralId>> = HashMap::new();
-        let mut parts: HashMap<(String, NodeKind), HashMap<SummaryNodeId, Vec<StructuralId>>> =
-            HashMap::new();
-        for n in doc.all_nodes() {
-            let kind = doc.kind(n);
-            if kind == NodeKind::Text {
-                continue; // text nodes carry no label worth indexing
-            }
-            let key = (doc.label(n).to_string(), kind);
-            let sid = doc.structural_id(n);
-            ids.entry(key.clone()).or_default().push(sid);
-            if let Some(phi) = phi {
-                parts
-                    .entry(key)
-                    .or_default()
-                    .entry(phi[n.index()])
-                    .or_default()
-                    .push(sid);
-            }
-        }
-        let columns = ids
-            .into_iter()
-            .map(|(key, ids)| {
-                let mut partitions: Vec<Partition> = parts
-                    .remove(&key)
-                    .map(|by_path| {
-                        by_path
-                            .into_iter()
-                            .map(|(path, ids)| Partition { path, ids })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                partitions.sort_by_key(|p| p.path);
+        // scratch for partitioning one posting: summary path → its slot
+        // in that posting's partition list
+        let path_count = phi.map_or(0, |phi| {
+            phi.iter().map(|p| p.index() + 1).max().unwrap_or(0)
+        });
+        let mut slot_of: Vec<Option<usize>> = vec![None; path_count];
+        let columns = doc
+            .postings()
+            // text nodes carry no label worth indexing
+            .filter(|&(_, kind, _)| kind != NodeKind::Text)
+            .map(|(label, kind, posting)| {
+                let ids: Vec<StructuralId> =
+                    posting.iter().map(|&n| doc.structural_id(n)).collect();
+                let mut partitions: Vec<Partition> = Vec::new();
+                if let Some(phi) = phi {
+                    for (&n, &sid) in posting.iter().zip(&ids) {
+                        let path = phi[n.index()];
+                        let slot = *slot_of[path.index()].get_or_insert_with(|| {
+                            partitions.push(Partition {
+                                path,
+                                ids: Vec::new(),
+                            });
+                            partitions.len() - 1
+                        });
+                        partitions[slot].ids.push(sid);
+                    }
+                    for p in &partitions {
+                        slot_of[p.path.index()] = None;
+                    }
+                    partitions.sort_by_key(|p| p.path);
+                }
                 let skip = SkipIndex::build(&ids);
                 let cols = IdColumns::from_sids(&ids);
                 (
-                    key,
+                    (label.to_string(), kind),
                     Column {
                         ids,
                         cols,

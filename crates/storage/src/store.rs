@@ -51,22 +51,8 @@ impl MaterializedStore {
     /// Drop a view — the "change the storage by updating the XAM set"
     /// operation of the introduction.
     pub fn drop_view(&mut self, name: &str) -> bool {
-        let before = self.defs.len();
         self.defs.retain(|(n, _)| n != name);
-        // the algebra catalog has no removal API (plans must not observe
-        // dangling names), so rebuild it
-        if self.defs.len() != before {
-            let mut cat = Catalog::new();
-            for (n, _) in &self.defs {
-                if let Some(rel) = self.catalog.get(n) {
-                    cat.insert(n.clone(), rel.clone());
-                }
-            }
-            self.catalog = cat;
-            true
-        } else {
-            false
-        }
+        self.catalog.remove(name).is_some()
     }
 
     /// The view definitions, in registration order.
@@ -133,6 +119,35 @@ mod tests {
         assert!(!store.drop_view("v_books"));
         assert!(store.relation("v_books").is_none());
         assert!(store.relation("v_titles").is_some());
+    }
+
+    /// A drop touches the dropped view only: the views that stay keep the
+    /// declared order the pipelined executor elides sorts on.
+    #[test]
+    fn drop_keeps_the_declared_order_of_surviving_views() {
+        let doc = bib_sample();
+        let mut store = MaterializedStore::new();
+        for (name, text) in [
+            ("v_books", "//book[id:s,cont]"),
+            ("v_titles", "//book[id:s]{ /title[val] }"),
+            ("v_authors", "//a:author[id:s]"),
+        ] {
+            store
+                .add_view(name, parse_xam(text).unwrap(), &doc)
+                .unwrap();
+        }
+        let orders = |store: &MaterializedStore| {
+            ["v_titles", "v_authors"].map(|v| store.catalog().declared_order(v).cloned())
+        };
+        let before = orders(&store);
+        assert_eq!(
+            before,
+            [Some(OrderSpec::by("book1_ID")), Some(OrderSpec::by("a_ID"))]
+        );
+        assert!(store.drop_view("v_books"));
+        assert!(store.catalog().declared_order("v_books").is_none());
+        assert_eq!(orders(&store), before);
+        assert_eq!(store.len(), 2);
     }
 
     #[test]

@@ -107,61 +107,52 @@ impl Summary {
         });
         // φ : document node → summary node
         let mut phi: Vec<SummaryNodeId> = vec![SummaryNodeId::ROOT; doc.len()];
-        // per (doc parent node, summary child) child counts for annotations
-        let mut child_count: HashMap<(NodeId, SummaryNodeId), u32> = HashMap::new();
+        let mut children = ChildMemo::default();
+        // Per summary node: how many document nodes lie on the path, how
+        // many document parents have a child on it, and the latest such
+        // parent. The document nodes on one path arrive grouped by parent
+        // (their parents all lie on the parent path, so none contains
+        // another), which makes "same parent as the previous node on this
+        // path" the test for a parent's second child.
+        let mut on_path: Vec<u32> = vec![1];
+        let mut parents_with: Vec<u32> = vec![0];
+        let mut last_parent: Vec<Option<NodeId>> = vec![None];
         for n in doc.all_nodes() {
             let Some(p) = doc.parent(n) else { continue };
             let sp = phi[p.index()];
-            let label = match doc.kind(n) {
-                NodeKind::Attribute => format!("@{}", doc.label(n)),
-                _ => doc.label(n).to_string(),
-            };
-            let sn = match s.index.get(&(sp, label.clone())) {
-                Some(&sn) => sn,
-                None => {
-                    let sn = SummaryNodeId(s.nodes.len() as u32);
-                    s.nodes.push(SummaryNode {
-                        label: doc.label(n).to_string(),
-                        kind: doc.kind(n),
-                        parent: Some(sp),
-                        children: Vec::new(),
-                        card: EdgeCard::Star,
-                    });
-                    s.nodes[sp.index()].children.push(sn);
-                    s.index.insert((sp, label), sn);
-                    sn
-                }
-            };
+            let sn = children.resolve(doc, sp, n, |label| {
+                let sn = SummaryNodeId(s.nodes.len() as u32);
+                s.nodes.push(SummaryNode {
+                    label: doc.label(n).to_string(),
+                    kind: doc.kind(n),
+                    parent: Some(sp),
+                    children: Vec::new(),
+                    // optimistic; demoted below
+                    card: EdgeCard::One,
+                });
+                s.nodes[sp.index()].children.push(sn);
+                s.index.insert((sp, label), sn);
+                on_path.push(0);
+                parents_with.push(0);
+                last_parent.push(None);
+                Some(sn)
+            });
+            let sn = sn.expect("a missing path is created");
             phi[n.index()] = sn;
-            *child_count.entry((p, sn)).or_insert(0) += 1;
-        }
-        // Edge annotations: start optimistic (One) and demote.
-        for i in 1..s.nodes.len() {
-            s.nodes[i].card = EdgeCard::One;
-        }
-        let mut on_path: HashMap<SummaryNodeId, u32> = HashMap::new();
-        for n in doc.all_nodes() {
-            *on_path.entry(phi[n.index()]).or_insert(0) += 1;
-        }
-        // A parent with >1 children on a path demotes One → Plus; a parent
-        // path node with 0 children on the path demotes the edge to Star.
-        let mut parents_with: HashMap<SummaryNodeId, u32> = HashMap::new();
-        for (&(_, sn), &cnt) in &child_count {
-            *parents_with.entry(sn).or_insert(0) += 1;
-            if cnt > 1 {
-                let card = &mut s.nodes[sn.index()].card;
-                if *card == EdgeCard::One {
-                    *card = EdgeCard::Plus;
-                }
+            on_path[sn.index()] += 1;
+            if last_parent[sn.index()] == Some(p) {
+                // a parent with >1 children on the path: One → Plus
+                s.nodes[sn.index()].card = EdgeCard::Plus;
+            } else {
+                last_parent[sn.index()] = Some(p);
+                parents_with[sn.index()] += 1;
             }
         }
-        for i in 1..s.nodes.len() {
-            let sn = SummaryNodeId(i as u32);
-            let parent = s.nodes[i].parent.unwrap();
-            let parent_count = on_path.get(&parent).copied().unwrap_or(0);
-            let have = parents_with.get(&sn).copied().unwrap_or(0);
-            if have < parent_count {
-                s.nodes[i].card = EdgeCard::Star;
+        // a parent-path node with no child on the path: the edge is Star
+        for (node, &with_child) in s.nodes.iter_mut().zip(&parents_with).skip(1) {
+            let parent = node.parent.expect("only the root has no parent");
+            if with_child < on_path[parent.index()] {
+                node.card = EdgeCard::Star;
             }
         }
         s
@@ -376,15 +367,47 @@ impl Summary {
         if doc.label(doc.root()) != self.nodes[0].label {
             return None;
         }
+        let mut children = ChildMemo::default();
         for n in doc.all_nodes() {
             let Some(p) = doc.parent(n) else { continue };
-            let label = match doc.kind(n) {
-                NodeKind::Attribute => format!("@{}", doc.label(n)),
-                _ => doc.label(n).to_string(),
-            };
-            phi[n.index()] = self.child_by_label(phi[p.index()], &label)?;
+            let sp = phi[p.index()];
+            phi[n.index()] =
+                children.resolve(doc, sp, n, |label| self.child_by_label(sp, &label))?;
         }
         Some(phi)
+    }
+}
+
+/// The summary child a document node falls on, remembered per `(parent
+/// summary node, label id, kind)` of one document: the string-keyed
+/// [`Summary::index`] is consulted once per summary edge, not once per
+/// document node.
+#[derive(Default)]
+struct ChildMemo {
+    seen: HashMap<(SummaryNodeId, u32, NodeKind), SummaryNodeId>,
+}
+
+impl ChildMemo {
+    /// The child of `sp` that `n` falls on; `miss` gets the edge label
+    /// (`@name` for attributes) the first time the edge is seen.
+    fn resolve(
+        &mut self,
+        doc: &Document,
+        sp: SummaryNodeId,
+        n: NodeId,
+        miss: impl FnOnce(String) -> Option<SummaryNodeId>,
+    ) -> Option<SummaryNodeId> {
+        let key = (sp, doc.label_id(n), doc.kind(n));
+        if let Some(&sn) = self.seen.get(&key) {
+            return Some(sn);
+        }
+        let label = match doc.kind(n) {
+            NodeKind::Attribute => format!("@{}", doc.label(n)),
+            _ => doc.label(n).to_string(),
+        };
+        let sn = miss(label)?;
+        self.seen.insert(key, sn);
+        Some(sn)
     }
 }
 

@@ -36,6 +36,9 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// Iterator over a run of a document's postings, in document order.
+pub type NodeIds<'a> = std::iter::Copied<std::slice::Iter<'a, NodeId>>;
+
 /// The kind of an XML node. The document node is implicit; per the paper we
 /// ignore it and treat the top element as the root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,6 +76,71 @@ pub struct Document {
     nodes: Vec<NodeData>,
     labels: Vec<Box<str>>,
     label_ids: HashMap<Box<str>, u32>,
+    postings: Postings,
+}
+
+/// Indexed by `kind as usize`.
+const KINDS: [NodeKind; 3] = [NodeKind::Element, NodeKind::Attribute, NodeKind::Text];
+
+/// Node lists per `(label, kind)` and per kind, in CSR layout: filled
+/// once when the document is sealed, so the tag-derived collection `R_t`
+/// is a slice of length `|R_t|` instead of a filter over all nodes.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    /// `by_label[offsets[k]..offsets[k + 1]]` holds the nodes of posting
+    /// `k = 3 · label id + kind index`, in document order.
+    offsets: Vec<u32>,
+    by_label: Vec<NodeId>,
+    /// All elements, then all attributes, each run in document order.
+    by_kind: Vec<NodeId>,
+    element_count: usize,
+}
+
+impl Postings {
+    fn key(label: u32, kind: NodeKind) -> usize {
+        label as usize * KINDS.len() + kind as usize
+    }
+
+    /// Counting sort of the node arena by posting key (stable, so every
+    /// posting stays in document order).
+    fn build(nodes: &[NodeData], label_count: usize) -> Postings {
+        let mut offsets = vec![0u32; label_count * KINDS.len() + 1];
+        let mut kind_counts = [0usize; KINDS.len()];
+        for d in nodes {
+            offsets[Postings::key(d.label, d.kind) + 1] += 1;
+            kind_counts[d.kind as usize] += 1;
+        }
+        for k in 1..offsets.len() {
+            offsets[k] += offsets[k - 1];
+        }
+        let mut next = offsets.clone();
+        let mut by_label = vec![NodeId::ROOT; nodes.len()];
+        let element_count = kind_counts[NodeKind::Element as usize];
+        let mut by_kind =
+            vec![NodeId::ROOT; element_count + kind_counts[NodeKind::Attribute as usize]];
+        let mut next_of_kind = [0, element_count];
+        for (i, d) in nodes.iter().enumerate() {
+            let id = NodeId(i as u32);
+            let slot = &mut next[Postings::key(d.label, d.kind)];
+            by_label[*slot as usize] = id;
+            *slot += 1;
+            // text nodes have no per-kind run
+            if let Some(slot) = next_of_kind.get_mut(d.kind as usize) {
+                by_kind[*slot] = id;
+                *slot += 1;
+            }
+        }
+        Postings {
+            offsets,
+            by_label,
+            by_kind,
+            element_count,
+        }
+    }
+
+    fn posting(&self, key: usize) -> &[NodeId] {
+        &self.by_label[self.offsets[key] as usize..self.offsets[key + 1] as usize]
+    }
 }
 
 impl Document {
@@ -87,10 +155,7 @@ impl Document {
 
     /// Number of element nodes.
     pub fn element_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.kind == NodeKind::Element)
-            .count()
+        self.postings.element_count
     }
 
     /// The root element of the document.
@@ -168,13 +233,17 @@ impl Document {
     /// payload; for elements, the concatenation of all descendant text, in
     /// document order (the XPath `text()`-derived string value).
     pub fn value(&self, n: NodeId) -> String {
-        let d = &self.nodes[n.index()];
-        if let Some(t) = &d.text {
-            return t.to_string();
-        }
         let mut out = String::new();
-        self.collect_text(n, &mut out);
+        self.write_value(n, &mut out);
         out
+    }
+
+    /// Append the value of `n` (see [`Document::value`]) to `out`.
+    pub fn write_value(&self, n: NodeId, out: &mut String) {
+        match &self.nodes[n.index()].text {
+            Some(t) => out.push_str(t),
+            None => self.collect_text(n, out),
+        }
     }
 
     fn collect_text(&self, n: NodeId, out: &mut String) {
@@ -202,28 +271,38 @@ impl Document {
     }
 
     /// Iterator over all element nodes in document order.
-    pub fn elements(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.all_nodes()
-            .filter(move |&n| self.kind(n) == NodeKind::Element)
+    pub fn elements(&self) -> NodeIds<'_> {
+        let p = &self.postings;
+        p.by_kind[..p.element_count].iter().copied()
     }
 
     /// Iterator over all attribute nodes in document order.
-    pub fn attributes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.all_nodes()
-            .filter(move |&n| self.kind(n) == NodeKind::Attribute)
+    pub fn attributes(&self) -> NodeIds<'_> {
+        let p = &self.postings;
+        p.by_kind[p.element_count..].iter().copied()
     }
 
-    /// Elements and attributes with the given label, in document order.
+    /// Nodes of the given kind with the given label, in document order.
     /// This is the *tag-derived collection* `R_t` of Definition 2.2.1
-    /// restricted to node ids (the algebra layer adds Val/Tag/Cont columns).
-    pub fn nodes_with_label<'a>(
-        &'a self,
-        label: &str,
-        kind: NodeKind,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        let id = self.find_label(label);
-        self.all_nodes()
-            .filter(move |&n| Some(self.label_id(n)) == id && self.kind(n) == kind)
+    /// restricted to node ids (the algebra layer adds Val/Tag/Cont
+    /// columns); it walks the label's posting, `O(|R_t|)`.
+    pub fn nodes_with_label(&self, label: &str, kind: NodeKind) -> NodeIds<'_> {
+        let posting = match self.find_label(label) {
+            Some(id) => self.postings.posting(Postings::key(id, kind)),
+            None => &[],
+        };
+        posting.iter().copied()
+    }
+
+    /// Every non-empty `(label, kind)` posting with its nodes in document
+    /// order — one pass over these visits each node exactly once.
+    pub fn postings(&self) -> impl Iterator<Item = (&str, NodeKind, &[NodeId])> {
+        self.labels.iter().enumerate().flat_map(move |(id, label)| {
+            KINDS.iter().filter_map(move |&kind| {
+                let posting = self.postings.posting(Postings::key(id as u32, kind));
+                (!posting.is_empty()).then_some((&**label, kind, posting))
+            })
+        })
     }
 
     /// Descendants of `n` (excluding `n`), in document order. Relies on the
@@ -301,6 +380,7 @@ impl DocumentBuilder {
                 nodes: Vec::new(),
                 labels: Vec::new(),
                 label_ids: HashMap::new(),
+                postings: Postings::default(),
             },
             stack: Vec::new(),
         }
@@ -380,8 +460,8 @@ impl DocumentBuilder {
         id
     }
 
-    /// Finish construction: assigns post-order ranks and returns the
-    /// immutable document. Panics if elements remain open or the document is
+    /// Finish construction: assigns post-order ranks, builds the label
+    /// postings and returns the immutable document. Panics if elements remain open or the document is
     /// empty.
     pub fn finish(mut self) -> Document {
         assert!(self.stack.is_empty(), "unclosed elements at finish()");
@@ -401,6 +481,7 @@ impl DocumentBuilder {
                 }
             }
         }
+        self.doc.postings = Postings::build(&self.doc.nodes, self.doc.labels.len());
         self.doc
     }
 }
@@ -532,6 +613,39 @@ mod tests {
         assert_eq!(d.nodes_with_label("at", NodeKind::Attribute).count(), 1);
         assert_eq!(d.nodes_with_label("at", NodeKind::Element).count(), 0);
         assert_eq!(d.nodes_with_label("zzz", NodeKind::Element).count(), 0);
+    }
+
+    #[test]
+    fn postings_partition_the_nodes_in_document_order() {
+        let d = crate::generate::xmark(2, 3);
+        let mut seen = 0;
+        for (label, kind, posting) in d.postings() {
+            assert!(posting.windows(2).all(|w| w[0] < w[1]), "{label}");
+            for &n in posting {
+                assert_eq!((d.label(n), d.kind(n)), (label, kind));
+            }
+            assert_eq!(d.nodes_with_label(label, kind).len(), posting.len());
+            seen += posting.len();
+        }
+        assert_eq!(seen, d.len());
+        let by_filter = |k| {
+            d.all_nodes()
+                .filter(|&n| d.kind(n) == k)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            d.elements().collect::<Vec<_>>(),
+            by_filter(NodeKind::Element)
+        );
+        assert_eq!(
+            d.attributes().collect::<Vec<_>>(),
+            by_filter(NodeKind::Attribute)
+        );
+        assert_eq!(d.element_count(), d.elements().len());
+        assert_eq!(
+            d.nodes_with_label("#text", NodeKind::Text).len(),
+            by_filter(NodeKind::Text).len()
+        );
     }
 
     #[test]

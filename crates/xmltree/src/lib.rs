@@ -26,6 +26,6 @@ pub mod ids;
 pub mod parser;
 
 pub use dewey::DeweyId;
-pub use document::{Document, DocumentBuilder, NodeId, NodeKind};
+pub use document::{Document, DocumentBuilder, NodeId, NodeIds, NodeKind};
 pub use ids::StructuralId;
 pub use parser::{parse_document, ParseError};

@@ -137,10 +137,10 @@ pub fn execute_query_with_plan(
     Ok((out, plan))
 }
 
-fn merge_catalog(into: &mut Catalog, from: Catalog) {
+fn merge_catalog(into: &mut Catalog, mut from: Catalog) {
     for name in from.names().map(str::to_string).collect::<Vec<_>>() {
-        if let Some(rel) = from.get(&name) {
-            into.insert(name.clone(), rel.clone());
+        if let Some(rel) = from.remove(&name) {
+            into.insert(name, rel);
         }
     }
 }
