@@ -17,7 +17,11 @@
 //! * **build–probe binary** (`Product`, `Join`, `StructJoin`,
 //!   `Difference`) — the right side is drained and kept resident once,
 //!   then left batches probe it (all these operators are per-left-tuple,
-//!   so batching the left preserves both results and order);
+//!   so batching the left preserves both results and order). `Join` is
+//!   native: the value-join kernel's table (`hashjoin`, the one
+//!   the materialized evaluator uses) is built when the right side is
+//!   drained and every left batch probes it directly; the other three
+//!   still re-enter the evaluator per batch over the shadow catalog;
 //! * **`Union`** — left exhausted first, then right, pass-through;
 //! * **`TwigJoin`** — inputs are drained (they are base ID streams in
 //!   fused plans), the holistic merge enumerates solution index vectors,
@@ -39,13 +43,14 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use obs::{ExecMetrics, StatsStore};
+use obs::{ExecMetrics, Meter, NoMeter, StatsStore};
 use xmltree::Document;
 
 use crate::eval::{
     twig_shape, twig_solutions, Catalog, EvalConfig, EvalError, Evaluator, Relation, TwigShape,
 };
-use crate::plan::{LogicalPlan, TwigStep};
+use crate::hashjoin::JoinTable;
+use crate::plan::{JoinKind, LogicalPlan, Predicate, TwigStep};
 use crate::value::{Schema, Tuple};
 
 // ----------------------------------------------------------------------
@@ -161,6 +166,15 @@ impl Mon {
             if !m.is_zero() {
                 c.metrics.borrow_mut().absorb(&m);
             }
+        }
+    }
+
+    /// Run a native kernel against this operator's metrics when
+    /// profiling, against the free [`NoMeter`] otherwise.
+    fn metered<R>(&self, f: impl FnOnce(&mut dyn Meter) -> R) -> R {
+        match &self.cells {
+            Some(c) => f(&mut *c.metrics.borrow_mut()),
+            None => f(&mut NoMeter),
         }
     }
 
@@ -529,14 +543,24 @@ impl<'a> Builder<'a> {
             &[("__l", left.schema()), ("__r", right.schema())],
         )?;
         let left_schema = left.schema().clone();
-        let mut cat = Catalog::new();
-        cat.insert("__r", Relation::empty(right.schema().clone()));
+        let probe = match plan {
+            LogicalPlan::Join { pred, kind, .. } => Probe::Join {
+                pred: pred.clone(),
+                kind: *kind,
+                right: Vec::new(),
+                table: None,
+            },
+            _ => {
+                let mut cat = Catalog::new();
+                cat.insert("__r", Relation::empty(right.schema().clone()));
+                Probe::Reenter { cat, one_level }
+            }
+        };
         Ok(Box::new(BinaryCursor {
             left,
             right: Some(right),
             right_rows: 0,
-            cat,
-            one_level,
+            probe,
             schema,
             left_schema,
             batch: self.batch(),
@@ -785,17 +809,35 @@ impl Cursor for MapCursor<'_> {
     }
 }
 
-/// Build–probe binary operator: the right side is drained into the
-/// shadow catalog once (`__r`, resident until close), then every left
-/// batch probes it as `__l`, oversized probe output draining through
-/// the [`Spill`]. Correct for every operator whose output is a
-/// per-left-tuple function of the whole right side.
+/// How a [`BinaryCursor`] turns one left batch and the resident right
+/// side into output.
+enum Probe {
+    /// `Join`: the value-join kernel, its table built once over the
+    /// drained right side (`None` until then).
+    Join {
+        pred: Predicate,
+        kind: JoinKind,
+        right: Vec<Tuple>,
+        table: Option<JoinTable>,
+    },
+    /// `Product`, `StructJoin`, `Difference`: the node re-evaluated as a
+    /// one-level plan over a shadow catalog (`__r` = the right side,
+    /// `__l` = the batch).
+    Reenter {
+        cat: Catalog,
+        one_level: LogicalPlan,
+    },
+}
+
+/// Build–probe binary operator: the right side is drained once and stays
+/// resident until close, then every left batch probes it, oversized probe
+/// output draining through the [`Spill`]. Correct for every operator
+/// whose output is a per-left-tuple function of the whole right side.
 struct BinaryCursor<'a> {
     left: Box<dyn Cursor + 'a>,
     right: Option<Box<dyn Cursor + 'a>>,
     right_rows: usize,
-    cat: Catalog,
-    one_level: LogicalPlan,
+    probe: Probe,
     schema: Schema,
     left_schema: Schema,
     batch: usize,
@@ -836,26 +878,48 @@ impl Cursor for BinaryCursor<'_> {
             r.close();
             self.right_rows = tuples.len();
             self.mon.residency.alloc(tuples.len());
-            self.cat.insert("__r", Relation::new(rs, tuples));
+            match &mut self.probe {
+                Probe::Join {
+                    pred, right, table, ..
+                } => {
+                    *table =
+                        Some(self.mon.metered(|m| {
+                            JoinTable::build(pred, &self.left_schema, &rs, &tuples, m)
+                        })?);
+                    *right = tuples;
+                }
+                Probe::Reenter { cat, .. } => cat.insert("__r", Relation::new(rs, tuples)),
+            }
         }
         loop {
             let Some(batch) = self.left.next_batch()? else {
                 return Ok(None);
             };
-            self.cat
-                .insert("__l", Relation::new(self.left_schema.clone(), batch.tuples));
-            let ev = Evaluator {
-                catalog: &self.cat,
-                doc: self.doc,
-                config: self.eval,
-                metrics: self.mon.metrics_slot(),
+            let out = match &mut self.probe {
+                Probe::Join {
+                    kind, right, table, ..
+                } => {
+                    let table = table.as_ref().expect("built when the right side drained");
+                    self.mon
+                        .metered(|m| table.join(&batch.tuples, right, *kind, m))
+                }
+                Probe::Reenter { cat, one_level } => {
+                    cat.insert("__l", Relation::new(self.left_schema.clone(), batch.tuples));
+                    let ev = Evaluator {
+                        catalog: cat,
+                        doc: self.doc,
+                        config: self.eval,
+                        metrics: self.mon.metrics_slot(),
+                    };
+                    let out = ev.eval(one_level)?;
+                    if let Some(m) = ev.metrics {
+                        self.mon.absorb(m.into_inner());
+                    }
+                    out.tuples
+                }
             };
-            let out = ev.eval(&self.one_level)?;
-            if let Some(m) = ev.metrics {
-                self.mon.absorb(m.into_inner());
-            }
-            if !out.tuples.is_empty() {
-                self.spill.stage(&self.mon, out.tuples);
+            if !out.is_empty() {
+                self.spill.stage(&self.mon, out);
                 return Ok(Some(self.spill.emit_next(&self.mon, self.batch)));
             }
         }
@@ -1303,6 +1367,63 @@ mod tests {
             &cat,
             Some(&doc),
         );
+
+        // `Difference` removes exactly the tuples `tuple_cmp_all` calls
+        // equal to some right tuple — `⊥ = ⊥`, IDs by `pre`, `1 ≠ "1"`,
+        // nested collections element-wise — keeps duplicates of the rest
+        // in order, and streams as it materializes
+        use crate::order::tuple_cmp_all;
+        use crate::value::Collection;
+        use xmltree::StructuralId;
+        let coll = |xs: &[i64]| {
+            Value::Coll(Collection::list(
+                xs.iter()
+                    .map(|x| Tuple::new(vec![Value::Int(*x)]))
+                    .collect(),
+            ))
+        };
+        let pool = [
+            Value::Null,
+            Value::Int(1),
+            Value::str("1"),
+            Value::str("x"),
+            Value::Id(StructuralId::new(4, 9, 1)),
+            Value::Id(StructuralId::new(4, 2, 3)),
+            Value::Id(StructuralId::new(5, 1, 1)),
+            coll(&[1, 2]),
+            coll(&[1]),
+            coll(&[]),
+        ];
+        let rel = |picks: &[(usize, usize)]| {
+            let tuples = picks
+                .iter()
+                .map(|&(a, b)| Tuple::new(vec![pool[a].clone(), pool[b].clone()]))
+                .collect();
+            Relation::new(Schema::atoms(&["A", "B"]), tuples)
+        };
+        let left: Vec<(usize, usize)> = (0..pool.len())
+            .flat_map(|a| [(a, 0), (a, 1), (a, 1), (a, (a + 3) % pool.len())])
+            .collect();
+        let right = [(0, 0), (1, 1), (2, 5), (5, 8), (7, 1), (9, 2), (3, 3)];
+        let mut cat = Catalog::new();
+        cat.insert("l", rel(&left));
+        cat.insert("r", rel(&right));
+        let plan = LogicalPlan::scan("l").difference(LogicalPlan::scan("r"));
+        let got = Evaluator::new(&cat).eval(&plan).unwrap();
+        let (l, r) = (cat.get("l").unwrap(), cat.get("r").unwrap());
+        let want: Vec<Tuple> = l
+            .tuples
+            .iter()
+            .filter(|t| {
+                !r.tuples
+                    .iter()
+                    .any(|rt| tuple_cmp_all(t, rt) == std::cmp::Ordering::Equal)
+            })
+            .cloned()
+            .collect();
+        assert_eq!(got.tuples, want);
+        assert!(want.len() < l.len() && want.len() > l.len() / 2);
+        assert_streams(&plan, &cat, None);
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //!
 //! Physical choices: structural joins run the `StackTree` merge when inputs
 //! are (or are made) ID-sorted, with a nested-loop fallback selectable via
-//! [`EvalConfig`] for the ablation benches; value equi-joins use an
-//! in-memory hash table; `GroupBy` uses a hash table preserving first-seen
-//! group order; `Sort_φ` is a stable comparison sort.
+//! [`EvalConfig`] for the ablation benches; value joins whose predicate has
+//! an equality conjunct between the two inputs build an in-memory hash
+//! table over the right input and probe it (the `hashjoin` module), and run
+//! the nested loop only when there is no such conjunct (`<`, `contains`,
+//! `∨`, `¬`); `Difference` probes a hash set of the right input's tuples;
+//! `GroupBy` uses a hash table preserving first-seen group order; `Sort_φ`
+//! is a stable comparison sort.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -14,13 +18,15 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
-use obs::{ExecMetrics, Meter, OpProfile};
+use obs::{ExecMetrics, Meter, NoMeter, OpProfile};
 use xmltree::{Document, NodeId, NodeKind, StructuralId};
 
+use crate::hashjoin::{assemble_join, join_schema, JoinTable};
 use crate::order::{tuple_cmp_all, value_cmp, OrderSpec};
 use crate::plan::{
-    Axis, CmpOp, FetchWhat, JoinKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep,
+    Axis, FetchWhat, JoinKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep,
 };
+use crate::pred::{cmp_values, BoundPred, NO_TUPLE};
 use crate::simd::IdColumns;
 use crate::skip::{SkipIndex, DEFAULT_BLOCK};
 use crate::stacktree::{
@@ -288,18 +294,11 @@ impl<'a> Evaluator<'a> {
                 Ok(l)
             }
             Difference { left, right } => {
-                let l = self.eval(left)?;
+                let mut l = self.eval(left)?;
                 let r = self.eval(right)?;
-                let keep: Vec<Tuple> = l
-                    .tuples
-                    .into_iter()
-                    .filter(|t| {
-                        !r.tuples
-                            .iter()
-                            .any(|rt| tuple_cmp_all(t, rt) == std::cmp::Ordering::Equal)
-                    })
-                    .collect();
-                Ok(Relation::new(l.schema, keep))
+                let gone: HashSet<ByValue<'_>> = r.tuples.iter().map(ByValue).collect();
+                l.tuples.retain(|t| !gone.contains(&ByValue(t)));
+                Ok(l)
             }
             GroupBy {
                 input,
@@ -447,7 +446,7 @@ impl<'a> Evaluator<'a> {
     // ------------------------------------------------------------------
     // selection
 
-    fn eval_select(&self, rel: Relation, pred: &Predicate) -> Result<Relation, EvalError> {
+    fn eval_select(&self, mut rel: Relation, pred: &Predicate) -> Result<Relation, EvalError> {
         // `map`-extension with reduction for a single comparison over one
         // nested column (Example 1.2.2); plain existential otherwise.
         if let Predicate::Cmp(Operand::Col(p), op, Operand::Const(c)) = pred {
@@ -463,71 +462,11 @@ impl<'a> Evaluator<'a> {
                 return Ok(Relation::new(rel.schema, tuples));
             }
         }
-        let tuples = rel
-            .tuples
-            .iter()
-            .filter(|t| self.eval_pred(&rel.schema, t, pred).unwrap_or(false))
-            .cloned()
-            .collect::<Vec<_>>();
-        // validate attribute references eagerly for error reporting
-        validate_pred(&rel.schema, pred)?;
-        Ok(Relation::new(rel.schema, tuples))
-    }
-
-    /// Evaluate a predicate over one tuple, with existential semantics when
-    /// column paths cross collection attributes.
-    pub fn eval_pred(
-        &self,
-        schema: &Schema,
-        tuple: &Tuple,
-        pred: &Predicate,
-    ) -> Result<bool, EvalError> {
-        match pred {
-            Predicate::True => Ok(true),
-            Predicate::And(a, b) => {
-                Ok(self.eval_pred(schema, tuple, a)? && self.eval_pred(schema, tuple, b)?)
-            }
-            Predicate::Or(a, b) => {
-                Ok(self.eval_pred(schema, tuple, a)? || self.eval_pred(schema, tuple, b)?)
-            }
-            Predicate::Not(a) => Ok(!self.eval_pred(schema, tuple, a)?),
-            Predicate::IsNull(p) => {
-                let idx = resolve(schema, p)?;
-                let vals = reachable_values(tuple, &idx);
-                Ok(vals.iter().all(|v| v.is_null()) || vals.is_empty())
-            }
-            Predicate::NotNull(p) => {
-                let idx = resolve(schema, p)?;
-                Ok(reachable_values(tuple, &idx).iter().any(|v| !v.is_null()))
-            }
-            Predicate::Cmp(l, op, r) => {
-                let lv = self.operand_values(schema, tuple, l)?;
-                let rv = self.operand_values(schema, tuple, r)?;
-                for a in &lv {
-                    for b in &rv {
-                        if cmp_values(a, *op, b) {
-                            return Ok(true);
-                        }
-                    }
-                }
-                Ok(false)
-            }
-        }
-    }
-
-    fn operand_values(
-        &self,
-        schema: &Schema,
-        tuple: &Tuple,
-        op: &Operand,
-    ) -> Result<Vec<Value>, EvalError> {
-        match op {
-            Operand::Const(v) => Ok(vec![v.clone()]),
-            Operand::Col(p) => {
-                let idx = resolve(schema, p)?;
-                Ok(reachable_values(tuple, &idx))
-            }
-        }
+        // binding resolves every attribute, so an unknown one fails here,
+        // before the first tuple is read
+        let bound = BoundPred::bind(pred, &rel.schema, rel.schema.arity())?;
+        rel.tuples.retain(|t| bound.holds(t, &NO_TUPLE));
+        Ok(rel)
     }
 
     // ------------------------------------------------------------------
@@ -558,22 +497,23 @@ impl<'a> Evaluator<'a> {
         pred: &Predicate,
         kind: JoinKind,
     ) -> Result<Relation, EvalError> {
-        let combined = l.schema.concat(&r.schema);
-        validate_pred(&combined, pred)?;
-        // per-left match lists
-        let mut matches: Vec<Vec<usize>> = vec![Vec::new(); l.len()];
-        for (li, lt) in l.tuples.iter().enumerate() {
-            for (ri, rt) in r.tuples.iter().enumerate() {
-                let joined = lt.concat(rt);
-                if self.eval_pred(&combined, &joined, pred)? {
-                    matches[li].push(ri);
-                }
-            }
+        let tuples = self.with_meter(|m| {
+            let table = JoinTable::build(pred, &l.schema, &r.schema, &r.tuples, m)?;
+            Ok(table.join(&l.tuples, &r.tuples, kind, m))
+        })?;
+        Ok(Relation::new(
+            join_schema(&l.schema, &r.schema, kind, None),
+            tuples,
+        ))
+    }
+
+    /// Run `f` against the evaluator's metrics when profiling, against
+    /// the free [`NoMeter`] otherwise.
+    fn with_meter<R>(&self, f: impl FnOnce(&mut dyn Meter) -> R) -> R {
+        match &self.metrics {
+            Some(m) => f(&mut *m.borrow_mut()),
+            None => f(&mut NoMeter),
         }
-        if let Some(m) = &self.metrics {
-            m.borrow_mut().comparisons((l.len() * r.len()) as u64);
-        }
-        self.assemble_join(l, r, matches, kind, None)
     }
 
     // ------------------------------------------------------------------
@@ -660,71 +600,10 @@ impl<'a> Evaluator<'a> {
         for m in &mut matches {
             m.sort_unstable();
         }
-        self.assemble_join(l, r, matches, kind, nest_as)
-    }
-
-    /// Assemble join output from per-left match lists.
-    fn assemble_join(
-        &self,
-        l: Relation,
-        r: Relation,
-        matches: Vec<Vec<usize>>,
-        kind: JoinKind,
-        nest_as: Option<&str>,
-    ) -> Result<Relation, EvalError> {
-        match kind {
-            JoinKind::Inner => {
-                let schema = l.schema.concat(&r.schema);
-                let mut tuples = Vec::new();
-                for (li, ms) in matches.iter().enumerate() {
-                    for &ri in ms {
-                        tuples.push(l.tuples[li].concat(&r.tuples[ri]));
-                    }
-                }
-                Ok(Relation::new(schema, tuples))
-            }
-            JoinKind::Semi => {
-                let tuples = matches
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, ms)| !ms.is_empty())
-                    .map(|(li, _)| l.tuples[li].clone())
-                    .collect();
-                Ok(Relation::new(l.schema, tuples))
-            }
-            JoinKind::LeftOuter => {
-                let schema = l.schema.concat(&r.schema);
-                let r_arity = r.schema.arity();
-                let mut tuples = Vec::new();
-                for (li, ms) in matches.iter().enumerate() {
-                    if ms.is_empty() {
-                        tuples.push(l.tuples[li].concat(&Tuple::nulls(r_arity)));
-                    } else {
-                        for &ri in ms {
-                            tuples.push(l.tuples[li].concat(&r.tuples[ri]));
-                        }
-                    }
-                }
-                Ok(Relation::new(schema, tuples))
-            }
-            JoinKind::Nest | JoinKind::NestOuter => {
-                let name = nest_as.unwrap_or("s");
-                let schema = l
-                    .schema
-                    .concat(&Schema::new(vec![Field::nested(name, r.schema.clone())]));
-                let mut tuples = Vec::new();
-                for (li, ms) in matches.iter().enumerate() {
-                    if ms.is_empty() && kind == JoinKind::Nest {
-                        continue;
-                    }
-                    let nested: Vec<Tuple> = ms.iter().map(|&ri| r.tuples[ri].clone()).collect();
-                    let mut t = l.tuples[li].clone();
-                    t.0.push(Value::Coll(Collection::list(nested)));
-                    tuples.push(t);
-                }
-                Ok(Relation::new(schema, tuples))
-            }
-        }
+        Ok(Relation::new(
+            join_schema(&l.schema, &r.schema, kind, nest_as),
+            assemble_join(&l.tuples, &r.tuples, r.schema.arity(), &matches, kind),
+        ))
     }
 
     // ------------------------------------------------------------------
@@ -1178,25 +1057,6 @@ fn flat_value(t: &Tuple, idx: &[usize]) -> Value {
     t.get(idx[0]).clone()
 }
 
-/// All atomic values reachable at an index path, descending through nested
-/// collections (existential `map` semantics).
-fn reachable_values(t: &Tuple, idx: &[usize]) -> Vec<Value> {
-    fn rec(v: &Value, rest: &[usize], out: &mut Vec<Value>) {
-        match (v, rest) {
-            (v, []) => out.push(v.clone()),
-            (Value::Coll(c), rest) => {
-                for t in &c.tuples {
-                    rec(t.get(rest[0]), &rest[1..], out);
-                }
-            }
-            _ => out.push(Value::Null),
-        }
-    }
-    let mut out = Vec::new();
-    rec(t.get(idx[0]), &idx[1..], &mut out);
-    out
-}
-
 /// Reduce a tuple on a nested path: keep only nested tuples whose value at
 /// the path satisfies `f`; eliminate the tuple if nothing remains
 /// (Example 1.2.2's `map(σ, r, A1.A11)`).
@@ -1226,57 +1086,6 @@ fn reduce_tuple(
     }
     let keep = rec(&mut t.0[idx[0]], &idx[1..], f);
     keep.then_some(t)
-}
-
-fn cmp_values(a: &Value, op: CmpOp, b: &Value) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        CmpOp::Parent => match (a.as_id(), b.as_id()) {
-            (Some(x), Some(y)) => x.is_parent_of(y),
-            _ => false,
-        },
-        CmpOp::Ancestor => match (a.as_id(), b.as_id()) {
-            (Some(x), Some(y)) => x.is_ancestor_of(y),
-            _ => false,
-        },
-        CmpOp::Contains => match (a, b) {
-            (Value::Str(x), Value::Str(y)) => x.contains(y.as_ref()),
-            _ => false,
-        },
-        _ => match a.compare(b) {
-            None => false,
-            Some(ord) => match op {
-                CmpOp::Eq => ord == Equal,
-                CmpOp::Ne => ord != Equal,
-                CmpOp::Lt => ord == Less,
-                CmpOp::Le => ord != Greater,
-                CmpOp::Gt => ord == Greater,
-                CmpOp::Ge => ord != Less,
-                CmpOp::Parent | CmpOp::Ancestor | CmpOp::Contains => unreachable!(),
-            },
-        },
-    }
-}
-
-fn validate_pred(schema: &Schema, pred: &Predicate) -> Result<(), EvalError> {
-    match pred {
-        Predicate::Cmp(l, _, r) => {
-            if let Operand::Col(p) = l {
-                resolve(schema, p)?;
-            }
-            if let Operand::Col(p) = r {
-                resolve(schema, p)?;
-            }
-            Ok(())
-        }
-        Predicate::IsNull(p) | Predicate::NotNull(p) => resolve(schema, p).map(|_| ()),
-        Predicate::And(a, b) | Predicate::Or(a, b) => {
-            validate_pred(schema, a)?;
-            validate_pred(schema, b)
-        }
-        Predicate::Not(a) => validate_pred(schema, a),
-        Predicate::True => Ok(()),
-    }
 }
 
 fn is_sorted_by_pre(ids: &[(StructuralId, usize)]) -> bool {
@@ -1727,6 +1536,22 @@ mod tests {
         ));
         let p = LogicalPlan::scan("book").select(Predicate::eq("Nope", Value::Int(1)));
         assert!(matches!(ev.eval(&p), Err(EvalError::UnknownAttribute(_))));
+    }
+
+    /// A predicate naming an unknown column fails when it is bound,
+    /// before any tuple is evaluated: these tuples are shorter than
+    /// their schema, so reading `Val` off one would panic.
+    #[test]
+    fn select_rejects_unknown_column_before_reading_a_tuple() {
+        let mut cat = Catalog::new();
+        let stubs = vec![Tuple::new(vec![Value::Int(1)]); 3];
+        cat.insert("t", Relation::new(Schema::atoms(&["ID", "Val"]), stubs));
+        let pred = Predicate::eq("Val", Value::Int(1)).or(Predicate::eq("Nope", Value::Int(1)));
+        let plan = LogicalPlan::scan("t").select(pred);
+        assert_eq!(
+            Evaluator::new(&cat).eval(&plan),
+            Err(EvalError::UnknownAttribute("Nope".into()))
+        );
     }
 
     #[test]

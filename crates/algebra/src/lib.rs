@@ -17,13 +17,16 @@
 //! structural-join algorithms over ID-sorted inputs, a holistic
 //! `TwigStack`-style twig join evaluating whole tree patterns in one
 //! multi-way merge, a naive nested-loop fallback kept for the ablation
-//! benches, and order descriptors tracking which attribute the output of
+//! benches, a hash build/probe kernel for value joins with an equality
+//! conjunct, and order descriptors tracking which attribute the output of
 //! each operator is sorted on.
 
 pub mod cursor;
 pub mod eval;
+mod hashjoin;
 pub mod order;
 pub mod plan;
+mod pred;
 pub mod simd;
 pub mod skip;
 pub mod stacktree;

@@ -128,6 +128,51 @@ impl Predicate {
     pub fn or(self, other: Predicate) -> Predicate {
         Predicate::Or(Box::new(self), Box::new(other))
     }
+
+    /// The `Col = Col` comparisons this predicate is a conjunction over
+    /// (reached through `∧` alone, never under `∨` or `¬`): the equalities
+    /// a value join can hash on. Everything else in the predicate is
+    /// residue the join still has to evaluate on each candidate pair.
+    pub fn equi_conjuncts(&self) -> Vec<(&Path, &Path)> {
+        fn rec<'p>(p: &'p Predicate, out: &mut Vec<(&'p Path, &'p Path)>) {
+            match p {
+                Predicate::And(a, b) => {
+                    rec(a, out);
+                    rec(b, out);
+                }
+                Predicate::Cmp(Operand::Col(l), CmpOp::Eq, Operand::Col(r)) => out.push((l, r)),
+                _ => {}
+            }
+        }
+        let mut out = Vec::new();
+        rec(self, &mut out);
+        out
+    }
+
+    /// Every attribute path the predicate reads, in order of appearance.
+    pub fn columns(&self) -> Vec<&Path> {
+        fn rec<'p>(p: &'p Predicate, out: &mut Vec<&'p Path>) {
+            match p {
+                Predicate::Cmp(l, _, r) => {
+                    for o in [l, r] {
+                        if let Operand::Col(c) = o {
+                            out.push(c);
+                        }
+                    }
+                }
+                Predicate::IsNull(c) | Predicate::NotNull(c) => out.push(c),
+                Predicate::And(a, b) | Predicate::Or(a, b) => {
+                    rec(a, out);
+                    rec(b, out);
+                }
+                Predicate::Not(a) => rec(a, out),
+                Predicate::True => {}
+            }
+        }
+        let mut out = Vec::new();
+        rec(self, &mut out);
+        out
+    }
 }
 
 impl fmt::Display for Predicate {
@@ -660,7 +705,10 @@ impl LogicalPlan {
 
     /// Short operator label for this node alone (no recursion into
     /// children), used by profile trees: `Scan(v_items)`,
-    /// `StructJoin(⋈,/)`, `twig(2 steps)`, …
+    /// `StructJoin(⋈,/)`, `twig(2 steps)`, … A value join is named after
+    /// the algorithm its predicate selects: `HashJoin(⋈)` when it has an
+    /// equality conjunct to hash on ([`Predicate::equi_conjuncts`]),
+    /// `NLJoin(⋈)` otherwise.
     pub fn node_label(&self) -> String {
         use LogicalPlan::*;
         match self {
@@ -672,7 +720,10 @@ impl LogicalPlan {
                 cols.iter().map(Path::as_str).collect::<Vec<_>>().join(",")
             ),
             Product { .. } => "Product".to_string(),
-            Join { kind, .. } => format!("Join({kind})"),
+            Join { pred, kind, .. } if pred.equi_conjuncts().is_empty() => {
+                format!("NLJoin({kind})")
+            }
+            Join { kind, .. } => format!("HashJoin({kind})"),
             StructJoin {
                 left_attr,
                 right_attr,
@@ -872,5 +923,32 @@ mod tests {
         assert_eq!(p, Predicate::eq("A", Value::Int(1)));
         let q = Predicate::eq("A", Value::Int(1)).and(Predicate::NotNull(Path::new("B")));
         assert!(matches!(q, Predicate::And(..)));
+    }
+
+    #[test]
+    fn equality_conjuncts_name_the_join_algorithm() {
+        let eq = Predicate::col_cmp("a", CmpOp::Eq, "b");
+        let lt = Predicate::col_cmp("c.d", CmpOp::Lt, "e");
+        let both = eq.clone().and(lt.clone());
+        assert_eq!(
+            both.equi_conjuncts(),
+            vec![(&Path::new("a"), &Path::new("b"))]
+        );
+        let cols: Vec<&str> = both.columns().into_iter().map(Path::as_str).collect();
+        assert_eq!(cols, ["a", "b", "c.d", "e"]);
+        // an equality under ∨ or ¬, or against a constant, is not a join key
+        for p in [
+            lt.clone(),
+            eq.clone().or(lt),
+            Predicate::Not(Box::new(eq.clone())),
+            Predicate::eq("a", Value::Int(1)),
+            Predicate::True,
+        ] {
+            assert!(p.equi_conjuncts().is_empty(), "{p}");
+            let nl = LogicalPlan::scan("l").join(LogicalPlan::scan("r"), p, JoinKind::Semi);
+            assert_eq!(nl.node_label(), "NLJoin(⋉)");
+        }
+        let hj = LogicalPlan::scan("l").join(LogicalPlan::scan("r"), both, JoinKind::Inner);
+        assert_eq!(hj.node_label(), "HashJoin(⋈)");
     }
 }

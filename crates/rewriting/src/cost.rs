@@ -266,7 +266,7 @@ impl<'a> CostModel<'a> {
                 let (cr, rr) = ch(1);
                 (cl + cr + rl * rr, rl * rr)
             }
-            Join { kind, .. } => {
+            Join { pred, kind, .. } => {
                 let (cl, rl) = ch(0);
                 let (cr, rr) = ch(1);
                 let out = match kind {
@@ -274,8 +274,16 @@ impl<'a> CostModel<'a> {
                     JoinKind::Nest | JoinKind::NestOuter => rl,
                     _ => (rl * rr * 0.1).max(rl.min(rr)),
                 };
-                // nested-loop value join
-                (cl + cr + rl * rr, out)
+                // the executor reads the algorithm off the predicate, and
+                // so does the price: an equality conjunct means one hash
+                // build over the right input, one probe per left tuple and
+                // one test per output row; anything else is the nested loop
+                let join = if pred.equi_conjuncts().is_empty() {
+                    rl * rr
+                } else {
+                    rl + rr + out
+                };
+                (cl + cr + join, out)
             }
             StructJoin { kind, .. } => {
                 let (cl, rl) = ch(0);
@@ -489,6 +497,35 @@ mod tests {
             algebra::JoinKind::Inner,
         );
         assert!(plan_cost(&via_small, &c, ALL) < plan_cost(&via_big, &c, ALL));
+    }
+
+    #[test]
+    fn hash_join_is_priced_linear_and_nested_loop_quadratic() {
+        let c = catalog();
+        let join = |pred| {
+            LogicalPlan::scan("big").rename(&["a"]).join(
+                LogicalPlan::scan("big").rename(&["b"]),
+                pred,
+                algebra::JoinKind::Inner,
+            )
+        };
+        let eq = algebra::Predicate::col_cmp("a", algebra::CmpOp::Eq, "b");
+        let lt = algebra::Predicate::col_cmp("a", algebra::CmpOp::Lt, "b");
+        let hash = CostModel::new(&c, ALL).estimate_tree(&join(eq.clone().and(lt.clone())));
+        let nl = CostModel::new(&c, ALL).estimate_tree(&join(lt));
+        assert_eq!(hash.op, "HashJoin(⋈)");
+        assert_eq!(nl.op, "NLJoin(⋈)");
+        // same inputs, same output estimate; only the algorithm's price differs
+        assert_eq!(hash.estimate.rows, nl.estimate.rows);
+        let inputs = 2.0 * 10_000.0;
+        assert_eq!(nl.estimate.cost, inputs + 10_000.0 * 10_000.0);
+        assert_eq!(hash.estimate.cost, inputs + inputs + hash.estimate.rows);
+        // and the equality join now ranks below the product it replaces
+        let product = LogicalPlan::scan("big")
+            .rename(&["a"])
+            .product(LogicalPlan::scan("big").rename(&["b"]))
+            .select(eq.clone());
+        assert!(plan_cost(&join(eq), &c, ALL) < plan_cost(&product, &c, ALL));
     }
 
     #[test]

@@ -9,11 +9,17 @@
 //! where each `⟦XQ_i⟧` is the structural-join tree of one maximal query
 //! pattern (its algebraic XAM semantics, Chapter 2), `σ_post` applies the
 //! value joins / `ftcontains` residue, and `xml_templ` tags the result.
+//! [`combine_plans`] emits that form with each equality of `σ_post`
+//! already folded into the product it filters (`σ_{a=b}(L × R)` is
+//! `L ⋈_{a=b} R`, which the engine hashes); a `×` survives only between
+//! patterns no equality connects.
 //! [`execute_query`] runs the pipeline directly against the tag-derived
 //! collections of a document — the "default storage" path; the rewriting
 //! crate substitutes materialized views for the pattern plans instead.
 
-use algebra::{Catalog, EvalError, Evaluator, LogicalPlan, Path, Relation};
+use std::collections::HashMap;
+
+use algebra::{Catalog, EvalError, Evaluator, JoinKind, LogicalPlan, Path, Predicate, Relation};
 use xmltree::Document;
 
 use crate::extract::{extract_patterns, ExtractError, ExtractedQuery};
@@ -61,13 +67,47 @@ impl From<EvalError> for QueryError {
 /// pattern is answered by the given per-pattern plan (index-aligned with
 /// `ex.patterns`). The rewriting layer passes view-based plans here; the
 /// default path passes the patterns' own structural-join plans.
+///
+/// The pattern plans are folded left to right. A post-filter with an
+/// equality between the pattern being added and an earlier one becomes
+/// (part of) that step's join predicate, provided it reads no later
+/// pattern — the lowest join covering its columns; a step no such filter
+/// reaches is a product. The remaining filters (`<`, `contains`,
+/// conditions within one pattern) are selections on top, in their
+/// original order. Row order is that of `σ_post` over the left-deep
+/// product in every case.
 pub fn combine_plans(ex: &ExtractedQuery, pattern_plans: Vec<LogicalPlan>) -> LogicalPlan {
-    let mut iter = pattern_plans.into_iter();
-    let mut plan = iter.next().expect("at least one pattern");
-    for p in iter {
-        plan = plan.product(p);
+    // the pattern each top-level output field belongs to (node names are
+    // unique across the patterns of one extraction)
+    let head = |path: &str| path.split('.').next().unwrap_or(path).to_string();
+    let mut owner: HashMap<String, usize> = HashMap::new();
+    for (k, p) in ex.patterns.iter().enumerate() {
+        for c in xam_core::semantics::output_columns(p) {
+            owner.insert(head(&c.path), k);
+        }
     }
-    for f in &ex.post_filters {
+    let owner_of = |c: &Path| owner.get(&head(c.as_str())).copied();
+    let mut pending: Vec<&Predicate> = ex.post_filters.iter().collect();
+    let mut plans = pattern_plans.into_iter().enumerate();
+    let (_, mut plan) = plans.next().expect("at least one pattern");
+    for (k, p) in plans {
+        let (on, rest): (Vec<_>, Vec<_>) = pending.into_iter().partition(|f| {
+            let covered = f
+                .columns()
+                .into_iter()
+                .all(|c| owner_of(c).is_some_and(|o| o <= k));
+            covered
+                && f.equi_conjuncts()
+                    .into_iter()
+                    .any(|(a, b)| (owner_of(a) == Some(k)) != (owner_of(b) == Some(k)))
+        });
+        pending = rest;
+        plan = match on.into_iter().cloned().reduce(Predicate::and) {
+            Some(pred) => plan.join(p, pred, JoinKind::Inner),
+            None => plan.product(p),
+        };
+    }
+    for f in pending {
         plan = plan.select(f.clone());
     }
     LogicalPlan::XmlTemplate {
@@ -239,6 +279,109 @@ mod tests {
         .unwrap();
         assert_eq!(out.len(), 1);
         assert!(out[0].contains("Data on the Web"));
+    }
+
+    /// The operator under the `xml_templ` root.
+    fn body(text: &str) -> LogicalPlan {
+        match query_plan(text).unwrap().1 {
+            LogicalPlan::XmlTemplate { input, .. } => *input,
+            other => panic!("no xml_templ root: {other}"),
+        }
+    }
+
+    #[test]
+    fn equality_filter_becomes_a_join() {
+        let plan = body(
+            r#"for $b in doc("d")//book, $p in doc("d")//phdthesis
+               where $b/@year = $p/@year return <pair>{$b/title/text()}</pair>"#,
+        );
+        let LogicalPlan::Join {
+            left,
+            right,
+            pred,
+            kind: JoinKind::Inner,
+        } = &plan
+        else {
+            panic!("expected a join: {plan}")
+        };
+        assert_eq!(pred.equi_conjuncts().len(), 1, "{pred}");
+        for side in [left, right] {
+            assert!(matches!(**side, LogicalPlan::Project { .. }), "{side}");
+        }
+        assert_eq!(plan.node_label(), "HashJoin(⋈)");
+    }
+
+    #[test]
+    fn two_equalities_over_three_patterns_join_left_deep_in_pattern_order() {
+        let plan = body(
+            r#"for $a in doc("d")//book, $b in doc("d")//phdthesis, $c in doc("d")//article
+               where $a/@year = $b/@year and $c/title = $a/title return <r>{$c/title/text()}</r>"#,
+        );
+        let LogicalPlan::Join {
+            left: ab,
+            right: c,
+            pred: ac,
+            ..
+        } = &plan
+        else {
+            panic!("expected a join on top: {plan}")
+        };
+        let LogicalPlan::Join {
+            left: a, right: b, ..
+        } = &**ab
+        else {
+            panic!("expected a left-deep join: {plan}")
+        };
+        for (side, label) in [(a, "book"), (b, "phdthesis"), (c, "article")] {
+            assert!(matches!(**side, LogicalPlan::Project { .. }), "{side}");
+            let scans = side.scanned_relations();
+            assert!(scans[0].contains(label), "{label} out of order: {scans:?}");
+        }
+        // the second filter names $c first: it still attaches where $c joins
+        assert!(ac.to_string().contains("title"), "{ac}");
+    }
+
+    #[test]
+    fn equality_skipping_a_pattern_joins_over_the_product() {
+        let plan = body(
+            r#"for $a in doc("d")//book, $b in doc("d")//phdthesis, $c in doc("d")//article
+               where $c/title = $a/title return <r>{$b/title/text()}</r>"#,
+        );
+        let LogicalPlan::Join { left, .. } = &plan else {
+            panic!("expected a join on top: {plan}")
+        };
+        assert!(matches!(**left, LogicalPlan::Product { .. }), "{left}");
+    }
+
+    #[test]
+    fn non_equality_filters_stay_selections() {
+        // `contains` rides above the join the equality made
+        let plan = body(
+            r#"for $b in doc("d")//book, $p in doc("d")//phdthesis
+               where $b/@year = $p/@year and $b/title ftcontains "Web"
+               return <pair>{$b/title/text()}</pair>"#,
+        );
+        let LogicalPlan::Select { input, pred } = &plan else {
+            panic!("expected a selection on top: {plan}")
+        };
+        assert!(pred.to_string().contains("contains"), "{pred}");
+        assert!(matches!(**input, LogicalPlan::Join { .. }), "{input}");
+        // `<` alone: selection over the product, as in §3.3.3
+        let plan = body(
+            r#"for $b in doc("d")//book, $p in doc("d")//phdthesis
+               where $b/@year < $p/@year return <pair>{$b/title/text()}</pair>"#,
+        );
+        let LogicalPlan::Select { input, .. } = &plan else {
+            panic!("expected a selection on top: {plan}")
+        };
+        assert!(matches!(**input, LogicalPlan::Product { .. }), "{input}");
+    }
+
+    #[test]
+    fn unfiltered_patterns_stay_a_product() {
+        let plan =
+            body(r#"for $x in doc("d")//book, $y in doc("d")//author return <r>{$x/title}</r>"#);
+        assert!(matches!(plan, LogicalPlan::Product { .. }), "{plan}");
     }
 
     #[test]

@@ -279,6 +279,40 @@ proptest! {
                 w.labels, batch_size, twig_on
             );
         }
+        // value joins whose key columns sit inside nested collections
+        // (multi-valued, and empty where a node has no such child): the
+        // cursor's resident hash table against the one-shot evaluator,
+        // at batch sizes around the left input's
+        let rel = |k: usize| {
+            algebra::LogicalPlan::scan(storage::IdStreamIndex::relation_of(w.labels[k]))
+        };
+        let nested = |[id, kid, kids]: [&str; 3]| {
+            rel(0).rename(&[id]).struct_nest_join(rel(1).rename(&[kid]), id, kid, w.axes[1], true, kids)
+        };
+        let n = cat.get(&storage::IdStreamIndex::relation_of(w.labels[0])).unwrap().len();
+        for kind in [
+            algebra::JoinKind::Inner,
+            algebra::JoinKind::Semi,
+            algebra::JoinKind::LeftOuter,
+            algebra::JoinKind::Nest,
+            algebra::JoinKind::NestOuter,
+        ] {
+            let plan = nested(["a", "b", "bs"]).join(
+                nested(["c", "d", "ds"]),
+                algebra::Predicate::col_cmp("bs.b", algebra::CmpOp::Eq, "ds.d"),
+                kind,
+            );
+            let oracle = algebra::Evaluator::new(&cat).eval(&plan).unwrap();
+            for batch_size in [1, 2, n.max(2) - 1, n + 1, 1024] {
+                let ccfg = algebra::CursorConfig { batch_size, ..Default::default() };
+                let streamed = algebra::build_cursor(&plan, &cat, None, &ccfg).unwrap().collect().unwrap();
+                prop_assert_eq!(
+                    &streamed, &oracle,
+                    "streamed != materialized on {} join of {:?} (batch {})",
+                    kind, &w.labels[..2], batch_size
+                );
+            }
+        }
     }
 }
 

@@ -38,6 +38,53 @@ fn streamed_rows_equal_answer_rows_at_every_batch_size() {
     }
 }
 
+/// A cross-pattern value join — its key columns inside the `/n?` nested
+/// collections of both views — streams the rows `answer` materializes,
+/// in the same order, whatever the batch size does to the left input.
+#[test]
+fn value_join_streams_equal_answer_rows_at_every_batch_size() {
+    const JOIN: &str = r#"for $p in doc("X")//person, $b in doc("X")//buyer where $b/@person = $p/@id return <r>{$p/name/text()}</r>"#;
+    let doc = generate::xmark(20, 13);
+    let engine = |batch_size| {
+        let mut u = Uload::builder()
+            .document(&doc)
+            .batch_size(batch_size)
+            .build()
+            .unwrap();
+        for (name, view) in [
+            (
+                "person_idname",
+                "//person[id:s]{ /n? @id[val], /n? name[val] }",
+            ),
+            ("buyer_person", "//buyer[id:s]{ /n? @person[val] }"),
+        ] {
+            u.add_view_text(name, view, &doc).unwrap();
+        }
+        u
+    };
+    let (want, _) = engine(1024).answer(JOIN, &doc).unwrap();
+    assert!(want.len() > 2, "workload must produce several rows");
+    let direct = Uload::execute_direct(JOIN, &doc).unwrap().into_strings();
+    assert_eq!(
+        want, direct,
+        "views and direct evaluation agree row for row"
+    );
+    // n: the left (person) input's size, where batch boundaries bite
+    let n = doc
+        .nodes_with_label("person", xmltree::NodeKind::Element)
+        .len();
+    for bs in [1, 2, n - 1, n, n + 1, 1024] {
+        let u = engine(bs);
+        let mut results = u.query(JOIN, &doc).unwrap();
+        let got: Vec<String> = results.by_ref().collect::<Result<_>>().unwrap();
+        assert_eq!(got, want, "batch_size {bs}");
+        assert!(
+            results.peak_resident_tuples() < (n * want.len()) as u64,
+            "batch_size {bs}: a product was staged"
+        );
+    }
+}
+
 #[test]
 fn next_batch_streams_the_same_rows() {
     let doc = generate::xmark(2, 13);
