@@ -1163,8 +1163,7 @@ impl Cursor for TwigCursor<'_> {
             self.state = match &self.shape {
                 Some(shape) if !fall_over => {
                     let slot = self.mon.metrics_slot();
-                    let solutions =
-                        twig_solutions(&rels, shape, &self.steps, self.eval, slot.as_ref());
+                    let solutions = twig_solutions(&rels, shape, &self.steps, slot.as_ref())?;
                     if let Some(s) = slot {
                         self.mon.absorb(s.into_inner());
                     }

@@ -27,16 +27,9 @@ use crate::plan::{
     Axis, FetchWhat, JoinKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep,
 };
 use crate::pred::{cmp_values, BoundPred, NO_TUPLE};
-use crate::simd::IdColumns;
-use crate::skip::{SkipIndex, DEFAULT_BLOCK};
-use crate::stacktree::{
-    nested_loop_pairs, stack_tree_pairs_columnar, stack_tree_pairs_columnar_metered,
-    stack_tree_pairs_indexed, stack_tree_pairs_indexed_metered,
-};
-use crate::twig::{
-    twig_join_columnar, twig_join_columnar_metered, twig_join_indexed, twig_join_indexed_metered,
-    twig_to_cascade, TwigPattern,
-};
+use crate::simd::{IdColumns, DEFAULT_BLOCK};
+use crate::stacktree::{nested_loop_pairs, stack_tree_pairs};
+use crate::twig::{twig_join, twig_to_cascade, TwigPattern};
 use crate::value::{Collection, Field, FieldKind, Schema, Tuple, Value};
 
 /// A materialized nested relation: schema + tuples (list semantics).
@@ -133,18 +126,6 @@ pub struct EvalConfig {
     /// merge (`false` = desugar to the binary cascade, for the ablation
     /// bench and as the correctness oracle).
     pub use_twigstack: bool,
-    /// Build [`SkipIndex`]es over join input streams so the StackTree
-    /// merge and the twig kernel seek over prunable regions instead of
-    /// scanning them (`false` = linear advance, for the ablation bench).
-    pub use_skip_index: bool,
-    /// Pack join input streams into [`IdColumns`] and run the
-    /// vectorized kernels (`twig_join_columnar`,
-    /// `stack_tree_pairs_columnar`): batched containment windows and
-    /// galloping seeks over the sorted pre column. Off = the scalar
-    /// element-at-a-time kernels (ablation baseline). Columnar streams
-    /// are seekable by construction, so this subsumes skipping even
-    /// when `use_skip_index` is off.
-    pub columnar_kernels: bool,
 }
 
 impl Default for EvalConfig {
@@ -152,8 +133,6 @@ impl Default for EvalConfig {
         EvalConfig {
             use_stacktree: true,
             use_twigstack: true,
-            use_skip_index: true,
-            columnar_kernels: true,
         }
     }
 }
@@ -165,6 +144,9 @@ pub enum EvalError {
     UnknownAttribute(String),
     TypeError(String),
     NeedsDocument(&'static str),
+    /// A structural-join input of this many rows: the join kernels number
+    /// rows with 32 bits.
+    TooManyRows(usize),
 }
 
 impl fmt::Display for EvalError {
@@ -179,6 +161,11 @@ impl fmt::Display for EvalError {
                     "operator {op} requires a source document in the evaluator"
                 )
             }
+            EvalError::TooManyRows(n) => write!(
+                f,
+                "structural join input has {n} rows; the join kernels address at most {}",
+                u32::MAX
+            ),
         }
     }
 }
@@ -540,52 +527,16 @@ impl<'a> Evaluator<'a> {
         if crosses_collection(&l.schema, &lidx) {
             return self.map_struct_join(l, r, &lidx, &ridx, axis, kind, nest_as);
         }
-        // flat case: gather (sid, index), sort if needed, run StackTree
-        let mut lids: Vec<(StructuralId, usize)> = Vec::new();
-        for (i, t) in l.tuples.iter().enumerate() {
-            if let Some(id) = flat_value(t, &lidx).as_id() {
-                lids.push((id, i));
-            }
-        }
-        let mut rids: Vec<(StructuralId, usize)> = Vec::new();
-        for (i, t) in r.tuples.iter().enumerate() {
-            if let Some(id) = flat_value(t, &ridx).as_id() {
-                rids.push((id, i));
-            }
-        }
+        // flat case: gather the sorted (sid, row) streams, pack, merge
+        debug_assert!(lidx.len() == 1 && ridx.len() == 1);
+        let lids = id_stream(&l.tuples, lidx[0])?;
+        let rids = id_stream(&r.tuples, ridx[0])?;
         let pairs = if self.config.use_stacktree {
-            if !is_sorted_by_pre(&lids) {
-                lids.sort_by_key(|(s, _)| s.pre);
-            }
-            if !is_sorted_by_pre(&rids) {
-                rids.sort_by_key(|(s, _)| s.pre);
-            }
-            if self.config.columnar_kernels
-                && lids.len() < u32::MAX as usize
-                && rids.len() < u32::MAX as usize
-            {
-                // pack to structure-of-arrays and run the vectorized
-                // merge; packing is one linear pass, like an index build
-                let lc = IdColumns::from_pairs(&lids, DEFAULT_BLOCK);
-                let rc = IdColumns::from_pairs(&rids, DEFAULT_BLOCK);
-                match &self.metrics {
-                    Some(m) => {
-                        stack_tree_pairs_columnar_metered(&lc, &rc, axis, &mut *m.borrow_mut())
-                    }
-                    None => stack_tree_pairs_columnar(&lc, &rc, axis),
-                }
-            } else {
-                let ix = self.config.use_skip_index.then(|| SkipIndex::build(&rids));
-                match &self.metrics {
-                    Some(m) => stack_tree_pairs_indexed_metered(
-                        &lids,
-                        &rids,
-                        axis,
-                        ix.as_ref(),
-                        &mut *m.borrow_mut(),
-                    ),
-                    None => stack_tree_pairs_indexed(&lids, &rids, axis, ix.as_ref()),
-                }
+            let lc = IdColumns::from_pairs(&lids, DEFAULT_BLOCK);
+            let rc = IdColumns::from_pairs(&rids, DEFAULT_BLOCK);
+            match &self.metrics {
+                Some(m) => stack_tree_pairs(&lc, &rc, axis, &mut *m.borrow_mut()),
+                None => stack_tree_pairs(&lc, &rc, axis, &mut NoMeter),
             }
         } else {
             if let Some(m) = &self.metrics {
@@ -641,7 +592,7 @@ impl<'a> Evaluator<'a> {
                 return self.eval(&twig_to_cascade(root, steps));
             }
         };
-        let solutions = twig_solutions(&rels, &shape, steps, self.config, self.metrics.as_ref());
+        let solutions = twig_solutions(&rels, &shape, steps, self.metrics.as_ref())?;
         // one output tuple per solution; twig_join already emits them in
         // the cascade's lexicographic order
         let mut tuples = Vec::with_capacity(solutions.len());
@@ -1088,8 +1039,24 @@ fn reduce_tuple(
     keep.then_some(t)
 }
 
-fn is_sorted_by_pre(ids: &[(StructuralId, usize)]) -> bool {
-    ids.windows(2).all(|w| w[0].0.pre <= w[1].0.pre)
+/// The `(id, row)` stream of top-level ID column `col` in `pre` order —
+/// what [`IdColumns::from_pairs`] packs and [`nested_loop_pairs`] reads.
+/// Rows whose value is not an ID (`⊥`) are left out. This is the one
+/// place row numbers narrow to the kernels' 32 bits, so it is the one
+/// place that can refuse an input for its size.
+fn id_stream(tuples: &[Tuple], col: usize) -> Result<Vec<(StructuralId, u32)>, EvalError> {
+    if tuples.len() > u32::MAX as usize {
+        return Err(EvalError::TooManyRows(tuples.len()));
+    }
+    let mut ids: Vec<(StructuralId, u32)> = tuples
+        .iter()
+        .enumerate()
+        .filter_map(|(i, t)| t.get(col).as_id().map(|sid| (sid, i as u32)))
+        .collect();
+    if !ids.windows(2).all(|w| w[0].0.pre <= w[1].0.pre) {
+        ids.sort_by_key(|(s, _)| s.pre);
+    }
+    Ok(ids)
 }
 
 // ----------------------------------------------------------------------
@@ -1248,58 +1215,25 @@ pub(crate) fn twig_solutions(
     rels: &[Relation],
     shape: &TwigShape,
     steps: &[TwigStep],
-    config: EvalConfig,
     metrics: Option<&RefCell<ExecMetrics>>,
-) -> Vec<Vec<usize>> {
+) -> Result<Vec<Vec<usize>>, EvalError> {
     let mut pattern = TwigPattern::root();
     for (k, s) in steps.iter().enumerate() {
         let id = pattern.add_child(shape.parents[k], s.axis);
         debug_assert_eq!(id, k + 1);
     }
-    let mut streams: Vec<Vec<(StructuralId, usize)>> = Vec::with_capacity(rels.len());
-    for (j, r) in rels.iter().enumerate() {
-        let col = shape.node_attr[j];
-        let mut ids: Vec<(StructuralId, usize)> = r
-            .tuples
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.get(col).as_id().map(|sid| (sid, i)))
-            .collect();
-        if !is_sorted_by_pre(&ids) {
-            ids.sort_by_key(|(s, _)| s.pre);
-        }
-        streams.push(ids);
+    // pack each stream to structure-of-arrays — one linear pass per
+    // stream — and run the merge
+    let mut cols: Vec<IdColumns> = Vec::with_capacity(rels.len());
+    for (r, &col) in rels.iter().zip(&shape.node_attr) {
+        let ids = id_stream(&r.tuples, col)?;
+        cols.push(IdColumns::from_pairs(&ids, DEFAULT_BLOCK));
     }
-    if config.columnar_kernels && streams.iter().all(|s| s.len() < u32::MAX as usize) {
-        // pack each stream to structure-of-arrays — one linear pass per
-        // stream, like the index builds — and run the vectorized merge
-        let cols: Vec<IdColumns> = streams
-            .iter()
-            .map(|s| IdColumns::from_pairs(s, DEFAULT_BLOCK))
-            .collect();
-        let refs: Vec<&IdColumns> = cols.iter().collect();
-        return match metrics {
-            Some(m) => twig_join_columnar_metered(&pattern, &refs, &mut *m.borrow_mut()),
-            None => twig_join_columnar(&pattern, &refs),
-        };
-    }
-    let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
-    // index build is one O(n/block) pass per stream — negligible next to
-    // the merge, and it unlocks the kernel's seek-based pruning
-    let indexes: Vec<SkipIndex> = if config.use_skip_index {
-        streams.iter().map(|s| SkipIndex::build(s)).collect()
-    } else {
-        Vec::new()
-    };
-    let opts: Vec<Option<&SkipIndex>> = if config.use_skip_index {
-        indexes.iter().map(Some).collect()
-    } else {
-        vec![None; refs.len()]
-    };
-    match metrics {
-        Some(m) => twig_join_indexed_metered(&pattern, &refs, &opts, &mut *m.borrow_mut()),
-        None => twig_join_indexed(&pattern, &refs, &opts),
-    }
+    let refs: Vec<&IdColumns> = cols.iter().collect();
+    Ok(match metrics {
+        Some(m) => twig_join(&pattern, &refs, &mut *m.borrow_mut()),
+        None => twig_join(&pattern, &refs, &mut NoMeter),
+    })
 }
 
 /// Dotted name of an index path (for re-entrant resolution in map joins).

@@ -14,10 +14,11 @@
 //! from nested tuples.
 //!
 //! The physical layer implements the `StackTreeDesc` / `StackTreeAnc`
-//! structural-join algorithms over ID-sorted inputs, a holistic
-//! `TwigStack`-style twig join evaluating whole tree patterns in one
-//! multi-way merge, a naive nested-loop fallback kept for the ablation
-//! benches, a hash build/probe kernel for value joins with an equality
+//! structural-join algorithms and a holistic `TwigStack`-style twig join
+//! evaluating whole tree patterns in one multi-way merge — one kernel
+//! each, over one packed ID-stream layout ([`IdColumns`]) — a naive
+//! nested-loop structural join kept as their oracle and ablation
+//! baseline, a hash build/probe kernel for value joins with an equality
 //! conjunct, and order descriptors tracking which attribute the output of
 //! each operator is sorted on.
 
@@ -28,7 +29,6 @@ pub mod order;
 pub mod plan;
 mod pred;
 pub mod simd;
-pub mod skip;
 pub mod stacktree;
 pub mod twig;
 pub mod value;
@@ -45,18 +45,10 @@ pub use plan::{
     Axis, CmpOp, FetchWhat, JoinKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep,
 };
 pub use simd::{
-    count_leading_lt, count_leading_lt2, find_first_ge, find_first_gt, IdColumns, LANE,
+    count_leading_lt, count_leading_lt2, find_first_ge, find_first_gt, IdColumns, DEFAULT_BLOCK,
+    LANE,
 };
-pub use skip::{Seek, SidLike, SkipIndex, DEFAULT_BLOCK};
-pub use stacktree::{
-    nested_loop_pairs, stack_tree_pairs, stack_tree_pairs_columnar,
-    stack_tree_pairs_columnar_metered, stack_tree_pairs_indexed, stack_tree_pairs_indexed_metered,
-    stack_tree_pairs_metered,
-};
-pub use twig::{
-    fuse_struct_joins, twig_join, twig_join_columnar, twig_join_columnar_metered,
-    twig_join_indexed, twig_join_indexed_metered, twig_join_metered, twig_to_cascade, TwigNode,
-    TwigPattern,
-};
+pub use stacktree::{nested_loop_pairs, stack_tree_pairs};
+pub use twig::{fuse_struct_joins, twig_join, twig_to_cascade, TwigNode, TwigPattern};
 pub use value::{CollKind, Collection, Field, FieldKind, Schema, Tuple, Value};
 pub use xmlgen::Template;

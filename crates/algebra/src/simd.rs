@@ -1,13 +1,11 @@
-//! Columnar ID layout and branch-free range kernels — the vectorized
-//! access-module implementation behind `columnar_kernels`.
+//! Columnar ID layout and branch-free range kernels — the one stream
+//! layout the structural-join kernels read.
 //!
-//! The scalar kernels walk `&[(StructuralId, usize)]` one 16-byte struct
-//! at a time; every advance is a dependent load plus an unpredictable
-//! branch. [`IdColumns`] stores the same stream as separate `pre` /
-//! `post` / `depth` columns (structure of arrays) with per-block
-//! `max_post` fences mirroring [`SkipIndex`](crate::skip::SkipIndex)
-//! level 0, and the kernels in this module answer the two questions the
-//! join loops actually ask in bulk:
+//! Walking `(StructuralId, payload)` structs costs a dependent load plus
+//! an unpredictable branch per advance. [`IdColumns`] stores a stream as
+//! separate `pre` / `post` / `depth` columns (structure of arrays) with
+//! per-block `max_post` fences, and the kernels in this module answer
+//! the two questions the join loops actually ask in bulk:
 //!
 //! * *where does the next interesting element start?* —
 //!   [`IdColumns::seek_pre_gt`] gallops over the sorted `pre` column,
@@ -33,7 +31,8 @@
 use obs::Meter;
 use xmltree::StructuralId;
 
-use crate::skip::{SidLike, DEFAULT_BLOCK};
+/// The default fence block size (elements per `max_post` fence).
+pub const DEFAULT_BLOCK: usize = 64;
 
 /// Lanes per chunk of the free-function reduction loops. 64 `u32`s span
 /// 4–8 cache lines and give the compiler a full vector register's worth
@@ -130,9 +129,9 @@ pub fn count_leading_lt2(a: &[u32], b: &[u32], from: usize, a_bound: u32, b_boun
 
 /// A pre-sorted ID stream in structure-of-arrays layout: separate
 /// `pre`/`post`/`depth` columns plus an optional payload column, with a
-/// `max_post` fence per block of `block` elements (the `min_pre` fence
-/// of the skip index is implicit — `pre` is sorted, so a block's
-/// minimum is its first element).
+/// `max_post` fence per block of `block` elements (a `min_pre` fence
+/// would be redundant — `pre` is sorted, so a block's minimum is its
+/// first element).
 ///
 /// The payload column is elided for identity payloads (the storage
 /// layer's plain columns, where payload `i` is position `i`), so the
@@ -153,31 +152,24 @@ pub struct IdColumns {
 impl IdColumns {
     /// Pack a plain pre-sorted stream with the default block size;
     /// payloads are the element positions.
-    pub fn from_sids<T: SidLike>(stream: &[T]) -> IdColumns {
+    pub fn from_sids(stream: &[StructuralId]) -> IdColumns {
         IdColumns::from_sids_with_block(stream, DEFAULT_BLOCK)
     }
 
     /// [`IdColumns::from_sids`] with an explicit fence block size
     /// (clamped to ≥ 1); exposed so tests can exercise degenerate
     /// layouts.
-    pub fn from_sids_with_block<T: SidLike>(stream: &[T], block: usize) -> IdColumns {
-        let mut c = IdColumns::packed(stream.iter().map(|e| e.sid()), block);
-        debug_assert!(
-            c.pre.windows(2).all(|w| w[0] <= w[1]),
-            "stream not pre-sorted"
-        );
-        c.payload = Vec::new();
-        c
+    pub fn from_sids_with_block(stream: &[StructuralId], block: usize) -> IdColumns {
+        IdColumns::packed(stream.iter().copied(), block)
     }
 
-    /// Pack a `(id, payload)` kernel stream. Payloads are stored as
-    /// `u32`; streams with ≥ 2³² tuples must stay on the scalar path.
-    pub fn from_pairs(stream: &[(StructuralId, usize)], block: usize) -> IdColumns {
+    /// Pack a pre-sorted `(id, payload)` stream. Payloads are `u32` in
+    /// the signature as in the column, so packing cannot fail: whoever
+    /// numbers the rows checks once that there are fewer than 2³² of
+    /// them (the evaluator answers `EvalError::TooManyRows` otherwise).
+    pub fn from_pairs(stream: &[(StructuralId, u32)], block: usize) -> IdColumns {
         let mut c = IdColumns::packed(stream.iter().map(|e| e.0), block);
-        c.payload = stream
-            .iter()
-            .map(|e| u32::try_from(e.1).expect("columnar payloads must fit in u32"))
-            .collect();
+        c.payload = stream.iter().map(|e| e.1).collect();
         c
     }
 
@@ -189,6 +181,10 @@ impl IdColumns {
             post.push(sid.post);
             depth.push(sid.depth);
         }
+        debug_assert!(
+            pre.windows(2).all(|w| w[0] <= w[1]),
+            "stream not pre-sorted"
+        );
         let fence_max_post = post
             .chunks(block)
             .map(|c| c.iter().copied().max().unwrap_or(0))
@@ -258,16 +254,9 @@ impl IdColumns {
         }
     }
 
-    /// Materialize back to the scalar kernels' pair representation.
-    pub fn to_pairs(&self) -> Vec<(StructuralId, usize)> {
-        (0..self.len())
-            .map(|i| (self.sid(i), self.payload(i)))
-            .collect()
-    }
-
-    /// First position `>= from` with `pre > bound` (the columnar
-    /// [`seek_descendant_of`](crate::skip::SkipIndex::seek_descendant_of)):
-    /// one branch-free [`SEED_LANE`]-wide chunk scan for the common
+    /// First position `>= from` with `pre > bound` — where the first
+    /// possible descendant of a node with pre rank `bound` starts. One
+    /// branch-free [`SEED_LANE`]-wide chunk scan for the common
     /// short advance, then an exponential gallop over the sorted column
     /// for long jumps — the selective-twig case stays `O(log distance)`,
     /// not `O(n / LANE)`.
@@ -325,9 +314,8 @@ impl IdColumns {
     }
 
     /// First position `>= from` past the anchor's whole subtree
-    /// (`pre > anchor.pre && post > anchor.post`) — the columnar
-    /// [`seek_past`](crate::skip::SkipIndex::seek_past). After the
-    /// sorted-pre seek, blocks whose `max_post` fence stays at or below
+    /// (`pre > anchor.pre && post > anchor.post`). After the sorted-pre
+    /// seek, blocks whose `max_post` fence stays at or below
     /// `anchor.post` are stepped over whole.
     pub fn seek_past<M: Meter>(&self, from: usize, anchor: StructuralId, meter: &mut M) -> usize {
         let n = self.pre.len();
@@ -520,7 +508,16 @@ mod tests {
                         (from..keywords.len())
                             .find(|&i| keywords[i].pre > anchor.pre)
                             .unwrap_or(keywords.len()),
-                        "block={block} from={from}"
+                        "pre_gt block={block} from={from}"
+                    );
+                    assert_eq!(
+                        cols.seek_past(from, *anchor, &mut NoMeter),
+                        (from..keywords.len())
+                            .find(|&i| {
+                                keywords[i].pre > anchor.pre && keywords[i].post > anchor.post
+                            })
+                            .unwrap_or(keywords.len()),
+                        "past block={block} from={from}"
                     );
                 }
             }
@@ -551,15 +548,49 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_straddling_block_boundary_not_pruned() {
+        // Join inputs may carry the same node ID in many tuples (e.g. a
+        // view column), so streams are only *non-strictly* pre-sorted.
+        // With block = 2 the middle block ends in the first copy of
+        // pre = 3 and the next block starts with the second copy, so for
+        // an anchor with pre = 2 the middle block's largest pre equals
+        // `anchor.pre + 1`: a seek that bounded the block strictly by the
+        // next block's first pre (the PR 5 review bug) pruned it and
+        // overshot the first hit.
+        let ids = vec![
+            StructuralId::new(0, 10, 1),
+            StructuralId::new(1, 1, 2),
+            StructuralId::new(2, 4, 2),
+            StructuralId::new(3, 3, 3),
+            StructuralId::new(3, 3, 3), // duplicate straddles the boundary
+            StructuralId::new(9, 9, 2),
+        ];
+        let anchor = StructuralId::new(2, 4, 2);
+        for block in [1, 2, 3, 64] {
+            let cols = IdColumns::from_sids_with_block(&ids, block);
+            assert_eq!(
+                cols.seek_pre_gt(0, anchor.pre, &mut NoMeter),
+                3,
+                "block={block}"
+            );
+            // first element outside the anchor's subtree: (9, 9)
+            assert_eq!(cols.seek_past(0, anchor, &mut NoMeter), 5, "block={block}");
+        }
+    }
+
+    #[test]
     fn payload_pairs_are_preserved() {
         let doc = generate::xmark(2, 7);
-        let pairs: Vec<(StructuralId, usize)> = ids(&doc, "item")
+        let pairs: Vec<(StructuralId, u32)> = ids(&doc, "item")
             .into_iter()
             .enumerate()
-            .map(|(i, s)| (s, i * 10))
+            .map(|(i, s)| (s, i as u32 * 10))
             .collect();
         let cols = IdColumns::from_pairs(&pairs, 13);
-        assert_eq!(cols.to_pairs(), pairs);
+        let back: Vec<(StructuralId, u32)> = (0..cols.len())
+            .map(|i| (cols.sid(i), cols.payload(i) as u32))
+            .collect();
+        assert_eq!(back, pairs);
     }
 
     #[test]
@@ -585,7 +616,7 @@ mod tests {
 
     #[test]
     fn empty_columns() {
-        let cols = IdColumns::from_sids::<StructuralId>(&[]);
+        let cols = IdColumns::from_sids(&[]);
         assert!(cols.is_empty());
         assert_eq!(cols.seek_pre_gt(0, 5, &mut NoMeter), 0);
         assert_eq!(

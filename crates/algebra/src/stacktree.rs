@@ -11,15 +11,14 @@
 //! ID (which is how this function naturally emits them); `StackTreeAnc`
 //! output order is obtained by a stable re-sort on the ancestor index —
 //! the evaluator picks whichever order downstream operators need.
-//! [`nested_loop_pairs`] is the naive O(|L|·|R|) fallback kept for the
-//! physical-operator ablation bench.
+//! [`nested_loop_pairs`] is the naive O(|L|·|R|) oracle, also kept for
+//! the physical-operator ablation bench.
 
-use obs::{Meter, NoMeter};
+use obs::Meter;
 use xmltree::StructuralId;
 
 use crate::plan::Axis;
 use crate::simd::IdColumns;
-use crate::skip::SkipIndex;
 
 /// Does `anc` match `desc` on the given axis?
 #[inline]
@@ -46,120 +45,17 @@ fn pop_closed(stack: &mut Vec<(StructuralId, usize)>, post: u32) {
     }
 }
 
-/// Compute all structural match pairs between `anc[i].0` and `desc[j].0`
-/// using the StackTree merge. Both slices **must** be sorted by `pre` rank
-/// of the carried [`StructuralId`]; the second component of each element is
-/// an opaque payload index returned in the pairs.
+/// Compute all structural match pairs between an ancestor-candidate and
+/// a descendant-candidate stream using the StackTree merge. Both streams
+/// are sorted by `pre` rank by construction of [`IdColumns`]; the pairs
+/// carry the streams' opaque payloads.
 ///
 /// Output pairs are emitted in descendant order (StackTreeDesc order) —
 /// i.e. sorted by `desc` position, with the matching ancestors innermost
 /// (deepest) first for each descendant.
-pub fn stack_tree_pairs(
-    anc: &[(StructuralId, usize)],
-    desc: &[(StructuralId, usize)],
-    axis: Axis,
-) -> Vec<(usize, usize)> {
-    stack_tree_pairs_metered(anc, desc, axis, &mut NoMeter)
-}
-
-/// [`stack_tree_pairs`] with execution counters: axis tests on the
-/// stack-scan loop count as comparisons, and the open-ancestor stack's
-/// high-water mark is recorded. With [`NoMeter`] this monomorphizes to
-/// the unmetered kernel.
-pub fn stack_tree_pairs_metered<M: Meter>(
-    anc: &[(StructuralId, usize)],
-    desc: &[(StructuralId, usize)],
-    axis: Axis,
-    meter: &mut M,
-) -> Vec<(usize, usize)> {
-    stack_tree_pairs_indexed_metered(anc, desc, axis, None, meter)
-}
-
-/// [`stack_tree_pairs`] with an optional skip index over the descendant
-/// stream. Whenever the ancestor stack runs empty, every descendant up
-/// to the next ancestor candidate's pre rank matches nothing, so the
-/// merge seeks the descendant cursor past it instead of stepping — and
-/// drops the whole descendant tail once ancestors are exhausted. With
-/// `None` this is exactly the linear merge.
-pub fn stack_tree_pairs_indexed(
-    anc: &[(StructuralId, usize)],
-    desc: &[(StructuralId, usize)],
-    axis: Axis,
-    desc_index: Option<&SkipIndex>,
-) -> Vec<(usize, usize)> {
-    stack_tree_pairs_indexed_metered(anc, desc, axis, desc_index, &mut NoMeter)
-}
-
-/// [`stack_tree_pairs_indexed`] with execution counters; seeks report
-/// jumped-over elements and pruned fence blocks.
-pub fn stack_tree_pairs_indexed_metered<M: Meter>(
-    anc: &[(StructuralId, usize)],
-    desc: &[(StructuralId, usize)],
-    axis: Axis,
-    desc_index: Option<&SkipIndex>,
-    meter: &mut M,
-) -> Vec<(usize, usize)> {
-    debug_assert!(anc.windows(2).all(|w| w[0].0.pre <= w[1].0.pre));
-    debug_assert!(desc.windows(2).all(|w| w[0].0.pre <= w[1].0.pre));
-    // Most workloads pair each descendant with O(1) ancestors, so the
-    // smaller input is a good first-allocation guess for the output.
-    let mut out = Vec::with_capacity(anc.len().min(desc.len()));
-    let mut stack: Vec<(StructuralId, usize)> = Vec::with_capacity(16);
-    let mut ai = 0;
-    let mut di = 0;
-    while di < desc.len() {
-        let (d, dpay) = desc[di];
-        // a descendant that arrives with the stack empty can only match
-        // ancestors still ahead, all with larger pre: seek straight to
-        // the next ancestor's pre rank (or drop the tail if none remain)
-        if stack.is_empty() && !(ai < anc.len() && anc[ai].0.pre <= d.pre) {
-            // skipped counts exclude the element being inspected (it was
-            // read to decide the seek) — the same convention as the twig
-            // kernel, so `elements_skipped` is comparable across kernels
-            if let Some(ix) = desc_index {
-                if ai >= anc.len() {
-                    meter.skipped((desc.len() - di - 1) as u64);
-                    break;
-                }
-                // anc[ai].0.pre > d.pre here: descendants up to that pre
-                // rank (inclusive — a node is not its own ancestor)
-                // cannot match anc[ai] or anything after it
-                let s = ix.seek_descendant_of(desc, di, anc[ai].0);
-                meter.blocks_pruned(s.blocks_pruned);
-                meter.skipped((s.pos - di - 1) as u64);
-                di = s.pos;
-                continue;
-            }
-        }
-        // push all ancestors that start before this descendant, closing
-        // the stack entries that cannot contain them
-        while ai < anc.len() && anc[ai].0.pre <= d.pre {
-            let (a, apay) = anc[ai];
-            pop_closed(&mut stack, a.post);
-            stack.push((a, apay));
-            meter.stack_depth(stack.len());
-            ai += 1;
-        }
-        // close stack entries that are not ancestors of `d`
-        pop_closed(&mut stack, d.post);
-        // the stack is now exactly the ancestor chain of `d` among the
-        // candidates; emit matches (all of them for `//`, the depth-adjacent
-        // ones for `/`)
-        meter.comparisons(stack.len() as u64);
-        for &(a, apay) in stack.iter().rev() {
-            if axis_match(a, d, axis) {
-                out.push((apay, dpay));
-            }
-        }
-        di += 1;
-    }
-    out
-}
-
-/// [`stack_tree_pairs`] over packed [`IdColumns`] streams — the
-/// vectorized cascade kernel behind `columnar_kernels`. Emits exactly
-/// the pairs (and order) of the scalar merge; the advance machinery
-/// exploits the columnar layout twice:
+///
+/// The merge is the textbook one; the columnar layout buys two bulk
+/// moves on top of it:
 ///
 /// * **bulk emit** — when exactly one ancestor is open and the next
 ///   ancestor candidate starts later, every following descendant whose
@@ -168,26 +64,25 @@ pub fn stack_tree_pairs_indexed_metered<M: Meter>(
 ///   pop, no per-element stack scan. [`IdColumns::leading_run`] counts
 ///   the run a block at a time; the `/` axis adds a depth-column check
 ///   per element but still no stack traffic.
-/// * **bulk skip** — an empty stack with the next ancestor ahead means
-///   a prunable descendant run; [`IdColumns::seek_pre_gt`] gallops past
-///   it (the sorted pre column is seekable by construction, so the
-///   columnar kernel always skips, index or not).
-pub fn stack_tree_pairs_columnar(
-    anc: &IdColumns,
-    desc: &IdColumns,
-    axis: Axis,
-) -> Vec<(usize, usize)> {
-    stack_tree_pairs_columnar_metered(anc, desc, axis, &mut NoMeter)
-}
-
-/// [`stack_tree_pairs_columnar`] with execution counters; the vector
-/// kernels additionally report `batches_scanned` / `vector_compares`.
-pub fn stack_tree_pairs_columnar_metered<M: Meter>(
+/// * **bulk skip** — a descendant that arrives with the stack empty can
+///   only match ancestors still ahead, all with larger pre, so the merge
+///   seeks straight to the next ancestor's pre rank with
+///   [`IdColumns::seek_pre_gt`] — or drops the descendant tail once
+///   ancestors are exhausted.
+///
+/// `meter` receives the execution counters: axis tests on the stack-scan
+/// loop count as comparisons, seeks report jumped-over elements and
+/// cleared fence blocks, the bulk moves `batches_scanned` /
+/// `vector_compares`, and the open-ancestor stack's high-water mark is
+/// recorded. With [`obs::NoMeter`] all of it compiles away.
+pub fn stack_tree_pairs<M: Meter>(
     anc: &IdColumns,
     desc: &IdColumns,
     axis: Axis,
     meter: &mut M,
 ) -> Vec<(usize, usize)> {
+    // Most workloads pair each descendant with O(1) ancestors, so the
+    // smaller input is a good first-allocation guess for the output.
     let mut out = Vec::with_capacity(anc.len().min(desc.len()));
     let mut stack: Vec<(StructuralId, usize)> = Vec::with_capacity(16);
     let mut ai = 0;
@@ -195,8 +90,9 @@ pub fn stack_tree_pairs_columnar_metered<M: Meter>(
     while di < desc.len() {
         let dpre = desc.pre()[di];
         if stack.is_empty() && !(ai < anc.len() && anc.pre()[ai] <= dpre) {
-            // same skipped-count convention as the scalar indexed merge:
-            // the inspected element is excluded
+            // skipped counts exclude the element being inspected (it was
+            // read to decide the seek) — the same convention as the twig
+            // kernel, so `elements_skipped` is comparable across kernels
             if ai >= anc.len() {
                 meter.skipped((desc.len() - di - 1) as u64);
                 break;
@@ -209,6 +105,8 @@ pub fn stack_tree_pairs_columnar_metered<M: Meter>(
             di = s;
             continue;
         }
+        // push all ancestors that start before this descendant, closing
+        // the stack entries that cannot contain them
         while ai < anc.len() && anc.pre()[ai] <= dpre {
             let a = anc.sid(ai);
             pop_closed(&mut stack, a.post);
@@ -216,6 +114,8 @@ pub fn stack_tree_pairs_columnar_metered<M: Meter>(
             meter.stack_depth(stack.len());
             ai += 1;
         }
+        // close stack entries that are not ancestors of `d`: the stack
+        // is then exactly the ancestor chain of `d` among the candidates
         let d = desc.sid(di);
         pop_closed(&mut stack, d.post);
         if stack.len() == 1 && stack[0].0.pre < d.pre {
@@ -248,6 +148,8 @@ pub fn stack_tree_pairs_columnar_metered<M: Meter>(
             di += run;
             continue;
         }
+        // emit matches: all of the chain for `//`, the depth-adjacent
+        // entry for `/`
         meter.comparisons(stack.len() as u64);
         for &(a, apay) in stack.iter().rev() {
             if axis_match(a, d, axis) {
@@ -259,18 +161,20 @@ pub fn stack_tree_pairs_columnar_metered<M: Meter>(
     out
 }
 
-/// Naive nested-loop structural join; quadratic, order-insensitive. Kept
-/// as the baseline for the StackTree ablation (DESIGN.md §choices).
+/// Naive nested-loop structural join over plain `(id, payload)` pairs;
+/// quadratic, order-insensitive, and independent of the columnar layout.
+/// Kept as the oracle the merge is tested against and as the baseline of
+/// the StackTree ablation (DESIGN.md §choices).
 pub fn nested_loop_pairs(
-    anc: &[(StructuralId, usize)],
-    desc: &[(StructuralId, usize)],
+    anc: &[(StructuralId, u32)],
+    desc: &[(StructuralId, u32)],
     axis: Axis,
 ) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for &(d, dpay) in desc {
         for &(a, apay) in anc {
             if axis_match(a, d, axis) {
-                out.push((apay, dpay));
+                out.push((apay as usize, dpay as usize));
             }
         }
     }
@@ -280,35 +184,71 @@ pub fn nested_loop_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::DEFAULT_BLOCK;
+    use obs::NoMeter;
     use xmltree::generate;
+
+    type Stream = Vec<(StructuralId, u32)>;
 
     /// Collect `(sid, index)` pairs of all elements with a label, sorted by
     /// pre (document order gives that for free).
-    fn ids(doc: &xmltree::Document, label: &str) -> Vec<(StructuralId, usize)> {
+    fn ids(doc: &xmltree::Document, label: &str) -> Stream {
         doc.nodes_with_label(label, xmltree::NodeKind::Element)
             .enumerate()
-            .map(|(i, n)| (doc.structural_id(n), i))
+            .map(|(i, n)| (doc.structural_id(n), i as u32))
             .collect()
     }
 
+    /// Pack with the given fence block size and run the merge.
+    fn merge_with<M: Meter>(
+        anc: &Stream,
+        desc: &Stream,
+        axis: Axis,
+        block: usize,
+        meter: &mut M,
+    ) -> Vec<(usize, usize)> {
+        let ac = IdColumns::from_pairs(anc, block);
+        let dc = IdColumns::from_pairs(desc, block);
+        stack_tree_pairs(&ac, &dc, axis, meter)
+    }
+
+    fn merge(anc: &Stream, desc: &Stream, axis: Axis) -> Vec<(usize, usize)> {
+        merge_with(anc, desc, axis, DEFAULT_BLOCK, &mut NoMeter)
+    }
+
+    /// The oracle's pairs in StackTreeDesc order: by descendant, matching
+    /// ancestors innermost first (payloads are positions, and a deeper
+    /// ancestor of the same node comes later in document order).
+    fn oracle(anc: &Stream, desc: &Stream, axis: Axis) -> Vec<(usize, usize)> {
+        let mut want = nested_loop_pairs(anc, desc, axis);
+        want.sort_unstable_by_key(|&(a, d)| (d, std::cmp::Reverse(a)));
+        want
+    }
+
     #[test]
-    fn matches_nested_loop_on_xmark() {
+    fn matches_nested_loop_on_xmark_under_every_fence_layout() {
         let doc = generate::xmark(4, 11);
         for (anc_l, desc_l) in [
             ("item", "keyword"),
             ("parlist", "listitem"),
             ("listitem", "parlist"),
+            ("parlist", "parlist"),
             ("description", "bold"),
             ("site", "item"),
+            ("mail", "keyword"),
+            ("bold", "keyword"),
         ] {
             let anc = ids(&doc, anc_l);
             let desc = ids(&doc, desc_l);
             for axis in [Axis::Child, Axis::Descendant] {
-                let mut a = stack_tree_pairs(&anc, &desc, axis);
-                let mut b = nested_loop_pairs(&anc, &desc, axis);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "{anc_l} {axis:?} {desc_l}");
+                let want = oracle(&anc, &desc, axis);
+                for block in [1, 2, 13, 64] {
+                    assert_eq!(
+                        merge_with(&anc, &desc, axis, block, &mut NoMeter),
+                        want,
+                        "{anc_l} {axis:?} {desc_l} block={block}"
+                    );
+                }
             }
         }
     }
@@ -320,7 +260,7 @@ mod tests {
         let doc = generate::xmark(3, 7);
         let anc = ids(&doc, "parlist");
         let desc = ids(&doc, "keyword");
-        let pairs = stack_tree_pairs(&anc, &desc, Axis::Descendant);
+        let pairs = merge(&anc, &desc, Axis::Descendant);
         // at least one keyword has ≥ 2 parlist ancestors
         let mut per_desc = std::collections::HashMap::new();
         for (_, d) in &pairs {
@@ -337,18 +277,18 @@ mod tests {
         let doc = generate::xmark(3, 5);
         let anc = ids(&doc, "item");
         let desc = ids(&doc, "keyword");
-        let pairs = stack_tree_pairs(&anc, &desc, Axis::Descendant);
+        let pairs = merge(&anc, &desc, Axis::Descendant);
         assert!(pairs.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     #[test]
-    fn metered_variant_counts_and_matches_unmetered() {
+    fn meter_counts_and_leaves_the_answer_alone() {
         let doc = generate::xmark(3, 7);
         let anc = ids(&doc, "parlist");
         let desc = ids(&doc, "keyword");
         let mut metrics = obs::ExecMetrics::default();
-        let metered = stack_tree_pairs_metered(&anc, &desc, Axis::Descendant, &mut metrics);
-        assert_eq!(metered, stack_tree_pairs(&anc, &desc, Axis::Descendant));
+        let metered = merge_with(&anc, &desc, Axis::Descendant, DEFAULT_BLOCK, &mut metrics);
+        assert_eq!(metered, merge(&anc, &desc, Axis::Descendant));
         // parlist recursion guarantees a stack deeper than one and at
         // least one comparison per emitted pair
         assert!(metrics.stack_high_water >= 2, "{metrics:?}");
@@ -356,134 +296,43 @@ mod tests {
     }
 
     #[test]
-    fn indexed_merge_matches_linear_and_skips() {
+    fn dense_pairing_batches_and_sparse_ancestors_skip() {
         let doc = generate::xmark(4, 11);
-        for (anc_l, desc_l) in [
-            ("bold", "keyword"),
-            ("item", "keyword"),
-            ("parlist", "parlist"),
-            ("site", "item"),
-        ] {
-            let anc = ids(&doc, anc_l);
-            let desc = ids(&doc, desc_l);
-            for axis in [Axis::Child, Axis::Descendant] {
-                let want = stack_tree_pairs(&anc, &desc, axis);
-                for block in [1, 7, 64] {
-                    let ix = SkipIndex::with_block(&desc, block);
-                    assert_eq!(
-                        stack_tree_pairs_indexed(&anc, &desc, axis, Some(&ix)),
-                        want,
-                        "{anc_l} {axis:?} {desc_l} block={block}"
-                    );
-                }
-            }
-        }
+        // one always-open ancestor over a dense stream: the bulk emit
+        let mut m = obs::ExecMetrics::default();
+        let (anc, desc) = (ids(&doc, "site"), ids(&doc, "item"));
+        let got = merge_with(&anc, &desc, Axis::Descendant, DEFAULT_BLOCK, &mut m);
+        assert_eq!(got, oracle(&anc, &desc, Axis::Descendant));
+        assert!(m.batches_scanned > 0, "{m:?}");
         // sparse ancestors (mails) over a dense descendant stream must
         // skip: the keywords under item descriptions between consecutive
         // mail subtrees are seeked over wholesale
-        let anc = ids(&doc, "mail");
-        let desc = ids(&doc, "keyword");
-        let ix = SkipIndex::build(&desc);
-        let mut metrics = obs::ExecMetrics::default();
-        let got = stack_tree_pairs_indexed_metered(
-            &anc,
-            &desc,
-            Axis::Descendant,
-            Some(&ix),
-            &mut metrics,
-        );
-        assert_eq!(got, stack_tree_pairs(&anc, &desc, Axis::Descendant));
-        assert!(metrics.elements_skipped > 0, "{metrics:?}");
-    }
-
-    #[test]
-    fn indexed_merge_handles_duplicate_descendant_ids() {
-        // join inputs can repeat a node ID across tuples (a view column
-        // joined on the same node), so the kernel's index must stay
-        // exact on non-strictly sorted streams — including duplicates
-        // straddling fence-block boundaries
-        let doc = generate::xmark(3, 11);
-        let anc = ids(&doc, "item");
-        let mut desc: Vec<(StructuralId, usize)> = Vec::new();
-        for (i, (sid, _)) in ids(&doc, "keyword").into_iter().enumerate() {
-            for _ in 0..=(i % 3) {
-                desc.push((sid, desc.len()));
-            }
-        }
-        for axis in [Axis::Child, Axis::Descendant] {
-            let mut want = nested_loop_pairs(&anc, &desc, axis);
-            want.sort_unstable();
-            for block in [1, 2, 7, 64] {
-                let ix = SkipIndex::with_block(&desc, block);
-                let mut got = stack_tree_pairs_indexed(&anc, &desc, axis, Some(&ix));
-                got.sort_unstable();
-                assert_eq!(got, want, "{axis:?} block={block}");
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_merge_matches_scalar_and_batches() {
-        let doc = generate::xmark(4, 11);
-        for (anc_l, desc_l) in [
-            ("item", "keyword"),
-            ("parlist", "listitem"),
-            ("parlist", "parlist"),
-            ("description", "bold"),
-            ("site", "item"),
-            ("mail", "keyword"),
-        ] {
-            let anc = ids(&doc, anc_l);
-            let desc = ids(&doc, desc_l);
-            for axis in [Axis::Child, Axis::Descendant] {
-                let want = stack_tree_pairs(&anc, &desc, axis);
-                for block in [1, 2, 13, 64] {
-                    let ac = IdColumns::from_pairs(&anc, block);
-                    let dc = IdColumns::from_pairs(&desc, block);
-                    assert_eq!(
-                        stack_tree_pairs_columnar(&ac, &dc, axis),
-                        want,
-                        "{anc_l} {axis:?} {desc_l} block={block}"
-                    );
-                }
-            }
-        }
-        // dense pairing goes through the bulk-emit path; sparse
-        // ancestors exercise the gallop
-        let anc = ids(&doc, "site");
-        let desc = ids(&doc, "item");
-        let ac = IdColumns::from_pairs(&anc, 64);
-        let dc = IdColumns::from_pairs(&desc, 64);
         let mut m = obs::ExecMetrics::default();
-        let got = stack_tree_pairs_columnar_metered(&ac, &dc, Axis::Descendant, &mut m);
-        assert_eq!(got, stack_tree_pairs(&anc, &desc, Axis::Descendant));
-        assert!(m.batches_scanned > 0, "{m:?}");
-        let anc = ids(&doc, "mail");
-        let desc = ids(&doc, "keyword");
-        let ac = IdColumns::from_pairs(&anc, 64);
-        let dc = IdColumns::from_pairs(&desc, 64);
-        let mut m = obs::ExecMetrics::default();
-        stack_tree_pairs_columnar_metered(&ac, &dc, Axis::Descendant, &mut m);
+        let (anc, desc) = (ids(&doc, "mail"), ids(&doc, "keyword"));
+        let got = merge_with(&anc, &desc, Axis::Descendant, DEFAULT_BLOCK, &mut m);
+        assert_eq!(got, oracle(&anc, &desc, Axis::Descendant));
         assert!(m.elements_skipped > 0, "{m:?}");
     }
 
     #[test]
-    fn columnar_merge_handles_duplicate_ids() {
+    fn duplicate_descendant_ids_stay_exact() {
+        // join inputs can repeat a node ID across tuples (a view column
+        // joined on the same node), so seeks and bulk emits must stay
+        // exact on non-strictly sorted streams — including duplicates
+        // straddling fence-block boundaries
         let doc = generate::xmark(3, 11);
         let anc = ids(&doc, "item");
-        let mut desc: Vec<(StructuralId, usize)> = Vec::new();
+        let mut desc = Stream::new();
         for (i, (sid, _)) in ids(&doc, "keyword").into_iter().enumerate() {
             for _ in 0..=(i % 3) {
-                desc.push((sid, desc.len()));
+                desc.push((sid, desc.len() as u32));
             }
         }
         for axis in [Axis::Child, Axis::Descendant] {
-            let want = stack_tree_pairs(&anc, &desc, axis);
-            for block in [1, 2, 13, 64] {
-                let ac = IdColumns::from_pairs(&anc, block);
-                let dc = IdColumns::from_pairs(&desc, block);
+            let want = oracle(&anc, &desc, axis);
+            for block in [1, 2, 7, 13, 64] {
                 assert_eq!(
-                    stack_tree_pairs_columnar(&ac, &dc, axis),
+                    merge_with(&anc, &desc, axis, block, &mut NoMeter),
                     want,
                     "{axis:?} block={block}"
                 );
@@ -493,9 +342,10 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert!(stack_tree_pairs(&[], &[], Axis::Child).is_empty());
+        let empty = Stream::new();
+        assert!(merge(&empty, &empty, Axis::Child).is_empty());
         let one = vec![(StructuralId::new(0, 10, 1), 0)];
-        assert!(stack_tree_pairs(&one, &[], Axis::Descendant).is_empty());
-        assert!(stack_tree_pairs(&[], &one, Axis::Descendant).is_empty());
+        assert!(merge(&one, &empty, Axis::Descendant).is_empty());
+        assert!(merge(&empty, &one, Axis::Descendant).is_empty());
     }
 }

@@ -14,14 +14,13 @@
 //! enumeration, exactly like the binary operators do.
 //!
 //! All streams must carry [`StructuralId`]s of the *same* document and be
-//! sorted by `pre` rank; the usize payloads are opaque tuple indices.
+//! sorted by `pre` rank; the payloads are opaque tuple indices.
 
-use obs::{Meter, NoMeter};
+use obs::Meter;
 use xmltree::StructuralId;
 
 use crate::plan::{Axis, JoinKind, LogicalPlan, TwigStep};
 use crate::simd::IdColumns;
-use crate::skip::SkipIndex;
 use crate::stacktree::axis_match;
 
 /// One node of a twig pattern: its parent pattern-node index and the axis
@@ -153,70 +152,58 @@ fn close_entry<M: Meter>(
     lists[q].entries[i].satisfied = sat;
 }
 
-/// Compute all matches of `pattern` over one ID stream per pattern node
-/// (`streams[i]` feeds pattern node `i`; all sorted by `pre`, all from
-/// the same document). Returns one payload vector per solution, indexed
-/// by pattern node, sorted lexicographically — the same order a left-deep
-/// cascade of inner StackTree joins produces.
-pub fn twig_join(pattern: &TwigPattern, streams: &[&[(StructuralId, usize)]]) -> Vec<Vec<usize>> {
-    twig_join_metered(pattern, streams, &mut NoMeter)
-}
-
-/// [`twig_join`] with execution counters: window scans count as
-/// comparisons, the open-entry chain's depth and the total resident
-/// solution-list entries are tracked as high-water marks. With
-/// [`NoMeter`] this monomorphizes to the unmetered kernel.
-pub fn twig_join_metered<M: Meter>(
+/// Compute all matches of `pattern` over one packed ID stream per
+/// pattern node (`streams[i]` feeds pattern node `i`; all sorted by
+/// `pre`, all from the same document). Returns one payload vector per
+/// solution, indexed by pattern node, sorted lexicographically — the
+/// same order a left-deep cascade of inner StackTree joins produces.
+///
+/// The merge is TwigStack's, one element at a time; the columnar layout
+/// buys two bulk moves on top of it:
+///
+/// * **bulk leaf append** — when the minimum head belongs to a leaf
+///   pattern node, every following leaf element whose pre rank stays
+///   strictly below all other heads and whose post rank stays inside the
+///   innermost open entry can be appended with no stack transition at
+///   all: no pop can trigger (posts are nested), the parent entry stays
+///   open, and leaf entries are born satisfied (their pattern subtree is
+///   empty). [`IdColumns::leading_run`] counts that run a block at a
+///   time and the loop appends it wholesale.
+/// * **bulk discard** — when a non-root node `q` has no open parent
+///   entry, every `q`-element up to the parent stream's head can never
+///   be contained by any future parent candidate (they all arrive with
+///   larger pre), so the kernel jumps `q` straight past the parent head
+///   with [`IdColumns::seek_pre_gt`] — or to end-of-stream when the
+///   parent is exhausted — instead of stepping.
+///
+/// Leaf entries appended in bulk never enter the open chain, so
+/// `stack_high_water` counts inner pattern nodes only (see the soundness
+/// notes in DESIGN.md).
+///
+/// `meter` receives the execution counters: window scans count as
+/// comparisons, seeks report jumped-over elements and cleared fence
+/// blocks, the bulk moves `batches_scanned` / `vector_compares`, and the
+/// open chain's depth and the resident solution-list entries are tracked
+/// as high-water marks. With [`obs::NoMeter`] all of it compiles away.
+pub fn twig_join<M: Meter>(
     pattern: &TwigPattern,
-    streams: &[&[(StructuralId, usize)]],
-    meter: &mut M,
-) -> Vec<Vec<usize>> {
-    let none: Vec<Option<&SkipIndex>> = vec![None; streams.len()];
-    twig_join_indexed_metered(pattern, streams, &none, meter)
-}
-
-/// [`twig_join`] with per-stream skip indexes: where the unindexed
-/// kernel discards prunable elements one `next` at a time, this variant
-/// *seeks*. When a non-root node `q` has no open parent entry, every
-/// `q`-element up to the parent stream's head can never be contained by
-/// any future parent candidate (they all arrive with larger pre), so the
-/// kernel jumps `q` straight past the parent head — or to end-of-stream
-/// when the parent is exhausted. `indexes[i]` must be built over exactly
-/// `streams[i]`; `None` entries fall back to the linear discard, so the
-/// all-`None` call is byte-for-byte the PR 2 kernel.
-pub fn twig_join_indexed(
-    pattern: &TwigPattern,
-    streams: &[&[(StructuralId, usize)]],
-    indexes: &[Option<&SkipIndex>],
-) -> Vec<Vec<usize>> {
-    twig_join_indexed_metered(pattern, streams, indexes, &mut NoMeter)
-}
-
-/// [`twig_join_indexed`] with execution counters; seeks additionally
-/// report jumped-over elements and pruned fence blocks.
-pub fn twig_join_indexed_metered<M: Meter>(
-    pattern: &TwigPattern,
-    streams: &[&[(StructuralId, usize)]],
-    indexes: &[Option<&SkipIndex>],
+    streams: &[&IdColumns],
     meter: &mut M,
 ) -> Vec<Vec<usize>> {
     let n = pattern.len();
     assert_eq!(streams.len(), n, "one stream per pattern node");
-    assert_eq!(indexes.len(), n, "one (optional) index per pattern node");
-    for s in streams {
-        debug_assert!(s.windows(2).all(|w| w[0].0.pre <= w[1].0.pre));
-    }
     let mut lists: Vec<NodeList> = (0..n)
         .map(|q| NodeList {
             entries: Vec::with_capacity(streams[q].len()),
             ranges: Vec::with_capacity(streams[q].len() * 2 * pattern.children(q).len()),
         })
         .collect();
+    let is_leaf: Vec<bool> = (0..n).map(|q| pattern.children(q).is_empty()).collect();
     let mut cur = vec![0usize; n];
     // cached head pre ranks, u32::MAX = exhausted; patterns are tiny, so
     // a linear min scan beats a heap
     let mut heads: Vec<u32> = (0..n)
-        .map(|q| streams[q].first().map_or(u32::MAX, |e| e.0.pre))
+        .map(|q| streams[q].pre().first().copied().unwrap_or(u32::MAX))
         .collect();
     // chain of currently-open entries, outermost first, plus the number
     // of open entries per pattern node
@@ -234,142 +221,12 @@ pub fn twig_join_indexed_metered<M: Meter>(
         if heads[q] == u32::MAX {
             break;
         }
-        let (sid, payload) = streams[q][cur[q]];
-        // close every open entry whose interval ended before `sid`: with
-        // arrivals in pre order it can contain neither `sid` nor anything
-        // after it
-        while let Some(&(oq, oi)) = open.last() {
-            if lists[oq].entries[oi].sid.post < sid.post {
-                close_entry(pattern, &mut lists, oq, oi, meter);
-                open_count[oq] -= 1;
-                open.pop();
-            } else {
-                break;
-            }
-        }
-        // TwigStack-style pruning: after the pops, every open entry
-        // strictly contains `sid`, so a non-root element participates in
-        // a solution only if some entry of its parent pattern node is
-        // open right now — otherwise discard it entirely (no later parent
-        // candidate can contain it: they all arrive with larger pre).
-        // With a skip index the same argument covers every `q`-element up
-        // to the parent's head, so the kernel seeks instead of stepping.
-        if let Some(p) = pattern.node(q).parent {
-            if open_count[p] == 0 {
-                match indexes[q] {
-                    Some(_) if heads[p] == u32::MAX => {
-                        // parent exhausted with nothing open: no later
-                        // q-element can ever be matched
-                        meter.skipped((streams[q].len() - cur[q] - 1) as u64);
-                        cur[q] = streams[q].len();
-                        heads[q] = u32::MAX;
-                    }
-                    Some(ix) => {
-                        // `q` held the minimum head, so its current pre
-                        // is ≤ the parent head's pre and the seek always
-                        // advances past at least the current element
-                        let anchor = streams[p][cur[p]].0;
-                        let s = ix.seek_descendant_of(streams[q], cur[q], anchor);
-                        meter.skipped((s.pos - cur[q] - 1) as u64);
-                        meter.blocks_pruned(s.blocks_pruned);
-                        cur[q] = s.pos;
-                        heads[q] = streams[q].get(cur[q]).map_or(u32::MAX, |e| e.0.pre);
-                    }
-                    None => {
-                        cur[q] += 1;
-                        heads[q] = streams[q].get(cur[q]).map_or(u32::MAX, |e| e.0.pre);
-                    }
-                }
-                continue;
-            }
-        }
-        cur[q] += 1;
-        heads[q] = streams[q].get(cur[q]).map_or(u32::MAX, |e| e.0.pre);
-        for k in 0..pattern.children(q).len() {
-            let c = pattern.children(q)[k];
-            let start = lists[c].entries.len() as u32;
-            lists[q].ranges.push(start);
-            lists[q].ranges.push(0);
-        }
-        lists[q].entries.push(Entry {
-            sid,
-            payload,
-            satisfied: false,
-        });
-        resident += 1;
-        meter.solutions(resident);
-        open.push((q, lists[q].entries.len() - 1));
-        meter.stack_depth(open.len());
-        open_count[q] += 1;
-    }
-    while let Some((oq, oi)) = open.pop() {
-        close_entry(pattern, &mut lists, oq, oi, meter);
-    }
-    enumerate(pattern, &lists, meter)
-}
-
-/// [`twig_join`] over packed [`IdColumns`] streams — the vectorized
-/// kernel behind `columnar_kernels`. Produces exactly the solutions (and
-/// order) of the scalar kernels; only the advance machinery differs:
-///
-/// * **bulk leaf append** — when the minimum head belongs to a leaf
-///   pattern node, every following leaf element whose pre rank stays
-///   strictly below all other heads and whose post rank stays inside the
-///   innermost open entry can be appended with no stack transition at
-///   all: no pop can trigger (posts are nested), the parent entry stays
-///   open, and leaf entries are born satisfied (their pattern subtree is
-///   empty). [`IdColumns::leading_run`] counts that run a block at a
-///   time and the loop appends it wholesale.
-/// * **bulk discard** — the parent-open pruning arm always seeks: the
-///   sorted `pre` column *is* the level-0 fence of a skip index, so
-///   [`IdColumns::seek_pre_gt`] gallops past the prunable run instead of
-///   stepping. This covers the unindexed case too — a packed column is
-///   seekable by construction.
-///
-/// Leaf entries appended in bulk never enter the open chain, so
-/// `stack_high_water` can read lower than the scalar kernel's; solution
-/// output is nevertheless byte-identical (entries, windows and
-/// satisfiability are the same — see the soundness notes in DESIGN.md).
-pub fn twig_join_columnar(pattern: &TwigPattern, streams: &[&IdColumns]) -> Vec<Vec<usize>> {
-    twig_join_columnar_metered(pattern, streams, &mut NoMeter)
-}
-
-/// [`twig_join_columnar`] with execution counters; the vector kernels
-/// additionally report `batches_scanned` / `vector_compares`.
-pub fn twig_join_columnar_metered<M: Meter>(
-    pattern: &TwigPattern,
-    streams: &[&IdColumns],
-    meter: &mut M,
-) -> Vec<Vec<usize>> {
-    let n = pattern.len();
-    assert_eq!(streams.len(), n, "one stream per pattern node");
-    let mut lists: Vec<NodeList> = (0..n)
-        .map(|q| NodeList {
-            entries: Vec::with_capacity(streams[q].len()),
-            ranges: Vec::with_capacity(streams[q].len() * 2 * pattern.children(q).len()),
-        })
-        .collect();
-    let is_leaf: Vec<bool> = (0..n).map(|q| pattern.children(q).is_empty()).collect();
-    let mut cur = vec![0usize; n];
-    let mut heads: Vec<u32> = (0..n)
-        .map(|q| streams[q].pre().first().copied().unwrap_or(u32::MAX))
-        .collect();
-    let mut open: Vec<(usize, usize)> = Vec::new();
-    let mut open_count = vec![0usize; n];
-    let mut resident = 0usize;
-    loop {
-        let mut q = 0;
-        for r in 1..n {
-            if heads[r] < heads[q] {
-                q = r;
-            }
-        }
-        if heads[q] == u32::MAX {
-            break;
-        }
         // only the post rank matters until an entry is actually pushed —
         // defer the depth gather instead of reassembling the full sid
         let post_q = streams[q].post()[cur[q]];
+        // close every open entry whose interval ended before this
+        // element: with arrivals in pre order it can contain neither the
+        // element nor anything after it
         while let Some(&(oq, oi)) = open.last() {
             if lists[oq].entries[oi].sid.post < post_q {
                 close_entry(pattern, &mut lists, oq, oi, meter);
@@ -379,9 +236,17 @@ pub fn twig_join_columnar_metered<M: Meter>(
                 break;
             }
         }
+        // TwigStack-style pruning: after the pops, every open entry
+        // strictly contains the element, so a non-root element
+        // participates in a solution only if some entry of its parent
+        // pattern node is open right now. The same holds for every
+        // `q`-element up to the parent's head, so seek instead of
+        // stepping. Skipped counts exclude the inspected element.
         if let Some(p) = pattern.node(q).parent {
             if open_count[p] == 0 {
                 if heads[p] == u32::MAX {
+                    // parent exhausted with nothing open: no later
+                    // q-element can ever be matched
                     meter.skipped((streams[q].len() - cur[q] - 1) as u64);
                     cur[q] = streams[q].len();
                     heads[q] = u32::MAX;
@@ -784,21 +649,44 @@ pub fn fuse_struct_joins(plan: &LogicalPlan) -> LogicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::DEFAULT_BLOCK;
+    use obs::NoMeter;
     use xmltree::{generate, NodeKind};
 
-    fn ids(doc: &xmltree::Document, label: &str) -> Vec<(StructuralId, usize)> {
+    type Stream = Vec<(StructuralId, u32)>;
+
+    fn ids(doc: &xmltree::Document, label: &str) -> Stream {
         doc.nodes_with_label(label, NodeKind::Element)
             .enumerate()
-            .map(|(i, n)| (doc.structural_id(n), i))
+            .map(|(i, n)| (doc.structural_id(n), i as u32))
             .collect()
+    }
+
+    /// Pack with the given fence block size and run the kernel.
+    fn join_with<M: Meter>(
+        pattern: &TwigPattern,
+        streams: &[&Stream],
+        block: usize,
+        meter: &mut M,
+    ) -> Vec<Vec<usize>> {
+        let cols: Vec<IdColumns> = streams
+            .iter()
+            .map(|s| IdColumns::from_pairs(s, block))
+            .collect();
+        let refs: Vec<&IdColumns> = cols.iter().collect();
+        twig_join(pattern, &refs, meter)
+    }
+
+    fn join(pattern: &TwigPattern, streams: &[&Stream]) -> Vec<Vec<usize>> {
+        join_with(pattern, streams, DEFAULT_BLOCK, &mut NoMeter)
     }
 
     /// Obviously-correct reference: backtracking over the full candidate
     /// space, checking every pattern edge with the axis predicate.
-    fn reference(pattern: &TwigPattern, streams: &[&[(StructuralId, usize)]]) -> Vec<Vec<usize>> {
+    fn reference(pattern: &TwigPattern, streams: &[&Stream]) -> Vec<Vec<usize>> {
         fn go(
             pattern: &TwigPattern,
-            streams: &[&[(StructuralId, usize)]],
+            streams: &[&Stream],
             j: usize,
             sids: &mut Vec<StructuralId>,
             asg: &mut Vec<usize>,
@@ -816,7 +704,7 @@ mod tests {
                 };
                 if ok {
                     sids[j] = sid;
-                    asg[j] = pay;
+                    asg[j] = pay as usize;
                     go(pattern, streams, j + 1, sids, asg, out);
                 }
             }
@@ -830,32 +718,14 @@ mod tests {
         out
     }
 
-    fn check(pattern: &TwigPattern, streams: &[&[(StructuralId, usize)]]) {
-        let got = twig_join(pattern, streams);
+    /// The kernel must match the reference under every fence layout.
+    fn check(pattern: &TwigPattern, streams: &[&Stream]) {
         let want = reference(pattern, streams);
-        assert_eq!(got, want);
-        // the indexed and columnar kernels must agree for every block
-        // layout
-        for block in [1, 2, 64, 7] {
-            let ixs: Vec<SkipIndex> = streams
-                .iter()
-                .map(|s| SkipIndex::with_block(s, block))
-                .collect();
-            let refs: Vec<Option<&SkipIndex>> = ixs.iter().map(Some).collect();
+        for block in [1, 2, 7, 64] {
             assert_eq!(
-                twig_join_indexed(pattern, streams, &refs),
+                join_with(pattern, streams, block, &mut NoMeter),
                 want,
-                "indexed kernel diverged at block={block}"
-            );
-            let cols: Vec<IdColumns> = streams
-                .iter()
-                .map(|s| IdColumns::from_pairs(s, block))
-                .collect();
-            let crefs: Vec<&IdColumns> = cols.iter().collect();
-            assert_eq!(
-                twig_join_columnar(pattern, &crefs),
-                want,
-                "columnar kernel diverged at block={block}"
+                "kernel diverged at block={block}"
             );
         }
     }
@@ -880,12 +750,9 @@ mod tests {
             ),
         ];
         for (labels, axes) in cases {
-            let streams: Vec<Vec<(StructuralId, usize)>> =
-                labels.iter().map(|l| ids(&doc, l)).collect();
-            let refs: Vec<&[(StructuralId, usize)]> =
-                streams.iter().map(|s| s.as_slice()).collect();
-            let pattern = TwigPattern::chain(&axes);
-            check(&pattern, &refs);
+            let streams: Vec<Stream> = labels.iter().map(|l| ids(&doc, l)).collect();
+            let refs: Vec<&Stream> = streams.iter().collect();
+            check(&TwigPattern::chain(&axes), &refs);
         }
     }
 
@@ -898,12 +765,11 @@ mod tests {
         let d = p.add_child(0, Axis::Child); // description
         p.add_child(d, Axis::Descendant); // keyword
         p.add_child(0, Axis::Descendant); // mail
-        let streams: Vec<Vec<(StructuralId, usize)>> =
-            ["item", "name", "description", "keyword", "mail"]
-                .iter()
-                .map(|l| ids(&doc, l))
-                .collect();
-        let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
+        let streams: Vec<Stream> = ["item", "name", "description", "keyword", "mail"]
+            .iter()
+            .map(|l| ids(&doc, l))
+            .collect();
+        let refs: Vec<&Stream> = streams.iter().collect();
         check(&p, &refs);
     }
 
@@ -915,8 +781,8 @@ mod tests {
         let parlists = ids(&doc, "parlist");
         let listitems = ids(&doc, "listitem");
         let p = TwigPattern::chain(&[Axis::Descendant, Axis::Descendant]);
-        let refs: Vec<&[(StructuralId, usize)]> = vec![&parlists, &parlists, &listitems];
-        let got = twig_join(&p, &refs);
+        let refs = [&parlists, &parlists, &listitems];
+        let got = join(&p, &refs);
         assert!(!got.is_empty(), "xmark recursion must produce matches");
         assert!(got.iter().all(|s| s[0] != s[1]), "no self pairs");
         check(&p, &refs);
@@ -927,8 +793,8 @@ mod tests {
         let doc = generate::xmark(2, 9);
         let anc = ids(&doc, "parlist");
         let desc = ids(&doc, "keyword");
-        let child = twig_join(&TwigPattern::chain(&[Axis::Child]), &[&anc, &desc]);
-        let descd = twig_join(&TwigPattern::chain(&[Axis::Descendant]), &[&anc, &desc]);
+        let child = join(&TwigPattern::chain(&[Axis::Child]), &[&anc, &desc]);
+        let descd = join(&TwigPattern::chain(&[Axis::Descendant]), &[&anc, &desc]);
         assert!(
             child.len() < descd.len(),
             "{} vs {}",
@@ -942,25 +808,26 @@ mod tests {
     fn single_node_and_empty_streams() {
         let doc = generate::xmark(2, 5);
         let items = ids(&doc, "item");
-        let sols = twig_join(&TwigPattern::root(), &[&items]);
+        let empty = Stream::new();
+        let sols = join(&TwigPattern::root(), &[&items]);
         assert_eq!(sols.len(), items.len());
         let p = TwigPattern::chain(&[Axis::Descendant]);
-        assert!(twig_join(&p, &[&items, &[]]).is_empty());
-        assert!(twig_join(&p, &[&[], &items]).is_empty());
+        assert!(join(&p, &[&items, &empty]).is_empty());
+        assert!(join(&p, &[&empty, &items]).is_empty());
     }
 
     #[test]
-    fn metered_variant_counts_and_matches_unmetered() {
+    fn meter_counts_and_leaves_the_answer_alone() {
         let doc = generate::xmark(3, 7);
-        let streams: Vec<Vec<(StructuralId, usize)>> = ["item", "parlist", "listitem"]
+        let streams: Vec<Stream> = ["item", "parlist", "listitem"]
             .iter()
             .map(|l| ids(&doc, l))
             .collect();
-        let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
+        let refs: Vec<&Stream> = streams.iter().collect();
         let pattern = TwigPattern::chain(&[Axis::Descendant, Axis::Descendant]);
         let mut metrics = obs::ExecMetrics::default();
-        let metered = twig_join_metered(&pattern, &refs, &mut metrics);
-        assert_eq!(metered, twig_join(&pattern, &refs));
+        let metered = join_with(&pattern, &refs, DEFAULT_BLOCK, &mut metrics);
+        assert_eq!(metered, join(&pattern, &refs));
         assert!(!metered.is_empty());
         assert!(metrics.comparisons > 0, "{metrics:?}");
         assert!(metrics.stack_high_water >= 2, "{metrics:?}");
@@ -968,67 +835,38 @@ mod tests {
     }
 
     #[test]
-    fn indexed_kernel_skips_elements_on_selective_chains() {
+    fn selective_chain_skips_and_batches() {
         let doc = generate::xmark(4, 21);
         // mail//keyword: mails are rare and keywords are everywhere (most
         // sit under item descriptions), so most of the keyword stream is
-        // prunable between consecutive mail subtrees
-        let streams: Vec<Vec<(StructuralId, usize)>> =
-            ["mail", "keyword"].iter().map(|l| ids(&doc, l)).collect();
-        let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
-        let pattern = TwigPattern::chain(&[Axis::Descendant]);
-        let ixs: Vec<SkipIndex> = streams.iter().map(|s| SkipIndex::build(s)).collect();
-        let opts: Vec<Option<&SkipIndex>> = ixs.iter().map(Some).collect();
-        let mut metrics = obs::ExecMetrics::default();
-        let indexed = twig_join_indexed_metered(&pattern, &refs, &opts, &mut metrics);
-        assert_eq!(indexed, twig_join(&pattern, &refs));
-        assert!(
-            metrics.elements_skipped > 0,
-            "selective chain must skip: {metrics:?}"
-        );
-        // mixed registration: only the leaf stream indexed
-        let mixed: Vec<Option<&SkipIndex>> = vec![None, Some(&ixs[1])];
-        assert_eq!(twig_join_indexed(&pattern, &refs, &mixed), indexed);
-    }
-
-    #[test]
-    fn columnar_kernel_skips_and_batches() {
-        let doc = generate::xmark(4, 21);
-        // selective chain: the columnar kernel must gallop (skips), and
-        // the dense leaf runs must go through the batch path
-        let streams: Vec<Vec<(StructuralId, usize)>> =
-            ["mail", "keyword"].iter().map(|l| ids(&doc, l)).collect();
-        let cols: Vec<IdColumns> = streams
-            .iter()
-            .map(|s| IdColumns::from_pairs(s, 64))
-            .collect();
-        let crefs: Vec<&IdColumns> = cols.iter().collect();
-        let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
+        // prunable between consecutive mail subtrees — the kernel must
+        // gallop over it — and the dense leaf runs inside a mail must go
+        // through the bulk append
+        let mails = ids(&doc, "mail");
+        let keywords = ids(&doc, "keyword");
         let pattern = TwigPattern::chain(&[Axis::Descendant]);
         let mut metrics = obs::ExecMetrics::default();
-        let got = twig_join_columnar_metered(&pattern, &crefs, &mut metrics);
-        assert_eq!(got, twig_join(&pattern, &refs));
+        let got = join_with(&pattern, &[&mails, &keywords], DEFAULT_BLOCK, &mut metrics);
+        assert_eq!(got, reference(&pattern, &[&mails, &keywords]));
         assert!(metrics.elements_skipped > 0, "{metrics:?}");
         assert!(metrics.batches_scanned > 0, "{metrics:?}");
         assert!(metrics.vector_compares > 0, "{metrics:?}");
     }
 
     #[test]
-    fn columnar_kernel_handles_duplicate_ids() {
+    fn duplicate_ids_stay_exact() {
         // multi-tuple join inputs repeat IDs; bulk appends and seeks
         // must stay exact on non-strictly sorted columns
         let doc = generate::xmark(3, 11);
         let items = ids(&doc, "item");
-        let mut keywords: Vec<(StructuralId, usize)> = Vec::new();
+        let mut keywords = Stream::new();
         for (i, (sid, _)) in ids(&doc, "keyword").into_iter().enumerate() {
             for _ in 0..=(i % 3) {
-                keywords.push((sid, keywords.len()));
+                keywords.push((sid, keywords.len() as u32));
             }
         }
         for axis in [Axis::Child, Axis::Descendant] {
-            let pattern = TwigPattern::chain(&[axis]);
-            let refs: Vec<&[(StructuralId, usize)]> = vec![&items, &keywords];
-            check(&pattern, &refs);
+            check(&TwigPattern::chain(&[axis]), &[&items, &keywords]);
         }
     }
 

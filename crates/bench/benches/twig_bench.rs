@@ -7,11 +7,10 @@
 //! (asserted by the `twig_ablation` driver and the proptest suite);
 //! only wall-clock may differ.
 
-use algebra::twig_join;
+use algebra::{twig_join, IdColumns, NoMeter};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use storage::IdStreamIndex;
 use uload_bench::experiments::{cascade_solutions, twig_workloads};
-use xmltree::StructuralId;
 
 fn twig_vs_cascades(c: &mut Criterion) {
     let doc = xmltree::generate::xmark(15, 42);
@@ -20,16 +19,18 @@ fn twig_vs_cascades(c: &mut Criterion) {
     g.sample_size(10);
     for w in twig_workloads() {
         let pattern = w.pattern();
+        // base streams are packed once, outside the timed closures
         let streams = w.streams(&idx);
-        let refs: Vec<&[(StructuralId, usize)]> = streams.iter().map(|s| s.as_slice()).collect();
+        let cols = w.columns(&idx);
+        let refs: Vec<&IdColumns> = cols.iter().collect();
         g.bench_function(BenchmarkId::new("twig", &w.name), |b| {
-            b.iter(|| twig_join(&pattern, &refs).len())
+            b.iter(|| twig_join(&pattern, &refs, &mut NoMeter).len())
         });
         g.bench_function(BenchmarkId::new("stacktree", &w.name), |b| {
-            b.iter(|| cascade_solutions(&w.parents, &w.axes, &streams, true).len())
+            b.iter(|| cascade_solutions(&w.parents, &w.axes, &streams, Some(&cols)).len())
         });
         g.bench_function(BenchmarkId::new("nestedloop", &w.name), |b| {
-            b.iter(|| cascade_solutions(&w.parents, &w.axes, &streams, false).len())
+            b.iter(|| cascade_solutions(&w.parents, &w.axes, &streams, None).len())
         });
     }
     g.finish();

@@ -420,18 +420,29 @@ impl TwigWorkload {
 
     /// One pre-sorted `(id, position)` stream per pattern node, served
     /// from the columnar index.
-    pub fn streams(
-        &self,
-        idx: &storage::IdStreamIndex,
-    ) -> Vec<Vec<(xmltree::StructuralId, usize)>> {
+    pub fn streams(&self, idx: &storage::IdStreamIndex) -> Vec<Vec<(xmltree::StructuralId, u32)>> {
         self.labels
             .iter()
             .map(|l| {
                 idx.elements(l)
                     .iter()
                     .enumerate()
-                    .map(|(i, &sid)| (sid, i))
+                    .map(|(i, &sid)| (sid, i as u32))
                     .collect()
+            })
+            .collect()
+    }
+
+    /// The same streams as the store keeps them packed for the join
+    /// kernels (payloads are positions, as in [`TwigWorkload::streams`];
+    /// a label the document lacks is an empty column).
+    pub fn columns(&self, idx: &storage::IdStreamIndex) -> Vec<algebra::IdColumns> {
+        self.labels
+            .iter()
+            .map(|l| {
+                idx.columnar(l, xmltree::NodeKind::Element)
+                    .cloned()
+                    .unwrap_or_default()
             })
             .collect()
     }
@@ -535,24 +546,6 @@ pub fn twig_workloads() -> Vec<TwigWorkload> {
     ]
 }
 
-/// The E14 grid: every E10 workload plus high-fanout "wide" dense
-/// chains. The E10 shapes cap their leaf runs at 1–3 elements (each
-/// `text` holds exactly one `bold`/`emph`/`keyword`), which is where a
-/// batched append can only tie the scalar kernel; an `item` subtree
-/// holds several `keyword`/`emph` descendants (description parlists
-/// plus mailbox texts) and `site` is a single always-open ancestor, so
-/// these chains give the columnar kernel real runs to retire in bulk.
-pub fn vector_workloads() -> Vec<TwigWorkload> {
-    let mut ws = twig_workloads();
-    ws.push(chain("chain_depth2_wide", &["item", "keyword"]));
-    ws.push(chain("chain_depth2_emph", &["item", "emph"]));
-    ws.push(chain("chain_depth2_bold", &["item", "bold"]));
-    ws.push(chain("chain_depth3_wide", &["site", "item", "keyword"]));
-    ws.push(chain("chain_depth3_emph", &["site", "item", "emph"]));
-    ws.push(chain("chain_depth3_bold", &["site", "item", "bold"]));
-    ws
-}
-
 /// The E11 grid: every E10 workload plus two multiplying twigs whose
 /// binary cascades materialize intermediate solution lists far larger
 /// than any base stream — exactly where a pipelined executor's
@@ -588,35 +581,43 @@ pub fn twig_catalog(doc: &xmltree::Document) -> algebra::Catalog {
 }
 
 /// The binary-cascade physical operator, at the same level as
-/// [`algebra::twig_join`]: one [`stack_tree_pairs`] (or, with
-/// `stacktree = false`, [`nested_loop_pairs`]) per pattern edge, with
+/// [`algebra::twig_join`]: one [`stack_tree_pairs`] per pattern edge
+/// (`packed` = the base streams as the store serves them, packed once by
+/// the caller) or, with `packed = None`, one [`nested_loop_pairs`], with
 /// the intermediate solution list materialized between steps and the
-/// join column re-sorted per step — exactly the work a binary-join
-/// engine performs, minus the (engine-neutral) tuple formatting.
+/// join column re-sorted and re-packed per step — exactly the work a
+/// binary-join engine performs, minus the (engine-neutral) tuple
+/// formatting.
 ///
 /// [`stack_tree_pairs`]: algebra::stacktree::stack_tree_pairs
 /// [`nested_loop_pairs`]: algebra::stacktree::nested_loop_pairs
 pub fn cascade_solutions(
     parents: &[usize],
     axes: &[algebra::Axis],
-    streams: &[Vec<(xmltree::StructuralId, usize)>],
-    stacktree: bool,
+    streams: &[Vec<(xmltree::StructuralId, u32)>],
+    packed: Option<&[algebra::IdColumns]>,
 ) -> Vec<Vec<usize>> {
     use algebra::stacktree::{nested_loop_pairs, stack_tree_pairs};
+    use algebra::{IdColumns, NoMeter, DEFAULT_BLOCK};
     let n = streams.len();
-    let mut tuples: Vec<Vec<usize>> = streams[0].iter().map(|&(_, p)| vec![p]).collect();
+    let mut tuples: Vec<Vec<usize>> = streams[0].iter().map(|&(_, p)| vec![p as usize]).collect();
     for k in 1..n {
         let p = parents[k];
-        let mut left: Vec<(xmltree::StructuralId, usize)> = tuples
+        let mut left: Vec<(xmltree::StructuralId, u32)> = tuples
             .iter()
             .enumerate()
-            .map(|(ti, t)| (streams[p][t[p]].0, ti))
+            .map(|(ti, t)| {
+                let ti = u32::try_from(ti).expect("intermediate list exceeds 2^32 rows");
+                (streams[p][t[p]].0, ti)
+            })
             .collect();
-        let pairs = if stacktree {
-            left.sort_unstable_by_key(|&(s, _)| s.pre);
-            stack_tree_pairs(&left, &streams[k], axes[k])
-        } else {
-            nested_loop_pairs(&left, &streams[k], axes[k])
+        let pairs = match packed {
+            Some(cols) => {
+                left.sort_unstable_by_key(|&(s, _)| s.pre);
+                let lc = IdColumns::from_pairs(&left, DEFAULT_BLOCK);
+                stack_tree_pairs(&lc, &cols[k], axes[k], &mut NoMeter)
+            }
+            None => nested_loop_pairs(&left, &streams[k], axes[k]),
         };
         tuples = pairs
             .into_iter()
@@ -664,22 +665,24 @@ fn median_ns(mut samples: Vec<u128>) -> u128 {
 /// cascade — checking that all three (and the planner-fused logical
 /// plan) agree before timing them `reps` times each.
 pub fn twig_ablation(doc: &xmltree::Document, reps: usize) -> Vec<TwigRow> {
-    use algebra::{twig_join, Evaluator};
+    use algebra::{twig_join, Evaluator, IdColumns, NoMeter};
     let idx = storage::IdStreamIndex::build(doc);
     let catalog = twig_catalog(doc);
     let mut out = Vec::new();
     for w in twig_workloads() {
         let pattern = w.pattern();
+        // the base streams are packed once, outside every timed region,
+        // exactly as the store serves them
         let streams = w.streams(&idx);
-        let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-            streams.iter().map(|s| s.as_slice()).collect();
+        let cols = w.columns(&idx);
+        let refs: Vec<&IdColumns> = cols.iter().collect();
         // correctness first: all three operators and the planner path
         // must agree on the solution set
-        let twig_sols = twig_join(&pattern, &refs);
-        let mut stack_sols = cascade_solutions(&w.parents, &w.axes, &streams, true);
+        let twig_sols = twig_join(&pattern, &refs, &mut NoMeter);
+        let mut stack_sols = cascade_solutions(&w.parents, &w.axes, &streams, Some(&cols));
         stack_sols.sort_unstable();
         assert_eq!(twig_sols, stack_sols, "{}: twig vs StackTree", w.name);
-        let mut nested_sols = cascade_solutions(&w.parents, &w.axes, &streams, false);
+        let mut nested_sols = cascade_solutions(&w.parents, &w.axes, &streams, None);
         nested_sols.sort_unstable();
         assert_eq!(twig_sols, nested_sols, "{}: twig vs nested loop", w.name);
         let ev = Evaluator::new(&catalog);
@@ -696,9 +699,10 @@ pub fn twig_ablation(doc: &xmltree::Document, reps: usize) -> Vec<TwigRow> {
             }
             median_ns(samples)
         };
-        let twig_ns = time(&|| twig_join(&pattern, &refs).len());
-        let cascade_ns = time(&|| cascade_solutions(&w.parents, &w.axes, &streams, true).len());
-        let nested_ns = time(&|| cascade_solutions(&w.parents, &w.axes, &streams, false).len());
+        let twig_ns = time(&|| twig_join(&pattern, &refs, &mut NoMeter).len());
+        let cascade_ns =
+            time(&|| cascade_solutions(&w.parents, &w.axes, &streams, Some(&cols)).len());
+        let nested_ns = time(&|| cascade_solutions(&w.parents, &w.axes, &streams, None).len());
         out.push(TwigRow {
             name: w.name,
             rows: twig_sols.len(),
@@ -852,390 +856,6 @@ pub fn pipeline_ablation(
 }
 
 // --------------------------------------------------------------------
-// E12 — skip-based twig joins: seek indexes × summary pruning
-
-/// One cell of the E12 access-method grid: the holistic twig kernel
-/// under one combination of the two knobs.
-#[derive(Debug, Clone)]
-pub struct SkipCell {
-    pub skip_index: bool,
-    pub summary_pruning: bool,
-    /// Median wall-clock, ns. Pruned cells pay their partition merge
-    /// and indexed cells their skip-index build inside the timed
-    /// region — each access method must pay for its own setup.
-    pub ns: u128,
-    /// Counters of one metered run of the cell.
-    pub elements_skipped: u64,
-    pub blocks_pruned: u64,
-    pub partitions_opened: u64,
-    pub partitions_total: u64,
-    /// Input elements the kernel sees across all streams.
-    pub stream_elements: usize,
-}
-
-/// One workload row of the E12 grid: the four twig cells plus the
-/// StackTree cascade with and without a descendant-side skip index.
-#[derive(Debug, Clone)]
-pub struct SkipRow {
-    pub name: String,
-    /// Output cardinality (identical across every cell).
-    pub rows: usize,
-    pub cells: Vec<SkipCell>,
-    pub stacktree_ns: u128,
-    pub stacktree_indexed_ns: u128,
-}
-
-impl SkipRow {
-    /// The cell for a knob combination.
-    pub fn cell(&self, skip_index: bool, summary_pruning: bool) -> &SkipCell {
-        self.cells
-            .iter()
-            .find(|c| c.skip_index == skip_index && c.summary_pruning == summary_pruning)
-            .expect("grid carries all four cells")
-    }
-
-    /// Wall-clock speedup of the fully-enabled cell over the plain
-    /// linear kernel (the PR 2 baseline).
-    pub fn speedup_full_vs_linear(&self) -> f64 {
-        self.cell(false, false).ns as f64 / self.cell(true, true).ns.max(1) as f64
-    }
-}
-
-fn matcher_axes(axes: &[algebra::Axis]) -> Vec<summary::PatternAxis> {
-    axes.iter()
-        .enumerate()
-        .map(|(i, a)| {
-            if i == 0 {
-                // axes[0] relates the pattern root to the *document*
-                // root; the bench twigs float anywhere
-                summary::PatternAxis::Descendant
-            } else {
-                match a {
-                    algebra::Axis::Child => summary::PatternAxis::Child,
-                    algebra::Axis::Descendant => summary::PatternAxis::Descendant,
-                }
-            }
-        })
-        .collect()
-}
-
-/// Run every twig workload through the holistic kernel under the full
-/// access-method grid — skip index on/off × summary pruning on/off —
-/// plus the StackTree cascade with and without a descendant-side index,
-/// checking that every cell reproduces the linear kernel's solutions
-/// (as structural IDs — pruned streams renumber positions) before
-/// timing `reps` times each.
-pub fn skip_ablation(doc: &xmltree::Document, reps: usize) -> Vec<SkipRow> {
-    use algebra::{twig_join_indexed, twig_join_indexed_metered, SkipIndex};
-    let idx = storage::IdStreamIndex::build(doc);
-    let summary = Summary::of_document(doc);
-    let pruned_idx = storage::IdStreamIndex::build_with_summary(doc, &summary);
-    let mut out = Vec::new();
-    for w in twig_workloads() {
-        let pattern = w.pattern();
-        let full_streams = w.streams(&idx);
-        // plan-time partition selection: one candidate set per node
-        let allowed =
-            summary::compatible_nodes(&summary, &w.labels, &w.parents, &matcher_axes(&w.axes));
-        // run-time stream preparation for the pruning-on cells, plus
-        // the (opened, total) partition figures it reports and the skip
-        // indexes each pruned stream carries (fence levels over exactly
-        // its ids — the composed cell seeks through these instead of
-        // rebuilding an index over the merged output)
-        let prune = || {
-            let mut streams = Vec::with_capacity(w.labels.len());
-            let mut skips = Vec::with_capacity(w.labels.len());
-            let (mut opened, mut total) = (0usize, 0usize);
-            for (q, l) in w.labels.iter().enumerate() {
-                let p = pruned_idx.pruned_stream(l, xmltree::NodeKind::Element, &allowed[q]);
-                opened += p.opened;
-                total += p.total;
-                streams.push(
-                    p.ids
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, sid)| (sid, i))
-                        .collect::<Vec<_>>(),
-                );
-                skips.push(p.skip);
-            }
-            (streams, skips, opened, total)
-        };
-        // solutions as structural IDs: positions renumber under pruning
-        let sids = |streams: &[Vec<(xmltree::StructuralId, usize)>], sols: &[Vec<usize>]| {
-            let mut v: Vec<Vec<u32>> = sols
-                .iter()
-                .map(|t| {
-                    t.iter()
-                        .enumerate()
-                        .map(|(q, &p)| streams[q][p].0.pre)
-                        .collect()
-                })
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let run_opts = |streams: &[Vec<(xmltree::StructuralId, usize)>],
-                        opts: &[Option<&SkipIndex>],
-                        meter: Option<&mut obs::ExecMetrics>| {
-            let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-                streams.iter().map(|s| s.as_slice()).collect();
-            match meter {
-                Some(m) => twig_join_indexed_metered(&pattern, &refs, opts, m),
-                None => twig_join_indexed(&pattern, &refs, opts),
-            }
-        };
-        let run = |streams: &[Vec<(xmltree::StructuralId, usize)>],
-                   skip: bool,
-                   meter: Option<&mut obs::ExecMetrics>| {
-            let built: Vec<SkipIndex> = if skip {
-                streams.iter().map(|s| SkipIndex::build(s)).collect()
-            } else {
-                Vec::new()
-            };
-            let opts: Vec<Option<&SkipIndex>> = if skip {
-                built.iter().map(Some).collect()
-            } else {
-                vec![None; streams.len()]
-            };
-            run_opts(streams, &opts, meter)
-        };
-        let oracle = sids(&full_streams, &run(&full_streams, false, None));
-        let (pruned_streams, pruned_skips, opened, total) = prune();
-        let mut cells = Vec::new();
-        for (skip, pruning) in [(false, false), (true, false), (false, true), (true, true)] {
-            let streams = if pruning {
-                &pruned_streams
-            } else {
-                &full_streams
-            };
-            // correctness first, collecting the cell's counters (the
-            // composed cell seeks through the streams' carried fences)
-            let mut m = obs::ExecMetrics::default();
-            let sols = if skip && pruning {
-                let opts: Vec<Option<&SkipIndex>> = pruned_skips.iter().map(Some).collect();
-                run_opts(streams, &opts, Some(&mut m))
-            } else {
-                run(streams, skip, Some(&mut m))
-            };
-            assert_eq!(
-                sids(streams, &sols),
-                oracle,
-                "{}: skip={skip} pruning={pruning} vs linear kernel",
-                w.name
-            );
-            // then time the cell end to end: pruned cells re-merge
-            // their partitions, indexed cells rebuild their indexes
-            let mut samples = Vec::with_capacity(reps.max(1));
-            for _ in 0..reps.max(1) {
-                let t0 = Instant::now();
-                let n = if pruning {
-                    let (streams, skips, _, _) = prune();
-                    if skip {
-                        let opts: Vec<Option<&SkipIndex>> = skips.iter().map(Some).collect();
-                        run_opts(&streams, &opts, None).len()
-                    } else {
-                        run(&streams, false, None).len()
-                    }
-                } else {
-                    run(&full_streams, skip, None).len()
-                };
-                samples.push(t0.elapsed().as_nanos());
-                assert_eq!(n, oracle.len());
-            }
-            cells.push(SkipCell {
-                skip_index: skip,
-                summary_pruning: pruning,
-                ns: median_ns(samples),
-                elements_skipped: m.elements_skipped,
-                blocks_pruned: m.blocks_pruned,
-                partitions_opened: if pruning { opened as u64 } else { 0 },
-                partitions_total: if pruning { total as u64 } else { 0 },
-                stream_elements: streams.iter().map(|s| s.len()).sum(),
-            });
-        }
-        // the binary cascade, with and without a descendant-side index
-        let time_cascade = |indexed: bool| {
-            let mut samples = Vec::with_capacity(reps.max(1));
-            for _ in 0..reps.max(1) {
-                let t0 = Instant::now();
-                let n = cascade_solutions_with(&w.parents, &w.axes, &full_streams, indexed).len();
-                samples.push(t0.elapsed().as_nanos());
-                assert_eq!(n, oracle.len(), "{}: cascade indexed={indexed}", w.name);
-            }
-            median_ns(samples)
-        };
-        let stacktree_ns = time_cascade(false);
-        let stacktree_indexed_ns = time_cascade(true);
-        out.push(SkipRow {
-            name: w.name,
-            rows: oracle.len(),
-            cells,
-            stacktree_ns,
-            stacktree_indexed_ns,
-        });
-    }
-    out
-}
-
-/// [`cascade_solutions`] over StackTree, optionally handing each step a
-/// skip index over its descendant stream (built inside — a cascade
-/// cannot reuse stored indexes for its re-sorted intermediates, but the
-/// descendant side is always a base stream).
-pub fn cascade_solutions_with(
-    parents: &[usize],
-    axes: &[algebra::Axis],
-    streams: &[Vec<(xmltree::StructuralId, usize)>],
-    indexed: bool,
-) -> Vec<Vec<usize>> {
-    use algebra::stacktree::stack_tree_pairs_indexed;
-    use algebra::SkipIndex;
-    let n = streams.len();
-    let indexes: Vec<Option<SkipIndex>> = (0..n)
-        .map(|k| (indexed && k > 0).then(|| SkipIndex::build(&streams[k])))
-        .collect();
-    let mut tuples: Vec<Vec<usize>> = streams[0].iter().map(|&(_, p)| vec![p]).collect();
-    for k in 1..n {
-        let p = parents[k];
-        let mut left: Vec<(xmltree::StructuralId, usize)> = tuples
-            .iter()
-            .enumerate()
-            .map(|(ti, t)| (streams[p][t[p]].0, ti))
-            .collect();
-        left.sort_unstable_by_key(|&(s, _)| s.pre);
-        let pairs = stack_tree_pairs_indexed(&left, &streams[k], axes[k], indexes[k].as_ref());
-        tuples = pairs
-            .into_iter()
-            .map(|(ti, di)| {
-                let mut t = tuples[ti].clone();
-                t.push(di);
-                t
-            })
-            .collect();
-    }
-    tuples
-}
-
-// --------------------------------------------------------------------
-// E14 — columnar kernels: dense-parity grid
-
-/// One measured row of the E14 vectorized-kernel grid: the holistic
-/// twig join timed under three access paths over identical streams —
-/// scalar linear (no seeks), scalar with XB-tree skip indexes, and the
-/// columnar kernel over packed pre/post/depth columns.
-#[derive(Debug, Clone)]
-pub struct VectorRow {
-    pub name: String,
-    /// Output cardinality (identical across all three paths).
-    pub rows: usize,
-    /// Member of the dense grid (plain chains and child fans): the
-    /// workloads where seeking cannot discard much, so lane-wide
-    /// batching has to carry the win on its own.
-    pub dense: bool,
-    /// Total elements across the workload's input streams.
-    pub stream_elements: usize,
-    /// Median wall-clock per access path, nanoseconds. Access
-    /// structures (skip indexes, packed columns) are prebuilt outside
-    /// the timed region — the store carries both, so steady-state
-    /// serving never rebuilds them per query.
-    pub linear_ns: u128,
-    pub skip_ns: u128,
-    pub columnar_ns: u128,
-    /// Columnar-kernel counters from a metered correctness pass.
-    pub batches_scanned: u64,
-    pub vector_compares: u64,
-    pub elements_skipped: u64,
-}
-
-impl VectorRow {
-    /// Columnar speedup over the scalar linear sweep.
-    pub fn speedup_vs_linear(&self) -> f64 {
-        self.linear_ns as f64 / self.columnar_ns.max(1) as f64
-    }
-
-    /// Columnar speedup over the scalar skip-indexed path.
-    pub fn speedup_vs_skip(&self) -> f64 {
-        self.skip_ns as f64 / self.columnar_ns.max(1) as f64
-    }
-
-    /// Skip-indexed speedup over the linear sweep (context column).
-    pub fn skip_vs_linear(&self) -> f64 {
-        self.linear_ns as f64 / self.skip_ns.max(1) as f64
-    }
-}
-
-/// Run every twig workload through the holistic kernel under the three
-/// access paths of [`VectorRow`], checking that all three produce
-/// identical solutions before timing `reps` times each.
-pub fn vector_parity(doc: &xmltree::Document, reps: usize) -> Vec<VectorRow> {
-    use algebra::{
-        twig_join, twig_join_columnar_metered, twig_join_indexed, IdColumns, SkipIndex,
-        DEFAULT_BLOCK,
-    };
-    let idx = storage::IdStreamIndex::build(doc);
-    let mut out = Vec::new();
-    for w in vector_workloads() {
-        let pattern = w.pattern();
-        let streams = w.streams(&idx);
-        let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-            streams.iter().map(|s| s.as_slice()).collect();
-        // prebuilt access structures, exactly as the store serves them
-        let skips: Vec<SkipIndex> = streams.iter().map(|s| SkipIndex::build(s)).collect();
-        let opts: Vec<Option<&SkipIndex>> = skips.iter().map(Some).collect();
-        let cols: Vec<IdColumns> = streams
-            .iter()
-            .map(|s| IdColumns::from_pairs(s, DEFAULT_BLOCK))
-            .collect();
-        let col_refs: Vec<&IdColumns> = cols.iter().collect();
-
-        // correctness first, collecting the columnar kernel's counters
-        let linear = twig_join(&pattern, &refs);
-        let skip_sols = twig_join_indexed(&pattern, &refs, &opts);
-        let mut m = obs::ExecMetrics::default();
-        let col_sols = twig_join_columnar_metered(&pattern, &col_refs, &mut m);
-        assert_eq!(skip_sols, linear, "{}: skip path vs linear", w.name);
-        assert_eq!(col_sols, linear, "{}: columnar path vs linear", w.name);
-
-        // interleave the three paths rep-by-rep so clock drift and
-        // scheduler interference land on all of them equally instead of
-        // skewing whichever path ran its block last
-        let paths: [&dyn Fn() -> usize; 3] = [
-            &|| twig_join(&pattern, &refs).len(),
-            &|| twig_join_indexed(&pattern, &refs, &opts).len(),
-            &|| algebra::twig_join_columnar(&pattern, &col_refs).len(),
-        ];
-        let mut samples: [Vec<u128>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for _ in 0..reps.max(1) {
-            for (path, out) in paths.iter().zip(samples.iter_mut()) {
-                let t0 = Instant::now();
-                let n = path();
-                out.push(t0.elapsed().as_nanos());
-                assert_eq!(n, linear.len());
-            }
-        }
-        let [lin_s, skip_s, col_s] = samples;
-        let linear_ns = median_ns(lin_s);
-        let skip_ns = median_ns(skip_s);
-        let columnar_ns = median_ns(col_s);
-
-        let dense = w.name.starts_with("chain_depth") || w.name.starts_with("fan_width");
-        out.push(VectorRow {
-            name: w.name,
-            rows: linear.len(),
-            dense,
-            stream_elements: streams.iter().map(|s| s.len()).sum(),
-            linear_ns,
-            skip_ns,
-            columnar_ns,
-            batches_scanned: m.batches_scanned,
-            vector_compares: m.vector_compares,
-            elements_skipped: m.elements_skipped,
-        });
-    }
-    out
-}
-
-// --------------------------------------------------------------------
 // E9 — §4.5 minimization
 
 pub fn minimize_demo() -> Vec<String> {
@@ -1352,35 +972,6 @@ mod tests {
             .map(|r| r.rows)
             .collect();
         assert!(q_rows.iter().all(|&c| c == q_rows[0]), "{q_rows:?}");
-    }
-
-    #[test]
-    fn skip_ablation_grid_agrees_and_skips() {
-        let doc = xmltree::generate::xmark(4, 7);
-        let rows = skip_ablation(&doc, 1);
-        assert_eq!(rows.len(), twig_workloads().len());
-        // every row carries the full 2×2 grid (agreement is asserted
-        // inside skip_ablation before timing)
-        for r in &rows {
-            assert_eq!(r.cells.len(), 4);
-            assert_eq!(r.cell(false, false).elements_skipped, 0, "{}", r.name);
-        }
-        // the selective twig is the one the index must engage on
-        let sel = rows.iter().find(|r| r.name == "chain_selective4").unwrap();
-        let skipped = sel
-            .cells
-            .iter()
-            .filter(|c| c.skip_index)
-            .map(|c| c.elements_skipped)
-            .max()
-            .unwrap();
-        assert!(skipped > 0, "skip index never engaged: {sel:?}");
-        // summary pruning must open fewer partitions than exist
-        let pruned = sel.cell(false, true);
-        assert!(
-            pruned.partitions_opened < pruned.partitions_total,
-            "no partitions pruned: {pruned:?}"
-        );
     }
 
     #[test]

@@ -23,18 +23,17 @@ pub struct ExecMetrics {
     /// Times a `TwigJoin` fell back to the binary cascade (uncovered
     /// shape, or `use_twigstack` off).
     pub twig_fallbacks: u64,
-    /// Stream elements jumped over by skip-index seeks (never touched
-    /// by the join kernels; zero on linear scans).
+    /// Stream elements the join kernels' seeks jumped over (never
+    /// touched by the merge).
     pub elements_skipped: u64,
-    /// Skip-index fence blocks a seek stepped over whole (at any fence
-    /// level) without descending into them.
+    /// Fence blocks a seek cleared whole without scanning them.
     pub blocks_pruned: u64,
     /// Summary-compatible stream partitions actually opened by scans.
     pub partitions_opened: u64,
     /// Total stream partitions the same scans could have opened.
     pub partitions_total: u64,
-    /// Lane-wide column blocks examined by the vectorized kernels
-    /// (`algebra::simd`); zero on the scalar paths.
+    /// Lane-wide column blocks examined by the range kernels
+    /// (`algebra::simd`).
     pub batches_scanned: u64,
     /// Element comparisons issued by the vectorized range kernels
     /// (whole blocks at a time, so this counts lanes, not branches).

@@ -21,48 +21,12 @@
 use algebra::{Catalog, JoinKind, LogicalPlan};
 use obs::StatsStore;
 
-/// What the executor will actually have available when a plan runs. The
-/// cost model must never prefer a plan on the strength of a disabled
-/// access method, so the pipeline derives this from `EngineConfig` and
-/// passes it to every estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecCaps {
-    /// XB-tree skip indexes are available (`use_skip_index`): twig merges
-    /// may assume fence-guided seeking over non-joinable runs.
-    pub seekable: bool,
-    /// Columnar pre/post/depth kernels are available (`columnar_kernels`):
-    /// merges advance in lane-wide batches, and the packed pre column is
-    /// seekable by construction even without an XB-tree.
-    pub columnar: bool,
-}
-
-impl ExecCaps {
-    pub fn new(seekable: bool, columnar: bool) -> Self {
-        Self { seekable, columnar }
-    }
-
-    /// Caps for a scalar executor with every access method off. Used by
-    /// tests and as the conservative floor.
-    pub fn scalar() -> Self {
-        Self {
-            seekable: false,
-            columnar: false,
-        }
-    }
-
-    /// Whether twig merges may price in seeking: either an explicit
-    /// XB-tree, or the columnar layout whose sorted pre column supports
-    /// galloped seeks with no extra structure.
-    fn can_seek(self) -> bool {
-        self.seekable || self.columnar
-    }
-}
-
-/// Batched columnar sweeps retire compares lane-at-a-time with no
-/// data-dependent branches; the measured per-element constant on dense
-/// merges sits well under the scalar loop's. The discount is deliberately
-/// modest so the planner never picks a larger plan purely on kernel
-/// width.
+/// The twig kernel's batched columnar sweep retires compares
+/// lane-at-a-time with no data-dependent branches; the measured
+/// per-element constant on dense merges sits well under that of the
+/// element-at-a-time StackTree loop the cascade's charge is calibrated
+/// on. The discount is deliberately modest so the planner never picks a
+/// larger plan purely on kernel width.
 const COLUMNAR_SWEEP_DISCOUNT: f64 = 0.5;
 
 /// Laplace-style smoothing constant of the feedback blend: with `n`
@@ -135,13 +99,10 @@ struct FeedbackContext<'a> {
     plan_fp: u64,
 }
 
-/// The cost model: a catalog of materialized relation sizes, the
-/// executor's access-method capabilities, and (optionally) the
-/// cardinality feedback recorded by profiled runs.
+/// The cost model: a catalog of materialized relation sizes and
+/// (optionally) the cardinality feedback recorded by profiled runs.
 ///
-/// Unknown relations count as size 1000. `caps` says which access
-/// methods the executor will actually have (see [`ExecCaps`]); only then
-/// may twig costs assume seeking or batched sweeps. Without feedback
+/// Unknown relations count as size 1000. Without feedback
 /// ([`CostModel::new`]) the arithmetic is exactly the historical static
 /// model; [`CostModel::with_feedback`] keys the store lookup by the
 /// `(document version, plan fingerprint)` the observations were recorded
@@ -150,16 +111,14 @@ struct FeedbackContext<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel<'a> {
     catalog: &'a Catalog,
-    caps: ExecCaps,
     feedback: Option<FeedbackContext<'a>>,
 }
 
 impl<'a> CostModel<'a> {
     /// A feedback-free model: pure catalog estimates.
-    pub fn new(catalog: &'a Catalog, caps: ExecCaps) -> CostModel<'a> {
+    pub fn new(catalog: &'a Catalog) -> CostModel<'a> {
         CostModel {
             catalog,
-            caps,
             feedback: None,
         }
     }
@@ -316,32 +275,20 @@ impl<'a> CostModel<'a> {
                     out = rs.max(out * 0.5);
                 }
                 let log = total_rows.log2().max(1.0);
-                // Columnar kernels batch the sweep: lane-wide branch-free
-                // compares retire elements at a fraction of the scalar
-                // per-element constant, which matters exactly in the dense
-                // case where seeking cannot help.
-                let sweep_factor = if self.caps.columnar {
-                    COLUMNAR_SWEEP_DISCOUNT
-                } else {
-                    1.0
-                };
-                let linear_merge = total_rows * log * sweep_factor;
-                let merge = if self.caps.can_seek() {
-                    // Skip-aware selectivity: with XB-tree seek indexes (or
-                    // the columnar pre column, seekable by construction) the
-                    // merge touches roughly the most selective stream plus
-                    // the output — everything else is seeked over at a
-                    // fence-descent (log) charge per touched element and
-                    // stream. On skewed twigs this term undercuts the linear
-                    // sweep, which is exactly when the twig-vs-cascade arm
-                    // should prefer seeking. With both access methods off
-                    // the kernel really does the full scalar sweep, so the
-                    // discount must not apply.
-                    let seek_merge = (min_rows + out) * log * (steps.len() as f64 + 1.0);
-                    linear_merge.min(seek_merge)
-                } else {
-                    linear_merge
-                };
+                // The sweep is batched: lane-wide branch-free compares
+                // retire elements at a fraction of the per-element
+                // constant, which matters exactly in the dense case where
+                // seeking cannot help.
+                let linear_merge = total_rows * log * COLUMNAR_SWEEP_DISCOUNT;
+                // Skip-aware selectivity: the packed pre column is
+                // seekable by construction, so the merge touches roughly
+                // the most selective stream plus the output — everything
+                // else is seeked over at a gallop (log) charge per touched
+                // element and stream. On skewed twigs this term undercuts
+                // the linear sweep, which is exactly when the
+                // twig-vs-cascade arm should prefer the twig.
+                let seek_merge = (min_rows + out) * log * (steps.len() as f64 + 1.0);
+                let merge = linear_merge.min(seek_merge);
                 (cost + merge, out)
             }
             Union { .. } => {
@@ -391,36 +338,11 @@ impl<'a> CostModel<'a> {
     }
 }
 
-/// Estimated (cost, output-rows) of a plan over a catalog of materialized
-/// relations.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `CostModel::new(catalog, caps).estimate(plan)` (optionally `.with_feedback(..)`)"
-)]
-pub fn estimate(plan: &LogicalPlan, catalog: &Catalog, caps: ExecCaps) -> (f64, f64) {
-    let e = CostModel::new(catalog, caps).estimate(plan);
-    (e.cost, e.rows)
-}
-
-/// The scalar plan cost used for ranking.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `CostModel::new(catalog, caps).cost(plan)` (optionally `.with_feedback(..)`)"
-)]
-pub fn plan_cost(plan: &LogicalPlan, catalog: &Catalog, caps: ExecCaps) -> f64 {
-    CostModel::new(catalog, caps).cost(plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use algebra::{Relation, Schema, Tuple, Value};
     use obs::{ExecMetrics, PlanNodeProfile, QueryProfile};
-
-    const ALL: ExecCaps = ExecCaps {
-        seekable: true,
-        columnar: true,
-    };
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -437,12 +359,12 @@ mod tests {
         c
     }
 
-    fn plan_cost(plan: &LogicalPlan, c: &Catalog, caps: ExecCaps) -> f64 {
-        CostModel::new(c, caps).cost(plan)
+    fn plan_cost(plan: &LogicalPlan, c: &Catalog) -> f64 {
+        CostModel::new(c).cost(plan)
     }
 
-    fn rows_of(plan: &LogicalPlan, c: &Catalog, caps: ExecCaps) -> f64 {
-        CostModel::new(c, caps).estimate(plan).rows
+    fn rows_of(plan: &LogicalPlan, c: &Catalog) -> f64 {
+        CostModel::new(c).estimate(plan).rows
     }
 
     /// A profile tree mirroring `plan`'s shape where every node reports
@@ -480,11 +402,10 @@ mod tests {
     fn scans_cost_their_size() {
         let c = catalog();
         assert!(
-            plan_cost(&LogicalPlan::scan("small"), &c, ALL)
-                < plan_cost(&LogicalPlan::scan("big"), &c, ALL)
+            plan_cost(&LogicalPlan::scan("small"), &c) < plan_cost(&LogicalPlan::scan("big"), &c)
         );
         // unknown relations get a default
-        assert!(plan_cost(&LogicalPlan::scan("nope"), &c, ALL) > 0.0);
+        assert!(plan_cost(&LogicalPlan::scan("nope"), &c) > 0.0);
     }
 
     #[test]
@@ -496,7 +417,7 @@ mod tests {
             algebra::Predicate::True,
             algebra::JoinKind::Inner,
         );
-        assert!(plan_cost(&via_small, &c, ALL) < plan_cost(&via_big, &c, ALL));
+        assert!(plan_cost(&via_small, &c) < plan_cost(&via_big, &c));
     }
 
     #[test]
@@ -511,8 +432,8 @@ mod tests {
         };
         let eq = algebra::Predicate::col_cmp("a", algebra::CmpOp::Eq, "b");
         let lt = algebra::Predicate::col_cmp("a", algebra::CmpOp::Lt, "b");
-        let hash = CostModel::new(&c, ALL).estimate_tree(&join(eq.clone().and(lt.clone())));
-        let nl = CostModel::new(&c, ALL).estimate_tree(&join(lt));
+        let hash = CostModel::new(&c).estimate_tree(&join(eq.clone().and(lt.clone())));
+        let nl = CostModel::new(&c).estimate_tree(&join(lt));
         assert_eq!(hash.op, "HashJoin(⋈)");
         assert_eq!(nl.op, "NLJoin(⋈)");
         // same inputs, same output estimate; only the algorithm's price differs
@@ -525,7 +446,7 @@ mod tests {
             .rename(&["a"])
             .product(LogicalPlan::scan("big").rename(&["b"]))
             .select(eq.clone());
-        assert!(plan_cost(&join(eq), &c, ALL) < plan_cost(&product, &c, ALL));
+        assert!(plan_cost(&join(eq), &c) < plan_cost(&product, &c));
     }
 
     #[test]
@@ -553,17 +474,12 @@ mod tests {
         let cascade = chain(false);
         let twig = chain(true);
         assert!(matches!(twig, LogicalPlan::TwigJoin { .. }));
-        for seekable in [true, false] {
-            for columnar in [true, false] {
-                let caps = ExecCaps::new(seekable, columnar);
-                assert!(
-                    plan_cost(&twig, &c, caps) < plan_cost(&cascade, &c, caps),
-                    "{caps:?}: twig {} vs cascade {}",
-                    plan_cost(&twig, &c, caps),
-                    plan_cost(&cascade, &c, caps)
-                );
-            }
-        }
+        assert!(
+            plan_cost(&twig, &c) < plan_cost(&cascade, &c),
+            "twig {} vs cascade {}",
+            plan_cost(&twig, &c),
+            plan_cost(&cascade, &c)
+        );
     }
 
     #[test]
@@ -591,55 +507,10 @@ mod tests {
             algebra::fuse_struct_joins(&plan)
         };
         assert!(
-            plan_cost(&twig("small"), &c, ALL) < plan_cost(&twig("big"), &c, ALL),
+            plan_cost(&twig("small"), &c) < plan_cost(&twig("big"), &c),
             "selective twig {} vs uniform twig {}",
-            plan_cost(&twig("small"), &c, ALL),
-            plan_cost(&twig("big"), &c, ALL)
-        );
-    }
-
-    #[test]
-    fn seek_discount_gated_on_skip_index_knob() {
-        // a selective twig gets the seek_merge discount only when the
-        // executor will actually have skip indexes; with the knob off
-        // the estimate must charge the full linear merge sweep
-        let c = catalog();
-        let plan = LogicalPlan::scan("big")
-            .rename(&["a"])
-            .struct_join(
-                LogicalPlan::scan("big").rename(&["b"]),
-                "a",
-                "b",
-                algebra::Axis::Descendant,
-                algebra::JoinKind::Inner,
-            )
-            .struct_join(
-                LogicalPlan::scan("small").rename(&["c"]),
-                "b",
-                "c",
-                algebra::Axis::Descendant,
-                algebra::JoinKind::Inner,
-            );
-        let twig = algebra::fuse_struct_joins(&plan);
-        assert!(matches!(twig, LogicalPlan::TwigJoin { .. }));
-        let seekable = plan_cost(&twig, &c, ExecCaps::new(true, false));
-        let linear = plan_cost(&twig, &c, ExecCaps::scalar());
-        assert!(
-            seekable < linear,
-            "discount must vanish with seeks off: {seekable} vs {linear}"
-        );
-        // the columnar pre column is seekable by construction, so the
-        // seek discount survives use_skip_index being off
-        let columnar_only = plan_cost(&twig, &c, ExecCaps::new(false, true));
-        assert!(
-            columnar_only < linear,
-            "columnar caps must keep the seek discount: {columnar_only} vs {linear}"
-        );
-        // non-twig plans are priced identically under every cap set
-        assert_eq!(
-            plan_cost(&plan, &c, ALL),
-            plan_cost(&plan, &c, ExecCaps::scalar()),
-            "cascade cost must not depend on the knobs"
+            plan_cost(&twig("small"), &c),
+            plan_cost(&twig("big"), &c)
         );
     }
 
@@ -653,7 +524,7 @@ mod tests {
             algebra::Axis::Child,
             algebra::JoinKind::Semi,
         );
-        let semi_rows = rows_of(&semi, &c, ALL);
+        let semi_rows = rows_of(&semi, &c);
         let inner = LogicalPlan::scan("big").struct_join(
             LogicalPlan::scan("small"),
             "ID",
@@ -661,50 +532,46 @@ mod tests {
             algebra::Axis::Child,
             algebra::JoinKind::Inner,
         );
-        let inner_rows = rows_of(&inner, &c, ALL);
+        let inner_rows = rows_of(&inner, &c);
         assert!(semi_rows <= inner_rows);
     }
 
     #[test]
-    fn columnar_discounts_the_dense_sweep() {
-        // a uniform (dense) twig gets no help from seeking — the merge
-        // touches everything — but the batched columnar sweep still
-        // undercuts the scalar one
+    fn twig_prices_are_pinned() {
+        // Golden figures, recorded at 8e11f3f from the model as the
+        // default engine configuration drove it (seeking and columnar
+        // sweeps both priced in). Plans are chosen by comparing these
+        // numbers, so a change here is a change of plans.
         let c = catalog();
-        let mut plan = LogicalPlan::scan("big").rename(&["a"]);
-        for (i, col) in ["b", "c"].iter().enumerate() {
-            plan = plan.struct_join(
-                LogicalPlan::scan("big").rename(&[*col]),
-                if i == 0 { "a" } else { "b" },
-                *col,
-                algebra::Axis::Descendant,
-                algebra::JoinKind::Inner,
-            );
-        }
-        let twig = algebra::fuse_struct_joins(&plan);
-        assert!(matches!(twig, LogicalPlan::TwigJoin { .. }));
-        let scalar = plan_cost(&twig, &c, ExecCaps::scalar());
-        let columnar = plan_cost(&twig, &c, ExecCaps::new(false, true));
-        assert!(
-            columnar < scalar,
-            "dense twig must get the batched-sweep discount: {columnar} vs {scalar}"
-        );
-    }
-
-    #[test]
-    fn deprecated_shims_match_the_model() {
-        let c = catalog();
-        let plan = LogicalPlan::scan("big").select(algebra::Predicate::True);
-        #[allow(deprecated)]
-        let (shim_cost, shim_rows) = super::estimate(&plan, &c, ALL);
-        let e = CostModel::new(&c, ALL).estimate(&plan);
-        assert_eq!(shim_cost, e.cost);
-        assert_eq!(shim_rows, e.rows);
-        #[allow(deprecated)]
-        let shim_pc = super::plan_cost(&plan, &c, ALL);
-        assert_eq!(shim_pc, e.cost);
-        assert_eq!(e.source, EstimateSource::Catalog);
-        assert_eq!(e.confidence, 0.0);
+        let twig_of = |leaf: &str| {
+            let plan = LogicalPlan::scan("big")
+                .rename(&["a"])
+                .struct_join(
+                    LogicalPlan::scan("big").rename(&["b"]),
+                    "a",
+                    "b",
+                    algebra::Axis::Descendant,
+                    algebra::JoinKind::Inner,
+                )
+                .struct_join(
+                    LogicalPlan::scan(leaf).rename(&["c"]),
+                    "b",
+                    "c",
+                    algebra::Axis::Descendant,
+                    algebra::JoinKind::Inner,
+                );
+            let twig = algebra::fuse_struct_joins(&plan);
+            assert!(matches!(twig, LogicalPlan::TwigJoin { .. }));
+            twig
+        };
+        // dense: three equal streams, the batched linear sweep prices it
+        let dense = CostModel::new(&c).estimate(&twig_of("big"));
+        assert_eq!(dense.cost, 253090.12320405908);
+        assert_eq!(dense.rows, 10000.0);
+        // selective: a 10-row leaf, the seek term prices it
+        let selective = CostModel::new(&c).estimate(&twig_of("small"));
+        assert_eq!(selective.cost, 162965.777635665);
+        assert_eq!(selective.rows, 5000.0);
     }
 
     #[test]
@@ -715,9 +582,9 @@ mod tests {
         let stats = obs::StatsStore::new();
 
         // catalog says Select outputs 10_000 * 0.33; the runs measure 10
-        let catalog_est = CostModel::new(&c, ALL).estimate(&plan);
+        let catalog_est = CostModel::new(&c).estimate(&plan);
         stats.record_profile(7, fp, &query_profile(uniform_profile(&plan, 10)));
-        let one = CostModel::new(&c, ALL)
+        let one = CostModel::new(&c)
             .with_feedback(&stats, 7, fp)
             .estimate(&plan);
         assert_eq!(one.source, EstimateSource::Feedback);
@@ -734,19 +601,19 @@ mod tests {
         for _ in 0..9 {
             stats.record_profile(7, fp, &query_profile(uniform_profile(&plan, 10)));
         }
-        let ten = CostModel::new(&c, ALL)
+        let ten = CostModel::new(&c)
             .with_feedback(&stats, 7, fp)
             .estimate(&plan);
         assert!(ten.confidence > one.confidence);
         assert!(ten.rows < one.rows, "{} !< {}", ten.rows, one.rows);
 
         // an unseen document version falls back to pure catalog figures
-        let unseen = CostModel::new(&c, ALL)
+        let unseen = CostModel::new(&c)
             .with_feedback(&stats, 8, fp)
             .estimate(&plan);
         assert_eq!(unseen, catalog_est);
         // as does an unseen fingerprint
-        let other_fp = CostModel::new(&c, ALL)
+        let other_fp = CostModel::new(&c)
             .with_feedback(&stats, 7, fp ^ 1)
             .estimate(&plan);
         assert_eq!(other_fp, catalog_est);
@@ -780,10 +647,8 @@ mod tests {
         for _ in 0..8 {
             stats.record_profile(3, fp, &query_profile(uniform_profile(&twig, 5)));
         }
-        let cold = CostModel::new(&c, ALL).cost(&twig);
-        let warm = CostModel::new(&c, ALL)
-            .with_feedback(&stats, 3, fp)
-            .cost(&twig);
+        let cold = CostModel::new(&c).cost(&twig);
+        let warm = CostModel::new(&c).with_feedback(&stats, 3, fp).cost(&twig);
         assert!(
             warm < cold,
             "measured-tiny streams must cut the twig cost: {warm} vs {cold}"
@@ -798,7 +663,7 @@ mod tests {
         let plan = LogicalPlan::scan("small")
             .rename(&["x"])
             .select(algebra::Predicate::True);
-        let tree = CostModel::new(&c, ALL).estimate_tree(&plan);
+        let tree = CostModel::new(&c).estimate_tree(&plan);
         assert_eq!(tree.node_count(), 3);
         assert_eq!(tree.op, plan.node_label());
         assert_eq!(tree.children[0].children[0].op, "Scan(small)");
@@ -808,7 +673,7 @@ mod tests {
         let stats = obs::StatsStore::new();
         let fp = 0x77u64;
         stats.record_profile(1, fp, &query_profile(uniform_profile(&plan, 4)));
-        let warm = CostModel::new(&c, ALL)
+        let warm = CostModel::new(&c)
             .with_feedback(&stats, 1, fp)
             .estimate_tree(&plan);
         assert_eq!(warm.feedback_nodes(), 3);

@@ -21,7 +21,7 @@ pub mod pipeline;
 pub mod planpat;
 pub mod rewrite;
 
-pub use cost::{CostModel, Estimate, EstimateNode, EstimateSource, ExecCaps};
+pub use cost::{CostModel, Estimate, EstimateNode, EstimateSource};
 pub use pipeline::{
     plan_fingerprint, EngineConfig, Explain, PreparedQuery, QueryItem, QueryOutput, QueryResults,
     Uload, UloadBuilder,

@@ -33,14 +33,6 @@ use xmltree::Document;
 use crate::cost::{CostModel, EstimateNode};
 use crate::rewrite::{rewrite_with_engine, EngineOptions, RewriteConfig, Rewriting};
 
-/// Former error type of the pipeline; the engine now reports through the
-/// unified [`uload_error::Error`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `uload_error::Error` (re-exported as `uload::Error`)"
-)]
-pub type UloadError = Error;
-
 /// Engine-wide execution knobs, threaded through [`Uload`] to every
 /// containment and rewriting call.
 ///
@@ -91,22 +83,11 @@ pub struct EngineConfig {
     /// emit smaller batches (filters) or larger ones (joins, `Unnest`);
     /// this only sets the granularity at which base scans chunk.
     pub batch_size: usize,
-    /// Build XB-tree skip indexes over join input streams so the
-    /// structural-join kernels seek over prunable regions instead of
-    /// scanning them (`false` = linear advance, for the ablation).
-    pub use_skip_index: bool,
     /// Partition document ID streams by summary path
     /// ([`storage::IdStreamIndex::build_with_summary`]) so pattern scans
     /// open only summary-compatible partitions (`false` = whole-column
     /// streams, for the ablation).
     pub use_summary_pruning: bool,
-    /// Run the structural-join kernels over the packed pre/post/depth
-    /// columns (`storage`'s structure-of-arrays layout) with lane-wide
-    /// batched advance loops. The packed pre column is seekable by
-    /// construction, so this subsumes `use_skip_index` when both are on.
-    /// Off, the kernels take the scalar element-at-a-time paths (for the
-    /// ablation).
-    pub columnar_kernels: bool,
     /// The rewriting search bounds (§5.3's generate-and-test knobs).
     pub rewrite: RewriteConfig,
 }
@@ -119,9 +100,7 @@ impl Default for EngineConfig {
             use_twigstack: true,
             profiling: false,
             batch_size: 1024,
-            use_skip_index: true,
             use_summary_pruning: true,
-            columnar_kernels: true,
             rewrite: RewriteConfig::default(),
         }
     }
@@ -158,21 +137,9 @@ impl EngineConfig {
         self
     }
 
-    /// Toggle skip-index (XB-tree) seeks in the join kernels.
-    pub fn with_skip_index(mut self, on: bool) -> Self {
-        self.use_skip_index = on;
-        self
-    }
-
     /// Toggle summary-path partitioning of document ID streams.
     pub fn with_summary_pruning(mut self, on: bool) -> Self {
         self.use_summary_pruning = on;
-        self
-    }
-
-    /// Toggle the columnar (structure-of-arrays) join kernels.
-    pub fn with_columnar_kernels(mut self, on: bool) -> Self {
-        self.columnar_kernels = on;
         self
     }
 
@@ -180,12 +147,6 @@ impl EngineConfig {
     pub fn with_rewrite(mut self, rewrite: RewriteConfig) -> Self {
         self.rewrite = rewrite;
         self
-    }
-
-    /// The access-method capabilities this configuration grants the
-    /// executor, as the cost model wants them.
-    pub fn exec_caps(&self) -> crate::cost::ExecCaps {
-        crate::cost::ExecCaps::new(self.use_skip_index, self.columnar_kernels)
     }
 
     /// Sanity-check the knobs (the builder calls this).
@@ -254,21 +215,9 @@ impl<'d> UloadBuilder<'d> {
         self
     }
 
-    /// Toggle skip-index (XB-tree) seeks in the join kernels.
-    pub fn use_skip_index(mut self, on: bool) -> Self {
-        self.config.use_skip_index = on;
-        self
-    }
-
     /// Toggle summary-path partitioning of document ID streams.
     pub fn use_summary_pruning(mut self, on: bool) -> Self {
         self.config.use_summary_pruning = on;
-        self
-    }
-
-    /// Toggle the columnar (structure-of-arrays) join kernels.
-    pub fn columnar_kernels(mut self, on: bool) -> Self {
-        self.config.columnar_kernels = on;
         self
     }
 
@@ -418,7 +367,7 @@ impl Uload {
         // candidate ranking stays catalog-only (no feedback): the chosen
         // rewriting must not depend on what happened to run before, so
         // the same view set always yields the same plan
-        let model = CostModel::new(self.store.catalog(), self.config.exec_caps());
+        let model = CostModel::new(self.store.catalog());
         rws.sort_by(|a, b| {
             let ca = model.cost(&a.plan);
             let cb = model.cost(&b.plan);
@@ -667,11 +616,7 @@ impl Uload {
     /// The feedback-aware cost model for plans keyed by
     /// `(doc_version, plan_fp)` in the stats store.
     fn cost_model(&self, doc_version: u64, plan_fp: u64) -> CostModel<'_> {
-        CostModel::new(self.store.catalog(), self.config.exec_caps()).with_feedback(
-            &self.stats,
-            doc_version,
-            plan_fp,
-        )
+        CostModel::new(self.store.catalog()).with_feedback(&self.stats, doc_version, plan_fp)
     }
 
     /// Build the mid-query arm-switch hint for a streamed twig plan.
@@ -764,8 +709,6 @@ impl Uload {
     /// prepare time; only the per-call document is supplied here.
     pub fn answer_prepared(&self, prep: &PreparedQuery, doc: &Document) -> Result<Vec<String>> {
         let mut ev = Evaluator::with_document(self.store.catalog(), doc);
-        ev.config.use_skip_index = self.config.use_skip_index;
-        ev.config.columnar_kernels = self.config.columnar_kernels;
         ev.config.use_twigstack = prep.use_twigstack;
         let rel = ev
             .eval(&prep.plan)
@@ -842,8 +785,6 @@ impl Uload {
             profiling,
             ..CursorConfig::default()
         };
-        ccfg.eval.use_skip_index = self.config.use_skip_index;
-        ccfg.eval.columnar_kernels = self.config.columnar_kernels;
         ccfg.eval.use_twigstack = prep.use_twigstack;
         ccfg.arm_hint = self.arm_hint(prep, doc_version);
         if !prep.breakers.is_empty() {
@@ -915,8 +856,6 @@ impl Uload {
         let evaluator = |twig_on: bool| {
             let mut ev = Evaluator::with_document(catalog, doc);
             ev.config.use_twigstack = twig_on;
-            ev.config.use_skip_index = self.config.use_skip_index;
-            ev.config.columnar_kernels = self.config.columnar_kernels;
             ev
         };
 
@@ -984,8 +923,6 @@ impl Uload {
                 ..CursorConfig::default()
             };
             ccfg.eval.use_twigstack = chosen_is_twig;
-            ccfg.eval.use_skip_index = self.config.use_skip_index;
-            ccfg.eval.columnar_kernels = self.config.columnar_kernels;
             let breakers = algebra::pipeline_breakers(&chosen_plan);
             let mut exec = algebra::build_cursor(&chosen_plan, catalog, Some(doc), &ccfg)
                 .map_err(|e| Error::Eval(e.to_string()))?;
@@ -1047,8 +984,6 @@ impl Uload {
         let catalog = self.store.catalog();
         let mut ev = Evaluator::with_document(catalog, handle.document());
         ev.config.use_twigstack = prep.use_twigstack;
-        ev.config.use_skip_index = self.config.use_skip_index;
-        ev.config.columnar_kernels = self.config.columnar_kernels;
         let t = Instant::now();
         let (_rel, op_profile) = ev
             .eval_profiled(&prep.plan)
@@ -1631,36 +1566,33 @@ mod tests {
     }
 
     #[test]
-    fn access_method_knobs_preserve_answers() {
-        // skip-index seeks and summary pruning are access-path choices:
-        // flipping them must never change what a query returns
+    fn summary_pruning_knob_preserves_answers() {
+        // summary pruning is an access-path choice: flipping it must
+        // never change what a query returns
         let doc = xmark(2, 13);
         let q = r#"for $x in doc("X")//item return <res>{$x/name/text()}</res>"#;
         let view = "//item[id:s]{ /n? name1:name[val] }";
-        let run = |skip: bool, prune: bool| {
+        let run = |prune: bool| {
             let mut u = Uload::builder()
                 .document(&doc)
-                .use_skip_index(skip)
                 .use_summary_pruning(prune)
                 .build()
                 .unwrap();
             u.add_view_text("V", view, &doc).unwrap();
             let materialized = u.answer(q, &doc).unwrap().0;
             let streamed: Vec<String> = u.query(q, &doc).unwrap().map(|r| r.unwrap()).collect();
-            assert_eq!(materialized, streamed, "skip={skip} prune={prune}");
+            assert_eq!(materialized, streamed, "prune={prune}");
             (materialized, u)
         };
-        let (base, engine_on) = run(true, true);
+        let (base, engine_on) = run(true);
         assert!(!base.is_empty());
-        for (skip, prune) in [(false, true), (true, false), (false, false)] {
-            assert_eq!(run(skip, prune).0, base, "skip={skip} prune={prune}");
-        }
+        let (unpruned, engine_off) = run(false);
+        assert_eq!(unpruned, base);
         // the engine's access-module hook follows the pruning knob
-        let partitioned = engine_on.id_stream_index(&doc);
-        assert!(!partitioned
+        assert!(!engine_on
+            .id_stream_index(&doc)
             .partitions("item", xmltree::NodeKind::Element)
             .is_empty());
-        let (_, engine_off) = run(true, false);
         assert!(engine_off
             .id_stream_index(&doc)
             .partitions("item", xmltree::NodeKind::Element)

@@ -12,10 +12,10 @@
 //!
 //! Two access-method refinements ride on top of the plain columns:
 //!
-//! * every column carries an XB-tree-style [`SkipIndex`], so point
-//!   lookups ([`IdStreamIndex::seek_descendant_of`] /
-//!   [`IdStreamIndex::seek_past`]) and the join kernels jump over
-//!   irrelevant stream regions instead of scanning them;
+//! * every column is also kept packed as [`IdColumns`]
+//!   ([`IdStreamIndex::columnar`]) — the layout the join kernels read,
+//!   whose sorted `pre` column and `max_post` fences let lookups jump
+//!   over irrelevant stream regions instead of scanning them;
 //! * [`IdStreamIndex::build_with_summary`] additionally splits each
 //!   column into per-summary-path partitions (φ of Definition 4.2.1),
 //!   and [`IdStreamIndex::pruned_stream`] reassembles, in pre order,
@@ -25,7 +25,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use algebra::{IdColumns, OrderSpec, Relation, Schema, Seek, SkipIndex, Tuple, TupleBatch, Value};
+use algebra::{IdColumns, OrderSpec, Relation, Schema, Tuple, TupleBatch, Value};
 use summary::{Summary, SummaryNodeId};
 use xmltree::{Document, NodeKind, StructuralId};
 
@@ -33,11 +33,9 @@ use algebra::Catalog;
 
 /// Keep-fraction above which [`IdStreamIndex::pruned_stream`] serves the
 /// whole column instead of merging partitions: when the summary keeps
-/// more than 3/4 of a column, the k-way heap merge costs more than the
-/// scan it saves *and* its freshly-merged output used to arrive without
-/// fences, so skip-seeks silently degraded to linear advances whenever
-/// pruning was on. Falling back keeps the stored fences live — this is
-/// what makes `skip_index × summary_pruning` compose on dense columns.
+/// more than 3/4 of a column, the k-way heap merge and the repacking of
+/// its output cost more than the scan they save, so the stored column is
+/// served as it is.
 const KEEP_FALLBACK_NUM: usize = 3;
 const KEEP_FALLBACK_DEN: usize = 4;
 
@@ -51,16 +49,15 @@ pub struct Partition {
 
 /// A pruned scan's result: the merged IDs plus how many of the column's
 /// partitions were opened to produce them — the `partitions_opened /
-/// partitions_total` figures of the execution metrics. The stream
-/// carries its own fence levels so skip-seeks compose with pruning:
-/// either the stored column's index (fallback case) or one built over
-/// the merged output.
+/// partitions_total` figures of the execution metrics. The stream is
+/// packed, so it is fenced and seekable by construction and seeks
+/// compose with pruning: either the stored column (fallback case) or the
+/// merged output.
 #[derive(Debug, Clone)]
 pub struct PrunedStream {
-    /// Pre-sorted merge of the selected partitions.
-    pub ids: Vec<StructuralId>,
-    /// Fence levels over exactly `ids`, ready for the seek kernels.
-    pub skip: SkipIndex,
+    /// Pre-sorted merge of the selected partitions; payloads are
+    /// positions in the merged stream.
+    pub cols: IdColumns,
     pub opened: usize,
     pub total: usize,
 }
@@ -68,18 +65,17 @@ pub struct PrunedStream {
 #[derive(Debug, Clone)]
 struct Column {
     ids: Vec<StructuralId>,
-    /// The same stream in packed structure-of-arrays layout, for the
-    /// vectorized kernels (`columnar_kernels`). Kept alongside the
-    /// array-of-structs `ids` so `scan_slices` can stay zero-copy.
+    /// The same stream in the packed structure-of-arrays layout the join
+    /// kernels read. Kept alongside the array-of-structs `ids` so
+    /// `scan_slices` can stay zero-copy.
     cols: IdColumns,
-    skip: SkipIndex,
     /// Summary-path partitions, sorted by path id; empty when the index
     /// was built without a summary.
     partitions: Vec<Partition>,
 }
 
 /// The index: one sorted `Vec<StructuralId>` column per `(label, kind)`,
-/// each with a skip index and (optionally) summary-path partitions.
+/// each also packed and (optionally) split into summary-path partitions.
 #[derive(Debug, Default, Clone)]
 pub struct IdStreamIndex {
     columns: HashMap<(String, NodeKind), Column>,
@@ -134,14 +130,12 @@ impl IdStreamIndex {
                     }
                     partitions.sort_by_key(|p| p.path);
                 }
-                let skip = SkipIndex::build(&ids);
                 let cols = IdColumns::from_sids(&ids);
                 (
                     (label.to_string(), kind),
                     Column {
                         ids,
                         cols,
-                        skip,
                         partitions,
                     },
                 )
@@ -175,54 +169,14 @@ impl IdStreamIndex {
         self.stream(label, NodeKind::Element)
     }
 
-    /// The skip index over a column, if the column exists.
-    pub fn skip_index(&self, label: &str, kind: NodeKind) -> Option<&SkipIndex> {
-        self.column(label, kind).map(|c| &c.skip)
-    }
-
     /// The packed structure-of-arrays layout of a column, if the column
-    /// exists — the physical representation the vectorized kernels
-    /// consume. Payloads are positions, matching the order of
-    /// [`IdStreamIndex::stream`].
+    /// exists — the physical representation the join kernels consume,
+    /// and the place to seek: [`IdColumns::seek_pre_gt`] finds the first
+    /// possible descendant of an anchor, [`IdColumns::seek_past`] the
+    /// first element past its whole subtree. Payloads are positions,
+    /// matching the order of [`IdStreamIndex::stream`].
     pub fn columnar(&self, label: &str, kind: NodeKind) -> Option<&IdColumns> {
         self.column(label, kind).map(|c| &c.cols)
-    }
-
-    /// Seek the column to the first position at or after `from` whose ID
-    /// can still be a descendant of `anchor` (see
-    /// [`SkipIndex::seek_descendant_of`]). Missing columns are empty.
-    pub fn seek_descendant_of(
-        &self,
-        label: &str,
-        kind: NodeKind,
-        from: usize,
-        anchor: StructuralId,
-    ) -> Seek {
-        match self.column(label, kind) {
-            Some(c) => c.skip.seek_descendant_of(&c.ids, from, anchor),
-            None => Seek {
-                pos: 0,
-                blocks_pruned: 0,
-            },
-        }
-    }
-
-    /// Seek the column past `anchor`'s whole subtree (see
-    /// [`SkipIndex::seek_past`]). Missing columns are empty.
-    pub fn seek_past(
-        &self,
-        label: &str,
-        kind: NodeKind,
-        from: usize,
-        anchor: StructuralId,
-    ) -> Seek {
-        match self.column(label, kind) {
-            Some(c) => c.skip.seek_past(&c.ids, from, anchor),
-            None => Seek {
-                pos: 0,
-                blocks_pruned: 0,
-            },
-        }
     }
 
     /// The column's summary-path partitions (empty unless built with
@@ -241,12 +195,10 @@ impl IdStreamIndex {
     ///
     /// When the selected partitions hold more than
     /// `KEEP_FALLBACK_NUM/KEEP_FALLBACK_DEN` of the column, the scan
-    /// serves the whole column (with its stored fences) instead: the
-    /// merge would cost more than the few elements it removes, and the
-    /// prebuilt skip index over the full column keeps seek-skipping
-    /// effective. `opened == total` reports the declined pruning
-    /// honestly. Genuinely pruned merges get a fresh [`SkipIndex`] built
-    /// over the merged output, so seeks compose either way.
+    /// serves the whole stored column instead: the merge would cost
+    /// more than the few elements it removes. `opened == total` reports
+    /// the declined pruning honestly. Genuinely pruned merges are packed
+    /// afresh, so seeks compose either way.
     pub fn pruned_stream(
         &self,
         label: &str,
@@ -256,16 +208,14 @@ impl IdStreamIndex {
         debug_assert!(allowed.windows(2).all(|w| w[0] <= w[1]));
         let Some(c) = self.column(label, kind) else {
             return PrunedStream {
-                ids: Vec::new(),
-                skip: SkipIndex::default(),
+                cols: IdColumns::default(),
                 opened: 0,
                 total: 0,
             };
         };
         if c.partitions.is_empty() {
             return PrunedStream {
-                ids: c.ids.clone(),
-                skip: c.skip.clone(),
+                cols: c.cols.clone(),
                 opened: 0,
                 total: 0,
             };
@@ -278,8 +228,7 @@ impl IdStreamIndex {
         let kept: usize = selected.iter().map(|p| p.ids.len()).sum();
         if kept * KEEP_FALLBACK_DEN > c.ids.len() * KEEP_FALLBACK_NUM {
             return PrunedStream {
-                ids: c.ids.clone(),
-                skip: c.skip.clone(),
+                cols: c.cols.clone(),
                 opened: c.partitions.len(),
                 total: c.partitions.len(),
             };
@@ -302,10 +251,8 @@ impl IdStreamIndex {
                 heap.push(Reverse((next.pre, i)));
             }
         }
-        let skip = SkipIndex::build(&ids);
         PrunedStream {
-            ids,
-            skip,
+            cols: IdColumns::from_sids(&ids),
             opened: selected.len(),
             total: c.partitions.len(),
         }
@@ -393,7 +340,12 @@ impl IdStreamIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use algebra::NoMeter;
     use xmltree::generate;
+
+    fn sids(cols: &IdColumns) -> Vec<StructuralId> {
+        (0..cols.len()).map(|i| cols.sid(i)).collect()
+    }
 
     #[test]
     fn columns_match_label_scans() {
@@ -472,31 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn column_seeks_match_linear_scans() {
-        let doc = generate::xmark(3, 7);
-        let idx = IdStreamIndex::build(&doc);
-        let keywords = idx.elements("keyword");
-        let anchor = idx.elements("item")[2];
-        let d = idx.seek_descendant_of("keyword", NodeKind::Element, 0, anchor);
-        assert_eq!(
-            d.pos,
-            keywords.iter().position(|s| s.pre > anchor.pre).unwrap()
-        );
-        let p = idx.seek_past("keyword", NodeKind::Element, 0, anchor);
-        assert_eq!(
-            p.pos,
-            keywords
-                .iter()
-                .position(|s| s.pre > anchor.pre && s.post > anchor.post)
-                .unwrap()
-        );
-        assert_eq!(
-            idx.seek_past("no_such", NodeKind::Element, 0, anchor).pos,
-            0
-        );
-    }
-
-    #[test]
     fn summary_partitions_cover_each_column_exactly() {
         let doc = generate::xmark(2, 9);
         let s = Summary::of_document(&doc);
@@ -525,38 +452,36 @@ mod tests {
         let parts = idx.partitions("keyword", NodeKind::Element);
         assert!(parts.len() >= 2, "need several keyword paths");
         // all partitions selected ⇒ keep-fraction fallback: the full
-        // column with its stored fences, opened == total
+        // stored column, opened == total
         let all: Vec<SummaryNodeId> = parts.iter().map(|p| p.path).collect();
         let full = idx.pruned_stream("keyword", NodeKind::Element, &all);
-        assert_eq!(full.ids, idx.elements("keyword"));
+        assert_eq!(sids(&full.cols), idx.elements("keyword"));
         assert_eq!(full.opened, full.total);
-        assert_eq!(full.skip.len(), full.ids.len());
         // a single small partition (under the keep-fraction threshold)
-        // comes back verbatim, still pre-sorted, with fresh fences
+        // comes back verbatim, still pre-sorted
         let small = parts.iter().min_by_key(|p| p.ids.len()).unwrap();
         assert!(small.ids.len() * 4 <= idx.elements("keyword").len() * 3);
         let one = idx.pruned_stream("keyword", NodeKind::Element, &[small.path]);
-        assert_eq!(one.ids, small.ids);
+        assert_eq!(sids(&one.cols), small.ids);
         assert_eq!(one.opened, 1);
-        assert!(one.ids.windows(2).all(|w| w[0].pre < w[1].pre));
-        assert_eq!(one.skip.len(), one.ids.len());
+        assert!(one.cols.pre().windows(2).all(|w| w[0] < w[1]));
         // nothing selected → empty stream, zero opened
         let none = idx.pruned_stream("keyword", NodeKind::Element, &[]);
-        assert!(none.ids.is_empty());
+        assert!(none.cols.is_empty());
         assert_eq!(none.opened, 0);
         assert_eq!(none.total, parts.len());
         // unpartitioned index: full column, opened == total == 0
         let plain = IdStreamIndex::build(&doc);
         let fallback = plain.pruned_stream("keyword", NodeKind::Element, &[]);
-        assert_eq!(fallback.ids, plain.elements("keyword"));
+        assert_eq!(sids(&fallback.cols), plain.elements("keyword"));
         assert_eq!((fallback.opened, fallback.total), (0, 0));
-        assert_eq!(fallback.skip.len(), fallback.ids.len());
     }
 
     #[test]
     fn pruned_streams_carry_composable_fences() {
-        // a genuinely pruned merge must arrive with fences over exactly
-        // the merged output so skip-seeks compose with pruning
+        // a genuinely pruned merge must arrive fenced over exactly the
+        // merged output, positions as payloads, so seeks compose with
+        // pruning
         let doc = generate::xmark(3, 11);
         let s = Summary::of_document(&doc);
         let idx = IdStreamIndex::build_with_summary(&doc, &s);
@@ -573,19 +498,23 @@ mod tests {
         chosen.sort_unstable();
         assert!(!chosen.is_empty(), "need a sub-threshold selection");
         let pruned = idx.pruned_stream("keyword", NodeKind::Element, &chosen);
-        assert!(pruned.ids.len() < idx.elements("keyword").len());
-        assert_eq!(pruned.skip.len(), pruned.ids.len());
-        // the carried index seeks correctly over the merged stream
-        let anchor = idx.elements("item")[2];
-        let want = pruned
-            .ids
-            .iter()
-            .position(|s| s.pre > anchor.pre)
-            .unwrap_or(pruned.ids.len());
-        assert_eq!(
-            pruned.skip.seek_descendant_of(&pruned.ids, 0, anchor).pos,
-            want
-        );
+        let ids = sids(&pruned.cols);
+        assert_eq!(ids.len(), kept);
+        assert!(ids.len() < idx.elements("keyword").len());
+        assert!((0..ids.len()).all(|i| pruned.cols.payload(i) == i));
+        // both seeks land where a linear scan of the merged stream does
+        for &anchor in idx.elements("item").iter().step_by(3) {
+            let gt = ids
+                .iter()
+                .position(|s| s.pre > anchor.pre)
+                .unwrap_or(ids.len());
+            assert_eq!(pruned.cols.seek_pre_gt(0, anchor.pre, &mut NoMeter), gt);
+            let past = ids
+                .iter()
+                .position(|s| s.pre > anchor.pre && s.post > anchor.post)
+                .unwrap_or(ids.len());
+            assert_eq!(pruned.cols.seek_past(0, anchor, &mut NoMeter), past);
+        }
     }
 
     #[test]

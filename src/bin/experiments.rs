@@ -14,12 +14,9 @@
 //! (rewriting), `qep_catalogue` (§2.1 plans), `minimize` (§4.5),
 //! `twig` (E10 holistic twig-join ablation; writes `BENCH_twig.json`),
 //! `pipeline` (E11 pipelined batch executor vs materialized evaluation;
-//! writes `BENCH_pipeline.json`), `skip` (E12 skip-index × summary-
-//! pruning access-method grid; writes `BENCH_skip.json`), `server`
-//! (E13 multi-client query server: warm result-cache speedup plus a
-//! QPS/latency sweep over client counts; writes `BENCH_server.json`),
-//! `vector` (E14 columnar-kernel dense-parity grid: scalar linear vs
-//! skip-indexed vs columnar; writes `BENCH_vector.json`), `feedback`
+//! writes `BENCH_pipeline.json`), `server` (E13 multi-client query
+//! server: warm result-cache speedup plus a QPS/latency sweep over
+//! client counts; writes `BENCH_server.json`), `feedback`
 //! (E15 feedback-driven adaptive planning: cold catalog estimates vs a
 //! replanned pass under measured cardinalities on a skewed document;
 //! writes `BENCH_feedback.json`).
@@ -92,14 +89,8 @@ fn main() {
     if want("pipeline") {
         pipeline(quick);
     }
-    if want("skip") {
-        skip(quick);
-    }
     if want("server") {
         server(quick);
-    }
-    if want("vector") {
-        vector(quick);
     }
     if want("feedback") {
         feedback(quick);
@@ -562,174 +553,6 @@ fn twig(quick: bool) {
     }
     println!(
         "(the holistic merge skips the cascade's intermediate pair lists; gains grow with depth)"
-    );
-}
-
-fn skip(quick: bool) {
-    header("E12 — skip-based twig joins: seek indexes × summary pruning");
-    let (scale, reps) = if quick { (4, 3) } else { (15, 7) };
-    let doc = uload::generate::xmark(scale, 42);
-    let rows = experiments::skip_ablation(&doc, reps);
-    println!(
-        "{:<15} {:>7} {:>11} {:>11} {:>11} {:>11} {:>7} {:>9} {:>9}",
-        "workload",
-        "rows",
-        "linear(ns)",
-        "+skip(ns)",
-        "+prune(ns)",
-        "+both(ns)",
-        "x both",
-        "skipped",
-        "parts"
-    );
-    for r in &rows {
-        let both = r.cell(true, true);
-        println!(
-            "{:<15} {:>7} {:>11} {:>11} {:>11} {:>11} {:>7.2} {:>9} {:>6}/{}",
-            r.name,
-            r.rows,
-            r.cell(false, false).ns,
-            r.cell(true, false).ns,
-            r.cell(false, true).ns,
-            both.ns,
-            r.speedup_full_vs_linear(),
-            r.cell(true, false).elements_skipped,
-            both.partitions_opened,
-            both.partitions_total
-        );
-    }
-    // machine-readable record (hand-rolled JSON — the workspace
-    // deliberately carries no serializer dependency)
-    let mut json = String::from("{\n  \"experiment\": \"skip_ablation\",\n");
-    json.push_str(&format!(
-        "  \"document\": \"xmark({scale}, 42)\",\n  \"reps\": {reps},\n  \
-         \"block\": {},\n  \"workloads\": [\n",
-        uload::DEFAULT_BLOCK
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"rows\": {}, \"cells\": [\n",
-            r.name, r.rows
-        ));
-        for (j, c) in r.cells.iter().enumerate() {
-            json.push_str(&format!(
-                "      {{\"skip_index\": {}, \"summary_pruning\": {}, \"ns\": {}, \
-                 \"elements_skipped\": {}, \"blocks_pruned\": {}, \
-                 \"partitions_opened\": {}, \"partitions_total\": {}, \
-                 \"stream_elements\": {}}}{}\n",
-                c.skip_index,
-                c.summary_pruning,
-                c.ns,
-                c.elements_skipped,
-                c.blocks_pruned,
-                c.partitions_opened,
-                c.partitions_total,
-                c.stream_elements,
-                if j + 1 == r.cells.len() { "" } else { "," }
-            ));
-        }
-        json.push_str(&format!(
-            "    ], \"stacktree_ns\": {}, \"stacktree_indexed_ns\": {}, \
-             \"speedup_full_vs_linear\": {:.3}}}{}\n",
-            r.stacktree_ns,
-            r.stacktree_indexed_ns,
-            r.speedup_full_vs_linear(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_skip.json", &json) {
-        Ok(()) => println!("(wrote BENCH_skip.json)"),
-        Err(e) => eprintln!("(could not write BENCH_skip.json: {e})"),
-    }
-    println!(
-        "(seeks engage where parent-open pruning discards whole runs; summary pruning \
-         shrinks the streams before the merge starts — dense twigs are the honest near-tie)"
-    );
-}
-
-fn vector(quick: bool) {
-    header("E14 — columnar kernels: packed columns vs scalar paths");
-    let (scale, reps) = if quick { (4, 3) } else { (15, 49) };
-    let doc = uload::generate::xmark(scale, 42);
-    let rows = experiments::vector_parity(&doc, reps);
-    println!(
-        "{:<15} {:>7} {:>6} {:>11} {:>11} {:>11} {:>8} {:>8} {:>9} {:>10}",
-        "workload",
-        "rows",
-        "dense",
-        "linear(ns)",
-        "+skip(ns)",
-        "column(ns)",
-        "x linear",
-        "x skip",
-        "vbatches",
-        "vcmp"
-    );
-    for r in &rows {
-        println!(
-            "{:<15} {:>7} {:>6} {:>11} {:>11} {:>11} {:>8.2} {:>8.2} {:>9} {:>10}",
-            r.name,
-            r.rows,
-            r.dense,
-            r.linear_ns,
-            r.skip_ns,
-            r.columnar_ns,
-            r.speedup_vs_linear(),
-            r.speedup_vs_skip(),
-            r.batches_scanned,
-            r.vector_compares
-        );
-    }
-    let mut dense: Vec<f64> = rows
-        .iter()
-        .filter(|r| r.dense)
-        .map(|r| r.speedup_vs_linear())
-        .collect();
-    dense.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let dense_median = dense[dense.len() / 2];
-    println!("dense-grid median columnar speedup vs linear: {dense_median:.2}x");
-    // machine-readable record (hand-rolled JSON — the workspace
-    // deliberately carries no serializer dependency)
-    let mut json = String::from("{\n  \"experiment\": \"vector_parity\",\n");
-    json.push_str(&format!(
-        "  \"document\": \"xmark({scale}, 42)\",\n  \"reps\": {reps},\n  \
-         \"block\": {},\n  \"dense_median_speedup_vs_linear\": {dense_median:.3},\n  \
-         \"workloads\": [\n",
-        uload::DEFAULT_BLOCK
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"rows\": {}, \"dense\": {}, \
-             \"stream_elements\": {}, \"linear_ns\": {}, \"skip_ns\": {}, \
-             \"columnar_ns\": {}, \"speedup_vs_linear\": {:.3}, \
-             \"speedup_vs_skip\": {:.3}, \"skip_vs_linear\": {:.3}, \
-             \"batches_scanned\": {}, \"vector_compares\": {}, \
-             \"elements_skipped\": {}}}{}\n",
-            r.name,
-            r.rows,
-            r.dense,
-            r.stream_elements,
-            r.linear_ns,
-            r.skip_ns,
-            r.columnar_ns,
-            r.speedup_vs_linear(),
-            r.speedup_vs_skip(),
-            r.skip_vs_linear(),
-            r.batches_scanned,
-            r.vector_compares,
-            r.elements_skipped,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_vector.json", &json) {
-        Ok(()) => println!("(wrote BENCH_vector.json)"),
-        Err(e) => eprintln!("(could not write BENCH_vector.json: {e})"),
-    }
-    println!(
-        "(the packed pre/post/depth columns win the dense case by retiring compares \
-         lane-at-a-time; on selective twigs the galloped seeks keep pace with the XB-tree)"
     );
 }
 

@@ -56,8 +56,7 @@
 pub use uload_error::{Error, Result};
 
 pub use algebra::{
-    fuse_struct_joins, ArmSwitchHint, Evaluator, Relation, Seek, SkipIndex, StreamExec, TupleBatch,
-    TwigPattern, DEFAULT_BLOCK,
+    fuse_struct_joins, ArmSwitchHint, Evaluator, Relation, StreamExec, TupleBatch, TwigPattern,
 };
 pub use containment::{
     canonical_model, contain, contained_in_union, equivalent, equivalent_with,

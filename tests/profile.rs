@@ -1,5 +1,6 @@
 //! `EXPLAIN ANALYZE` integration tests: hand-computed profiles on a
-//! fixed bib QEP, profiled-equals-plain on random twig workloads, and
+//! fixed bib QEP, kernel counters through the metered stream on a
+//! selective twig, profiled-equals-plain on random twig workloads, and
 //! the JSON contract against `schemas/query_profile.schema.json`.
 
 use proptest::prelude::*;
@@ -181,6 +182,43 @@ fn profile_json_matches_checked_in_schema() {
     let (_, _, p2) = u2.answer_profiled(r#"doc("d")//book/title"#, &doc).unwrap();
     assert!(p2.cache.is_none());
     uload::json::validate(&p2.to_json(), &schema).expect("null cache matches schema");
+}
+
+/// Seeking engages end to end, not just in kernel unit tests: on a
+/// selective twig (mails are rare, keywords are everywhere) the metered
+/// stream the server runs must report keyword elements jumped over and
+/// lane compares spent — the counters `METRICS` and the benchmark's
+/// `algebra.elements_skipped` are fed from.
+#[test]
+fn selective_twig_seeks_through_the_metered_stream() {
+    let doc = generate::xmark(4, 21);
+    let mut cfg = EngineConfig::default();
+    cfg.rewrite.allow_navigation = false;
+    let mut u = Uload::builder().document(&doc).config(cfg).build().unwrap();
+    u.add_view_text("v_mails", "//mail[id:s]", &doc).unwrap();
+    u.add_view_text("v_keywords", "//keyword[id:s,val]", &doc)
+        .unwrap();
+    // both steps bound, so rows are per (mail, keyword) pair on every path
+    let q = r#"for $m in doc("X")//mail, $k in $m//keyword return <k>{$k/text()}</k>"#;
+    let prep = u.prepare_query(q).unwrap();
+    let handle = DocumentHandle::new(doc);
+
+    let mut results = u.stream_prepared_metered(&prep, &handle).unwrap();
+    let mut rows: Vec<String> = results.by_ref().collect::<Result<_>>().unwrap();
+    let mut want = Uload::execute_direct(q, handle.document())
+        .unwrap()
+        .into_strings();
+    assert!(!rows.is_empty());
+    rows.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(rows, want);
+
+    let mut exec = uload::ExecMetrics::default();
+    for op in &results.stream_profile().ops {
+        exec.absorb(&op.metrics);
+    }
+    assert!(exec.elements_skipped > 0, "seek never engaged: {exec:?}");
+    assert!(exec.vector_compares > 0, "{exec:?}");
 }
 
 proptest! {

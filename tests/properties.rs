@@ -191,14 +191,14 @@ proptest! {
         let idx = storage::IdStreamIndex::build(&doc);
         let pattern = w.pattern();
         let streams = w.streams(&idx);
-        let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-            streams.iter().map(|s| s.as_slice()).collect();
-        let twig = algebra::twig_join(&pattern, &refs);
+        let cols = w.columns(&idx);
+        let refs: Vec<&algebra::IdColumns> = cols.iter().collect();
+        let twig = algebra::twig_join(&pattern, &refs, &mut algebra::NoMeter);
         let mut stack = uload_bench::experiments::cascade_solutions(
-            &w.parents, &w.axes, &streams, true);
+            &w.parents, &w.axes, &streams, Some(&cols));
         stack.sort_unstable();
         let mut nested = uload_bench::experiments::cascade_solutions(
-            &w.parents, &w.axes, &streams, false);
+            &w.parents, &w.axes, &streams, None);
         nested.sort_unstable();
         prop_assert_eq!(&twig, &stack, "twig vs StackTree cascade on {:?}", w.labels);
         prop_assert_eq!(&stack, &nested, "StackTree vs nested loop on {:?}", w.labels);
@@ -317,208 +317,99 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The seek-indexed access path is invisible to results: on random
-    /// XMark and DBLP twig patterns, the skip-indexed holistic kernel
-    /// (block sizes 1, 2, 64, and a non-power-of-two), the indexed
-    /// StackTree merge, the linear kernels, and the nested-loop oracle
-    /// all agree — and the planner paths (materialized evaluation and
-    /// the streamed cursor executor behind `query()`) return the same
-    /// relation with `use_skip_index` on and off.
+    /// The two join kernels against the nested-loop cascade, on the
+    /// inputs that have broken seeking before: streams that repeat node
+    /// IDs (multi-tuple join inputs do, so `pre` order is only
+    /// non-strict and a duplicate can straddle a fence-block boundary),
+    /// packed at fence block sizes from degenerate to default. Random
+    /// small documents nest a label inside itself at random depth; the
+    /// XMark document makes streams long enough to span 64-wide blocks.
+    /// Patterns are drawn from the document, so nearly every case has
+    /// solutions to lose.
     #[test]
-    fn skip_scan_matches_full_scan(
-        spec in prop::collection::vec((0usize..10, 0usize..8, 0usize..2), 2..7),
-        dblp_sel in 0usize..2,
-        batch_pick in 0usize..4,
+    fn kernels_match_nested_loop_on_duplicated_streams(
+        small in arb_document(),
+        xmark_sel in 0usize..3,
+        spec in prop::collection::vec((0usize..100_000, 0usize..8, 0usize..2), 2..5),
+        dups in prop::collection::vec(0usize..3, 1..40),
     ) {
-        let dblp = dblp_sel == 1;
-        let doc = if dblp { generate::dblp(6, 7) } else { generate::xmark(3, 7) };
-        let pool: [&'static str; 10] = if dblp {
-            ["dblp", "article", "inproceedings", "book", "author",
-             "title", "year", "journal", "pages", "url"]
-        } else {
-            ["site", "regions", "item", "name", "description",
-             "parlist", "listitem", "text", "keyword", "mailbox"]
+        use algebra::Axis::{Child, Descendant};
+        let xmark = xmark_sel == 0;
+        let doc = if xmark { generate::xmark(2, 7) } else { small };
+        // pattern node 0 is a random inner element — there always is
+        // one, the document root — (on XMark one at item level or below:
+        // a star under `site` has millions of solutions), node k a
+        // random element below the one drawn for
+        // its parent — any earlier node that has elements below it —
+        // reached by `/` only if it is a child of it and the coin says so
+        let below = |n: xmltree::NodeId| -> Vec<xmltree::NodeId> {
+            doc.descendants(n).filter(|&m| doc.kind(m) == NodeKind::Element).collect()
         };
-        let mut w = uload_bench::experiments::TwigWorkload {
-            name: "prop".into(),
-            labels: Vec::new(),
-            parents: Vec::new(),
-            axes: Vec::new(),
-        };
-        for (k, &(label, parent, child)) in spec.iter().enumerate() {
-            w.labels.push(pool[label]);
-            w.parents.push(if k == 0 { 0 } else { parent % k });
-            w.axes.push(if child == 1 { algebra::Axis::Child } else { algebra::Axis::Descendant });
+        let roots: Vec<xmltree::NodeId> = doc
+            .elements()
+            .filter(|&n| (!xmark || doc.structural_id(n).depth >= 4) && !below(n).is_empty())
+            .collect();
+        let mut drawn = vec![roots[spec[0].0 % roots.len()]];
+        let mut under = vec![below(drawn[0])];
+        let (mut parents, mut axes) = (vec![0], vec![Descendant]);
+        for &(pick, parent, child) in &spec[1..] {
+            let inner: Vec<usize> = (0..drawn.len()).filter(|&j| !under[j].is_empty()).collect();
+            let p = inner[parent % inner.len()];
+            let n = under[p][pick % under[p].len()];
+            let is_child = doc.parent(n) == Some(drawn[p]);
+            drawn.push(n);
+            under.push(below(n));
+            parents.push(p);
+            axes.push(if is_child && child == 1 { Child } else { Descendant });
         }
+        let mut pattern = algebra::TwigPattern::root();
+        for k in 1..drawn.len() {
+            pattern.add_child(parents[k], axes[k]);
+        }
+        // stream k: the IDs of the drawn node's label in document order,
+        // element i in 1–3 consecutive copies; payloads are positions
+        let sids: Vec<Vec<xmltree::StructuralId>> = drawn
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| {
+                doc.nodes_with_label(doc.label(n), NodeKind::Element)
+                    .enumerate()
+                    .flat_map(|(i, m)| {
+                        std::iter::repeat_n(doc.structural_id(m), 1 + dups[(i + k) % dups.len()])
+                    })
+                    .collect()
+            })
+            .collect();
+        let streams: Vec<Vec<(xmltree::StructuralId, u32)>> = sids
+            .iter()
+            .map(|s| s.iter().enumerate().map(|(i, &sid)| (sid, i as u32)).collect())
+            .collect();
+        let labels: Vec<&str> = drawn.iter().map(|&n| doc.label(n)).collect();
+        let mut oracle = uload_bench::experiments::cascade_solutions(
+            &parents, &axes, &streams, None);
+        oracle.sort_unstable();
 
-        let idx = storage::IdStreamIndex::build(&doc);
-        let pattern = w.pattern();
-        let streams = w.streams(&idx);
-        let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-            streams.iter().map(|s| s.as_slice()).collect();
-        let linear = algebra::twig_join(&pattern, &refs);
-        let mut nested = uload_bench::experiments::cascade_solutions(
-            &w.parents, &w.axes, &streams, false);
-        nested.sort_unstable();
-        prop_assert_eq!(&linear, &nested, "linear twig vs nested loop on {:?}", w.labels);
-
-        // the seek-indexed kernels, across degenerate, tiny, default,
-        // and non-power-of-two block sizes
-        for block in [1usize, 2, 64, 13] {
-            let ixs: Vec<algebra::SkipIndex> = streams
+        for block in [1usize, 2, 3, 64] {
+            let cols: Vec<algebra::IdColumns> = sids
                 .iter()
-                .map(|s| algebra::SkipIndex::with_block(s, block))
+                .map(|s| algebra::IdColumns::from_sids_with_block(s, block))
                 .collect();
-            let opts: Vec<Option<&algebra::SkipIndex>> = ixs.iter().map(Some).collect();
-            let indexed = algebra::twig_join_indexed(&pattern, &refs, &opts);
+            let refs: Vec<&algebra::IdColumns> = cols.iter().collect();
+            let twig = algebra::twig_join(&pattern, &refs, &mut algebra::NoMeter);
             prop_assert_eq!(
-                &indexed, &linear,
-                "indexed twig (block {}) vs linear on {:?}", block, w.labels
+                &twig, &oracle,
+                "twig_join (block {}) vs nested loop on {:?} {:?} {:?}", block, labels, parents, axes
             );
-            let mut stack = uload_bench::experiments::cascade_solutions_with(
-                &w.parents, &w.axes, &streams, true);
+            let mut stack = uload_bench::experiments::cascade_solutions(
+                &parents, &axes, &streams, Some(&cols));
             stack.sort_unstable();
             prop_assert_eq!(
-                &stack, &linear,
-                "indexed StackTree cascade vs linear on {:?}", w.labels
+                &stack, &oracle,
+                "stack_tree_pairs cascade (block {}) vs nested loop on {:?} {:?} {:?}",
+                block, labels, parents, axes
             );
-        }
-
-        // planner paths: same relation with the knob on and off, both
-        // materialized and through the streamed cursor executor
-        if streams.iter().all(|s| !s.is_empty()) {
-            let cat = uload_bench::experiments::twig_catalog(&doc);
-            let plan = w.twig_plan();
-            let batch_size = [1usize, 2, 7, 1024][batch_pick];
-            let mut oracle = None;
-            for skip_on in [true, false] {
-                let mut ev = algebra::Evaluator::new(&cat);
-                ev.config.use_skip_index = skip_on;
-                let mat = ev.eval(&plan).unwrap();
-                let mut ccfg = algebra::CursorConfig {
-                    batch_size,
-                    ..Default::default()
-                };
-                ccfg.eval.use_skip_index = skip_on;
-                let exec = algebra::build_cursor(&plan, &cat, None, &ccfg).unwrap();
-                let streamed = exec.collect().unwrap();
-                prop_assert_eq!(
-                    &streamed, &mat,
-                    "streamed != materialized (skip {}, batch {}) on {:?}",
-                    skip_on, batch_size, w.labels
-                );
-                if let Some(prev) = &oracle {
-                    prop_assert_eq!(
-                        prev, &mat,
-                        "skip index changed results on {:?}", w.labels
-                    );
-                } else {
-                    prop_assert_eq!(mat.tuples.len(), linear.len());
-                    oracle = Some(mat);
-                }
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The columnar (structure-of-arrays) kernels are invisible to
-    /// results: on random XMark and DBLP twig patterns the batched
-    /// `twig_join_columnar` over packed pre/post/depth columns — at
-    /// block sizes 1, 2, 13 and 64 — returns byte-identical output to
-    /// the scalar kernel and the nested-loop oracle, and the planner
-    /// paths (materialized evaluation and the streamed cursor executor)
-    /// return the same relation with `columnar_kernels` on and off.
-    #[test]
-    fn columnar_matches_scalar(
-        spec in prop::collection::vec((0usize..10, 0usize..8, 0usize..2), 2..7),
-        dblp_sel in 0usize..2,
-        batch_pick in 0usize..4,
-    ) {
-        let dblp = dblp_sel == 1;
-        let doc = if dblp { generate::dblp(6, 7) } else { generate::xmark(3, 7) };
-        let pool: [&'static str; 10] = if dblp {
-            ["dblp", "article", "inproceedings", "book", "author",
-             "title", "year", "journal", "pages", "url"]
-        } else {
-            ["site", "regions", "item", "name", "description",
-             "parlist", "listitem", "text", "keyword", "mailbox"]
-        };
-        let mut w = uload_bench::experiments::TwigWorkload {
-            name: "prop".into(),
-            labels: Vec::new(),
-            parents: Vec::new(),
-            axes: Vec::new(),
-        };
-        for (k, &(label, parent, child)) in spec.iter().enumerate() {
-            w.labels.push(pool[label]);
-            w.parents.push(if k == 0 { 0 } else { parent % k });
-            w.axes.push(if child == 1 { algebra::Axis::Child } else { algebra::Axis::Descendant });
-        }
-
-        let idx = storage::IdStreamIndex::build(&doc);
-        let pattern = w.pattern();
-        let streams = w.streams(&idx);
-        let refs: Vec<&[(xmltree::StructuralId, usize)]> =
-            streams.iter().map(|s| s.as_slice()).collect();
-        let scalar = algebra::twig_join(&pattern, &refs);
-        let mut nested = uload_bench::experiments::cascade_solutions(
-            &w.parents, &w.axes, &streams, false);
-        nested.sort_unstable();
-        prop_assert_eq!(&scalar, &nested, "scalar twig vs nested loop on {:?}", w.labels);
-
-        // the batched kernel across degenerate, tiny, non-power-of-two
-        // and default block sizes
-        for block in [1usize, 2, 13, 64] {
-            let cols: Vec<algebra::IdColumns> = streams
-                .iter()
-                .map(|s| algebra::IdColumns::from_pairs(s, block))
-                .collect();
-            let col_refs: Vec<&algebra::IdColumns> = cols.iter().collect();
-            let columnar = algebra::twig_join_columnar(&pattern, &col_refs);
-            prop_assert_eq!(
-                &columnar, &scalar,
-                "columnar twig (block {}) vs scalar on {:?}", block, w.labels
-            );
-        }
-
-        // planner paths: same relation with the knob on and off, both
-        // materialized and through the streamed cursor executor
-        if streams.iter().all(|s| !s.is_empty()) {
-            let cat = uload_bench::experiments::twig_catalog(&doc);
-            let plan = w.twig_plan();
-            let batch_size = [1usize, 2, 7, 1024][batch_pick];
-            let mut oracle = None;
-            for columnar_on in [true, false] {
-                let mut ev = algebra::Evaluator::new(&cat);
-                ev.config.columnar_kernels = columnar_on;
-                let mat = ev.eval(&plan).unwrap();
-                let mut ccfg = algebra::CursorConfig {
-                    batch_size,
-                    ..Default::default()
-                };
-                ccfg.eval.columnar_kernels = columnar_on;
-                let exec = algebra::build_cursor(&plan, &cat, None, &ccfg).unwrap();
-                let streamed = exec.collect().unwrap();
-                prop_assert_eq!(
-                    &streamed, &mat,
-                    "streamed != materialized (columnar {}, batch {}) on {:?}",
-                    columnar_on, batch_size, w.labels
-                );
-                if let Some(prev) = &oracle {
-                    prop_assert_eq!(
-                        prev, &mat,
-                        "columnar kernels changed results on {:?}", w.labels
-                    );
-                } else {
-                    prop_assert_eq!(mat.tuples.len(), scalar.len());
-                    oracle = Some(mat);
-                }
-            }
         }
     }
 }
@@ -527,11 +418,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Structural joins over inputs that repeat node IDs across tuples
-    /// (as a view column legitimately does) stay exact on the default
-    /// seek-indexed path: the skip index is built over a *non-strictly*
-    /// pre-sorted stream, and duplicates straddling fence-block
-    /// boundaries must not cause over-pruning. skip-on, skip-off and the
-    /// nested-loop oracle must return identical relations.
+    /// (as a view column legitimately does) stay exact through the
+    /// evaluator: the merge seeks over a *non-strictly* pre-sorted
+    /// stream, and duplicates straddling fence-block boundaries must not
+    /// cause over-pruning. The default path and the nested-loop oracle
+    /// must return identical relations.
     #[test]
     fn struct_join_with_duplicate_ids_matches_oracle(
         pair_sel in 0usize..5,
@@ -578,16 +469,12 @@ proptest! {
         let mut oracle_ev = algebra::Evaluator::new(&cat);
         oracle_ev.config.use_stacktree = false; // nested loop
         let oracle = oracle_ev.eval(&plan).unwrap();
-        for skip_on in [true, false] {
-            let mut ev = algebra::Evaluator::new(&cat);
-            ev.config.use_skip_index = skip_on;
-            let got = ev.eval(&plan).unwrap();
-            prop_assert_eq!(
-                &got, &oracle,
-                "{} {:?} {} (skip {}) dropped or invented pairs",
-                anc_l, axis, desc_l, skip_on
-            );
-        }
+        let got = algebra::Evaluator::new(&cat).eval(&plan).unwrap();
+        prop_assert_eq!(
+            &got, &oracle,
+            "{} {:?} {} dropped or invented pairs",
+            anc_l, axis, desc_l
+        );
     }
 }
 
