@@ -1,56 +1,62 @@
-//! Volcano-style pipelined executor: `open` / `next_batch` / `close`
-//! cursors streaming vectorized [`TupleBatch`]es through the plan tree,
-//! so memory scales with the *resident* state (build sides, breaker
-//! buffers, one in-flight batch per operator) instead of with every
-//! intermediate relation, and `LIMIT`-style consumers can stop early.
+//! The executor: `next_batch` / `close` cursors streaming vectorized
+//! [`TupleBatch`]es through the plan tree. This is the only place a
+//! [`LogicalPlan`] is executed. Memory scales with the *resident* state
+//! (build sides, breaker buffers, one in-flight batch per operator)
+//! instead of with every intermediate relation, and `LIMIT`-style
+//! consumers can stop early; drained at an unbounded batch
+//! ([`crate::Evaluator::eval`]) it is the materialized evaluation.
 //!
-//! The cursor compiler ([`build_cursor`]) classifies each
-//! [`LogicalPlan`] node:
+//! The cursor compiler ([`build_cursor`]) binds each [`LogicalPlan`] node
+//! once to the schemas of its inputs — paths resolved, predicates bound,
+//! the output schema computed, so an ill-formed plan fails before a tuple
+//! moves — and wraps the bound operator ([`crate::eval`]) in the cursor
+//! that fits how it consumes input:
 //!
 //! * **streaming unary** (`Select`, duplicate-preserving `Project`,
 //!   `Unnest`, `XmlTemplate`, `Navigate`, `Fetch`, `DeriveAncestorId`,
-//!   `Rename`, `CastSchema`) — each child batch is evaluated through the
-//!   node as a one-level plan over a shadow catalog, reusing the
-//!   materialized [`Evaluator`] kernels verbatim (the same trick
-//!   `eval_profiled` uses), so the streamed semantics cannot drift from
-//!   the oracle;
+//!   `Rename`, `CastSchema`) — the operator is applied to each child
+//!   batch;
+//! * **pipeline breakers** (`Project` with `distinct`, `GroupBy`, `Sort`,
+//!   `NestAll`) — the same cursor in breaker mode: the input is drained,
+//!   the operator applied once, and the result streamed out. A single-key
+//!   `Sort` directly over a base scan whose declared [`crate::OrderSpec`]
+//!   already satisfies the key is elided (stable sort of sorted input is
+//!   the identity);
 //! * **build–probe binary** (`Product`, `Join`, `StructJoin`,
-//!   `Difference`) — the right side is drained and kept resident once,
-//!   then left batches probe it (all these operators are per-left-tuple,
-//!   so batching the left preserves both results and order). `Join` is
-//!   native: the value-join kernel's table (`hashjoin`, the one
-//!   the materialized evaluator uses) is built when the right side is
-//!   drained and every left batch probes it directly; the other three
-//!   still re-enter the evaluator per batch over the shadow catalog;
+//!   `Difference`) — the right side is drained and packed once (hash
+//!   table, ID columns) and stays resident, then left batches probe it
+//!   (all these operators are per-left-tuple, so batching the left
+//!   preserves both results and order);
 //! * **`Union`** — left exhausted first, then right, pass-through;
 //! * **`TwigJoin`** — inputs are drained (they are base ID streams in
 //!   fused plans), the holistic merge enumerates solution index vectors,
 //!   and output tuples are assembled batch by batch; shapes the holistic
-//!   operator does not cover fall back to a one-shot cascade evaluation,
-//!   exactly like the oracle;
-//! * **pipeline breakers** (`Project` with `distinct`, `GroupBy`,
-//!   `Sort`, `NestAll`) — the input is materialized, the node evaluated
-//!   once, and the result streamed out. A single-key `Sort` directly
-//!   over a base scan whose declared [`crate::OrderSpec`] already
-//!   satisfies the key is elided (stable sort of sorted input is the
-//!   identity).
+//!   operator does not cover run the equivalent cascade of binary
+//!   structural joins, bound at compile time, over the drained inputs.
 //!
 //! `close()` propagates cancellation down the tree: children are closed,
 //! resident state is released, and every further `next_batch` returns
 //! `Ok(None)` without touching the children again.
+//!
+//! With [`CursorConfig::profiling`] on, every plan node — including the
+//! ones that get no cursor of their own — owns one [`OpStats`] slot, in
+//! plan pre-order, holding the rows and batches it emitted, its kernel
+//! counters and its inclusive wall time. `EXPLAIN ANALYZE` is read off
+//! those slots; there is no separate profiled execution.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Instant;
 
-use obs::{ExecMetrics, Meter, NoMeter, StatsStore};
+use obs::{ExecMetrics, Meter, StatsStore};
 use xmltree::Document;
 
 use crate::eval::{
-    twig_shape, twig_solutions, Catalog, EvalConfig, EvalError, Evaluator, Relation, TwigShape,
+    twig_shape, twig_solutions, Binary, Build, Catalog, EvalConfig, EvalError, Metrics, Probe,
+    Relation, TwigShape, Unary,
 };
-use crate::hashjoin::JoinTable;
-use crate::plan::{JoinKind, LogicalPlan, Predicate, TwigStep};
+use crate::plan::{JoinKind, LogicalPlan, Path, TwigStep};
 use crate::value::{Schema, Tuple};
 
 // ----------------------------------------------------------------------
@@ -82,7 +88,8 @@ impl TupleBatch {
 /// Shared gauge of the tuples currently materialized inside a cursor
 /// tree — build sides, breaker buffers, twig inputs, plus each
 /// operator's last emitted batch — with its high-water mark. This is the
-/// `peak-resident-tuples` figure `--profile` and experiment E11 report.
+/// `peak-resident-tuples` figure `--profile` reports and the server's
+/// per-query budget enforces.
 #[derive(Debug, Default)]
 pub struct Residency {
     cur: Cell<u64>,
@@ -111,16 +118,19 @@ impl Residency {
     }
 }
 
-/// Live per-operator streaming counters, shared between the cursor that
-/// updates them and the [`StreamExec`] that reports them.
+/// Live per-operator counters, shared between the cursor that updates
+/// them and the [`StreamExec`] that reports them.
 #[derive(Debug, Default)]
 pub struct OpCells {
     pub batches: Cell<u64>,
     pub rows: Cell<u64>,
+    /// Wall time spent inside this operator's `next_batch`, its inputs'
+    /// included.
+    pub time_ns: Cell<u64>,
     pub metrics: RefCell<ExecMetrics>,
 }
 
-/// One operator's registration in a [`StreamExec`], in plan pre-order:
+/// One plan node's registration in a [`StreamExec`], in plan pre-order:
 /// display label, breaker flag, live counters.
 #[derive(Debug, Clone)]
 pub struct OpStats {
@@ -131,7 +141,8 @@ pub struct OpStats {
 
 /// Per-cursor monitor: accounts emitted batches against the shared
 /// residency gauge (a cursor's last emitted batch stays resident until
-/// its next pull or close) and bumps the op counters when profiling.
+/// its next pull or close) and lends the kernels the node's metrics when
+/// profiling.
 struct Mon {
     residency: Rc<Residency>,
     cells: Option<Rc<OpCells>>,
@@ -146,36 +157,28 @@ impl Mon {
     fn emit(&self, tuples: Vec<Tuple>) -> TupleBatch {
         self.residency.alloc(tuples.len());
         self.outstanding.set(tuples.len());
-        if let Some(c) = &self.cells {
-            c.batches.set(c.batches.get() + 1);
-            c.rows.set(c.rows.get() + tuples.len() as u64);
-        }
         TupleBatch::new(tuples)
     }
 
-    /// A metrics slot for a per-batch [`Evaluator`], `None` when
-    /// profiling is off (the kernels then run the unmetered path).
-    fn metrics_slot(&self) -> Option<RefCell<ExecMetrics>> {
-        self.cells
-            .as_ref()
-            .map(|_| RefCell::new(ExecMetrics::default()))
-    }
-
-    fn absorb(&self, m: ExecMetrics) {
-        if let Some(c) = &self.cells {
-            if !m.is_zero() {
-                c.metrics.borrow_mut().absorb(&m);
-            }
-        }
-    }
-
-    /// Run a native kernel against this operator's metrics when
-    /// profiling, against the free [`NoMeter`] otherwise.
-    fn metered<R>(&self, f: impl FnOnce(&mut dyn Meter) -> R) -> R {
+    /// Run a kernel against this operator's metrics when profiling,
+    /// unmetered otherwise.
+    fn metered<R>(&self, f: impl FnOnce(Metrics<'_>) -> R) -> R {
         match &self.cells {
-            Some(c) => f(&mut *c.metrics.borrow_mut()),
-            None => f(&mut NoMeter),
+            Some(c) => f(Some(&mut c.metrics.borrow_mut())),
+            None => f(None),
         }
+    }
+
+    /// Pull `child` dry and close it; every buffered row counts as
+    /// resident from the moment it is pulled.
+    fn drain(&self, child: &mut dyn Cursor) -> Result<Vec<Tuple>, EvalError> {
+        let mut tuples = Vec::new();
+        while let Some(b) = child.next_batch()? {
+            self.residency.alloc(b.len());
+            tuples.extend(b.tuples);
+        }
+        child.close();
+        Ok(tuples)
     }
 
     fn finish(&self) {
@@ -186,14 +189,12 @@ impl Mon {
 // ----------------------------------------------------------------------
 // the cursor contract
 
-/// The Volcano cursor contract. `open` is idempotent and recurses into
-/// children; `next_batch` returns `Ok(None)` once exhausted (and forever
-/// after); `close` releases resident state, propagates cancellation to
-/// the children, and makes every further `next_batch` return `Ok(None)`
-/// without pulling the children again.
+/// The cursor contract. `next_batch` returns `Ok(None)` once exhausted
+/// (and forever after); `close` releases resident state, propagates
+/// cancellation to the children, and makes every further `next_batch`
+/// return `Ok(None)` without pulling the children again.
 pub trait Cursor {
     fn schema(&self) -> &Schema;
-    fn open(&mut self) -> Result<(), EvalError>;
     fn next_batch(&mut self) -> Result<Option<TupleBatch>, EvalError>;
     fn close(&mut self);
 }
@@ -205,10 +206,10 @@ pub trait Cursor {
 /// the observed combined leaf cardinality against `est_leaf_rows`; a
 /// ≥2× deviation in either direction means the cost model priced the
 /// merge from the wrong stream sizes, so the cursor falls over to the
-/// cascade arm (the same one-shot path uncovered shapes take — answers
-/// are identical by construction) and records the outcome back into the
-/// store. The cascade→twig direction has no mid-query hook (an unfused
-/// plan carries no `TwigJoin` node); it is handled at re-plan time.
+/// cascade arm (the path uncovered shapes take — answers are identical
+/// by construction) and records the outcome back into the store. The
+/// cascade→twig direction has no mid-query hook (an unfused plan carries
+/// no `TwigJoin` node); it is handled at re-plan time.
 #[derive(Debug, Clone)]
 pub struct ArmSwitchHint {
     /// The feedback store the switch outcome is recorded into.
@@ -239,11 +240,13 @@ impl ArmSwitchHint {
 #[derive(Debug, Clone)]
 pub struct CursorConfig {
     /// Target rows per batch (≥ 1; see [`TupleBatch`] for how operators
-    /// may deviate).
+    /// may deviate). `usize::MAX` is unbounded: every operator sees its
+    /// whole input as one batch, which is how [`crate::Evaluator::eval`]
+    /// materializes a plan.
     pub batch_size: usize,
-    /// Physical-operator choices, shared with the materialized oracle.
+    /// Physical-operator choices.
     pub eval: EvalConfig,
-    /// Collect per-operator batch/row counters and kernel metrics,
+    /// Keep per-node rows, batches, kernel metrics and wall time,
     /// reported via [`StreamExec::op_stats`].
     pub profiling: bool,
     /// Mid-query twig→cascade fallover hint (see [`ArmSwitchHint`]);
@@ -269,7 +272,6 @@ pub struct StreamExec<'a> {
     residency: Rc<Residency>,
     ops: Vec<OpStats>,
     batch_size: usize,
-    opened: bool,
 }
 
 impl<'a> StreamExec<'a> {
@@ -281,12 +283,8 @@ impl<'a> StreamExec<'a> {
         self.batch_size
     }
 
-    /// Pull the next batch (opens the tree on the first call).
+    /// Pull the next batch.
     pub fn next_batch(&mut self) -> Result<Option<TupleBatch>, EvalError> {
-        if !self.opened {
-            self.root.open()?;
-            self.opened = true;
-        }
         self.root.next_batch()
     }
 
@@ -305,7 +303,7 @@ impl<'a> StreamExec<'a> {
         self.residency.current()
     }
 
-    /// Per-operator streaming counters in plan pre-order; empty unless
+    /// One entry per plan node in plan pre-order; empty unless
     /// [`CursorConfig::profiling`] was set.
     pub fn op_stats(&self) -> &[OpStats] {
         &self.ops
@@ -360,9 +358,10 @@ pub fn pipeline_breakers(plan: &LogicalPlan) -> Vec<String> {
 // the cursor compiler
 
 /// Compile `plan` into a cursor tree over `catalog` (plus optional
-/// source document for navigation operators). Schema resolution and
-/// plan validation happen *here*, by probing every node over empty
-/// inputs — the returned executor only then streams batches on demand.
+/// source document for navigation operators). Every node is bound to its
+/// input schemas *here*, so an unknown relation or attribute, a type
+/// misuse or a missing document fails the build — the returned executor
+/// only then streams batches on demand.
 pub fn build_cursor<'a>(
     plan: &LogicalPlan,
     catalog: &'a Catalog,
@@ -372,7 +371,8 @@ pub fn build_cursor<'a>(
     let mut b = Builder {
         catalog,
         doc,
-        cfg: config.clone(),
+        cfg: config,
+        batch: config.batch_size.max(1),
         residency: Rc::new(Residency::default()),
         ops: Vec::new(),
     };
@@ -381,216 +381,237 @@ pub fn build_cursor<'a>(
         root,
         residency: b.residency,
         ops: b.ops,
-        batch_size: config.batch_size.max(1),
-        opened: false,
+        batch_size: b.batch,
     })
 }
 
-struct Builder<'a> {
+struct Builder<'a, 'c> {
     catalog: &'a Catalog,
     doc: Option<&'a Document>,
-    cfg: CursorConfig,
+    cfg: &'c CursorConfig,
+    batch: usize,
     residency: Rc<Residency>,
     ops: Vec<OpStats>,
 }
 
-impl<'a> Builder<'a> {
-    fn mon(&mut self, plan: &LogicalPlan) -> Mon {
-        let cells = if self.cfg.profiling {
-            let c = Rc::new(OpCells::default());
-            self.ops.push(OpStats {
-                label: plan.node_label(),
-                breaker: is_pipeline_breaker(plan),
-                cells: Rc::clone(&c),
-            });
-            Some(c)
-        } else {
-            None
-        };
-        Mon {
-            residency: Rc::clone(&self.residency),
-            cells,
-            outstanding: Cell::new(0),
-        }
-    }
-
-    fn batch(&self) -> usize {
-        self.cfg.batch_size.max(1)
-    }
-
-    /// Schema (and eager validation) of a one-level plan, probed over
-    /// empty stand-in inputs.
-    fn probe(&self, one_level: &LogicalPlan, ins: &[(&str, &Schema)]) -> Result<Schema, EvalError> {
-        let mut cat = Catalog::new();
-        for (n, s) in ins {
-            cat.insert(*n, Relation::empty((*s).clone()));
-        }
-        let ev = Evaluator {
-            catalog: &cat,
-            doc: self.doc,
-            config: self.cfg.eval,
-            metrics: None,
-        };
-        Ok(ev.eval(one_level)?.schema)
-    }
-
+impl<'a> Builder<'a, '_> {
+    /// The one place a plan node becomes something that runs.
     fn build(&mut self, plan: &LogicalPlan) -> Result<Box<dyn Cursor + 'a>, EvalError> {
         use LogicalPlan::*;
-        match plan {
+        // every plan node owns a slot, registered before its inputs'
+        // (pre-order), whether or not it gets a cursor of its own
+        let breaker = is_pipeline_breaker(plan);
+        let cells = self.cfg.profiling.then(|| {
+            let cells = Rc::new(OpCells::default());
+            self.ops.push(OpStats {
+                label: plan.node_label(),
+                breaker,
+                cells: Rc::clone(&cells),
+            });
+            cells
+        });
+        let mon = Mon {
+            residency: Rc::clone(&self.residency),
+            cells: cells.clone(),
+            outstanding: Cell::new(0),
+        };
+        let (doc, eval) = (self.doc, self.cfg.eval);
+        let cursor: Box<dyn Cursor + 'a> = match plan {
             Scan { relation } => {
                 let rel = self
                     .catalog
                     .get(relation)
                     .ok_or_else(|| EvalError::UnknownRelation(relation.clone()))?;
-                let mon = self.mon(plan);
-                Ok(Box::new(ScanCursor {
+                Box::new(ScanCursor {
                     rel,
                     pos: 0,
-                    batch: self.batch(),
+                    batch: self.batch,
                     mon,
                     closed: false,
-                }))
+                })
             }
-            Sort { input, by } => {
-                // Sort elision over a declared order: a stable sort of
-                // input already sorted on the (single) key is the
-                // identity, so stream the scan through untouched.
-                if by.len() == 1 {
-                    if let Scan { relation } = input.as_ref() {
-                        if let Some(ord) = self.catalog.declared_order(relation) {
-                            if ord.satisfies(&by[0]) {
-                                tracing::debug!(
-                                    target: "uload::cursor",
-                                    "Sort({}) elided: declared order of `{relation}` satisfies it",
-                                    by[0].as_str()
-                                );
-                                return self.build(input);
-                            }
-                        }
-                    }
+            // a stable sort of input already sorted on the (single) key
+            // is the identity: the node keeps its slot, the scan streams
+            // through untouched
+            Sort { input, by } if self.sort_is_elided(input, by) => self.build(input)?,
+            // likewise a twig of no steps is its root
+            TwigJoin { root, steps } if steps.is_empty() => self.build(root)?,
+
+            Select { input, pred } => {
+                self.unary(input, mon, breaker, |s| Unary::select(s, pred))?
+            }
+            Project {
+                input,
+                cols,
+                distinct,
+            } => self.unary(input, mon, breaker, |s| Unary::project(s, cols, *distinct))?,
+            GroupBy {
+                input,
+                keys,
+                nest_as,
+            } => self.unary(input, mon, breaker, |s| Unary::group_by(s, keys, nest_as))?,
+            Unnest { input, attr } => {
+                self.unary(input, mon, breaker, |s| Unary::unnest(s, attr))?
+            }
+            NestAll { input, as_name } => {
+                self.unary(input, mon, breaker, |s| Ok(Unary::nest_all(s, as_name)))?
+            }
+            Sort { input, by } => self.unary(input, mon, breaker, |s| Unary::sort(s, by))?,
+            XmlTemplate { input, templ } => {
+                self.unary(input, mon, breaker, |s| Ok(Unary::xml_template(s, templ)))?
+            }
+            Navigate {
+                input,
+                from_attr,
+                axis,
+                label,
+                as_prefix,
+                mode,
+            } => self.unary(input, mon, breaker, |s| {
+                Unary::navigate(s, doc, from_attr, *axis, label, as_prefix, *mode)
+            })?,
+            Fetch {
+                input,
+                id_attr,
+                what,
+                as_name,
+            } => self.unary(input, mon, breaker, |s| {
+                Unary::fetch(s, doc, id_attr, *what, as_name)
+            })?,
+            DeriveAncestorId {
+                input,
+                attr,
+                levels,
+                as_name,
+            } => self.unary(input, mon, breaker, |s| {
+                Unary::derive_ancestor(s, doc, attr, *levels, as_name)
+            })?,
+            CastSchema { input, schema } => {
+                self.unary(input, mon, breaker, |s| Unary::cast(s, schema))?
+            }
+            Rename { input, names } => {
+                self.unary(input, mon, breaker, |s| Unary::rename(s, names))?
+            }
+
+            Product { left, right } => {
+                self.binary(left, right, mon, |l, r| Ok(Binary::product(l, r)))?
+            }
+            Join {
+                left,
+                right,
+                pred,
+                kind,
+            } => self.binary(left, right, mon, |l, r| {
+                Binary::value_join(l, r, pred, *kind)
+            })?,
+            StructJoin {
+                left,
+                right,
+                left_attr,
+                right_attr,
+                axis,
+                kind,
+                nest_as,
+            } => self.binary(left, right, mon, |l, r| {
+                Binary::struct_join(
+                    l,
+                    r,
+                    left_attr,
+                    right_attr,
+                    *axis,
+                    *kind,
+                    nest_as.as_deref(),
+                    eval.use_stacktree,
+                )
+            })?,
+            Difference { left, right } => {
+                self.binary(left, right, mon, |l, _| Ok(Binary::difference(l)))?
+            }
+            Union { left, right } => {
+                let left = self.build(left)?;
+                let right = self.build(right)?;
+                let (l, r) = (left.schema().arity(), right.schema().arity());
+                if l != r {
+                    return Err(EvalError::TypeError(format!(
+                        "union arity mismatch: {l} vs {r}"
+                    )));
                 }
-                self.breaker(plan)
-            }
-            Project { distinct: true, .. } | GroupBy { .. } | NestAll { .. } => self.breaker(plan),
-            Union { .. } => {
-                let mon = self.mon(plan);
-                let kids = plan.child_plans();
-                let left = self.build(kids[0])?;
-                let right = self.build(kids[1])?;
-                let one_level =
-                    plan.with_child_plans(vec![LogicalPlan::scan("__l"), LogicalPlan::scan("__r")]);
-                // probe for the arity check the oracle applies
-                self.probe(
-                    &one_level,
-                    &[("__l", left.schema()), ("__r", right.schema())],
-                )?;
-                Ok(Box::new(UnionCursor {
+                Box::new(UnionCursor {
                     left,
                     right,
                     on_right: false,
                     mon,
                     closed: false,
-                }))
+                })
             }
-            TwigJoin { root, steps } => self.twig(plan, root, steps),
-            Product { .. } | Join { .. } | StructJoin { .. } | Difference { .. } => {
-                self.binary(plan)
-            }
-            Select { .. }
-            | Project { .. }
-            | Unnest { .. }
-            | XmlTemplate { .. }
-            | Navigate { .. }
-            | Fetch { .. }
-            | DeriveAncestorId { .. }
-            | Rename { .. }
-            | CastSchema { .. } => self.unary(plan),
-        }
+            TwigJoin { root, steps } => self.twig(root, steps, mon)?,
+        };
+        Ok(match cells {
+            Some(cells) => Box::new(Profiled {
+                inner: cursor,
+                cells,
+            }),
+            None => cursor,
+        })
     }
 
-    fn unary(&mut self, plan: &LogicalPlan) -> Result<Box<dyn Cursor + 'a>, EvalError> {
-        let mon = self.mon(plan);
-        let kids = plan.child_plans();
-        debug_assert_eq!(kids.len(), 1);
-        let child = self.build(kids[0])?;
-        let one_level = plan.with_child_plans(vec![LogicalPlan::scan("__in")]);
-        let schema = self.probe(&one_level, &[("__in", child.schema())])?;
-        let in_schema = child.schema().clone();
+    /// Sort elision over a declared order: `by` is one key and `input` a
+    /// base scan whose declared order satisfies it.
+    fn sort_is_elided(&self, input: &LogicalPlan, by: &[Path]) -> bool {
+        let (LogicalPlan::Scan { relation }, [key]) = (input, by) else {
+            return false;
+        };
+        let elided = self
+            .catalog
+            .declared_order(relation)
+            .is_some_and(|ord| ord.satisfies(key));
+        if elided {
+            tracing::debug!(
+                target: "uload::cursor",
+                "Sort({}) elided: declared order of `{relation}` satisfies it",
+                key.as_str()
+            );
+        }
+        elided
+    }
+
+    fn unary(
+        &mut self,
+        input: &LogicalPlan,
+        mon: Mon,
+        breaker: bool,
+        bind: impl FnOnce(&Schema) -> Result<Unary<'a>, EvalError>,
+    ) -> Result<Box<dyn Cursor + 'a>, EvalError> {
+        let child = self.build(input)?;
+        let op = bind(child.schema())?;
         Ok(Box::new(MapCursor {
             child,
-            in_schema,
-            one_level,
-            schema,
-            batch: self.batch(),
+            op,
+            drain_first: breaker,
+            batch: self.batch,
             spill: Spill::default(),
-            doc: self.doc,
-            eval: self.cfg.eval,
             mon,
             closed: false,
         }))
     }
 
-    fn binary(&mut self, plan: &LogicalPlan) -> Result<Box<dyn Cursor + 'a>, EvalError> {
-        let mon = self.mon(plan);
-        let kids = plan.child_plans();
-        debug_assert_eq!(kids.len(), 2);
-        let left = self.build(kids[0])?;
-        let right = self.build(kids[1])?;
-        let one_level =
-            plan.with_child_plans(vec![LogicalPlan::scan("__l"), LogicalPlan::scan("__r")]);
-        let schema = self.probe(
-            &one_level,
-            &[("__l", left.schema()), ("__r", right.schema())],
-        )?;
-        let left_schema = left.schema().clone();
-        let probe = match plan {
-            LogicalPlan::Join { pred, kind, .. } => Probe::Join {
-                pred: pred.clone(),
-                kind: *kind,
-                right: Vec::new(),
-                table: None,
-            },
-            _ => {
-                let mut cat = Catalog::new();
-                cat.insert("__r", Relation::empty(right.schema().clone()));
-                Probe::Reenter { cat, one_level }
-            }
-        };
+    fn binary(
+        &mut self,
+        left: &LogicalPlan,
+        right: &LogicalPlan,
+        mon: Mon,
+        bind: impl FnOnce(&Schema, &Schema) -> Result<Binary, EvalError>,
+    ) -> Result<Box<dyn Cursor + 'a>, EvalError> {
+        let left = self.build(left)?;
+        let right = self.build(right)?;
+        let op = bind(left.schema(), right.schema())?;
         Ok(Box::new(BinaryCursor {
             left,
-            right: Some(right),
+            right: RightSide::Pending(right, op.build),
             right_rows: 0,
-            probe,
-            schema,
-            left_schema,
-            batch: self.batch(),
+            schema: op.schema,
+            batch: self.batch,
             spill: Spill::default(),
-            doc: self.doc,
-            eval: self.cfg.eval,
-            mon,
-            closed: false,
-        }))
-    }
-
-    fn breaker(&mut self, plan: &LogicalPlan) -> Result<Box<dyn Cursor + 'a>, EvalError> {
-        let mon = self.mon(plan);
-        let kids = plan.child_plans();
-        debug_assert_eq!(kids.len(), 1);
-        let child = self.build(kids[0])?;
-        let one_level = plan.with_child_plans(vec![LogicalPlan::scan("__in")]);
-        let schema = self.probe(&one_level, &[("__in", child.schema())])?;
-        let in_schema = child.schema().clone();
-        Ok(Box::new(BreakerCursor {
-            child,
-            in_schema,
-            one_level,
-            schema,
-            out: Vec::new(),
-            pos: 0,
-            materialized: false,
-            batch: self.batch(),
-            doc: self.doc,
-            eval: self.cfg.eval,
             mon,
             closed: false,
         }))
@@ -598,14 +619,10 @@ impl<'a> Builder<'a> {
 
     fn twig(
         &mut self,
-        plan: &LogicalPlan,
         root: &LogicalPlan,
         steps: &[TwigStep],
+        mon: Mon,
     ) -> Result<Box<dyn Cursor + 'a>, EvalError> {
-        if steps.is_empty() {
-            return self.build(root);
-        }
-        let mon = self.mon(plan);
         let mut children = Vec::with_capacity(steps.len() + 1);
         children.push(self.build(root)?);
         for s in steps {
@@ -617,33 +634,43 @@ impl<'a> Builder<'a> {
         } else {
             None
         };
-        let names: Vec<String> = (0..children.len()).map(|k| format!("__t{k}")).collect();
-        let one_level =
-            plan.with_child_plans(names.iter().map(|n| LogicalPlan::scan(n.clone())).collect());
-        let schema = match &shape {
-            Some(s) => s.schema.clone(),
-            None => {
-                // the one-shot fallback path re-enters `eval`, which
-                // detects the uncovered shape itself and cascades
-                let ins: Vec<(&str, &Schema)> = names
-                    .iter()
-                    .map(|n| n.as_str())
-                    .zip(schemas.iter().copied())
-                    .collect();
-                self.probe(&one_level, &ins)?
+        // The cascade arm — the twig desugared to left-deep `Inner`
+        // structural joins — is bound whenever it can run: always for a
+        // shape the holistic operator does not cover (map-extended
+        // attributes, two steps off different ID columns of one input, or
+        // `use_twigstack` off), and beside the holistic arm when a hint
+        // may force the mid-query fallover.
+        let mut cascade = Vec::new();
+        let mut cascade_schema = schemas[0].clone();
+        if shape.is_none() || self.cfg.arm_hint.is_some() {
+            for (s, right) in steps.iter().zip(&schemas[1..]) {
+                let join = Binary::struct_join(
+                    &cascade_schema,
+                    right,
+                    &s.parent_attr,
+                    &s.attr,
+                    s.axis,
+                    JoinKind::Inner,
+                    None,
+                    self.cfg.eval.use_stacktree,
+                )?;
+                cascade_schema = join.schema.clone();
+                cascade.push(join);
             }
+        }
+        let schema = match &shape {
+            Some(shape) => shape.schema.clone(),
+            None => cascade_schema,
         };
         Ok(Box::new(TwigCursor {
             children,
             steps: steps.to_vec(),
             shape,
-            names,
-            one_level,
+            cascade,
             schema,
             state: TwigState::Start,
-            batch: self.batch(),
-            doc: self.doc,
-            eval: self.cfg.eval,
+            batch: self.batch,
+            spill: Spill::default(),
             hint: self.cfg.arm_hint.clone(),
             mon,
             closed: false,
@@ -653,6 +680,37 @@ impl<'a> Builder<'a> {
 
 // ----------------------------------------------------------------------
 // cursor implementations
+
+/// The profiling shell around a plan node's cursor (or, for a node that
+/// was elided, around its input's): counts what comes out and how long
+/// pulling it took, inputs included. Absent when not profiling.
+struct Profiled<'a> {
+    inner: Box<dyn Cursor + 'a>,
+    cells: Rc<OpCells>,
+}
+
+impl Cursor for Profiled<'_> {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn next_batch(&mut self) -> Result<Option<TupleBatch>, EvalError> {
+        let start = Instant::now();
+        let out = self.inner.next_batch();
+        let c = &self.cells;
+        c.time_ns
+            .set(c.time_ns.get() + start.elapsed().as_nanos() as u64);
+        if let Ok(Some(b)) = &out {
+            c.batches.set(c.batches.get() + 1);
+            c.rows.set(c.rows.get() + b.len() as u64);
+        }
+        out
+    }
+
+    fn close(&mut self) {
+        self.inner.close();
+    }
+}
 
 /// Source: batches cloned off a catalog relation.
 struct ScanCursor<'a> {
@@ -668,10 +726,6 @@ impl Cursor for ScanCursor<'_> {
         &self.rel.schema
     }
 
-    fn open(&mut self) -> Result<(), EvalError> {
-        Ok(())
-    }
-
     fn next_batch(&mut self) -> Result<Option<TupleBatch>, EvalError> {
         if self.closed {
             return Ok(None);
@@ -680,7 +734,10 @@ impl Cursor for ScanCursor<'_> {
         if self.pos >= self.rel.tuples.len() {
             return Ok(None);
         }
-        let hi = (self.pos + self.batch).min(self.rel.tuples.len());
+        let hi = self
+            .pos
+            .saturating_add(self.batch)
+            .min(self.rel.tuples.len());
         let tuples = self.rel.tuples[self.pos..hi].to_vec();
         self.pos = hi;
         Ok(Some(self.mon.emit(tuples)))
@@ -695,75 +752,66 @@ impl Cursor for ScanCursor<'_> {
     }
 }
 
-/// Bounded-output staging shared by the streaming cursors: a per-batch
-/// evaluation can produce more than `batch_size` rows (joins multiply),
-/// so the surplus is held here — accounted on the residency gauge — and
-/// emitted one bounded batch at a time. Without this, a single fat
-/// input batch would ride through the whole pipeline as one giant
-/// batch, defeating the executor's memory bound.
+/// Bounded-output staging shared by the cursors: applying an operator to
+/// one batch can produce more than `batch_size` rows (joins multiply), so
+/// the surplus is held here — accounted on the residency gauge — and
+/// emitted one bounded batch at a time. Without this, a single fat input
+/// batch would ride through the whole pipeline as one giant batch,
+/// defeating the executor's memory bound.
 #[derive(Default)]
 struct Spill {
-    out: Vec<Tuple>,
-    pos: usize,
+    out: std::vec::IntoIter<Tuple>,
 }
 
 impl Spill {
     fn is_empty(&self) -> bool {
-        self.pos >= self.out.len()
+        self.out.len() == 0
     }
 
-    /// Park an oversized evaluation output; every row counts as resident
-    /// until emitted (or cleared on close).
-    fn stage(&mut self, mon: &Mon, tuples: Vec<Tuple>) {
+    /// Emit `tuples`: as they are when they fit one batch, otherwise
+    /// parked — every row resident until emitted (or cleared on close) —
+    /// and handed out a batch at a time.
+    fn emit(&mut self, mon: &Mon, batch: usize, tuples: Vec<Tuple>) -> TupleBatch {
         debug_assert!(self.is_empty());
+        if tuples.len() <= batch {
+            return mon.emit(tuples);
+        }
         mon.residency.alloc(tuples.len());
-        self.out = tuples;
-        self.pos = 0;
+        self.out = tuples.into_iter();
+        self.emit_next(mon, batch)
     }
 
     /// Emit the next bounded batch from the parked rows.
     fn emit_next(&mut self, mon: &Mon, batch: usize) -> TupleBatch {
-        let hi = (self.pos + batch.max(1)).min(self.out.len());
-        let tuples = self.out[self.pos..hi].to_vec();
+        let tuples: Vec<Tuple> = self.out.by_ref().take(batch).collect();
         mon.residency.free(tuples.len());
-        self.pos = hi;
-        if self.is_empty() {
-            self.out = Vec::new();
-            self.pos = 0;
-        }
         mon.emit(tuples)
     }
 
     fn clear(&mut self, mon: &Mon) {
-        mon.residency.free(self.out.len() - self.pos);
-        self.out = Vec::new();
-        self.pos = 0;
+        mon.residency.free(self.out.len());
+        self.out = Vec::new().into_iter();
     }
 }
 
-/// Streaming unary operator: each child batch runs through the node as
-/// a one-level plan over a shadow catalog (`__in` = the batch); output
-/// larger than one batch drains through the [`Spill`].
+/// Unary operator. Streaming: the bound operator is applied to each
+/// child batch. Breaker: the child is drained, the operator applied to
+/// the whole input once. Either way, output larger than one batch
+/// drains through the [`Spill`].
 struct MapCursor<'a> {
     child: Box<dyn Cursor + 'a>,
-    in_schema: Schema,
-    one_level: LogicalPlan,
-    schema: Schema,
+    op: Unary<'a>,
+    /// A breaker that has not yet drained its input.
+    drain_first: bool,
     batch: usize,
     spill: Spill,
-    doc: Option<&'a Document>,
-    eval: EvalConfig,
     mon: Mon,
     closed: bool,
 }
 
 impl Cursor for MapCursor<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<(), EvalError> {
-        self.child.open()
+        &self.op.schema
     }
 
     fn next_batch(&mut self) -> Result<Option<TupleBatch>, EvalError> {
@@ -775,25 +823,24 @@ impl Cursor for MapCursor<'_> {
             return Ok(Some(self.spill.emit_next(&self.mon, self.batch)));
         }
         loop {
-            let Some(batch) = self.child.next_batch()? else {
-                return Ok(None);
+            let out = if self.drain_first {
+                // the drained child is closed: after this the streaming
+                // arm below finds it exhausted
+                self.drain_first = false;
+                let input = self.mon.drain(&mut *self.child)?;
+                let n_in = input.len();
+                let out = (self.op.apply)(input);
+                self.mon.residency.free(n_in);
+                out
+            } else {
+                let Some(batch) = self.child.next_batch()? else {
+                    return Ok(None);
+                };
+                (self.op.apply)(batch.tuples)
             };
-            let mut cat = Catalog::new();
-            cat.insert("__in", Relation::new(self.in_schema.clone(), batch.tuples));
-            let ev = Evaluator {
-                catalog: &cat,
-                doc: self.doc,
-                config: self.eval,
-                metrics: self.mon.metrics_slot(),
-            };
-            let out = ev.eval(&self.one_level)?;
-            if let Some(m) = ev.metrics {
-                self.mon.absorb(m.into_inner());
-            }
             // a filtered-empty batch is not end-of-stream: keep pulling
-            if !out.tuples.is_empty() {
-                self.spill.stage(&self.mon, out.tuples);
-                return Ok(Some(self.spill.emit_next(&self.mon, self.batch)));
+            if !out.is_empty() {
+                return Ok(Some(self.spill.emit(&self.mon, self.batch, out)));
             }
         }
     }
@@ -809,41 +856,26 @@ impl Cursor for MapCursor<'_> {
     }
 }
 
-/// How a [`BinaryCursor`] turns one left batch and the resident right
-/// side into output.
-enum Probe {
-    /// `Join`: the value-join kernel, its table built once over the
-    /// drained right side (`None` until then).
-    Join {
-        pred: Predicate,
-        kind: JoinKind,
-        right: Vec<Tuple>,
-        table: Option<JoinTable>,
-    },
-    /// `Product`, `StructJoin`, `Difference`: the node re-evaluated as a
-    /// one-level plan over a shadow catalog (`__r` = the right side,
-    /// `__l` = the batch).
-    Reenter {
-        cat: Catalog,
-        one_level: LogicalPlan,
-    },
+/// The right input of a [`BinaryCursor`]: not yet drained, or packed by
+/// the operator's build step into the probe left batches run through.
+enum RightSide<'a> {
+    Pending(Box<dyn Cursor + 'a>, Build),
+    Resident(Probe),
+    Closed,
 }
 
-/// Build–probe binary operator: the right side is drained once and stays
-/// resident until close, then every left batch probes it, oversized probe
-/// output draining through the [`Spill`]. Correct for every operator
-/// whose output is a per-left-tuple function of the whole right side.
+/// Build–probe binary operator: the right side is drained and packed
+/// once and stays resident until close, then every left batch probes it,
+/// oversized probe output draining through the [`Spill`]. Correct for
+/// every operator whose output is a per-left-tuple function of the whole
+/// right side.
 struct BinaryCursor<'a> {
     left: Box<dyn Cursor + 'a>,
-    right: Option<Box<dyn Cursor + 'a>>,
+    right: RightSide<'a>,
     right_rows: usize,
-    probe: Probe,
     schema: Schema,
-    left_schema: Schema,
     batch: usize,
     spill: Spill,
-    doc: Option<&'a Document>,
-    eval: EvalConfig,
     mon: Mon,
     closed: bool,
 }
@@ -851,14 +883,6 @@ struct BinaryCursor<'a> {
 impl Cursor for BinaryCursor<'_> {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn open(&mut self) -> Result<(), EvalError> {
-        self.left.open()?;
-        if let Some(r) = &mut self.right {
-            r.open()?;
-        }
-        Ok(())
     }
 
     fn next_batch(&mut self) -> Result<Option<TupleBatch>, EvalError> {
@@ -869,58 +893,24 @@ impl Cursor for BinaryCursor<'_> {
         if !self.spill.is_empty() {
             return Ok(Some(self.spill.emit_next(&self.mon, self.batch)));
         }
-        if let Some(mut r) = self.right.take() {
-            let mut tuples = Vec::new();
-            while let Some(b) = r.next_batch()? {
-                tuples.extend(b.tuples);
+        self.right = match std::mem::replace(&mut self.right, RightSide::Closed) {
+            RightSide::Pending(mut right, build) => {
+                let tuples = self.mon.drain(&mut *right)?;
+                self.right_rows = tuples.len();
+                RightSide::Resident(self.mon.metered(|m| build(tuples, m))?)
             }
-            let rs = r.schema().clone();
-            r.close();
-            self.right_rows = tuples.len();
-            self.mon.residency.alloc(tuples.len());
-            match &mut self.probe {
-                Probe::Join {
-                    pred, right, table, ..
-                } => {
-                    *table =
-                        Some(self.mon.metered(|m| {
-                            JoinTable::build(pred, &self.left_schema, &rs, &tuples, m)
-                        })?);
-                    *right = tuples;
-                }
-                Probe::Reenter { cat, .. } => cat.insert("__r", Relation::new(rs, tuples)),
-            }
-        }
+            ready => ready,
+        };
+        let RightSide::Resident(probe) = &self.right else {
+            return Ok(None); // draining or packing the right side failed
+        };
         loop {
             let Some(batch) = self.left.next_batch()? else {
                 return Ok(None);
             };
-            let out = match &mut self.probe {
-                Probe::Join {
-                    kind, right, table, ..
-                } => {
-                    let table = table.as_ref().expect("built when the right side drained");
-                    self.mon
-                        .metered(|m| table.join(&batch.tuples, right, *kind, m))
-                }
-                Probe::Reenter { cat, one_level } => {
-                    cat.insert("__l", Relation::new(self.left_schema.clone(), batch.tuples));
-                    let ev = Evaluator {
-                        catalog: cat,
-                        doc: self.doc,
-                        config: self.eval,
-                        metrics: self.mon.metrics_slot(),
-                    };
-                    let out = ev.eval(one_level)?;
-                    if let Some(m) = ev.metrics {
-                        self.mon.absorb(m.into_inner());
-                    }
-                    out.tuples
-                }
-            };
+            let out = self.mon.metered(|m| probe(batch.tuples, m))?;
             if !out.is_empty() {
-                self.spill.stage(&self.mon, out);
-                return Ok(Some(self.spill.emit_next(&self.mon, self.batch)));
+                return Ok(Some(self.spill.emit(&self.mon, self.batch, out)));
             }
         }
     }
@@ -931,9 +921,10 @@ impl Cursor for BinaryCursor<'_> {
         }
         self.closed = true;
         self.left.close();
-        if let Some(r) = &mut self.right {
-            r.close();
+        if let RightSide::Pending(right, _) = &mut self.right {
+            right.close();
         }
+        self.right = RightSide::Closed;
         self.mon.residency.free(self.right_rows);
         self.right_rows = 0;
         self.spill.clear(&self.mon);
@@ -954,11 +945,6 @@ struct UnionCursor<'a> {
 impl Cursor for UnionCursor<'_> {
     fn schema(&self) -> &Schema {
         self.left.schema()
-    }
-
-    fn open(&mut self) -> Result<(), EvalError> {
-        self.left.open()?;
-        self.right.open()
     }
 
     fn next_batch(&mut self) -> Result<Option<TupleBatch>, EvalError> {
@@ -990,123 +976,104 @@ impl Cursor for UnionCursor<'_> {
     }
 }
 
-/// Pipeline breaker: materialize the input, evaluate the node once,
-/// stream the buffered result out batch by batch.
-struct BreakerCursor<'a> {
-    child: Box<dyn Cursor + 'a>,
-    in_schema: Schema,
-    one_level: LogicalPlan,
-    schema: Schema,
-    out: Vec<Tuple>,
-    pos: usize,
-    materialized: bool,
-    batch: usize,
-    doc: Option<&'a Document>,
-    eval: EvalConfig,
-    mon: Mon,
-    closed: bool,
-}
-
-impl Cursor for BreakerCursor<'_> {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<(), EvalError> {
-        self.child.open()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<TupleBatch>, EvalError> {
-        if self.closed {
-            return Ok(None);
-        }
-        self.mon.begin_pull();
-        if !self.materialized {
-            self.materialized = true;
-            let mut tuples = Vec::new();
-            while let Some(b) = self.child.next_batch()? {
-                self.mon.residency.alloc(b.len());
-                tuples.extend(b.tuples);
-            }
-            let n_in = tuples.len();
-            self.child.close();
-            let mut cat = Catalog::new();
-            cat.insert("__in", Relation::new(self.in_schema.clone(), tuples));
-            let ev = Evaluator {
-                catalog: &cat,
-                doc: self.doc,
-                config: self.eval,
-                metrics: self.mon.metrics_slot(),
-            };
-            let out = ev.eval(&self.one_level)?;
-            if let Some(m) = ev.metrics {
-                self.mon.absorb(m.into_inner());
-            }
-            self.mon.residency.free(n_in);
-            self.mon.residency.alloc(out.tuples.len());
-            self.out = out.tuples;
-        }
-        if self.pos >= self.out.len() {
-            return Ok(None);
-        }
-        let hi = (self.pos + self.batch).min(self.out.len());
-        let tuples = self.out[self.pos..hi].to_vec();
-        self.mon.residency.free(tuples.len());
-        self.pos = hi;
-        Ok(Some(self.mon.emit(tuples)))
-    }
-
-    fn close(&mut self) {
-        if self.closed {
-            return;
-        }
-        self.closed = true;
-        self.child.close();
-        if self.materialized {
-            self.mon.residency.free(self.out.len() - self.pos);
-        }
-        self.out = Vec::new();
-        self.pos = 0;
-        self.mon.finish();
-    }
-}
-
 enum TwigState {
     Start,
     /// Holistic: inputs resident, solutions enumerated, assembling
     /// output tuples batch by batch.
     Stream {
-        rels: Vec<Relation>,
+        inputs: Vec<Vec<Tuple>>,
         solutions: Vec<Vec<usize>>,
         pos: usize,
         resident: usize,
     },
-    /// Uncovered shape: the one-shot cascade result, draining.
-    Drain {
-        out: Vec<Tuple>,
-        pos: usize,
-    },
+    /// Exhausted, or the cascade arm ran and its result is in the spill.
     Done,
 }
 
 /// Holistic twig join: drains its inputs (base ID streams in fused
 /// plans), runs the multi-way merge once, then assembles one output
 /// tuple per solution lazily — solutions are index vectors, so the
-/// concatenated tuples never sit in memory all at once.
+/// concatenated tuples never sit in memory all at once. The cascade arm
+/// (see `Builder::twig`) runs the bound binary joins over the same
+/// drained inputs instead and streams their result out.
 struct TwigCursor<'a> {
     children: Vec<Box<dyn Cursor + 'a>>,
     steps: Vec<TwigStep>,
     shape: Option<TwigShape>,
-    names: Vec<String>,
-    one_level: LogicalPlan,
+    cascade: Vec<Binary>,
     schema: Schema,
     state: TwigState,
     batch: usize,
-    doc: Option<&'a Document>,
-    eval: EvalConfig,
+    spill: Spill,
     hint: Option<ArmSwitchHint>,
     mon: Mon,
     closed: bool,
+}
+
+impl TwigCursor<'_> {
+    /// Drain the inputs and run whichever arm applies; `Some` is the
+    /// cascade arm's whole output.
+    fn start(&mut self) -> Result<Option<Vec<Tuple>>, EvalError> {
+        let mut inputs = Vec::with_capacity(self.children.len());
+        let mut resident = 0usize;
+        for c in &mut self.children {
+            let tuples = self.mon.drain(&mut **c)?;
+            resident += tuples.len();
+            inputs.push(tuples);
+        }
+        // Mid-query arm check: the leaf streams are fully drained, so
+        // their real combined cardinality is known before the merge has
+        // run. If a hint is attached (the store flagged this plan's arm
+        // choice before) and the observation contradicts the estimate
+        // the merge was priced on, fall over to the cascade arm — same
+        // answers, honestly-priced path — and record the outcome.
+        let fall_over = match (&self.shape, &self.hint) {
+            (Some(_), Some(h)) if h.should_switch(resident as f64) => {
+                h.stats.record_arm_switch(h.doc_version, h.plan_fp, false);
+                tracing::debug!(
+                    target: "uload::cost",
+                    "twig arm fell over to cascade mid-query: observed {} leaf rows vs est {:.0}",
+                    resident,
+                    h.est_leaf_rows
+                );
+                true
+            }
+            _ => false,
+        };
+        if let (Some(shape), false) = (&self.shape, fall_over) {
+            let solutions = self
+                .mon
+                .metered(|m| twig_solutions(&inputs, shape, &self.steps, m))?;
+            self.state = TwigState::Stream {
+                inputs,
+                solutions,
+                pos: 0,
+                resident,
+            };
+            return Ok(None);
+        }
+        tracing::debug!(
+            target: "uload::eval",
+            "twig join fell back to binary cascade ({} steps)",
+            self.steps.len()
+        );
+        self.state = TwigState::Done;
+        let mut inputs = inputs.into_iter();
+        let mut acc = inputs.next().expect("a twig has a root input");
+        for (join, right) in std::mem::take(&mut self.cascade).into_iter().zip(inputs) {
+            acc = self.mon.metered(|mut m| {
+                let probe = (join.build)(right, m.as_deref_mut())?;
+                probe(acc, m)
+            })?;
+        }
+        self.mon.metered(|m| {
+            if let Some(m) = m {
+                m.note_fallback();
+            }
+        });
+        self.mon.residency.free(resident);
+        Ok(Some(acc))
+    }
 }
 
 impl Cursor for TwigCursor<'_> {
@@ -1114,136 +1081,48 @@ impl Cursor for TwigCursor<'_> {
         &self.schema
     }
 
-    fn open(&mut self) -> Result<(), EvalError> {
-        for c in &mut self.children {
-            c.open()?;
-        }
-        Ok(())
-    }
-
     fn next_batch(&mut self) -> Result<Option<TupleBatch>, EvalError> {
         if self.closed {
             return Ok(None);
         }
         self.mon.begin_pull();
+        if !self.spill.is_empty() {
+            return Ok(Some(self.spill.emit_next(&self.mon, self.batch)));
+        }
         if matches!(self.state, TwigState::Start) {
-            let mut rels = Vec::with_capacity(self.children.len());
-            let mut resident = 0usize;
-            for c in &mut self.children {
-                let mut tuples = Vec::new();
-                while let Some(b) = c.next_batch()? {
-                    resident += b.len();
-                    self.mon.residency.alloc(b.len());
-                    tuples.extend(b.tuples);
+            if let Some(out) = self.start()? {
+                if !out.is_empty() {
+                    return Ok(Some(self.spill.emit(&self.mon, self.batch, out)));
                 }
-                let schema = c.schema().clone();
-                c.close();
-                rels.push(Relation::new(schema, tuples));
             }
-            // Mid-query arm check: the leaf streams are fully drained, so
-            // their real combined cardinality is known before the merge
-            // has run. If a hint is attached (the store flagged this
-            // plan's arm choice before) and the observation contradicts
-            // the estimate the merge was priced on, fall over to the
-            // cascade arm below — same answers, honestly-priced path —
-            // and record the outcome.
-            let fall_over = match (&self.shape, &self.hint) {
-                (Some(_), Some(h)) if h.should_switch(resident as f64) => {
-                    h.stats.record_arm_switch(h.doc_version, h.plan_fp, false);
-                    tracing::debug!(
-                        target: "uload::cost",
-                        "twig arm fell over to cascade mid-query: observed {} leaf rows vs est {:.0}",
-                        resident,
-                        h.est_leaf_rows
-                    );
-                    true
-                }
-                _ => false,
-            };
-            self.state = match &self.shape {
-                Some(shape) if !fall_over => {
-                    let slot = self.mon.metrics_slot();
-                    let solutions = twig_solutions(&rels, shape, &self.steps, slot.as_ref())?;
-                    if let Some(s) = slot {
-                        self.mon.absorb(s.into_inner());
-                    }
-                    TwigState::Stream {
-                        rels,
-                        solutions,
-                        pos: 0,
-                        resident,
-                    }
-                }
-                _ => {
-                    let mut cat = Catalog::new();
-                    for (n, r) in self.names.iter().zip(rels) {
-                        cat.insert(n.clone(), r);
-                    }
-                    // on a fallover the shape *is* covered, so the
-                    // one-shot evaluation must have the holistic knob
-                    // off or it would just run the twig arm again
-                    let mut eval_cfg = self.eval;
-                    if fall_over {
-                        eval_cfg.use_twigstack = false;
-                    }
-                    let ev = Evaluator {
-                        catalog: &cat,
-                        doc: self.doc,
-                        config: eval_cfg,
-                        metrics: self.mon.metrics_slot(),
-                    };
-                    let out = ev.eval(&self.one_level)?;
-                    if let Some(m) = ev.metrics {
-                        self.mon.absorb(m.into_inner());
-                    }
-                    self.mon.residency.free(resident);
-                    self.mon.residency.alloc(out.tuples.len());
-                    TwigState::Drain {
-                        out: out.tuples,
-                        pos: 0,
-                    }
-                }
-            };
         }
-        match &mut self.state {
-            TwigState::Stream {
-                rels,
-                solutions,
-                pos,
-                resident,
-            } => {
-                if *pos >= solutions.len() {
-                    self.mon.residency.free(*resident);
-                    *resident = 0;
-                    self.state = TwigState::Done;
-                    return Ok(None);
-                }
-                let hi = (*pos + self.batch).min(solutions.len());
-                let mut tuples = Vec::with_capacity(hi - *pos);
-                for sol in &solutions[*pos..hi] {
-                    let mut t = rels[0].tuples[sol[0]].clone();
-                    for (j, &i) in sol.iter().enumerate().skip(1) {
-                        t = t.concat(&rels[j].tuples[i]);
-                    }
-                    tuples.push(t);
-                }
-                *pos = hi;
-                Ok(Some(self.mon.emit(tuples)))
-            }
-            TwigState::Drain { out, pos } => {
-                if *pos >= out.len() {
-                    self.state = TwigState::Done;
-                    return Ok(None);
-                }
-                let hi = (*pos + self.batch).min(out.len());
-                let tuples = out[*pos..hi].to_vec();
-                self.mon.residency.free(tuples.len());
-                *pos = hi;
-                Ok(Some(self.mon.emit(tuples)))
-            }
-            TwigState::Done => Ok(None),
-            TwigState::Start => unreachable!("materialized above"),
+        let TwigState::Stream {
+            inputs,
+            solutions,
+            pos,
+            resident,
+        } = &mut self.state
+        else {
+            return Ok(None);
+        };
+        if *pos >= solutions.len() {
+            self.mon.residency.free(*resident);
+            self.state = TwigState::Done;
+            return Ok(None);
         }
+        // one output tuple per solution; twig_join already emits them in
+        // the cascade's lexicographic order
+        let hi = pos.saturating_add(self.batch).min(solutions.len());
+        let mut tuples = Vec::with_capacity(hi - *pos);
+        for sol in &solutions[*pos..hi] {
+            let mut t = inputs[0][sol[0]].clone();
+            for (j, &i) in sol.iter().enumerate().skip(1) {
+                t = t.concat(&inputs[j][i]);
+            }
+            tuples.push(t);
+        }
+        *pos = hi;
+        Ok(Some(self.mon.emit(tuples)))
     }
 
     fn close(&mut self) {
@@ -1254,11 +1133,12 @@ impl Cursor for TwigCursor<'_> {
         for c in &mut self.children {
             c.close();
         }
-        match std::mem::replace(&mut self.state, TwigState::Done) {
-            TwigState::Stream { resident, .. } => self.mon.residency.free(resident),
-            TwigState::Drain { out, pos } => self.mon.residency.free(out.len() - pos),
-            _ => {}
+        if let TwigState::Stream { resident, .. } =
+            std::mem::replace(&mut self.state, TwigState::Done)
+        {
+            self.mon.residency.free(resident);
         }
+        self.spill.clear(&self.mon);
         self.mon.finish();
     }
 }
@@ -1268,7 +1148,7 @@ impl Cursor for TwigCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{derived, ColumnDemand};
+    use crate::eval::{derived, ColumnDemand, Evaluator};
     use crate::plan::{Axis, CmpOp, JoinKind, Predicate};
     use crate::value::Value;
     use crate::OrderSpec;
@@ -1287,37 +1167,58 @@ mod tests {
         (doc, cat)
     }
 
-    /// Drain `plan` through the pipelined executor at several batch
-    /// sizes and require byte-identical results to the oracle.
-    fn assert_streams(plan: &LogicalPlan, cat: &Catalog, doc: Option<&Document>) {
-        let ev = Evaluator {
-            catalog: cat,
-            doc,
-            config: EvalConfig::default(),
-            metrics: None,
+    fn run(
+        plan: &LogicalPlan,
+        cat: &Catalog,
+        doc: Option<&Document>,
+        batch_size: usize,
+        eval: EvalConfig,
+    ) -> Relation {
+        let cfg = CursorConfig {
+            batch_size,
+            eval,
+            ..Default::default()
         };
-        let oracle = ev.eval(plan).unwrap();
-        for bs in [1usize, 2, 3, 7, 1024] {
-            let cfg = CursorConfig {
-                batch_size: bs,
+        build_cursor(plan, cat, doc, &cfg)
+            .unwrap()
+            .collect()
+            .unwrap()
+    }
+
+    /// Drain `plan` at batch sizes from one row to unbounded (what
+    /// [`Evaluator::eval`] runs), under the default kernels and under
+    /// each oracle knob, and require the same rows in the same order
+    /// every time.
+    fn assert_batch_invariant(plan: &LogicalPlan, cat: &Catalog, doc: Option<&Document>) {
+        let want = run(plan, cat, doc, usize::MAX, EvalConfig::default());
+        for eval in [
+            EvalConfig::default(),
+            EvalConfig {
+                use_stacktree: false,
                 ..Default::default()
-            };
-            let exec = build_cursor(plan, cat, doc, &cfg).unwrap();
-            let got = exec.collect().unwrap();
-            assert_eq!(got, oracle, "batch_size={bs} plan={plan}");
+            },
+            EvalConfig {
+                use_twigstack: false,
+                ..Default::default()
+            },
+        ] {
+            for bs in [1usize, 2, 3, 7, 1024, usize::MAX] {
+                let got = run(plan, cat, doc, bs, eval);
+                assert_eq!(got, want, "batch_size={bs} {eval:?} plan={plan}");
+            }
         }
     }
 
     #[test]
-    fn scan_select_project_stream_like_the_oracle() {
+    fn scan_select_project_are_batch_size_invariant() {
         let (doc, cat) = setup();
-        assert_streams(&LogicalPlan::scan("book"), &cat, Some(&doc));
-        assert_streams(
+        assert_batch_invariant(&LogicalPlan::scan("book"), &cat, Some(&doc));
+        assert_batch_invariant(
             &LogicalPlan::scan("title").select(Predicate::eq("Val", Value::str("Data on the Web"))),
             &cat,
             Some(&doc),
         );
-        assert_streams(
+        assert_batch_invariant(
             &LogicalPlan::scan("title").project(&["ID", "Val"]),
             &cat,
             Some(&doc),
@@ -1325,11 +1226,11 @@ mod tests {
     }
 
     #[test]
-    fn binary_operators_stream_like_the_oracle() {
+    fn binary_operators_are_batch_size_invariant() {
         let (doc, cat) = setup();
         let books = LogicalPlan::scan("book");
         let titles = LogicalPlan::scan("title");
-        assert_streams(&books.clone().product(titles.clone()), &cat, Some(&doc));
+        assert_batch_invariant(&books.clone().product(titles.clone()), &cat, Some(&doc));
         for kind in [
             JoinKind::Inner,
             JoinKind::Semi,
@@ -1340,13 +1241,13 @@ mod tests {
             let p = books
                 .clone()
                 .struct_join(titles.clone(), "ID", "ID", Axis::Child, kind);
-            assert_streams(&p, &cat, Some(&doc));
+            assert_batch_invariant(&p, &cat, Some(&doc));
         }
         let rtitles = LogicalPlan::scan("title")
             .project(&["ID", "Val"])
             .rename(&["tid", "tval"]);
         for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::LeftOuter] {
-            assert_streams(
+            assert_batch_invariant(
                 &books.clone().join(
                     rtitles.clone(),
                     Predicate::col_cmp("Val", CmpOp::Eq, "tval"),
@@ -1356,8 +1257,8 @@ mod tests {
                 Some(&doc),
             );
         }
-        assert_streams(&titles.clone().union(titles.clone()), &cat, Some(&doc));
-        assert_streams(
+        assert_batch_invariant(&titles.clone().union(titles.clone()), &cat, Some(&doc));
+        assert_batch_invariant(
             &titles.clone().difference(
                 titles
                     .clone()
@@ -1369,8 +1270,8 @@ mod tests {
 
         // `Difference` removes exactly the tuples `tuple_cmp_all` calls
         // equal to some right tuple — `⊥ = ⊥`, IDs by `pre`, `1 ≠ "1"`,
-        // nested collections element-wise — keeps duplicates of the rest
-        // in order, and streams as it materializes
+        // nested collections element-wise — and keeps duplicates of the
+        // rest in order, at every batch size
         use crate::order::tuple_cmp_all;
         use crate::value::Collection;
         use xmltree::StructuralId;
@@ -1422,14 +1323,14 @@ mod tests {
             .collect();
         assert_eq!(got.tuples, want);
         assert!(want.len() < l.len() && want.len() > l.len() / 2);
-        assert_streams(&plan, &cat, None);
+        assert_batch_invariant(&plan, &cat, None);
     }
 
     #[test]
-    fn breakers_stream_like_the_oracle() {
+    fn breakers_are_batch_size_invariant() {
         let (doc, cat) = setup();
         let titles = LogicalPlan::scan("title");
-        assert_streams(
+        assert_batch_invariant(
             &titles
                 .clone()
                 .union(titles.clone())
@@ -1437,7 +1338,7 @@ mod tests {
             &cat,
             Some(&doc),
         );
-        assert_streams(
+        assert_batch_invariant(
             &LogicalPlan::GroupBy {
                 input: Box::new(LogicalPlan::scan("author")),
                 keys: vec!["Val".into()],
@@ -1446,8 +1347,8 @@ mod tests {
             &cat,
             Some(&doc),
         );
-        assert_streams(&titles.clone().sort(&["Val"]), &cat, Some(&doc));
-        assert_streams(
+        assert_batch_invariant(&titles.clone().sort(&["Val"]), &cat, Some(&doc));
+        assert_batch_invariant(
             &LogicalPlan::NestAll {
                 input: Box::new(titles.clone()),
                 as_name: "all".into(),
@@ -1456,7 +1357,7 @@ mod tests {
             Some(&doc),
         );
         // NestAll over an *empty* input still yields its single tuple
-        assert_streams(
+        assert_batch_invariant(
             &LogicalPlan::NestAll {
                 input: Box::new(titles.select(Predicate::eq("Val", Value::str("no such title")))),
                 as_name: "all".into(),
@@ -1473,7 +1374,7 @@ mod tests {
     }
 
     #[test]
-    fn twig_join_streams_like_the_oracle() {
+    fn twig_join_is_batch_size_invariant() {
         let (doc, cat) = setup();
         let plan = id_col("library", "id0").twig_join(vec![
             TwigStep {
@@ -1489,28 +1390,10 @@ mod tests {
                 axis: Axis::Child,
             },
         ]);
-        assert_streams(&plan, &cat, Some(&doc));
-        // cascade fallback (holistic off) must match too
-        let ev = Evaluator {
-            catalog: &cat,
-            doc: Some(&doc),
-            config: EvalConfig::default(),
-            metrics: None,
-        };
-        let oracle = ev.eval(&plan).unwrap();
-        let cfg = CursorConfig {
-            batch_size: 2,
-            eval: EvalConfig {
-                use_twigstack: false,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let got = build_cursor(&plan, &cat, Some(&doc), &cfg)
-            .unwrap()
-            .collect()
-            .unwrap();
-        assert_eq!(got, oracle);
+        assert_batch_invariant(&plan, &cat, Some(&doc));
+        // not vacuous: two books, one title each
+        let got = run(&plan, &cat, Some(&doc), 2, EvalConfig::default());
+        assert_eq!(got.len(), 2);
     }
 
     #[test]
@@ -1581,7 +1464,7 @@ mod tests {
     }
 
     #[test]
-    fn unnest_roundtrip_streams() {
+    fn unnest_roundtrip_is_batch_size_invariant() {
         let (doc, cat) = setup();
         let nested = LogicalPlan::scan("book").struct_nest_join(
             LogicalPlan::scan("title"),
@@ -1595,14 +1478,14 @@ mod tests {
             input: Box::new(nested),
             attr: "ts".into(),
         };
-        assert_streams(&plan, &cat, Some(&doc));
+        assert_batch_invariant(&plan, &cat, Some(&doc));
     }
 
     #[test]
     fn sort_elision_streams_declared_order() {
         let (doc, cat) = setup();
         let plan = LogicalPlan::scan("book").sort(&["ID"]);
-        assert_streams(&plan, &cat, Some(&doc));
+        assert_batch_invariant(&plan, &cat, Some(&doc));
         // elided: the whole tree is the scan, so nothing is buffered
         let cfg = CursorConfig {
             batch_size: 1,
@@ -1613,7 +1496,7 @@ mod tests {
         assert_eq!(exec.peak_resident(), 1, "no breaker buffer for the sort");
         // an un-declared order still goes through the breaker
         let by_val = LogicalPlan::scan("book").sort(&["Val"]);
-        assert_streams(&by_val, &cat, Some(&doc));
+        assert_batch_invariant(&by_val, &cat, Some(&doc));
     }
 
     #[test]
@@ -1654,19 +1537,16 @@ mod tests {
         ));
     }
 
-    /// A child that counts how many times it is pulled — the probe for
+    /// A child that counts how many times it is pulled — the witness for
     /// the cancellation contract.
-    struct Probe<'a> {
+    struct CountingCursor<'a> {
         inner: Box<dyn Cursor + 'a>,
         pulls: Rc<Cell<usize>>,
     }
 
-    impl Cursor for Probe<'_> {
+    impl Cursor for CountingCursor<'_> {
         fn schema(&self) -> &Schema {
             self.inner.schema()
-        }
-        fn open(&mut self) -> Result<(), EvalError> {
-            self.inner.open()
         }
         fn next_batch(&mut self) -> Result<Option<TupleBatch>, EvalError> {
             self.pulls.set(self.pulls.get() + 1);
@@ -1695,24 +1575,19 @@ mod tests {
             mon: mon(&residency),
             closed: false,
         };
-        let probe = Probe {
+        let counting = CountingCursor {
             inner: Box::new(scan),
             pulls: Rc::clone(&pulls),
         };
-        let plan = LogicalPlan::scan("__in").select(Predicate::True);
         let mut cur = MapCursor {
-            child: Box::new(probe),
-            in_schema: rel.schema.clone(),
-            one_level: plan,
-            schema: rel.schema.clone(),
+            child: Box::new(counting),
+            op: Unary::select(&rel.schema, &Predicate::True).unwrap(),
+            drain_first: false,
             batch: 1,
             spill: Spill::default(),
-            doc: None,
-            eval: EvalConfig::default(),
             mon: mon(&residency),
             closed: false,
         };
-        cur.open().unwrap();
         assert!(cur.next_batch().unwrap().is_some());
         let pulled = pulls.get();
         assert!(pulled >= 1);
@@ -1748,37 +1623,118 @@ mod tests {
         );
     }
 
-    #[test]
-    fn profiling_counts_batches_rows_and_kernel_work() {
-        let (doc, cat) = setup();
-        let plan = LogicalPlan::scan("book").struct_join(
-            LogicalPlan::scan("title"),
-            "ID",
-            "ID",
-            Axis::Child,
-            JoinKind::Inner,
-        );
+    /// Drain `plan` with profiling on; the rows and the per-node slots.
+    fn profiled(
+        plan: &LogicalPlan,
+        cat: &Catalog,
+        batch_size: usize,
+        eval: EvalConfig,
+    ) -> (Relation, Vec<OpStats>) {
         let cfg = CursorConfig {
-            batch_size: 1,
+            batch_size,
+            eval,
             profiling: true,
             ..Default::default()
         };
-        let mut exec = build_cursor(&plan, &cat, Some(&doc), &cfg).unwrap();
-        let mut rows = 0u64;
+        let mut exec = build_cursor(plan, cat, None, &cfg).unwrap();
+        let mut tuples = Vec::new();
         while let Some(b) = exec.next_batch().unwrap() {
-            rows += b.len() as u64;
+            tuples.extend(b.tuples);
         }
-        let ops = exec.op_stats();
-        assert_eq!(ops.len(), 3, "join + two scans");
-        assert!(ops[0].label.starts_with("StructJoin"));
-        assert_eq!(ops[0].cells.rows.get(), rows);
-        assert!(ops[0].cells.batches.get() >= 1);
-        assert!(
-            ops[0].cells.metrics.borrow().comparisons > 0,
-            "metered kernels feed op metrics"
-        );
-        assert!(!ops[0].breaker);
         assert!(exec.peak_resident() > 0);
+        let ops = exec.op_stats().to_vec();
+        (Relation::new(exec.schema().clone(), tuples), ops)
+    }
+
+    #[test]
+    fn profiling_keeps_results_and_mirrors_the_plan() {
+        let (_doc, cat) = setup();
+        let plan = LogicalPlan::scan("book")
+            .rename(&["b_id", "b_t", "b_v", "b_c"])
+            .struct_join(
+                LogicalPlan::scan("author").rename(&["a_id", "a_t", "a_v", "a_c"]),
+                "b_id",
+                "a_id",
+                Axis::Child,
+                JoinKind::Inner,
+            )
+            .project(&["a_v"]);
+        let plain = run(&plan, &cat, None, 1, EvalConfig::default());
+        let (rel, ops) = profiled(&plan, &cat, 1, EvalConfig::default());
+        assert_eq!(rel, plain, "profiling must not change results");
+        // one slot per node, pre-order: project → join → {rename → scan} × 2
+        assert_eq!(ops.len(), plan.size());
+        let labels: Vec<&str> = ops.iter().map(|o| o.label.as_str()).collect();
+        assert!(labels[0].starts_with("Project"), "{labels:?}");
+        assert!(labels[1].starts_with("StructJoin"), "{labels:?}");
+        assert_eq!(labels[3], "Scan(book)");
+        assert_eq!(labels[5], "Scan(author)");
+        assert_eq!(ops[0].cells.rows.get(), plain.len() as u64);
+        assert_eq!(ops[1].cells.rows.get(), plain.len() as u64);
+        assert!(ops[1].cells.batches.get() >= 1);
+        assert!(
+            ops[1].cells.metrics.borrow().comparisons > 0,
+            "metered kernels feed the node's metrics"
+        );
+        assert!(ops.iter().all(|o| !o.breaker));
+        // a node's time includes its inputs'
+        let ns = |i: usize| ops[i].cells.time_ns.get();
+        assert!(ns(0) >= ns(1) && ns(1) >= ns(2) + ns(4));
+        assert!(ns(2) >= ns(3) && ns(3) > 0);
+    }
+
+    /// An elided `Sort` and a `TwigJoin` without steps get no cursor of
+    /// their own but keep their slot, so the pre-order op list pairs with
+    /// the plan (and the cost model's estimate tree) node for node.
+    #[test]
+    fn every_plan_node_owns_a_slot_even_when_it_is_skipped() {
+        let (_doc, cat) = setup();
+        let plan = LogicalPlan::scan("book")
+            .sort(&["ID"])
+            .twig_join(Vec::new())
+            .project(&["ID"]);
+        let (rel, ops) = profiled(&plan, &cat, 1, EvalConfig::default());
+        assert_eq!(rel.len(), 2);
+        assert_eq!(ops.len(), plan.size());
+        let labels: Vec<&str> = ops.iter().map(|o| o.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["Project[ID]", "TwigJoin(0 steps)", "Sort[ID]", "Scan(book)"]
+        );
+        for op in &ops {
+            assert_eq!(op.cells.rows.get(), 2, "{}", op.label);
+            assert_eq!(op.cells.batches.get(), 2, "{}", op.label);
+        }
+        assert!(ops[2].breaker && !ops[1].breaker);
+    }
+
+    #[test]
+    fn twig_cascade_arm_counts_a_fallback_on_the_twig_node() {
+        let (_doc, cat) = setup();
+        let twig = LogicalPlan::scan("book")
+            .rename(&["b_id", "b_t", "b_v", "b_c"])
+            .twig_join(vec![TwigStep::new(
+                LogicalPlan::scan("author").rename(&["a_id", "a_t", "a_v", "a_c"]),
+                "b_id",
+                "a_id",
+                Axis::Child,
+            )]);
+        let (on, ops) = profiled(&twig, &cat, 1024, EvalConfig::default());
+        assert_eq!(ops[0].cells.metrics.borrow().twig_fallbacks, 0);
+        let off = EvalConfig {
+            use_twigstack: false,
+            ..Default::default()
+        };
+        let (rel, ops) = profiled(&twig, &cat, 1024, off);
+        assert_eq!(rel, on);
+        assert_eq!(ops.len(), twig.size());
+        let m = *ops[0].cells.metrics.borrow();
+        assert_eq!(m.twig_fallbacks, 1, "{m:?}");
+        assert!(
+            m.comparisons > 0,
+            "the cascade's joins meter into it: {m:?}"
+        );
+        assert_eq!(ops[0].cells.rows.get(), rel.len() as u64);
     }
 
     #[test]

@@ -1,26 +1,32 @@
-//! The execution engine (§1.2.3): evaluates [`LogicalPlan`]s over a
-//! [`Catalog`] of stored nested relations, optionally backed by the source
-//! [`Document`] for navigation and ancestor-ID derivation.
+//! The execution engine's operators (§1.2.3): every [`LogicalPlan`] node
+//! as a *bound operator* — a function from input tuples to output tuples,
+//! fixed once to its input schemas — over a [`Catalog`] of stored nested
+//! relations, optionally backed by the source [`Document`] for navigation
+//! and ancestor-ID derivation. The cursor tree in [`crate::cursor`] is the
+//! one place plans are walked: it binds each node through this module
+//! when it compiles a plan and applies the bound operator to each batch.
+//! [`Evaluator::eval`] is that tree drained at an unbounded batch.
 //!
 //! Physical choices: structural joins run the `StackTree` merge when inputs
 //! are (or are made) ID-sorted, with a nested-loop fallback selectable via
-//! [`EvalConfig`] for the ablation benches; value joins whose predicate has
-//! an equality conjunct between the two inputs build an in-memory hash
-//! table over the right input and probe it (the `hashjoin` module), and run
-//! the nested loop only when there is no such conjunct (`<`, `contains`,
-//! `∨`, `¬`); `Difference` probes a hash set of the right input's tuples;
-//! `GroupBy` uses a hash table preserving first-seen group order; `Sort_φ`
-//! is a stable comparison sort.
+//! [`EvalConfig`] as the oracle; value joins whose predicate has an
+//! equality conjunct between the two inputs build an in-memory hash table
+//! over the right input and probe it (the `hashjoin` module), and run the
+//! nested loop only when there is no such conjunct (`<`, `contains`, `∨`,
+//! `¬`); `Difference` probes the right input's tuples by hash; `GroupBy`
+//! uses a hash table preserving first-seen group order; `Sort_φ` is a
+//! stable comparison sort. The right side of every binary operator is
+//! packed once, when it has been drained.
 
-use std::cell::RefCell;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::time::Instant;
 
-use obs::{ExecMetrics, Meter, NoMeter, OpProfile};
+use obs::{ExecMetrics, Meter, NoMeter};
 use xmltree::{Document, NodeId, NodeKind, StructuralId};
 
+use crate::cursor::{build_cursor, CursorConfig};
 use crate::hashjoin::{assemble_join, join_schema, JoinTable};
 use crate::order::{tuple_cmp_all, value_cmp, OrderSpec};
 use crate::plan::{
@@ -29,8 +35,9 @@ use crate::plan::{
 use crate::pred::{cmp_values, BoundPred, NO_TUPLE};
 use crate::simd::{IdColumns, DEFAULT_BLOCK};
 use crate::stacktree::{nested_loop_pairs, stack_tree_pairs};
-use crate::twig::{twig_join, twig_to_cascade, TwigPattern};
+use crate::twig::{twig_join, TwigPattern};
 use crate::value::{Collection, Field, FieldKind, Schema, Tuple, Value};
+use crate::xmlgen::Template;
 
 /// A materialized nested relation: schema + tuples (list semantics).
 #[derive(Debug, Clone, PartialEq)]
@@ -172,15 +179,14 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Plan interpreter.
+/// The plan interpreter's front door. There is one executor — the cursor
+/// tree [`build_cursor`] compiles — and [`Evaluator::eval`] drains it at
+/// an unbounded batch, so every operator sees its whole input exactly
+/// once and the result comes back materialized.
 pub struct Evaluator<'a> {
     pub catalog: &'a Catalog,
     pub doc: Option<&'a Document>,
     pub config: EvalConfig,
-    /// When set, the physical join kernels run their metered variants and
-    /// accumulate counters here. `None` (the default) keeps the hot path
-    /// on the unmetered monomorphizations.
-    pub metrics: Option<RefCell<ExecMetrics>>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -189,7 +195,6 @@ impl<'a> Evaluator<'a> {
             catalog,
             doc: None,
             config: EvalConfig::default(),
-            metrics: None,
         }
     }
 
@@ -198,583 +203,131 @@ impl<'a> Evaluator<'a> {
             catalog,
             doc: Some(doc),
             config: EvalConfig::default(),
-            metrics: None,
         }
     }
 
     /// Evaluate a logical plan to a materialized relation.
     pub fn eval(&self, plan: &LogicalPlan) -> Result<Relation, EvalError> {
-        use LogicalPlan::*;
-        match plan {
-            Scan { relation } => self
-                .catalog
-                .get(relation)
-                .cloned()
-                .ok_or_else(|| EvalError::UnknownRelation(relation.clone())),
-            Select { input, pred } => {
-                let rel = self.eval(input)?;
-                self.eval_select(rel, pred)
-            }
-            Project {
-                input,
-                cols,
-                distinct,
-            } => {
-                let rel = self.eval(input)?;
-                self.eval_project(rel, cols, *distinct)
-            }
-            Product { left, right } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                let schema = l.schema.concat(&r.schema);
-                let mut tuples = Vec::with_capacity(l.len() * r.len());
-                for lt in &l.tuples {
-                    for rt in &r.tuples {
-                        tuples.push(lt.concat(rt));
-                    }
-                }
-                Ok(Relation::new(schema, tuples))
-            }
-            Join {
-                left,
-                right,
-                pred,
-                kind,
-            } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                self.eval_value_join(l, r, pred, *kind)
-            }
-            StructJoin {
-                left,
-                right,
-                left_attr,
-                right_attr,
-                axis,
-                kind,
-                nest_as,
-            } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                self.eval_struct_join(
-                    l,
-                    r,
-                    left_attr,
-                    right_attr,
-                    *axis,
-                    *kind,
-                    nest_as.as_deref(),
-                )
-            }
-            TwigJoin { root, steps } => self.eval_twig_join(root, steps),
-            Union { left, right } => {
-                let mut l = self.eval(left)?;
-                let r = self.eval(right)?;
-                if l.schema.arity() != r.schema.arity() {
-                    return Err(EvalError::TypeError(format!(
-                        "union arity mismatch: {} vs {}",
-                        l.schema.arity(),
-                        r.schema.arity()
-                    )));
-                }
-                l.tuples.extend(r.tuples);
-                Ok(l)
-            }
-            Difference { left, right } => {
-                let mut l = self.eval(left)?;
-                let r = self.eval(right)?;
-                let gone: HashSet<ByValue<'_>> = r.tuples.iter().map(ByValue).collect();
-                l.tuples.retain(|t| !gone.contains(&ByValue(t)));
-                Ok(l)
-            }
-            GroupBy {
-                input,
-                keys,
-                nest_as,
-            } => {
-                let rel = self.eval(input)?;
-                self.eval_group_by(rel, keys, nest_as)
-            }
-            Unnest { input, attr } => {
-                let rel = self.eval(input)?;
-                self.eval_unnest(rel, attr)
-            }
-            NestAll { input, as_name } => {
-                let rel = self.eval(input)?;
-                let inner = rel.schema.clone();
-                let schema = Schema::new(vec![Field::nested(as_name.clone(), inner)]);
-                let tuple = Tuple::new(vec![Value::Coll(Collection::list(rel.tuples))]);
-                Ok(Relation::new(schema, vec![tuple]))
-            }
-            Sort { input, by } => {
-                let mut rel = self.eval(input)?;
-                let idxs: Vec<Vec<usize>> = by
-                    .iter()
-                    .map(|p| resolve(&rel.schema, p))
-                    .collect::<Result<_, _>>()?;
-                rel.tuples.sort_by(|a, b| {
-                    for idx in &idxs {
-                        let va = flat_value(a, idx);
-                        let vb = flat_value(b, idx);
-                        let c = value_cmp(&va, &vb);
-                        if c != std::cmp::Ordering::Equal {
-                            return c;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                Ok(rel)
-            }
-            XmlTemplate { input, templ } => {
-                let rel = self.eval(input)?;
-                let schema = Schema::atoms(&["xml"]);
-                let tuples = rel
-                    .tuples
-                    .iter()
-                    .map(|t| {
-                        let mut out = String::new();
-                        templ.render(&rel.schema, t, &mut out);
-                        Tuple::new(vec![Value::str(out)])
-                    })
-                    .collect();
-                Ok(Relation::new(schema, tuples))
-            }
-            Navigate {
-                input,
-                from_attr,
-                axis,
-                label,
-                as_prefix,
-                mode,
-            } => {
-                let rel = self.eval(input)?;
-                self.eval_navigate(rel, from_attr, *axis, label, as_prefix, *mode)
-            }
-            Fetch {
-                input,
-                id_attr,
-                what,
-                as_name,
-            } => {
-                let doc = self.doc.ok_or(EvalError::NeedsDocument("Fetch"))?;
-                let rel = self.eval(input)?;
-                let idx = resolve(&rel.schema, id_attr)?;
-                let mut schema = rel.schema.clone();
-                schema.fields.push(Field::atom(as_name));
-                let tuples = rel
-                    .tuples
-                    .iter()
-                    .map(|t| {
-                        let v = match flat_value(t, &idx).as_id() {
-                            None => Value::Null,
-                            Some(sid) => {
-                                let n = NodeId(sid.pre);
-                                match what {
-                                    FetchWhat::Val => Value::str(doc.value(n)),
-                                    FetchWhat::Cont => Value::str(doc.content(n)),
-                                    FetchWhat::Tag => Value::str(doc.label(n)),
-                                }
-                            }
-                        };
-                        let mut nt = t.clone();
-                        nt.0.push(v);
-                        nt
-                    })
-                    .collect();
-                Ok(Relation::new(schema, tuples))
-            }
-            DeriveAncestorId {
-                input,
-                attr,
-                levels,
-                as_name,
-            } => {
-                let rel = self.eval(input)?;
-                self.eval_derive_ancestor(rel, attr, *levels, as_name)
-            }
-            CastSchema { input, schema } => {
-                let rel = self.eval(input)?;
-                fn shape_eq(a: &Schema, b: &Schema) -> bool {
-                    a.arity() == b.arity()
-                        && a.fields
-                            .iter()
-                            .zip(&b.fields)
-                            .all(|(x, y)| match (&x.kind, &y.kind) {
-                                (FieldKind::Atom, FieldKind::Atom) => true,
-                                (FieldKind::Nested(m), FieldKind::Nested(n)) => shape_eq(m, n),
-                                _ => false,
-                            })
-                }
-                if !shape_eq(&rel.schema, schema) {
-                    return Err(EvalError::TypeError(format!(
-                        "cast shape mismatch: {} vs {}",
-                        rel.schema, schema
-                    )));
-                }
-                Ok(Relation::new(schema.clone(), rel.tuples))
-            }
-            Rename { input, names } => {
-                let mut rel = self.eval(input)?;
-                if names.len() != rel.schema.arity() {
-                    return Err(EvalError::TypeError(format!(
-                        "rename arity mismatch: {} names for {} fields",
-                        names.len(),
-                        rel.schema.arity()
-                    )));
-                }
-                for (f, n) in rel.schema.fields.iter_mut().zip(names) {
-                    f.name = n.clone();
-                }
-                Ok(rel)
-            }
+        let cfg = CursorConfig {
+            batch_size: usize::MAX,
+            eval: self.config,
+            ..CursorConfig::default()
+        };
+        build_cursor(plan, self.catalog, self.doc, &cfg)?.collect()
+    }
+}
+
+// ----------------------------------------------------------------------
+// bound operators
+//
+// The cursor compiler binds each plan node once to its input schemas:
+// paths resolved, predicates bound, the output schema computed. An
+// unknown attribute or a type misuse fails there, before a tuple is
+// read. What is left is a function from input tuples to output tuples,
+// applied to whatever batch the cursor tree hands it.
+
+/// A unary operator bound to its input schema.
+pub(crate) struct Unary<'a> {
+    pub schema: Schema,
+    pub apply: Box<dyn Fn(Vec<Tuple>) -> Vec<Tuple> + 'a>,
+}
+
+/// The kernel counters of the operator being run; `None` when nobody is
+/// profiling, and the kernels then run their [`NoMeter`] instantiation.
+pub(crate) type Metrics<'m> = Option<&'m mut ExecMetrics>;
+
+/// One left batch in, its output against the resident right side out.
+pub(crate) type Probe = Box<dyn Fn(Vec<Tuple>, Metrics<'_>) -> Result<Vec<Tuple>, EvalError>>;
+
+/// A binary operator whose output is a per-left-tuple function of the
+/// whole right input, bound to both schemas. `build` takes the drained
+/// right side, packs it once (hash table, ID columns) and returns the
+/// [`Probe`] every left batch then runs through.
+pub(crate) struct Binary {
+    pub schema: Schema,
+    pub build: Build,
+}
+
+pub(crate) type Build = Box<dyn FnOnce(Vec<Tuple>, Metrics<'_>) -> Result<Probe, EvalError>>;
+
+fn probe(f: impl Fn(Vec<Tuple>, Metrics<'_>) -> Result<Vec<Tuple>, EvalError> + 'static) -> Probe {
+    Box::new(f)
+}
+
+/// Run `f` against the operator's metrics when profiling, against the
+/// free [`NoMeter`] otherwise.
+fn with_meter<R>(m: Metrics<'_>, f: impl FnOnce(&mut dyn Meter) -> R) -> R {
+    match m {
+        Some(m) => f(m),
+        None => f(&mut NoMeter),
+    }
+}
+
+impl<'a> Unary<'a> {
+    fn new(schema: Schema, apply: impl Fn(Vec<Tuple>) -> Vec<Tuple> + 'a) -> Unary<'a> {
+        Unary {
+            schema,
+            apply: Box::new(apply),
         }
     }
 
     // ------------------------------------------------------------------
     // selection
 
-    fn eval_select(&self, mut rel: Relation, pred: &Predicate) -> Result<Relation, EvalError> {
+    pub(crate) fn select(input: &Schema, pred: &Predicate) -> Result<Unary<'a>, EvalError> {
         // `map`-extension with reduction for a single comparison over one
         // nested column (Example 1.2.2); plain existential otherwise.
         if let Predicate::Cmp(Operand::Col(p), op, Operand::Const(c)) = pred {
-            let idx = resolve(&rel.schema, p)?;
-            if crosses_collection(&rel.schema, &idx) {
-                let tuples = rel
-                    .tuples
-                    .into_iter()
-                    .filter_map(|t| {
-                        reduce_tuple(&rel.schema, t, &idx, &mut |v| cmp_values(v, *op, c))
-                    })
-                    .collect();
-                return Ok(Relation::new(rel.schema, tuples));
+            let idx = resolve(input, p)?;
+            if crosses_collection(input, &idx) {
+                let (op, c) = (*op, c.clone());
+                return Ok(Unary::new(input.clone(), move |tuples| {
+                    tuples
+                        .into_iter()
+                        .filter_map(|t| reduce_tuple(t, &idx, &mut |v| cmp_values(v, op, &c)))
+                        .collect()
+                }));
             }
         }
         // binding resolves every attribute, so an unknown one fails here,
         // before the first tuple is read
-        let bound = BoundPred::bind(pred, &rel.schema, rel.schema.arity())?;
-        rel.tuples.retain(|t| bound.holds(t, &NO_TUPLE));
-        Ok(rel)
+        let bound = BoundPred::bind(pred, input, input.arity())?;
+        Ok(Unary::new(input.clone(), move |mut tuples| {
+            tuples.retain(|t| bound.holds(t, &NO_TUPLE));
+            tuples
+        }))
     }
 
     // ------------------------------------------------------------------
     // projection
 
-    fn eval_project(
-        &self,
-        rel: Relation,
+    pub(crate) fn project(
+        input: &Schema,
         cols: &[Path],
         distinct: bool,
-    ) -> Result<Relation, EvalError> {
-        let spec = ProjSpec::build(&rel.schema, cols)?;
-        let schema = spec.schema(&rel.schema);
-        let mut tuples: Vec<Tuple> = rel.tuples.iter().map(|t| spec.apply(t)).collect();
-        if distinct {
-            retain_first_occurrences(&mut tuples);
-        }
-        Ok(Relation::new(schema, tuples))
+    ) -> Result<Unary<'a>, EvalError> {
+        let spec = ProjSpec::build(input, cols)?;
+        Ok(Unary::new(spec.schema(input), move |tuples| {
+            let mut out: Vec<Tuple> = tuples.iter().map(|t| spec.apply(t)).collect();
+            if distinct {
+                retain_first_occurrences(&mut out);
+            }
+            out
+        }))
     }
 
     // ------------------------------------------------------------------
-    // value joins
+    // group-by / unnest / nest-all / sort
 
-    fn eval_value_join(
-        &self,
-        l: Relation,
-        r: Relation,
-        pred: &Predicate,
-        kind: JoinKind,
-    ) -> Result<Relation, EvalError> {
-        let tuples = self.with_meter(|m| {
-            let table = JoinTable::build(pred, &l.schema, &r.schema, &r.tuples, m)?;
-            Ok(table.join(&l.tuples, &r.tuples, kind, m))
-        })?;
-        Ok(Relation::new(
-            join_schema(&l.schema, &r.schema, kind, None),
-            tuples,
-        ))
-    }
-
-    /// Run `f` against the evaluator's metrics when profiling, against
-    /// the free [`NoMeter`] otherwise.
-    fn with_meter<R>(&self, f: impl FnOnce(&mut dyn Meter) -> R) -> R {
-        match &self.metrics {
-            Some(m) => f(&mut *m.borrow_mut()),
-            None => f(&mut NoMeter),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // structural joins
-
-    #[allow(clippy::too_many_arguments)]
-    fn eval_struct_join(
-        &self,
-        l: Relation,
-        r: Relation,
-        left_attr: &Path,
-        right_attr: &Path,
-        axis: Axis,
-        kind: JoinKind,
-        nest_as: Option<&str>,
-    ) -> Result<Relation, EvalError> {
-        let lidx = resolve(&l.schema, left_attr)?;
-        let ridx = resolve(&r.schema, right_attr)?;
-        if crosses_collection(&r.schema, &ridx) {
-            return Err(EvalError::TypeError(
-                "structural join right attribute must not be nested".into(),
-            ));
-        }
-        if crosses_collection(&l.schema, &lidx) {
-            return self.map_struct_join(l, r, &lidx, &ridx, axis, kind, nest_as);
-        }
-        // flat case: gather the sorted (sid, row) streams, pack, merge
-        debug_assert!(lidx.len() == 1 && ridx.len() == 1);
-        let lids = id_stream(&l.tuples, lidx[0])?;
-        let rids = id_stream(&r.tuples, ridx[0])?;
-        let pairs = if self.config.use_stacktree {
-            let lc = IdColumns::from_pairs(&lids, DEFAULT_BLOCK);
-            let rc = IdColumns::from_pairs(&rids, DEFAULT_BLOCK);
-            match &self.metrics {
-                Some(m) => stack_tree_pairs(&lc, &rc, axis, &mut *m.borrow_mut()),
-                None => stack_tree_pairs(&lc, &rc, axis, &mut NoMeter),
-            }
-        } else {
-            if let Some(m) = &self.metrics {
-                m.borrow_mut().comparisons((lids.len() * rids.len()) as u64);
-            }
-            nested_loop_pairs(&lids, &rids, axis)
-        };
-        let mut matches: Vec<Vec<usize>> = vec![Vec::new(); l.len()];
-        for (li, ri) in pairs {
-            matches[li].push(ri);
-        }
-        for m in &mut matches {
-            m.sort_unstable();
-        }
-        Ok(Relation::new(
-            join_schema(&l.schema, &r.schema, kind, nest_as),
-            assemble_join(&l.tuples, &r.tuples, r.schema.arity(), &matches, kind),
-        ))
-    }
-
-    // ------------------------------------------------------------------
-    // holistic twig join
-
-    /// Evaluate a whole tree pattern with the holistic twig merge
-    /// ([`crate::twig::twig_join`]): one sorted ID stream per pattern
-    /// node, no intermediate pair lists. Shapes the holistic operator
-    /// does not cover — map-extended (dotted) attributes, or two steps
-    /// hanging off *different* ID columns of the same input — fall back
-    /// to the equivalent binary cascade, as does the whole operator when
-    /// [`EvalConfig::use_twigstack`] is off.
-    fn eval_twig_join(
-        &self,
-        root: &LogicalPlan,
-        steps: &[TwigStep],
-    ) -> Result<Relation, EvalError> {
-        if steps.is_empty() {
-            return self.eval(root);
-        }
-        if !self.config.use_twigstack {
-            self.note_twig_fallback("use_twigstack off", steps.len());
-            return self.eval(&twig_to_cascade(root, steps));
-        }
-        let mut rels: Vec<Relation> = Vec::with_capacity(steps.len() + 1);
-        rels.push(self.eval(root)?);
-        for s in steps {
-            rels.push(self.eval(&s.input)?);
-        }
-        let schemas: Vec<&Schema> = rels.iter().map(|r| &r.schema).collect();
-        let shape = match twig_shape(&schemas, steps) {
-            Some(shape) => shape,
-            None => {
-                self.note_twig_fallback("shape not holistic-covered", steps.len());
-                return self.eval(&twig_to_cascade(root, steps));
-            }
-        };
-        let solutions = twig_solutions(&rels, &shape, steps, self.metrics.as_ref())?;
-        // one output tuple per solution; twig_join already emits them in
-        // the cascade's lexicographic order
-        let mut tuples = Vec::with_capacity(solutions.len());
-        for sol in &solutions {
-            let mut t = rels[0].tuples[sol[0]].clone();
-            for (j, &i) in sol.iter().enumerate().skip(1) {
-                t = t.concat(&rels[j].tuples[i]);
-            }
-            tuples.push(t);
-        }
-        Ok(Relation::new(shape.schema, tuples))
-    }
-
-    /// Record a holistic-twig fallback to the binary cascade: counted in
-    /// the metrics (when profiling) and reported at debug level.
-    fn note_twig_fallback(&self, why: &str, steps: usize) {
-        if let Some(m) = &self.metrics {
-            m.borrow_mut().note_fallback();
-        }
-        tracing::debug!(
-            target: "uload::eval",
-            "twig join fell back to binary cascade ({steps} steps): {why}"
-        );
-    }
-
-    // ------------------------------------------------------------------
-    // profiled evaluation
-
-    /// Evaluate `plan` while building an [`OpProfile`] tree mirroring the
-    /// plan's shape (children in [`LogicalPlan::child_plans`] order).
-    ///
-    /// Each node's inputs are first profiled recursively and materialized
-    /// as temporary scans in a shadow catalog; the node itself is then
-    /// timed as a one-level plan over those temps with the metered
-    /// kernels. `eval` itself is untouched — the unprofiled path pays
-    /// nothing for this machinery. A node's `time_ns` includes its
-    /// children's; its own share additionally covers re-reading the
-    /// materialized inputs, so treat per-node times as indicative rather
-    /// than exact.
-    pub fn eval_profiled(&self, plan: &LogicalPlan) -> Result<(Relation, OpProfile), EvalError> {
-        let children = plan.child_plans();
-        let mut kid_profiles = Vec::with_capacity(children.len());
-        let mut kid_rels = Vec::with_capacity(children.len());
-        for c in &children {
-            let (rel, prof) = self.eval_profiled(c)?;
-            kid_profiles.push(prof);
-            kid_rels.push(rel);
-        }
-        let metered = |catalog: &Catalog, one_level: &LogicalPlan| {
-            let ev = Evaluator {
-                catalog,
-                doc: self.doc,
-                config: self.config,
-                metrics: Some(RefCell::new(ExecMetrics::default())),
-            };
-            let start = Instant::now();
-            let rel = ev.eval(one_level)?;
-            let elapsed = start.elapsed().as_nanos() as u64;
-            let metrics = ev.metrics.expect("set above").into_inner();
-            Ok::<_, EvalError>((rel, metrics, elapsed))
-        };
-        let (rel, metrics, self_ns) = if children.is_empty() {
-            metered(self.catalog, plan)?
-        } else {
-            let mut shadow = Catalog::new();
-            for (k, r) in kid_rels.into_iter().enumerate() {
-                shadow.insert(format!("__prof_{k}"), r);
-            }
-            let one_level = plan.with_child_plans(
-                (0..children.len())
-                    .map(|k| LogicalPlan::scan(format!("__prof_{k}")))
-                    .collect(),
-            );
-            metered(&shadow, &one_level)?
-        };
-        let child_ns: u64 = kid_profiles.iter().map(|p: &OpProfile| p.time_ns).sum();
-        let profile = OpProfile {
-            op: plan.node_label(),
-            out_rows: rel.len() as u64,
-            time_ns: self_ns + child_ns,
-            metrics,
-            children: kid_profiles,
-        };
-        Ok((rel, profile))
-    }
-
-    /// `map`-extended structural join: the left ID lives inside a nested
-    /// collection attribute (Example 1.2.3). The join is applied inside each
-    /// nested collection; left tuples whose every nested collection joins
-    /// empty are eliminated (for the non-outer kinds).
-    #[allow(clippy::too_many_arguments)]
-    fn map_struct_join(
-        &self,
-        l: Relation,
-        r: Relation,
-        lidx: &[usize],
-        ridx: &[usize],
-        axis: Axis,
-        kind: JoinKind,
-        nest_as: Option<&str>,
-    ) -> Result<Relation, EvalError> {
-        // Split the path at the first collection crossing.
-        let first = lidx[0];
-        let inner_schema = match &l.schema.fields[first].kind {
-            FieldKind::Nested(s) => s.clone(),
-            FieldKind::Atom => {
-                return Err(EvalError::TypeError(
-                    "map struct join expected nested field".into(),
-                ))
-            }
-        };
-        let rest = &lidx[1..];
-        // Recursively join the nested relation.
-        let mut out_inner_schema: Option<Schema> = None;
-        let mut tuples = Vec::new();
-        for t in &l.tuples {
-            let Value::Coll(c) = t.get(first) else {
-                continue;
-            };
-            let inner_rel = Relation::new(inner_schema.clone(), c.tuples.clone());
-            let joined = if crosses_collection(&inner_schema, rest) {
-                self.map_struct_join(inner_rel, r.clone(), rest, ridx, axis, kind, nest_as)?
-            } else {
-                // delegate to flat join at this level
-                let right_path = Path::new(index_path_name(&r.schema, ridx));
-                let left_path = Path::new(index_path_name(&inner_schema, rest));
-                self.eval_struct_join(
-                    inner_rel,
-                    r.clone(),
-                    &left_path,
-                    &right_path,
-                    axis,
-                    kind,
-                    nest_as,
-                )?
-            };
-            if out_inner_schema.is_none() {
-                out_inner_schema = Some(joined.schema.clone());
-            }
-            let keep_empty = matches!(kind, JoinKind::LeftOuter | JoinKind::NestOuter);
-            if joined.tuples.is_empty() && !keep_empty {
-                continue; // eliminate: all nested maps empty
-            }
-            let mut nt = t.clone();
-            nt.0[first] = Value::Coll(Collection::list(joined.tuples));
-            tuples.push(nt);
-        }
-        let mut schema = l.schema.clone();
-        if let Some(s) = out_inner_schema {
-            schema.fields[first].kind = FieldKind::Nested(s);
-        } else {
-            // no tuples: compute schema structurally for consistency
-            let dummy = Relation::empty(inner_schema);
-            let right_path = Path::new(index_path_name(&r.schema, ridx));
-            let left_path = Path::new(index_path_name(&dummy.schema, rest));
-            let joined = self.eval_struct_join(
-                dummy,
-                r.clone(),
-                &left_path,
-                &right_path,
-                axis,
-                kind,
-                nest_as,
-            )?;
-            schema.fields[first].kind = FieldKind::Nested(joined.schema);
-        }
-        Ok(Relation::new(schema, tuples))
-    }
-
-    // ------------------------------------------------------------------
-    // group-by / unnest
-
-    fn eval_group_by(
-        &self,
-        rel: Relation,
+    pub(crate) fn group_by(
+        input: &Schema,
         keys: &[Path],
         nest_as: &str,
-    ) -> Result<Relation, EvalError> {
+    ) -> Result<Unary<'a>, EvalError> {
         let key_idx: Vec<usize> = keys
             .iter()
             .map(|p| {
-                let idx = resolve(&rel.schema, p)?;
+                let idx = resolve(input, p)?;
                 if idx.len() != 1 {
                     return Err(EvalError::TypeError(
                         "group-by keys must be top-level attributes".into(),
@@ -783,64 +336,57 @@ impl<'a> Evaluator<'a> {
                 Ok(idx[0])
             })
             .collect::<Result<_, _>>()?;
-        let rest_idx: Vec<usize> = (0..rel.schema.arity())
+        let rest_idx: Vec<usize> = (0..input.arity())
             .filter(|i| !key_idx.contains(i))
             .collect();
-        let rest_schema = Schema::new(
-            rest_idx
-                .iter()
-                .map(|&i| rel.schema.fields[i].clone())
-                .collect(),
-        );
-        let mut schema_fields: Vec<Field> = key_idx
-            .iter()
-            .map(|&i| rel.schema.fields[i].clone())
-            .collect();
+        let rest_schema = Schema::new(rest_idx.iter().map(|&i| input.fields[i].clone()).collect());
+        let mut schema_fields: Vec<Field> =
+            key_idx.iter().map(|&i| input.fields[i].clone()).collect();
         schema_fields.push(Field::nested(nest_as, rest_schema));
-        let schema = Schema::new(schema_fields);
 
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: HashMap<String, (Tuple, Vec<Tuple>)> = HashMap::new();
-        for t in &rel.tuples {
-            let key_vals: Vec<Value> = key_idx.iter().map(|&i| t.get(i).clone()).collect();
-            let rest_vals: Vec<Value> = rest_idx.iter().map(|&i| t.get(i).clone()).collect();
-            let key = format!("{}", Tuple::new(key_vals.clone()));
-            groups
-                .entry(key.clone())
-                .or_insert_with(|| {
-                    order.push(key);
-                    (Tuple::new(key_vals), Vec::new())
+        Ok(Unary::new(Schema::new(schema_fields), move |tuples| {
+            let mut order: Vec<String> = Vec::new();
+            let mut groups: HashMap<String, (Tuple, Vec<Tuple>)> = HashMap::new();
+            for t in &tuples {
+                let key_vals: Vec<Value> = key_idx.iter().map(|&i| t.get(i).clone()).collect();
+                let rest_vals: Vec<Value> = rest_idx.iter().map(|&i| t.get(i).clone()).collect();
+                let key = format!("{}", Tuple::new(key_vals.clone()));
+                groups
+                    .entry(key.clone())
+                    .or_insert_with(|| {
+                        order.push(key);
+                        (Tuple::new(key_vals), Vec::new())
+                    })
+                    .1
+                    .push(Tuple::new(rest_vals));
+            }
+            order
+                .into_iter()
+                .map(|k| {
+                    let (mut key_tuple, rest) = groups.remove(&k).unwrap();
+                    key_tuple.0.push(Value::Coll(Collection::list(rest)));
+                    key_tuple
                 })
-                .1
-                .push(Tuple::new(rest_vals));
-        }
-        let tuples = order
-            .into_iter()
-            .map(|k| {
-                let (mut key_tuple, rest) = groups.remove(&k).unwrap();
-                key_tuple.0.push(Value::Coll(Collection::list(rest)));
-                key_tuple
-            })
-            .collect();
-        Ok(Relation::new(schema, tuples))
+                .collect()
+        }))
     }
 
-    fn eval_unnest(&self, rel: Relation, attr: &Path) -> Result<Relation, EvalError> {
-        let idx = resolve(&rel.schema, attr)?;
+    pub(crate) fn unnest(input: &Schema, attr: &Path) -> Result<Unary<'a>, EvalError> {
+        let idx = resolve(input, attr)?;
         if idx.len() != 1 {
             return Err(EvalError::TypeError(
                 "unnest attribute must be top-level".into(),
             ));
         }
         let i = idx[0];
-        let inner = match &rel.schema.fields[i].kind {
+        let inner = match &input.fields[i].kind {
             FieldKind::Nested(s) => s.clone(),
             FieldKind::Atom => {
                 return Err(EvalError::TypeError("unnest of atomic attribute".into()))
             }
         };
         let mut fields = Vec::new();
-        for (j, f) in rel.schema.fields.iter().enumerate() {
+        for (j, f) in input.fields.iter().enumerate() {
             if j == i {
                 fields.extend(inner.fields.iter().cloned());
             } else {
@@ -848,139 +394,482 @@ impl<'a> Evaluator<'a> {
             }
         }
         let schema = Schema::new(fields);
-        let mut tuples = Vec::new();
-        for t in &rel.tuples {
-            if let Value::Coll(c) = t.get(i) {
-                for nt in &c.tuples {
-                    let mut vals = Vec::with_capacity(schema.arity());
-                    for (j, v) in t.0.iter().enumerate() {
-                        if j == i {
-                            vals.extend(nt.0.iter().cloned());
-                        } else {
-                            vals.push(v.clone());
+        let arity = schema.arity();
+        Ok(Unary::new(schema, move |tuples| {
+            let mut out = Vec::new();
+            for t in &tuples {
+                if let Value::Coll(c) = t.get(i) {
+                    for nt in &c.tuples {
+                        let mut vals = Vec::with_capacity(arity);
+                        for (j, v) in t.0.iter().enumerate() {
+                            if j == i {
+                                vals.extend(nt.0.iter().cloned());
+                            } else {
+                                vals.push(v.clone());
+                            }
                         }
+                        out.push(Tuple::new(vals));
                     }
-                    tuples.push(Tuple::new(vals));
                 }
             }
+            out
+        }))
+    }
+
+    pub(crate) fn nest_all(input: &Schema, as_name: &str) -> Unary<'a> {
+        let schema = Schema::new(vec![Field::nested(as_name, input.clone())]);
+        Unary::new(schema, |tuples| {
+            vec![Tuple::new(vec![Value::Coll(Collection::list(tuples))])]
+        })
+    }
+
+    pub(crate) fn sort(input: &Schema, by: &[Path]) -> Result<Unary<'a>, EvalError> {
+        let idxs: Vec<Vec<usize>> = by
+            .iter()
+            .map(|p| resolve(input, p))
+            .collect::<Result<_, _>>()?;
+        Ok(Unary::new(input.clone(), move |mut tuples| {
+            tuples.sort_by(|a, b| {
+                for idx in &idxs {
+                    let va = flat_value(a, idx);
+                    let vb = flat_value(b, idx);
+                    let c = value_cmp(&va, &vb);
+                    if c != std::cmp::Ordering::Equal {
+                        return c;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+            tuples
+        }))
+    }
+
+    // ------------------------------------------------------------------
+    // tagging, schema-only operators
+
+    pub(crate) fn xml_template(input: &Schema, templ: &Template) -> Unary<'a> {
+        let (input, templ) = (input.clone(), templ.clone());
+        Unary::new(Schema::atoms(&["xml"]), move |tuples| {
+            tuples
+                .iter()
+                .map(|t| {
+                    let mut out = String::new();
+                    templ.render(&input, t, &mut out);
+                    Tuple::new(vec![Value::str(out)])
+                })
+                .collect()
+        })
+    }
+
+    pub(crate) fn cast(input: &Schema, schema: &Schema) -> Result<Unary<'a>, EvalError> {
+        fn shape_eq(a: &Schema, b: &Schema) -> bool {
+            a.arity() == b.arity()
+                && a.fields
+                    .iter()
+                    .zip(&b.fields)
+                    .all(|(x, y)| match (&x.kind, &y.kind) {
+                        (FieldKind::Atom, FieldKind::Atom) => true,
+                        (FieldKind::Nested(m), FieldKind::Nested(n)) => shape_eq(m, n),
+                        _ => false,
+                    })
         }
-        Ok(Relation::new(schema, tuples))
+        if !shape_eq(input, schema) {
+            return Err(EvalError::TypeError(format!(
+                "cast shape mismatch: {input} vs {schema}"
+            )));
+        }
+        Ok(Unary::new(schema.clone(), |tuples| tuples))
+    }
+
+    pub(crate) fn rename(input: &Schema, names: &[String]) -> Result<Unary<'a>, EvalError> {
+        if names.len() != input.arity() {
+            return Err(EvalError::TypeError(format!(
+                "rename arity mismatch: {} names for {} fields",
+                names.len(),
+                input.arity()
+            )));
+        }
+        let mut schema = input.clone();
+        for (f, n) in schema.fields.iter_mut().zip(names) {
+            f.name = n.clone();
+        }
+        Ok(Unary::new(schema, |tuples| tuples))
     }
 
     // ------------------------------------------------------------------
     // document-backed operators
 
-    fn eval_navigate(
-        &self,
-        rel: Relation,
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn navigate(
+        input: &Schema,
+        doc: Option<&'a Document>,
         from_attr: &Path,
         axis: Axis,
         label: &str,
         as_prefix: &str,
         mode: NavMode,
-    ) -> Result<Relation, EvalError> {
-        let doc = self.doc.ok_or(EvalError::NeedsDocument("Navigate"))?;
-        let idx = resolve(&rel.schema, from_attr)?;
-        if crosses_collection(&rel.schema, &idx) {
+    ) -> Result<Unary<'a>, EvalError> {
+        let doc = doc.ok_or(EvalError::NeedsDocument("Navigate"))?;
+        let idx = resolve(input, from_attr)?;
+        if crosses_collection(input, &idx) {
             return Err(EvalError::TypeError(
                 "navigate source attribute must not be nested".into(),
             ));
         }
-        let mut schema = rel.schema.clone();
+        let mut schema = input.clone();
         if mode != NavMode::Exists {
             schema.fields.push(Field::atom(format!("{as_prefix}_ID")));
             schema.fields.push(Field::atom(format!("{as_prefix}_Val")));
             schema.fields.push(Field::atom(format!("{as_prefix}_Cont")));
         }
-        let mut tuples = Vec::new();
-        for t in &rel.tuples {
-            let targets: Vec<NodeId> = match flat_value(t, &idx).as_id() {
-                None => Vec::new(),
-                Some(sid) => {
-                    let n = NodeId(sid.pre);
-                    let (want_attr, want) = match label.strip_prefix('@') {
-                        Some(a) => (true, a),
-                        None => (false, label),
-                    };
-                    let matches_label = |doc: &Document, m: NodeId| -> bool {
-                        let k = doc.kind(m);
-                        if want_attr {
-                            k == NodeKind::Attribute && doc.label(m) == want
-                        } else if want == "*" {
-                            k == NodeKind::Element
-                        } else {
-                            k == NodeKind::Element && doc.label(m) == want
+        let label = label.to_string();
+        Ok(Unary::new(schema, move |tuples| {
+            let mut out = Vec::new();
+            for t in &tuples {
+                let targets: Vec<NodeId> = match flat_value(t, &idx).as_id() {
+                    None => Vec::new(),
+                    Some(sid) => {
+                        let n = NodeId(sid.pre);
+                        let (want_attr, want) = match label.strip_prefix('@') {
+                            Some(a) => (true, a),
+                            None => (false, label.as_str()),
+                        };
+                        let matches_label = |doc: &Document, m: NodeId| -> bool {
+                            let k = doc.kind(m);
+                            if want_attr {
+                                k == NodeKind::Attribute && doc.label(m) == want
+                            } else if want == "*" {
+                                k == NodeKind::Element
+                            } else {
+                                k == NodeKind::Element && doc.label(m) == want
+                            }
+                        };
+                        match axis {
+                            Axis::Child => doc
+                                .children(n)
+                                .iter()
+                                .copied()
+                                .filter(|&m| matches_label(doc, m))
+                                .collect(),
+                            Axis::Descendant => doc
+                                .descendants(n)
+                                .filter(|&m| matches_label(doc, m))
+                                .collect(),
                         }
-                    };
-                    match axis {
-                        Axis::Child => doc
-                            .children(n)
-                            .iter()
-                            .copied()
-                            .filter(|&m| matches_label(doc, m))
-                            .collect(),
-                        Axis::Descendant => doc
-                            .descendants(n)
-                            .filter(|&m| matches_label(doc, m))
-                            .collect(),
                     }
-                }
-            };
-            match mode {
-                NavMode::Exists => {
-                    if !targets.is_empty() {
-                        tuples.push(t.clone());
+                };
+                match mode {
+                    NavMode::Exists => {
+                        if !targets.is_empty() {
+                            out.push(t.clone());
+                        }
                     }
-                }
-                NavMode::Outer if targets.is_empty() => {
-                    let mut nt = t.clone();
-                    nt.0.push(Value::Null);
-                    nt.0.push(Value::Null);
-                    nt.0.push(Value::Null);
-                    tuples.push(nt);
-                }
-                _ => {
-                    for m in targets {
+                    NavMode::Outer if targets.is_empty() => {
                         let mut nt = t.clone();
-                        nt.0.push(Value::Id(doc.structural_id(m)));
-                        nt.0.push(Value::str(doc.value(m)));
-                        nt.0.push(Value::str(doc.content(m)));
-                        tuples.push(nt);
+                        nt.0.push(Value::Null);
+                        nt.0.push(Value::Null);
+                        nt.0.push(Value::Null);
+                        out.push(nt);
+                    }
+                    _ => {
+                        for m in targets {
+                            let mut nt = t.clone();
+                            nt.0.push(Value::Id(doc.structural_id(m)));
+                            nt.0.push(Value::str(doc.value(m)));
+                            nt.0.push(Value::str(doc.content(m)));
+                            out.push(nt);
+                        }
                     }
                 }
             }
-        }
-        Ok(Relation::new(schema, tuples))
+            out
+        }))
     }
 
-    fn eval_derive_ancestor(
-        &self,
-        rel: Relation,
+    pub(crate) fn fetch(
+        input: &Schema,
+        doc: Option<&'a Document>,
+        id_attr: &Path,
+        what: FetchWhat,
+        as_name: &str,
+    ) -> Result<Unary<'a>, EvalError> {
+        let doc = doc.ok_or(EvalError::NeedsDocument("Fetch"))?;
+        let idx = resolve(input, id_attr)?;
+        let mut schema = input.clone();
+        schema.fields.push(Field::atom(as_name));
+        Ok(Unary::new(schema, move |tuples| {
+            tuples
+                .iter()
+                .map(|t| {
+                    let v = match flat_value(t, &idx).as_id() {
+                        None => Value::Null,
+                        Some(sid) => {
+                            let n = NodeId(sid.pre);
+                            match what {
+                                FetchWhat::Val => Value::str(doc.value(n)),
+                                FetchWhat::Cont => Value::str(doc.content(n)),
+                                FetchWhat::Tag => Value::str(doc.label(n)),
+                            }
+                        }
+                    };
+                    let mut nt = t.clone();
+                    nt.0.push(v);
+                    nt
+                })
+                .collect()
+        }))
+    }
+
+    pub(crate) fn derive_ancestor(
+        input: &Schema,
+        doc: Option<&'a Document>,
         attr: &Path,
         levels: u16,
         as_name: &str,
-    ) -> Result<Relation, EvalError> {
-        let doc = self
-            .doc
-            .ok_or(EvalError::NeedsDocument("DeriveAncestorId"))?;
-        let idx = resolve(&rel.schema, attr)?;
-        let mut schema = rel.schema.clone();
+    ) -> Result<Unary<'a>, EvalError> {
+        let doc = doc.ok_or(EvalError::NeedsDocument("DeriveAncestorId"))?;
+        let idx = resolve(input, attr)?;
+        let mut schema = input.clone();
         schema.fields.push(Field::atom(as_name));
-        let mut tuples = Vec::new();
-        for t in &rel.tuples {
-            let anc = flat_value(t, &idx).as_id().and_then(|sid| {
-                let mut n = NodeId(sid.pre);
-                for _ in 0..levels {
-                    n = doc.parent(n)?;
-                }
-                Some(doc.structural_id(n))
-            });
-            let mut nt = t.clone();
-            nt.0.push(anc.map(Value::Id).unwrap_or(Value::Null));
-            tuples.push(nt);
-        }
-        Ok(Relation::new(schema, tuples))
+        Ok(Unary::new(schema, move |tuples| {
+            let mut out = Vec::new();
+            for t in &tuples {
+                let anc = flat_value(t, &idx).as_id().and_then(|sid| {
+                    let mut n = NodeId(sid.pre);
+                    for _ in 0..levels {
+                        n = doc.parent(n)?;
+                    }
+                    Some(doc.structural_id(n))
+                });
+                let mut nt = t.clone();
+                nt.0.push(anc.map(Value::Id).unwrap_or(Value::Null));
+                out.push(nt);
+            }
+            out
+        }))
     }
+}
+
+impl Binary {
+    fn new(
+        schema: Schema,
+        build: impl FnOnce(Vec<Tuple>, Metrics<'_>) -> Result<Probe, EvalError> + 'static,
+    ) -> Binary {
+        Binary {
+            schema,
+            build: Box::new(build),
+        }
+    }
+
+    pub(crate) fn product(left: &Schema, right: &Schema) -> Binary {
+        Binary::new(left.concat(right), |right, _| {
+            Ok(probe(move |left, _| {
+                let mut out = Vec::with_capacity(left.len() * right.len());
+                for lt in &left {
+                    for rt in &right {
+                        out.push(lt.concat(rt));
+                    }
+                }
+                Ok(out)
+            }))
+        })
+    }
+
+    /// `Difference` probes the right input's tuples by their
+    /// [`ByValue`] hash.
+    pub(crate) fn difference(left: &Schema) -> Binary {
+        fn hash_of(t: &Tuple) -> u64 {
+            let mut h = DefaultHasher::new();
+            ByValue(t).hash(&mut h);
+            h.finish()
+        }
+        Binary::new(left.clone(), |right, _| {
+            let mut slots: HashMap<u64, Vec<usize>> = HashMap::new();
+            for (i, t) in right.iter().enumerate() {
+                slots.entry(hash_of(t)).or_default().push(i);
+            }
+            Ok(probe(move |mut left, _| {
+                left.retain(|t| {
+                    !slots
+                        .get(&hash_of(t))
+                        .is_some_and(|slot| slot.iter().any(|&i| ByValue(t) == ByValue(&right[i])))
+                });
+                Ok(left)
+            }))
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // value joins
+
+    pub(crate) fn value_join(
+        left: &Schema,
+        right: &Schema,
+        pred: &Predicate,
+        kind: JoinKind,
+    ) -> Result<Binary, EvalError> {
+        let mut table = JoinTable::bind(pred, left, right)?;
+        let schema = join_schema(left, right, kind, None);
+        Ok(Binary::new(schema, move |right, m| {
+            with_meter(m, |m| table.fill(&right, m));
+            Ok(probe(move |left, m| {
+                Ok(with_meter(m, |m| table.join(&left, &right, kind, m)))
+            }))
+        }))
+    }
+
+    // ------------------------------------------------------------------
+    // structural joins
+
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn struct_join(
+        left: &Schema,
+        right: &Schema,
+        left_attr: &Path,
+        right_attr: &Path,
+        axis: Axis,
+        kind: JoinKind,
+        nest_as: Option<&str>,
+        use_stacktree: bool,
+    ) -> Result<Binary, EvalError> {
+        let lidx = resolve(left, left_attr)?;
+        let ridx = resolve(right, right_attr)?;
+        if crosses_collection(right, &ridx) {
+            return Err(EvalError::TypeError(
+                "structural join right attribute must not be nested".into(),
+            ));
+        }
+        let schema = struct_join_schema(left, &lidx, right, kind, nest_as)?;
+        let (rcol, arity) = (ridx[0], right.arity());
+        Ok(Binary::new(schema, move |tuples, _| {
+            // the right side's sorted (sid, row) stream, packed once
+            let ids = id_stream(&tuples, rcol)?;
+            let ids = if use_stacktree {
+                RightIds::Packed(IdColumns::from_pairs(&ids, DEFAULT_BLOCK))
+            } else {
+                RightIds::Pairs(ids)
+            };
+            let right = StructRight { tuples, ids, arity };
+            Ok(probe(move |left, m| {
+                map_struct_join(left, &lidx, &right, axis, kind, m)
+            }))
+        }))
+    }
+}
+
+/// The resident right side of a structural join.
+struct StructRight {
+    tuples: Vec<Tuple>,
+    ids: RightIds,
+    arity: usize,
+}
+
+/// Its ID stream: packed for the StackTree merge, or as plain pairs for
+/// the nested loop ([`EvalConfig::use_stacktree`] off).
+enum RightIds {
+    Packed(IdColumns),
+    Pairs(Vec<(StructuralId, u32)>),
+}
+
+/// Flat structural join: gather the left batch's sorted (sid, row)
+/// stream, pack, merge against the resident right side.
+fn flat_struct_join(
+    left: &[Tuple],
+    lcol: usize,
+    right: &StructRight,
+    axis: Axis,
+    kind: JoinKind,
+    m: Metrics<'_>,
+) -> Result<Vec<Tuple>, EvalError> {
+    let lids = id_stream(left, lcol)?;
+    let pairs = match &right.ids {
+        RightIds::Packed(rc) => {
+            let lc = IdColumns::from_pairs(&lids, DEFAULT_BLOCK);
+            match m {
+                Some(m) => stack_tree_pairs(&lc, rc, axis, m),
+                None => stack_tree_pairs(&lc, rc, axis, &mut NoMeter),
+            }
+        }
+        RightIds::Pairs(rids) => {
+            if let Some(m) = m {
+                m.comparisons((lids.len() * rids.len()) as u64);
+            }
+            nested_loop_pairs(&lids, rids, axis)
+        }
+    };
+    let mut matches: Vec<Vec<usize>> = vec![Vec::new(); left.len()];
+    for (li, ri) in pairs {
+        matches[li].push(ri);
+    }
+    for m in &mut matches {
+        m.sort_unstable();
+    }
+    Ok(assemble_join(
+        left,
+        &right.tuples,
+        right.arity,
+        &matches,
+        kind,
+    ))
+}
+
+/// `map`-extended structural join: while the left ID lives inside a
+/// nested collection attribute (Example 1.2.3) the join is applied inside
+/// each nested collection; left tuples whose every nested collection
+/// joins empty are eliminated (for the non-outer kinds).
+fn map_struct_join(
+    left: Vec<Tuple>,
+    lidx: &[usize],
+    right: &StructRight,
+    axis: Axis,
+    kind: JoinKind,
+    mut m: Metrics<'_>,
+) -> Result<Vec<Tuple>, EvalError> {
+    let [first, rest @ ..] = lidx else {
+        unreachable!("resolved paths are never empty")
+    };
+    if rest.is_empty() {
+        return flat_struct_join(&left, *first, right, axis, kind, m);
+    }
+    let keep_empty = matches!(kind, JoinKind::LeftOuter | JoinKind::NestOuter);
+    let mut out = Vec::new();
+    for mut t in left {
+        let Value::Coll(c) = &mut t.0[*first] else {
+            continue;
+        };
+        let inner = std::mem::take(&mut c.tuples);
+        let joined = map_struct_join(inner, rest, right, axis, kind, m.as_deref_mut())?;
+        if joined.is_empty() && !keep_empty {
+            continue; // eliminate: all nested maps empty
+        }
+        t.0[*first] = Value::Coll(Collection::list(joined));
+        out.push(t);
+    }
+    Ok(out)
+}
+
+/// Output schema of a structural join whose left attribute sits at
+/// `lidx`: the flat [`join_schema`] at the level the attribute lives on,
+/// re-wrapped in each nested field the path crosses.
+fn struct_join_schema(
+    left: &Schema,
+    lidx: &[usize],
+    right: &Schema,
+    kind: JoinKind,
+    nest_as: Option<&str>,
+) -> Result<Schema, EvalError> {
+    if !crosses_collection(left, lidx) {
+        return Ok(join_schema(left, right, kind, nest_as));
+    }
+    let FieldKind::Nested(inner) = &left.fields[lidx[0]].kind else {
+        return Err(EvalError::TypeError(
+            "map struct join expected nested field".into(),
+        ));
+    };
+    let mut schema = left.clone();
+    schema.fields[lidx[0]].kind =
+        FieldKind::Nested(struct_join_schema(inner, &lidx[1..], right, kind, nest_as)?);
+    Ok(schema)
 }
 
 // ----------------------------------------------------------------------
@@ -1011,12 +900,7 @@ fn flat_value(t: &Tuple, idx: &[usize]) -> Value {
 /// Reduce a tuple on a nested path: keep only nested tuples whose value at
 /// the path satisfies `f`; eliminate the tuple if nothing remains
 /// (Example 1.2.2's `map(σ, r, A1.A11)`).
-fn reduce_tuple(
-    _schema: &Schema,
-    mut t: Tuple,
-    idx: &[usize],
-    f: &mut dyn FnMut(&Value) -> bool,
-) -> Option<Tuple> {
+fn reduce_tuple(mut t: Tuple, idx: &[usize], f: &mut dyn FnMut(&Value) -> bool) -> Option<Tuple> {
     fn rec(v: &mut Value, rest: &[usize], f: &mut dyn FnMut(&Value) -> bool) -> bool {
         match v {
             Value::Coll(c) => {
@@ -1144,7 +1028,7 @@ fn dedup_key(t: &Tuple) -> String {
 }
 
 // ----------------------------------------------------------------------
-// twig shape analysis (shared with the pipelined executor)
+// twig shape analysis
 
 /// The holistic operator's view of a twig's inputs: the single ID column
 /// of each input the pattern references, each step's parent
@@ -1208,14 +1092,14 @@ pub(crate) fn twig_shape(schemas: &[&Schema], steps: &[TwigStep]) -> Option<Twig
     })
 }
 
-/// Run the holistic multi-way merge over materialized twig inputs whose
+/// Run the holistic multi-way merge over the drained twig inputs, whose
 /// shape was validated by [`twig_shape`]: one row-index vector per
 /// solution (root first), in the cascade's lexicographic order.
 pub(crate) fn twig_solutions(
-    rels: &[Relation],
+    inputs: &[Vec<Tuple>],
     shape: &TwigShape,
     steps: &[TwigStep],
-    metrics: Option<&RefCell<ExecMetrics>>,
+    m: Metrics<'_>,
 ) -> Result<Vec<Vec<usize>>, EvalError> {
     let mut pattern = TwigPattern::root();
     for (k, s) in steps.iter().enumerate() {
@@ -1224,32 +1108,16 @@ pub(crate) fn twig_solutions(
     }
     // pack each stream to structure-of-arrays — one linear pass per
     // stream — and run the merge
-    let mut cols: Vec<IdColumns> = Vec::with_capacity(rels.len());
-    for (r, &col) in rels.iter().zip(&shape.node_attr) {
-        let ids = id_stream(&r.tuples, col)?;
+    let mut cols: Vec<IdColumns> = Vec::with_capacity(inputs.len());
+    for (tuples, &col) in inputs.iter().zip(&shape.node_attr) {
+        let ids = id_stream(tuples, col)?;
         cols.push(IdColumns::from_pairs(&ids, DEFAULT_BLOCK));
     }
     let refs: Vec<&IdColumns> = cols.iter().collect();
-    Ok(match metrics {
-        Some(m) => twig_join(&pattern, &refs, &mut *m.borrow_mut()),
+    Ok(match m {
+        Some(m) => twig_join(&pattern, &refs, m),
         None => twig_join(&pattern, &refs, &mut NoMeter),
     })
-}
-
-/// Dotted name of an index path (for re-entrant resolution in map joins).
-fn index_path_name(schema: &Schema, idx: &[usize]) -> String {
-    let mut names = Vec::new();
-    let mut s = schema;
-    for (k, &i) in idx.iter().enumerate() {
-        names.push(s.fields[i].name.clone());
-        if k + 1 < idx.len() {
-            s = match &s.fields[i].kind {
-                FieldKind::Nested(n) => n,
-                FieldKind::Atom => break,
-            };
-        }
-    }
-    names.join(".")
 }
 
 // ----------------------------------------------------------------------
@@ -1959,60 +1827,6 @@ mod tests {
                                        // the toggle routes through the cascade and still agrees
         ev.config.use_twigstack = false;
         assert_eq!(ev.eval(&fused).unwrap(), via_cascade);
-    }
-
-    #[test]
-    fn profiled_eval_matches_plain_and_mirrors_plan_shape() {
-        let (_doc, cat) = setup();
-        let plan = LogicalPlan::scan("book")
-            .rename(&["b_id", "b_t", "b_v", "b_c"])
-            .struct_join(
-                LogicalPlan::scan("author").rename(&["a_id", "a_t", "a_v", "a_c"]),
-                "b_id",
-                "a_id",
-                Axis::Child,
-                JoinKind::Inner,
-            )
-            .project(&["a_v"]);
-        let ev = Evaluator::new(&cat);
-        let plain = ev.eval(&plan).unwrap();
-        let (profiled, prof) = ev.eval_profiled(&plan).unwrap();
-        assert_eq!(
-            profiled, plain,
-            "profiled execution must not change results"
-        );
-        // tree mirrors the plan: project → join → {rename → scan} × 2
-        assert_eq!(prof.node_count(), plan.size());
-        assert_eq!(prof.out_rows, plain.len() as u64);
-        assert!(prof.op.starts_with("Project"), "{}", prof.op);
-        let join = &prof.children[0];
-        assert!(join.op.starts_with("StructJoin"), "{}", join.op);
-        assert_eq!(join.children.len(), 2);
-        assert!(join.metrics.comparisons > 0, "{:?}", join.metrics);
-        // time aggregates: parent includes children
-        assert!(prof.time_ns >= join.time_ns);
-        // profiling off by default: the evaluator carries no metrics
-        assert!(ev.metrics.is_none());
-    }
-
-    #[test]
-    fn profiled_twig_counts_fallbacks_when_toggled_off() {
-        let (_doc, cat) = setup();
-        let twig = LogicalPlan::scan("book")
-            .rename(&["b_id", "b_t", "b_v", "b_c"])
-            .twig_join(vec![TwigStep::new(
-                LogicalPlan::scan("author").rename(&["a_id", "a_t", "a_v", "a_c"]),
-                "b_id",
-                "a_id",
-                Axis::Child,
-            )]);
-        let mut ev = Evaluator::new(&cat);
-        let (_, prof) = ev.eval_profiled(&twig).unwrap();
-        assert_eq!(prof.metrics.twig_fallbacks, 0);
-        ev.config.use_twigstack = false;
-        let (rel, prof_off) = ev.eval_profiled(&twig).unwrap();
-        assert_eq!(prof_off.metrics.twig_fallbacks, 1, "{:?}", prof_off.metrics);
-        assert_eq!(rel.len() as u64, prof_off.out_rows);
     }
 
     #[test]

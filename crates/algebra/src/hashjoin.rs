@@ -1,5 +1,5 @@
 //! The value-join kernel: one build/probe table for every `Join` the
-//! engine runs, shared by the materialized evaluator and the cursor tree.
+//! engine runs.
 //!
 //! The algorithm is read off the predicate. If it has an equality
 //! conjunct `l.a = r.b` spanning both inputs ([`Predicate::equi_conjuncts`]),
@@ -81,17 +81,18 @@ fn each_key_hash(t: &Tuple, idx: &[usize], f: &mut impl FnMut(u64)) {
     });
 }
 
-/// The hashed equality conjunct: its left-side column, and the right
+/// The hashed equality conjunct: its column on either side, and the right
 /// tuples' indices by the key hash of its right-side column, each list
 /// ascending.
 #[derive(Debug)]
 struct HashSide {
     probe_col: Vec<usize>,
+    build_col: Vec<usize>,
     slots: HashMap<u64, Vec<usize>>,
 }
 
 /// A value join's predicate bound to its input schemas, plus — when the
-/// predicate is hashable — the table built over the right input.
+/// predicate is hashable — the table over the right input.
 #[derive(Debug)]
 pub(crate) struct JoinTable {
     pred: BoundPred,
@@ -101,52 +102,55 @@ pub(crate) struct JoinTable {
 
 impl JoinTable {
     /// Bind `pred` to `left ++ right` (an unknown attribute fails here)
-    /// and, if it has an equality conjunct across the two sides, build
-    /// the table over `right_tuples`. The build side is always the right
-    /// one: it is the side both executors already hold whole.
-    pub(crate) fn build(
+    /// and pick the equality conjunct across the two sides to hash on, if
+    /// it has one. The table is empty until [`JoinTable::fill`].
+    pub(crate) fn bind(
         pred: &Predicate,
         left: &Schema,
         right: &Schema,
-        right_tuples: &[Tuple],
-        meter: &mut dyn Meter,
     ) -> Result<JoinTable, EvalError> {
         let schema = left.concat(right);
         let split = left.arity();
         let bound = BoundPred::bind(pred, &schema, split)?;
-        let key = pred.equi_conjuncts().into_iter().find_map(|(a, b)| {
+        let hash = pred.equi_conjuncts().into_iter().find_map(|(a, b)| {
             // both resolve: `bind` just did
             let a = ColRef::resolve(a, &schema, split).ok()?;
             let b = ColRef::resolve(b, &schema, split).ok()?;
-            match (a.right, b.right) {
-                (false, true) => Some((a.idx, b.idx)),
-                (true, false) => Some((b.idx, a.idx)),
-                _ => None,
-            }
-        });
-        let hash = key.map(|(lcol, rcol)| {
-            let mut slots: HashMap<u64, Vec<usize>> = HashMap::new();
-            let mut inserted = 0u64;
-            for (ri, rt) in right_tuples.iter().enumerate() {
-                each_key_hash(rt, &rcol, &mut |h| {
-                    inserted += 1;
-                    let slot = slots.entry(h).or_default();
-                    if slot.last() != Some(&ri) {
-                        slot.push(ri);
-                    }
-                });
-            }
-            meter.comparisons(inserted);
-            HashSide {
-                probe_col: lcol,
-                slots,
-            }
+            let (probe_col, build_col) = match (a.right, b.right) {
+                (false, true) => (a.idx, b.idx),
+                (true, false) => (b.idx, a.idx),
+                _ => return None,
+            };
+            Some(HashSide {
+                probe_col,
+                build_col,
+                slots: HashMap::new(),
+            })
         });
         Ok(JoinTable {
             pred: bound,
             hash,
             right_arity: right.arity(),
         })
+    }
+
+    /// Build the table over `right_tuples`. The build side is always the
+    /// right one: it is the side the cursor tree holds whole.
+    pub(crate) fn fill(&mut self, right_tuples: &[Tuple], meter: &mut dyn Meter) {
+        let Some(hash) = &mut self.hash else {
+            return;
+        };
+        let mut inserted = 0u64;
+        for (ri, rt) in right_tuples.iter().enumerate() {
+            each_key_hash(rt, &hash.build_col, &mut |h| {
+                inserted += 1;
+                let slot = hash.slots.entry(h).or_default();
+                if slot.last() != Some(&ri) {
+                    slot.push(ri);
+                }
+            });
+        }
+        meter.comparisons(inserted);
     }
 
     /// Per left tuple, the indices of the right tuples it joins with,
@@ -283,6 +287,17 @@ mod tests {
     use proptest::prelude::*;
     use xmltree::StructuralId;
 
+    fn build(
+        pred: &Predicate,
+        l: &Relation,
+        r: &Relation,
+        meter: &mut dyn Meter,
+    ) -> Result<JoinTable, EvalError> {
+        let mut table = JoinTable::bind(pred, &l.schema, &r.schema)?;
+        table.fill(&r.tuples, meter);
+        Ok(table)
+    }
+
     const KINDS: [JoinKind; 5] = [
         JoinKind::Inner,
         JoinKind::Semi,
@@ -403,10 +418,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The kernel — and both executors on top of it — return exactly
-        /// the nested loop's tuples in the nested loop's order, for every
-        /// join kind, on relations full of values that `Value::compare`
-        /// treats specially.
+        /// The kernel — and the executor on top of it, at every batch
+        /// size — return exactly the nested loop's tuples in the nested
+        /// loop's order, for every join kind, on relations full of values
+        /// that `Value::compare` treats specially.
         #[test]
         fn hash_join_matches_nested_loop(l in rows(), r in rows()) {
             let (l, r) = (side("l", &l), side("r", &r));
@@ -415,8 +430,7 @@ mod tests {
             cat.insert("r", r.clone());
             let ev = Evaluator::new(&cat);
             for (pred, hashable) in predicates() {
-                let table =
-                    JoinTable::build(&pred, &l.schema, &r.schema, &r.tuples, &mut NoMeter).unwrap();
+                let table = build(&pred, &l, &r, &mut NoMeter).unwrap();
                 prop_assert_eq!(table.hash.is_some(), hashable, "{}", pred);
                 let reference =
                     nested_loop_matches(&table.pred, &l.tuples, &r.tuples, &mut NoMeter);
@@ -507,7 +521,7 @@ mod tests {
         }
         let run = |pred: &Predicate| {
             let mut m = ExecMetrics::default();
-            let t = JoinTable::build(pred, &l.schema, &r.schema, &r.tuples, &mut m).unwrap();
+            let t = build(pred, &l, &r, &mut m).unwrap();
             let out = t.join(&l.tuples, &r.tuples, JoinKind::Inner, &mut m);
             (out.len(), m.comparisons)
         };
@@ -528,7 +542,7 @@ mod tests {
     #[test]
     fn unknown_attribute_fails_the_build() {
         let (l, r) = (side("l", &[]), side("r", &[]));
-        let err = JoinTable::build(&eq("lK", "nope"), &l.schema, &r.schema, &[], &mut NoMeter);
+        let err = build(&eq("lK", "nope"), &l, &r, &mut NoMeter);
         assert!(matches!(err, Err(EvalError::UnknownAttribute(a)) if a == "nope"));
     }
 }

@@ -39,7 +39,7 @@ pub use cursor::{
     OpCells, OpStats, Residency, StreamExec, TupleBatch,
 };
 pub use eval::{Catalog, EvalConfig, EvalError, Evaluator, Relation};
-pub use obs::{ExecMetrics, Meter, NoMeter, OpProfile};
+pub use obs::{ExecMetrics, Meter, NoMeter};
 pub use order::OrderSpec;
 pub use plan::{
     Axis, CmpOp, FetchWhat, JoinKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep,

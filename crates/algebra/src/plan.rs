@@ -627,9 +627,9 @@ impl LogicalPlan {
     }
 
     /// The direct child plans, left to right (a `TwigJoin` yields its
-    /// root followed by each step's input). The profiler walks plans
-    /// through this accessor so its operator tree mirrors the plan tree
-    /// shape exactly.
+    /// root followed by each step's input). The cost model's estimate
+    /// tree is built through this accessor, in the order the executor
+    /// registers its per-node counters, so the two pair node for node.
     pub fn child_plans(&self) -> Vec<&LogicalPlan> {
         use LogicalPlan::*;
         match self {
@@ -658,49 +658,6 @@ impl LogicalPlan {
                 out
             }
         }
-    }
-
-    /// Rebuild this node with its children replaced (in `child_plans`
-    /// order). Panics if `children.len()` doesn't match the arity.
-    pub fn with_child_plans(&self, mut children: Vec<LogicalPlan>) -> LogicalPlan {
-        use LogicalPlan::*;
-        assert_eq!(
-            children.len(),
-            self.child_plans().len(),
-            "with_child_plans arity mismatch for {self}"
-        );
-        let mut next = || Box::new(children.remove(0));
-        let mut clone = self.clone();
-        match &mut clone {
-            Scan { .. } => {}
-            Select { input, .. }
-            | Project { input, .. }
-            | GroupBy { input, .. }
-            | Unnest { input, .. }
-            | NestAll { input, .. }
-            | Sort { input, .. }
-            | XmlTemplate { input, .. }
-            | Navigate { input, .. }
-            | DeriveAncestorId { input, .. }
-            | Fetch { input, .. }
-            | Rename { input, .. }
-            | CastSchema { input, .. } => *input = next(),
-            Product { left, right }
-            | Join { left, right, .. }
-            | StructJoin { left, right, .. }
-            | Union { left, right }
-            | Difference { left, right } => {
-                *left = next();
-                *right = next();
-            }
-            TwigJoin { root, steps } => {
-                *root = next();
-                for s in steps.iter_mut() {
-                    s.input = *next();
-                }
-            }
-        }
-        clone
     }
 
     /// Short operator label for this node alone (no recursion into
@@ -907,14 +864,6 @@ mod tests {
         assert_eq!(kids.len(), 3);
         assert_eq!(kids[0].node_label(), "Scan(a)");
         assert_eq!(twig.node_label(), "TwigJoin(2 steps)");
-
-        // rebuilding with the same children is the identity
-        let rebuilt = twig.with_child_plans(kids.into_iter().cloned().collect());
-        assert_eq!(rebuilt, twig);
-
-        // rebuilding with different children swaps them in place
-        let swapped = join.with_child_plans(vec![LogicalPlan::scan("x"), LogicalPlan::scan("y")]);
-        assert_eq!(swapped.scanned_relations(), vec!["x", "y"]);
     }
 
     #[test]

@@ -432,9 +432,10 @@ fn fill<M: Meter>(
 }
 
 /// Desugar a [`LogicalPlan::TwigJoin`] into the equivalent left-deep
-/// cascade of binary `Inner` structural joins — the evaluator's fallback
-/// path (`use_twigstack = false`, or shapes the holistic operator does
-/// not cover) and the cost model's comparison baseline.
+/// cascade of binary `Inner` structural joins: the inverse of
+/// [`fuse_struct_joins`], and the logical reading of the cascade arm the
+/// twig cursor binds for `use_twigstack = false` and for shapes the
+/// holistic operator does not cover.
 pub fn twig_to_cascade(root: &LogicalPlan, steps: &[TwigStep]) -> LogicalPlan {
     steps.iter().fold(root.clone(), |acc, s| {
         acc.struct_join(

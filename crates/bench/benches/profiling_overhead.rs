@@ -1,27 +1,29 @@
 //! Profiling overhead on the E10 twig workloads.
 //!
-//! Three price points per workload:
+//! Two price points per workload, both the one executor drained at an
+//! unbounded batch:
 //!
-//! * `off` — the production path: plain plan evaluation with
-//!   `Evaluator.metrics = None`, kernels monomorphized over `NoMeter`
-//!   (counter calls compile to nothing). This must track the seed's
-//!   unprofiled numbers — the off-path overhead claim in EXPERIMENTS.md.
-//! * `metered` — the same plan with an `ExecMetrics` collector attached
-//!   (counter increments paid, no per-operator re-materialization).
-//! * `explain_analyze` — the full `eval_profiled` walk: every operator
-//!   timed separately against materialized child outputs. Expected to be
-//!   several times slower; it is an explicitly opted-in diagnosis mode.
+//! * `off` — the production path: `Evaluator::eval`, kernels
+//!   monomorphized over `NoMeter` (counter calls compile to nothing).
+//!   This must track the seed's unprofiled numbers — the off-path
+//!   overhead claim in EXPERIMENTS.md.
+//! * `metered` — the same run with `CursorConfig::profiling` on: a slot
+//!   per plan node, counter increments and one clock read per batch paid.
+//!   This run *is* `EXPLAIN ANALYZE`; there is no third, re-executing
+//!   mode to price.
 
-use std::cell::RefCell;
-
-use algebra::Evaluator;
+use algebra::{build_cursor, CursorConfig, Evaluator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use obs::ExecMetrics;
 use uload_bench::experiments::{twig_catalog, twig_workloads};
 
 fn profiling_price_points(c: &mut Criterion) {
     let doc = xmltree::generate::xmark(15, 42);
     let cat = twig_catalog(&doc);
+    let metered = CursorConfig {
+        batch_size: usize::MAX,
+        profiling: true,
+        ..CursorConfig::default()
+    };
     let mut g = c.benchmark_group("profiling_overhead");
     g.sample_size(10);
     for w in twig_workloads() {
@@ -32,14 +34,12 @@ fn profiling_price_points(c: &mut Criterion) {
         });
         g.bench_function(BenchmarkId::new("metered", &w.name), |b| {
             b.iter(|| {
-                let mut ev = Evaluator::new(&cat);
-                ev.metrics = Some(RefCell::new(ExecMetrics::default()));
-                ev.eval(&plan).unwrap().len()
+                build_cursor(&plan, &cat, None, &metered)
+                    .unwrap()
+                    .collect()
+                    .unwrap()
+                    .len()
             })
-        });
-        g.bench_function(BenchmarkId::new("explain_analyze", &w.name), |b| {
-            let ev = Evaluator::new(&cat);
-            b.iter(|| ev.eval_profiled(&plan).unwrap().0.len())
         });
     }
     g.finish();

@@ -495,20 +495,6 @@ fn fan(name: &str, root: &'static str, children: &[&'static str]) -> TwigWorkloa
     }
 }
 
-/// A descendant-axis star: `root{//c, //c, ...}`. Unlike the child-axis
-/// [`fan`], descendant branches into the recursive markup multiply — a
-/// root with k matching descendants yields k^width solutions.
-fn star(name: &str, root: &'static str, children: &[&'static str]) -> TwigWorkload {
-    let mut labels = vec![root];
-    labels.extend_from_slice(children);
-    TwigWorkload {
-        name: name.to_string(),
-        labels,
-        parents: vec![0; children.len() + 1],
-        axes: vec![algebra::Axis::Descendant; children.len() + 1],
-    }
-}
-
 /// The bench grid: XMark descendant chains of depth 2–5 (through the
 /// recursive `parlist` region, where the cascade's intermediate pair
 /// lists blow up) and child-axis stars of fanout 1–4 under `item`.
@@ -544,33 +530,6 @@ pub fn twig_workloads() -> Vec<TwigWorkload> {
             &["location", "quantity", "name", "description"],
         ),
     ]
-}
-
-/// The E11 grid: every E10 workload plus two multiplying twigs whose
-/// binary cascades materialize intermediate solution lists far larger
-/// than any base stream — exactly where a pipelined executor's
-/// peak-resident-tuples pays off. An item carries several `keyword`
-/// descendants (description markup plus mailbox texts), so a
-/// width-w descendant star multiplies to k^w solutions per item.
-pub fn pipeline_workloads() -> Vec<TwigWorkload> {
-    let mut ws = twig_workloads();
-    ws.push(star("star_kw2", "item", &["keyword", "keyword"]));
-    // site//item{//keyword,//keyword,//keyword}: depth 3, width 3
-    ws.push(TwigWorkload {
-        name: "deep_star_kw3".to_string(),
-        labels: vec!["site", "item", "keyword", "keyword", "keyword"],
-        parents: vec![0, 0, 1, 1, 1],
-        axes: vec![algebra::Axis::Descendant; 5],
-    });
-    // one branch wider: k^4 solutions per item, so the cascade's last
-    // two intermediate lists dwarf every base stream
-    ws.push(TwigWorkload {
-        name: "deep_star_kw4".to_string(),
-        labels: vec!["site", "item", "keyword", "keyword", "keyword", "keyword"],
-        parents: vec![0, 0, 1, 1, 1, 1],
-        axes: vec![algebra::Axis::Descendant; 6],
-    });
-    ws
 }
 
 /// Build the catalog of cached ID streams the twig plans scan.
@@ -715,147 +674,6 @@ pub fn twig_ablation(doc: &xmltree::Document, reps: usize) -> Vec<TwigRow> {
 }
 
 // --------------------------------------------------------------------
-// E11 — pipelined batch executor vs materialized evaluation
-
-/// One measured row of the pipeline ablation: the same cascade plan run
-/// materialized (the `Evaluator` oracle) and streamed (the batch
-/// executor), plus a LIMIT-style run that pulls a handful of rows and
-/// cancels.
-#[derive(Debug, Clone)]
-pub struct PipelineRow {
-    pub name: String,
-    /// Full output cardinality (identical on both paths).
-    pub rows: usize,
-    /// Peak resident tuples of materialized evaluation: the maximum,
-    /// over operators, of own output plus all direct child outputs
-    /// alive while the operator runs.
-    pub mat_peak: u64,
-    /// The streaming executor's `peak-resident-tuples` gauge.
-    pub stream_peak: u64,
-    /// Median wall-clock of a full materialized evaluation, ns.
-    pub mat_ns: u128,
-    /// Median wall-clock of a full streamed drain, ns.
-    pub stream_ns: u128,
-    /// Rows the LIMIT run pulls before closing the cursor tree.
-    pub limit_rows: usize,
-    /// Median wall-clock of the LIMIT run (build, pull, close), ns.
-    pub limit_ns: u128,
-}
-
-impl PipelineRow {
-    /// How many times fewer tuples the streamed run keeps resident.
-    pub fn residency_reduction(&self) -> f64 {
-        self.mat_peak as f64 / self.stream_peak.max(1) as f64
-    }
-
-    /// Materialized-eval-over-LIMIT-run speedup (the early-termination
-    /// win: a consumer of `limit_rows` rows pays `limit_ns`, not
-    /// `mat_ns`).
-    pub fn limit_speedup(&self) -> f64 {
-        self.mat_ns as f64 / self.limit_ns.max(1) as f64
-    }
-}
-
-/// Peak resident tuples of a materialized evaluation, from its profiled
-/// operator tree: while an operator runs, its direct children's outputs
-/// are fully materialized alongside its own output.
-fn materialized_peak(prof: &obs::OpProfile) -> u64 {
-    let own = prof.out_rows + prof.children.iter().map(|c| c.out_rows).sum::<u64>();
-    prof.children
-        .iter()
-        .map(materialized_peak)
-        .chain(std::iter::once(own))
-        .max()
-        .unwrap_or(0)
-}
-
-/// Run every twig workload's binary-cascade plan through both execution
-/// paths — materialized `Evaluator::eval` and the pipelined batch
-/// executor — checking row-for-row agreement, then measure residency
-/// and wall-clock, plus a LIMIT run that pulls `limit_rows` rows and
-/// closes the cursor tree.
-pub fn pipeline_ablation(
-    doc: &xmltree::Document,
-    reps: usize,
-    batch_size: usize,
-    limit_rows: usize,
-) -> Vec<PipelineRow> {
-    use algebra::{build_cursor, CursorConfig, Evaluator};
-    let catalog = twig_catalog(doc);
-    let ccfg = CursorConfig {
-        batch_size,
-        ..Default::default()
-    };
-    let mut out = Vec::new();
-    for w in pipeline_workloads() {
-        let plan = w.cascade_plan();
-        // correctness + the materialized residency profile
-        let (oracle, prof) = Evaluator::new(&catalog)
-            .eval_profiled(&plan)
-            .expect("cascade plan must evaluate");
-        let mat_peak = materialized_peak(&prof);
-        let drain = || {
-            let mut exec = build_cursor(&plan, &catalog, None, &ccfg).expect("cursor builds");
-            let mut n = 0usize;
-            let mut tuples = Vec::new();
-            while let Some(b) = exec.next_batch().expect("stream") {
-                n += b.len();
-                tuples.extend(b.tuples);
-            }
-            let peak = exec.peak_resident();
-            exec.close();
-            (n, tuples, peak)
-        };
-        let (n, tuples, stream_peak) = drain();
-        assert_eq!(n, oracle.len(), "{}: streamed cardinality", w.name);
-        assert_eq!(tuples, oracle.tuples, "{}: streamed rows", w.name);
-
-        let time = |f: &dyn Fn() -> usize, want: usize| {
-            let mut samples = Vec::with_capacity(reps.max(1));
-            for _ in 0..reps.max(1) {
-                let t0 = Instant::now();
-                let got = f();
-                samples.push(t0.elapsed().as_nanos());
-                assert_eq!(got, want);
-            }
-            median_ns(samples)
-        };
-        let mat_ns = time(
-            &|| Evaluator::new(&catalog).eval(&plan).unwrap().len(),
-            oracle.len(),
-        );
-        let stream_ns = time(&|| drain().0, oracle.len());
-        let want_limit = limit_rows.min(oracle.len());
-        let limit_ns = time(
-            &|| {
-                let mut exec = build_cursor(&plan, &catalog, None, &ccfg).unwrap();
-                let mut n = 0usize;
-                while n < want_limit {
-                    match exec.next_batch().unwrap() {
-                        Some(b) => n += b.len(),
-                        None => break,
-                    }
-                }
-                exec.close();
-                n.min(want_limit)
-            },
-            want_limit,
-        );
-        out.push(PipelineRow {
-            name: w.name,
-            rows: oracle.len(),
-            mat_peak,
-            stream_peak,
-            mat_ns,
-            stream_ns,
-            limit_rows: want_limit,
-            limit_ns,
-        });
-    }
-    out
-}
-
-// --------------------------------------------------------------------
 // E9 — §4.5 minimization
 
 pub fn minimize_demo() -> Vec<String> {
@@ -910,33 +728,6 @@ mod tests {
             // every pattern is at least self-contained
             assert!(p.positives >= 8, "{p:?}");
         }
-    }
-
-    #[test]
-    fn pipeline_ablation_paths_agree_on_small_xmark() {
-        let doc = xmltree::generate::xmark(3, 11);
-        let rows = pipeline_ablation(&doc, 1, 64, 10);
-        assert_eq!(rows.len(), 13, "6 chains + 4 fans + 3 stars");
-        for r in &rows {
-            // both gauges are live, and a LIMIT run never pulls more
-            // rows than asked (on shallow joins the streamed build side
-            // can legitimately exceed the materialized estimate — the
-            // residency win needs multiplying intermediates)
-            assert!(r.stream_peak > 0, "{}: dead residency gauge", r.name);
-            assert!(r.limit_rows <= 10);
-            assert!(r.limit_rows <= r.rows);
-        }
-        // the multiplying star materializes k^3 solutions per item under
-        // the cascade; the pipelined run keeps only build sides plus a
-        // batch per operator, so its peak is several times lower at any
-        // scale (the full-scale figure is produced by `experiments --
-        // pipeline`)
-        let deep = rows.iter().find(|r| r.name == "deep_star_kw3").unwrap();
-        assert!(deep.rows > 0);
-        assert!(
-            deep.residency_reduction() > 2.0,
-            "multiplying star shows no residency win: {deep:?}"
-        );
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //!   the zero-cost [`Meter`] hook the physical join kernels are generic
 //!   over, plus [`CacheCounters`] (a dependency-free mirror of the
 //!   containment cache's statistics);
-//! * [`profile`] — the `EXPLAIN ANALYZE` surface: [`OpProfile`] (the
-//!   actual-side operator tree the evaluator measures) and
-//!   [`QueryProfile`] / [`PlanNodeProfile`] (estimated cost paired with
-//!   measured cardinality and time), renderable as pretty text and JSON;
+//! * [`profile`] — the `EXPLAIN ANALYZE` surface: [`QueryProfile`] /
+//!   [`PlanNodeProfile`] (estimated cost paired with the cardinality,
+//!   time and kernel counters the executor measured), renderable as
+//!   pretty text and JSON;
 //! * [`json`] — a hand-rolled JSON value, writer, parser and a small
 //!   JSON-Schema-subset validator (the workspace carries no serializer
 //!   dependency), used to keep the profile format contract-checked;
@@ -49,8 +49,7 @@ pub mod telemetry;
 pub use json::Json;
 pub use metrics::{CacheCounters, ExecMetrics, Meter, NoMeter, ResultCacheCounters};
 pub use profile::{
-    ArmTelemetry, OpProfile, OpStreamProfile, PlanNodeProfile, QueryProfile, SessionProfile,
-    StreamProfile,
+    ArmTelemetry, OpStreamProfile, PlanNodeProfile, QueryProfile, SessionProfile, StreamProfile,
 };
 pub use stats::{ArmStats, NodeStats, StatsKey, StatsStore};
 pub use subscriber::{init_from_env, EnvFilter, FmtSubscriber};

@@ -1,8 +1,8 @@
 //! The `EXPLAIN ANALYZE` surface.
 //!
-//! [`OpProfile`] is the *actual* side: the evaluator measures one node
-//! per physical operator (output cardinality, wall time, kernel
-//! counters). The rewriting layer pairs that tree with the cost model's
+//! The executor keeps the *actual* side — output cardinality, inclusive
+//! wall time and kernel counters per plan node, for the one run there is.
+//! The rewriting layer pairs those counters with the cost model's
 //! *estimates* into a [`PlanNodeProfile`] tree, wraps it with phase
 //! timings, cache counters and arm telemetry into a [`QueryProfile`],
 //! and renders the result as pretty text or JSON.
@@ -10,38 +10,6 @@
 use crate::json::Json;
 use crate::metrics::{CacheCounters, ExecMetrics, ResultCacheCounters};
 use std::fmt::Write as _;
-
-/// Measured execution of one physical operator (and its inputs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpProfile {
-    /// Operator label, e.g. `StructJoin(child)` or `Scan(v_items)`.
-    pub op: String,
-    /// Output cardinality.
-    pub out_rows: u64,
-    /// Wall time of this operator *including* its children.
-    pub time_ns: u64,
-    /// Kernel counters recorded while this operator ran.
-    pub metrics: ExecMetrics,
-    pub children: Vec<OpProfile>,
-}
-
-impl OpProfile {
-    /// Nodes in this subtree (including self).
-    pub fn node_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(OpProfile::node_count)
-            .sum::<usize>()
-    }
-
-    /// Time attributable to this operator alone (saturating: children
-    /// are timed separately, so clock skew cannot go negative).
-    pub fn self_time_ns(&self) -> u64 {
-        let child_time: u64 = self.children.iter().map(|c| c.time_ns).sum();
-        self.time_ns.saturating_sub(child_time)
-    }
-}
 
 /// One plan node with the cost model's estimate paired against measured
 /// execution.
@@ -165,7 +133,7 @@ impl ArmTelemetry {
     }
 }
 
-/// Per-operator counters from one *streamed* (pipelined) execution.
+/// One plan node's counters from an execution, flat (pre-order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpStreamProfile {
     /// Operator label, e.g. `StructJoin(⋈,ID/ID)`.
@@ -176,7 +144,7 @@ pub struct OpStreamProfile {
     pub batches: u64,
     /// Rows this operator emitted.
     pub rows: u64,
-    /// Kernel counters absorbed from the per-batch evaluations.
+    /// Kernel counters recorded while this operator ran.
     pub metrics: ExecMetrics,
 }
 
@@ -228,9 +196,10 @@ impl OpStreamProfile {
     }
 }
 
-/// The pipelined executor's report for one query: batch configuration,
-/// stream totals, the peak-resident-tuples gauge, and per-operator
-/// counters in plan pre-order.
+/// The executor's report for one run: batch configuration, stream
+/// totals, the peak-resident-tuples gauge, and per-node counters in plan
+/// pre-order — the same counters, from the same run, the
+/// [`PlanNodeProfile`] tree carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamProfile {
     /// Configured target rows per batch.
@@ -287,8 +256,7 @@ pub struct QueryProfile {
     pub cache: Option<CacheCounters>,
     /// Twig-vs-cascade arm telemetry, when the plan had both arms.
     pub arm: Option<ArmTelemetry>,
-    /// The pipelined executor's counters, when the profiled run also
-    /// streamed the chosen plan.
+    /// The executor's stream report of the profiled run.
     pub streamed: Option<StreamProfile>,
     /// End-to-end wall time.
     pub total_ns: u64,
@@ -715,35 +683,6 @@ mod tests {
             }),
             total_ns: 2_001_000,
         }
-    }
-
-    #[test]
-    fn op_profile_counts_and_self_time() {
-        let p = OpProfile {
-            op: "join".to_string(),
-            out_rows: 5,
-            time_ns: 100,
-            metrics: ExecMetrics::default(),
-            children: vec![
-                OpProfile {
-                    op: "a".to_string(),
-                    out_rows: 2,
-                    time_ns: 30,
-                    metrics: ExecMetrics::default(),
-                    children: vec![],
-                },
-                OpProfile {
-                    op: "b".to_string(),
-                    out_rows: 3,
-                    time_ns: 90,
-                    metrics: ExecMetrics::default(),
-                    children: vec![],
-                },
-            ],
-        };
-        assert_eq!(p.node_count(), 3);
-        // children sum (120) exceeds parent's clock: saturates to zero
-        assert_eq!(p.self_time_ns(), 0);
     }
 
     #[test]

@@ -17,11 +17,11 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use algebra::{CursorConfig, Evaluator, LogicalPlan, Relation, StreamExec, TupleBatch};
+use algebra::{CursorConfig, Evaluator, LogicalPlan, OpStats, Relation, StreamExec, TupleBatch};
 use containment::{CacheStats, CanonicalCache};
 use obs::{
-    ArmTelemetry, CacheCounters, OpProfile, OpStreamProfile, PlanNodeProfile, QueryProfile,
-    StatsStore, StreamProfile,
+    ArmTelemetry, CacheCounters, OpStreamProfile, PlanNodeProfile, QueryProfile, StatsStore,
+    StreamProfile,
 };
 use parking_lot::Mutex;
 use storage::DocumentHandle;
@@ -74,9 +74,9 @@ pub struct EngineConfig {
     pub use_twigstack: bool,
     /// Collect an `EXPLAIN ANALYZE` [`QueryProfile`] on every
     /// [`Uload::answer`] call (retrievable via [`Uload::last_profile`]).
-    /// Profiled runs re-execute operators against materialized inputs and
-    /// run *both* twig arms, so they cost extra wall time; off (the
-    /// default), answering takes the unmetered fast path.
+    /// A profiled answer is one metered run of the plan — plus one run of
+    /// the other twig arm, when there is one, to see how the choice fared;
+    /// off (the default), answering takes the unmetered path.
     pub profiling: bool,
     /// Target rows per [`TupleBatch`] pulled through the streaming
     /// executor behind [`Uload::query`] (must be ≥ 1). Operators may
@@ -319,8 +319,9 @@ impl Uload {
     /// The engine's cardinality feedback store: measured per-plan-node
     /// cardinalities and arm-choice outcomes, recorded by every
     /// profiled run ([`Uload::answer_profiled`] under document-version
-    /// key `0`, [`Uload::profile_prepared`] under the handle's real
-    /// version). The durable feed for adaptive re-optimization.
+    /// key `0`, [`Uload::profile_prepared`] and [`Uload::profile_stream`]
+    /// under the handle's real version). The durable feed for adaptive
+    /// re-optimization.
     pub fn stats_store(&self) -> &Arc<StatsStore> {
         &self.stats
     }
@@ -732,29 +733,26 @@ impl Uload {
         })
     }
 
-    /// Stream a prepared plan over a versioned [`DocumentHandle`]
-    /// through the pipelined executor. Like [`Uload::query`] this
-    /// supports batch-at-a-time pulls and first-class cancellation via
-    /// [`QueryResults::close`] (or drop) — the hook the server's
-    /// per-request `CANCEL` and its admission-budget enforcement reuse.
+    /// Stream a prepared plan over a versioned [`DocumentHandle`]. Like
+    /// [`Uload::query`] this supports batch-at-a-time pulls and
+    /// first-class cancellation via [`QueryResults::close`] (or drop) —
+    /// the hook the server's per-request `CANCEL` and its
+    /// admission-budget enforcement reuse.
     pub fn stream_prepared<'e>(
         &'e self,
         prep: &PreparedQuery,
         handle: &'e DocumentHandle,
     ) -> Result<QueryResults<'e>> {
-        self.stream_prepared_with(
-            prep,
-            handle.document(),
-            handle.version().0,
-            self.config.profiling,
-        )
+        let hint = self.arm_hint(prep, handle.version().0);
+        self.stream_prepared_with(prep, handle.document(), hint, self.config.profiling)
     }
 
     /// [`Uload::stream_prepared`] with per-operator metering forced on
     /// regardless of [`EngineConfig::profiling`], so
-    /// [`QueryResults::stream_profile`] reports real kernel counters.
-    /// The server's telemetry path uses this to feed per-session and
-    /// registry `ExecMetrics` totals; the `Meter` kernels make the
+    /// [`QueryResults::stream_profile`] reports real kernel counters and
+    /// [`Uload::profile_stream`] can read the run's `EXPLAIN ANALYZE`
+    /// off it. The server's telemetry path uses this to feed per-session
+    /// and registry `ExecMetrics` totals; the `Meter` kernels make the
     /// metered run cost the same as the plain one (held to ≤5% by the
     /// `telemetry_overhead` bench).
     pub fn stream_prepared_metered<'e>(
@@ -762,31 +760,24 @@ impl Uload {
         prep: &PreparedQuery,
         handle: &'e DocumentHandle,
     ) -> Result<QueryResults<'e>> {
-        self.stream_prepared_with(prep, handle.document(), handle.version().0, true)
-    }
-
-    fn stream_prepared_doc<'e>(
-        &'e self,
-        prep: &PreparedQuery,
-        doc: &'e Document,
-    ) -> Result<QueryResults<'e>> {
-        self.stream_prepared_with(prep, doc, 0, self.config.profiling)
+        let hint = self.arm_hint(prep, handle.version().0);
+        self.stream_prepared_with(prep, handle.document(), hint, true)
     }
 
     fn stream_prepared_with<'e>(
         &'e self,
         prep: &PreparedQuery,
         doc: &'e Document,
-        doc_version: u64,
+        arm_hint: Option<algebra::ArmSwitchHint>,
         profiling: bool,
     ) -> Result<QueryResults<'e>> {
         let mut ccfg = CursorConfig {
             batch_size: self.config.batch_size,
             profiling,
+            arm_hint,
             ..CursorConfig::default()
         };
         ccfg.eval.use_twigstack = prep.use_twigstack;
-        ccfg.arm_hint = self.arm_hint(prep, doc_version);
         if !prep.breakers.is_empty() {
             tracing::debug!(
                 target: "uload::eval",
@@ -810,27 +801,29 @@ impl Uload {
 
     /// Answer a query as a *stream*: rewrite and plan up front, then
     /// return a [`QueryResults`] cursor that pulls result batches on
-    /// demand through the pipelined executor. Nothing beyond the plan's
+    /// demand through the executor. Nothing beyond the plan's
     /// pipeline breakers (and join build sides) is materialized, and
     /// dropping or [`QueryResults::close`]-ing the stream early cancels
     /// the whole cursor tree — the LIMIT-style early-termination path.
     ///
     /// The streamed rows are exactly [`Uload::answer`]'s rows, in the
-    /// same order (the executor runs the same physical kernels).
+    /// same order: `answer` is this stream drained as one batch.
     pub fn query<'e>(&'e self, query: &str, doc: &'e Document) -> Result<QueryResults<'e>> {
         let span = tracing::debug_span!(target: "uload::query", "query");
         let _g = span.enter();
         let prep = self.prepare_query(query)?;
-        self.stream_prepared_doc(&prep, doc)
+        let hint = self.arm_hint(&prep, 0);
+        self.stream_prepared_with(&prep, doc, hint, self.config.profiling)
     }
 
     /// `EXPLAIN ANALYZE`: answer the query while measuring every phase
     /// and operator, pairing the cost model's estimates with actuals.
     ///
-    /// When the plan has a holistic twig arm, **both** arms are executed
-    /// (chosen and alternative) so the profile can report how the cost
-    /// model's choice actually fared. Profiled operator times include
-    /// re-scanning materialized child outputs — indicative, not exact.
+    /// The chosen plan runs **once**, metered, and the profile — plan
+    /// tree and stream report alike — is read off the counters that run
+    /// kept. When the plan has a holistic twig arm, the alternative arm
+    /// runs once too (before the chosen one, metered the same way), so
+    /// the profile can report how the cost model's choice actually fared.
     pub fn answer_profiled(
         &self,
         query: &str,
@@ -840,7 +833,6 @@ impl Uload {
         let span = tracing::debug_span!(target: "uload::query", "answer_profiled");
         let _g = span.enter();
         let p = self.prepare(query)?;
-        let catalog = self.store.catalog();
 
         let t = Instant::now();
         let fused = algebra::fuse_struct_joins(&p.base_plan);
@@ -848,156 +840,146 @@ impl Uload {
         let fuse_ns = t.elapsed().as_nanos() as u64;
 
         // the arm the engine would run unprofiled, and the road not taken
-        let (chosen_plan, chosen_is_twig) = if self.config.use_twigstack {
-            (fused.clone(), true)
+        let twig_on = self.config.use_twigstack;
+        let (chosen_plan, alt_plan) = if twig_on {
+            (fused, p.base_plan)
         } else {
-            (p.base_plan.clone(), false)
+            (p.base_plan, fused)
         };
-        let evaluator = |twig_on: bool| {
-            let mut ev = Evaluator::with_document(catalog, doc);
-            ev.config.use_twigstack = twig_on;
-            ev
+        let arm_name = |twig: bool| if twig { "twig" } else { "cascade" };
+        let chosen = Self::finish_prepared(
+            query,
+            chosen_plan,
+            twig_on,
+            p.used,
+            0,
+            arm_name(twig_on),
+            "knob",
+        );
+        // both arms run without a fallover hint: each must be timed as
+        // itself
+        let run = |prep: &PreparedQuery| -> Result<(QueryResults<'_>, Vec<String>, u64)> {
+            let t = Instant::now();
+            let mut results = self.stream_prepared_with(prep, doc, None, true)?;
+            let out = results.by_ref().collect::<Result<Vec<String>>>()?;
+            Ok((results, out, t.elapsed().as_nanos() as u64))
         };
-
-        let t = Instant::now();
-        let (rel, op_profile) = evaluator(chosen_is_twig)
-            .eval_profiled(&chosen_plan)
-            .map_err(|e| Error::Eval(e.to_string()))?;
-        let eval_ns = t.elapsed().as_nanos() as u64;
-
-        // arm telemetry: time both arms with the *plain* evaluator so the
-        // comparison is free of profiling overhead
-        let arm = if has_twig_arm {
-            let (alt_plan, alt_is_twig) = if chosen_is_twig {
-                (&p.base_plan, false)
-            } else {
-                (&fused, true)
-            };
-            let t = Instant::now();
-            evaluator(chosen_is_twig)
-                .eval(&chosen_plan)
-                .map_err(|e| Error::Eval(e.to_string()))?;
-            let chosen_ns = t.elapsed().as_nanos() as u64;
-            let t = Instant::now();
-            evaluator(alt_is_twig)
-                .eval(alt_plan)
-                .map_err(|e| Error::Eval(e.to_string()))?;
-            let alt_ns = t.elapsed().as_nanos() as u64;
-            let mispredicted = alt_ns > 0 && chosen_ns >= 2 * alt_ns;
-            let (chosen_name, alt_name) = if chosen_is_twig {
-                ("twig", "cascade")
-            } else {
-                ("cascade", "twig")
-            };
-            if mispredicted {
-                tracing::warn!(
-                    target: "uload::cost",
-                    "cost model chose the {chosen_name} arm but it ran {:.1}× slower \
-                     than the {alt_name} arm ({chosen_ns}ns vs {alt_ns}ns)",
-                    chosen_ns as f64 / alt_ns as f64
-                );
-            }
-            Some(ArmTelemetry {
-                chosen: chosen_name.to_string(),
-                est_chosen: self
-                    .cost_model(0, plan_fingerprint(&chosen_plan))
-                    .cost(&chosen_plan),
-                est_alternative: self
-                    .cost_model(0, plan_fingerprint(alt_plan))
-                    .cost(alt_plan),
-                actual_chosen_ns: chosen_ns,
-                actual_alternative_ns: alt_ns,
-                mispredicted,
-            })
+        let alt = if has_twig_arm {
+            let alt = Self::finish_prepared(
+                query,
+                alt_plan,
+                !twig_on,
+                Vec::new(),
+                0,
+                arm_name(!twig_on),
+                "knob",
+            );
+            let (_, _, alt_ns) = run(&alt)?;
+            Some((alt, alt_ns))
         } else {
             None
         };
+        let (results, out, eval_ns) = run(&chosen)?;
 
-        // drain a profiling streamed execution of the chosen plan so the
-        // profile also reports per-operator batches, rows and the
-        // pipelined executor's peak-resident-tuples high-water mark
-        let streamed = {
-            let mut ccfg = CursorConfig {
-                batch_size: self.config.batch_size,
-                profiling: true,
-                ..CursorConfig::default()
-            };
-            ccfg.eval.use_twigstack = chosen_is_twig;
-            let breakers = algebra::pipeline_breakers(&chosen_plan);
-            let mut exec = algebra::build_cursor(&chosen_plan, catalog, Some(doc), &ccfg)
-                .map_err(|e| Error::Eval(e.to_string()))?;
-            let (mut batches, mut rows) = (0u64, 0u64);
-            while let Some(b) = exec.next_batch().map_err(|e| Error::Eval(e.to_string()))? {
-                batches += 1;
-                rows += b.len() as u64;
+        let arm = alt.map(|(alt, alt_ns)| {
+            let mispredicted = alt_ns > 0 && eval_ns >= 2 * alt_ns;
+            if mispredicted {
+                tracing::warn!(
+                    target: "uload::cost",
+                    "cost model chose the {} arm but it ran {:.1}× slower \
+                     than the {} arm ({eval_ns}ns vs {alt_ns}ns)",
+                    chosen.arm,
+                    eval_ns as f64 / alt_ns as f64,
+                    alt.arm
+                );
             }
-            exec.close();
-            stream_profile_of(&exec, batches, rows, breakers)
-        };
+            ArmTelemetry {
+                chosen: chosen.arm.clone(),
+                est_chosen: self.cost_model(0, chosen.fingerprint).cost(&chosen.plan),
+                est_alternative: self.cost_model(0, alt.fingerprint).cost(&alt.plan),
+                actual_chosen_ns: eval_ns,
+                actual_alternative_ns: alt_ns,
+                mispredicted,
+            }
+        });
 
-        let chosen_fp = plan_fingerprint(&chosen_plan);
-        let plan_profile =
-            pair_estimates(&chosen_plan, &op_profile, &self.cost_model(0, chosen_fp));
-        let profile = QueryProfile {
-            query: query.to_string(),
-            phases: vec![
-                ("parse".to_string(), p.parse_ns),
-                ("extract".to_string(), p.extract_ns),
-                ("rewrite".to_string(), p.rewrite_ns),
-                ("plan".to_string(), p.plan_ns + fuse_ns),
-                ("eval".to_string(), eval_ns),
-            ],
-            plan: plan_profile,
-            cache: self.cache_stats().map(|s| CacheCounters {
-                hits: s.hits,
-                misses: s.misses,
-                evictions: s.evictions,
-                verdict_entries: s.verdict_entries,
-                model_entries: s.model_entries,
-                annotation_entries: s.annotation_entries,
-            }),
-            arm,
-            streamed: Some(streamed),
-            total_ns: total.elapsed().as_nanos() as u64,
-        };
-        self.stats.record_profile(0, chosen_fp, &profile);
-        *self.last_profile.lock() = Some(profile.clone());
-        Ok((Self::serialize(&rel), p.used, profile))
+        let mut profile = self
+            .profile_of(&chosen, &results, 0)
+            .expect("the run was metered");
+        profile.phases = vec![
+            ("parse".to_string(), p.parse_ns),
+            ("extract".to_string(), p.extract_ns),
+            ("rewrite".to_string(), p.rewrite_ns),
+            ("plan".to_string(), p.plan_ns + fuse_ns),
+            ("eval".to_string(), eval_ns),
+        ];
+        profile.arm = arm;
+        profile.total_ns = total.elapsed().as_nanos() as u64;
+        self.publish_profile(0, chosen.fingerprint, &profile);
+        Ok((out, chosen.rewritings, profile))
     }
 
     /// `EXPLAIN ANALYZE` an already-prepared plan over a versioned
-    /// [`DocumentHandle`] — the serving path's profiling entry point
-    /// (the server uses it to capture slow queries). Runs only the
-    /// chosen arm (the plan was fused or not at prepare time, so there
-    /// is no alternative to time), pairs the cost model's estimates
-    /// with the measured cardinalities, records the result in the
-    /// [`StatsStore`] under the handle's real document version, and
-    /// stashes it for [`Uload::last_profile`].
+    /// [`DocumentHandle`]: one metered run
+    /// ([`Uload::stream_prepared_metered`]) drained, and its
+    /// [`Uload::profile_stream`]. Runs only the prepared arm (the plan
+    /// was fused or not at prepare time, so there is no alternative to
+    /// time).
     pub fn profile_prepared(
         &self,
         prep: &PreparedQuery,
         handle: &DocumentHandle,
     ) -> Result<QueryProfile> {
-        let total = Instant::now();
         let span = tracing::debug_span!(target: "uload::query", "profile_prepared");
         let _g = span.enter();
-        let catalog = self.store.catalog();
-        let mut ev = Evaluator::with_document(catalog, handle.document());
-        ev.config.use_twigstack = prep.use_twigstack;
-        let t = Instant::now();
-        let (_rel, op_profile) = ev
-            .eval_profiled(&prep.plan)
-            .map_err(|e| Error::Eval(e.to_string()))?;
-        let eval_ns = t.elapsed().as_nanos() as u64;
-        let plan_profile = pair_estimates(
-            &prep.plan,
-            &op_profile,
-            &self.cost_model(handle.version().0, prep.fingerprint),
-        );
-        let profile = QueryProfile {
+        let mut results = self.stream_prepared_metered(prep, handle)?;
+        while results.next_batch()?.is_some() {}
+        Ok(self
+            .profile_stream(prep, handle, &results)
+            .expect("the run was metered"))
+    }
+
+    /// The `EXPLAIN ANALYZE` record of a run that has already happened:
+    /// `results` is `prep` streamed over `handle` with metering on
+    /// ([`Uload::stream_prepared_metered`], or any stream of a profiling
+    /// engine) and pulled as far as the caller cared to; `None` if it was
+    /// not metered. Nothing is executed here — the cost model's estimates
+    /// are paired with the counters the run kept. The result is recorded
+    /// in the [`StatsStore`] under the handle's real document version and
+    /// stashed for [`Uload::last_profile`]. This is how the server
+    /// profiles a slow query without running it twice.
+    pub fn profile_stream(
+        &self,
+        prep: &PreparedQuery,
+        handle: &DocumentHandle,
+        results: &QueryResults<'_>,
+    ) -> Option<QueryProfile> {
+        let profile = self.profile_of(prep, results, handle.version().0)?;
+        self.publish_profile(handle.version().0, prep.fingerprint, &profile);
+        Some(profile)
+    }
+
+    /// Pair the cost model's estimate tree for `prep`'s plan with the
+    /// per-node counters `results` kept (`None` if it kept none). The one
+    /// phase is `eval`: the root operator's inclusive time.
+    fn profile_of(
+        &self,
+        prep: &PreparedQuery,
+        results: &QueryResults<'_>,
+        doc_version: u64,
+    ) -> Option<QueryProfile> {
+        let ops = results.exec.op_stats();
+        let eval_ns = ops.first()?.cells.time_ns.get();
+        let estimates = self
+            .cost_model(doc_version, prep.fingerprint)
+            .estimate_tree(&prep.plan);
+        let mut ops = ops.iter();
+        let plan = pair_nodes(&estimates, &mut ops);
+        debug_assert!(ops.next().is_none(), "one slot per plan node");
+        Some(QueryProfile {
             query: prep.query.clone(),
             phases: vec![("eval".to_string(), eval_ns)],
-            plan: plan_profile,
+            plan,
             cache: self.cache_stats().map(|s| CacheCounters {
                 hits: s.hits,
                 misses: s.misses,
@@ -1007,13 +989,14 @@ impl Uload {
                 annotation_entries: s.annotation_entries,
             }),
             arm: None,
-            streamed: None,
-            total_ns: total.elapsed().as_nanos() as u64,
-        };
-        self.stats
-            .record_profile(handle.version().0, prep.fingerprint, &profile);
+            streamed: Some(results.stream_profile()),
+            total_ns: eval_ns,
+        })
+    }
+
+    fn publish_profile(&self, doc_version: u64, plan_fp: u64, profile: &QueryProfile) {
+        self.stats.record_profile(doc_version, plan_fp, profile);
         *self.last_profile.lock() = Some(profile.clone());
-        Ok(profile)
     }
 
     /// The profile of the most recent profiled answer on this engine
@@ -1245,8 +1228,9 @@ impl QueryResults<'_> {
     }
 
     /// Snapshot of this stream's profile so far. Per-operator entries
-    /// are populated only when the engine was built with
-    /// [`EngineConfig::profiling`] on; the top-level batch/row/residency
+    /// are populated only for a metered stream
+    /// ([`Uload::stream_prepared_metered`], or an engine built with
+    /// [`EngineConfig::profiling`] on); the top-level batch/row/residency
     /// counters are always live.
     pub fn stream_profile(&self) -> StreamProfile {
         stream_profile_of(&self.exec, self.batches, self.rows, self.breakers.clone())
@@ -1420,44 +1404,35 @@ fn estimate_node_json(node: &EstimateNode) -> obs::Json {
     ])
 }
 
-/// Walk the plan's estimate tree and its measured [`OpProfile`] in
-/// lockstep (they share one shape by construction) and attach the cost
-/// model's estimates. With a feedback-bearing model the estimates are
-/// blended, so repeated profiled runs see their mispredict flags clear
-/// as the store converges on the measured cardinalities.
-fn pair_estimates(plan: &LogicalPlan, prof: &OpProfile, model: &CostModel<'_>) -> PlanNodeProfile {
-    pair_nodes(&model.estimate_tree(plan), prof)
-}
-
-fn pair_nodes(est: &EstimateNode, prof: &OpProfile) -> PlanNodeProfile {
+/// Walk the plan's estimate tree and the run's per-node counters in
+/// lockstep — the executor keeps one slot per plan node in pre-order, so
+/// they share one shape by construction — and attach the cost model's
+/// estimates. With a feedback-bearing model the estimates are blended, so
+/// repeated profiled runs see their mispredict flags clear as the store
+/// converges on the measured cardinalities.
+fn pair_nodes(est: &EstimateNode, ops: &mut std::slice::Iter<'_, OpStats>) -> PlanNodeProfile {
+    let op = ops.next().expect("one slot per plan node");
     let est_rows = est.estimate.rows;
-    let est_cost = est.estimate.cost;
-    let children = est
-        .children
-        .iter()
-        .zip(prof.children.iter())
-        .map(|(ce, cprof)| pair_nodes(ce, cprof))
-        .collect();
-    let actual = prof.out_rows as f64;
+    let actual_rows = op.cells.rows.get();
+    let actual = actual_rows as f64;
     let ratio = (actual.max(1.0) / est_rows.max(1.0)).max(est_rows.max(1.0) / actual.max(1.0));
-    let mispredicted = ratio >= 4.0 && (prof.out_rows > 0 || est_rows >= 1.0);
+    let mispredicted = ratio >= 4.0 && (actual_rows > 0 || est_rows >= 1.0);
     if mispredicted {
         tracing::debug!(
             target: "uload::cost",
-            "cardinality estimate off {ratio:.1}× at {}: est {est_rows:.0} vs actual {}",
-            prof.op,
-            prof.out_rows
+            "cardinality estimate off {ratio:.1}× at {}: est {est_rows:.0} vs actual {actual_rows}",
+            op.label
         );
     }
     PlanNodeProfile {
-        op: prof.op.clone(),
-        est_cost,
+        op: op.label.clone(),
+        est_cost: est.estimate.cost,
         est_rows,
-        actual_rows: prof.out_rows,
-        time_ns: prof.time_ns,
-        metrics: prof.metrics,
+        actual_rows,
+        time_ns: op.cells.time_ns.get(),
+        metrics: *op.cells.metrics.borrow(),
         mispredicted,
-        children,
+        children: est.children.iter().map(|c| pair_nodes(c, ops)).collect(),
     }
 }
 

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use obs::{CacheCounters, ExecMetrics, Json, ResultCacheCounters, SessionProfile};
 use parking_lot::{Mutex, RwLock};
-use rewriting::{PreparedQuery, Uload};
+use rewriting::{PreparedQuery, QueryResults, Uload};
 use storage::{DocumentHandle, DocumentVersion};
 use uload_error::{Error, Result};
 
@@ -79,11 +79,11 @@ pub struct ServerConfig {
     pub slow_query_threshold: Duration,
     /// Slow-query ring capacity in entries (`0` disables capture).
     pub slowlog_capacity: usize,
-    /// Attach a full `EXPLAIN ANALYZE` profile to slow-log entries by
-    /// re-running completed uncached slow queries in profiled mode
-    /// (which also feeds the engine's `StatsStore` under the real
-    /// document version). The re-run happens on the session thread,
-    /// after the rows were already streamed.
+    /// Attach a full `EXPLAIN ANALYZE` profile to the slow-log entries
+    /// of completed uncached queries, read off the counters the slow run
+    /// itself kept (which also feeds the engine's `StatsStore` under the
+    /// real document version). Uncached executions run with
+    /// per-operator metering on for this, as they do for `telemetry`.
     pub slowlog_profile: bool,
     /// Feedback-driven re-planning threshold: once the `StatsStore`
     /// holds at least this many mispredicted plan nodes (or arm
@@ -168,8 +168,8 @@ impl ServerConfig {
         self
     }
 
-    /// Attach `EXPLAIN ANALYZE` profiles to slow-log entries (a
-    /// profiled re-run of the offending plan) on/off.
+    /// Attach `EXPLAIN ANALYZE` profiles to slow-log entries (built
+    /// from the offending run's own counters) on/off.
     pub fn with_slowlog_profile(mut self, on: bool) -> ServerConfig {
         self.slowlog_profile = on;
         self
@@ -922,6 +922,7 @@ fn execute(
             &handle,
             elapsed,
             true,
+            None,
             n,
             SlowDisposition::Done,
         );
@@ -958,6 +959,7 @@ fn execute(
                 &handle,
                 started.elapsed(),
                 false,
+                None,
                 0,
                 SlowDisposition::Failed,
             );
@@ -969,8 +971,9 @@ fn execute(
 
     // with telemetry on, per-operator metering is forced on so kernel
     // counters reach the session and registry totals (the zero-cost
-    // `Meter` kernels keep the metered run within the bench's bound)
-    let stream = if telemetry {
+    // `Meter` kernels keep the metered run within the bench's bound);
+    // a slow-log profile is read off the same counters
+    let stream = if telemetry || state.config.slowlog_profile {
         state.engine.stream_prepared_metered(prep, &handle)
     } else {
         state.engine.stream_prepared(prep, &handle)
@@ -1063,8 +1066,6 @@ fn execute(
         counters.exec.absorb(&totals);
         state.metrics.absorb_exec(&totals);
     }
-    drop(results); // release resident state before any profiled re-run
-
     let (rows_out, disposition) = match &outcome {
         ExecEnd::Done { rows, .. } => {
             if telemetry {
@@ -1100,21 +1101,21 @@ fn execute(
         &handle,
         elapsed,
         false,
+        Some(&results),
         rows_out,
         disposition,
     );
-    // permit drops here, after the stream released its resident state
+    // the stream drops here and releases its resident state, then the
+    // permit
     Ok(outcome)
 }
 
 /// Count a request against the slow-query threshold and, when it
-/// qualifies, capture it in the ring — for completed uncached
-/// executions optionally with a profiled re-run of the same plan over
-/// the same document snapshot (which also records its measured
+/// qualifies, capture it in the ring — for a completed uncached
+/// execution (`run`) optionally with its `EXPLAIN ANALYZE` profile, read
+/// off the counters the run kept (which also records its measured
 /// cardinalities in the engine's `StatsStore` under the real document
-/// version). The re-run happens after the rows were streamed and the
-/// cursor's resident state was released, but still under the session's
-/// admission permit, so it cannot over-admit the server.
+/// version). The query is not executed again.
 #[allow(clippy::too_many_arguments)]
 fn observe_slow(
     state: &ServerState,
@@ -1123,6 +1124,7 @@ fn observe_slow(
     handle: &DocumentHandle,
     latency: Duration,
     cached: bool,
+    run: Option<&QueryResults<'_>>,
     rows: u64,
     disposition: SlowDisposition,
 ) {
@@ -1132,12 +1134,9 @@ fn observe_slow(
     if !state.slowlog.qualifies(latency) {
         return;
     }
-    let profile = if state.config.slowlog_profile && !cached && disposition == SlowDisposition::Done
-    {
-        state.engine.profile_prepared(prep, handle).ok()
-    } else {
-        None
-    };
+    let profile = run
+        .filter(|_| state.config.slowlog_profile && disposition == SlowDisposition::Done)
+        .and_then(|run| state.engine.profile_stream(prep, handle, run));
     tracing::debug!(
         target: "uload::server",
         "session {session_id}: slow query fp={:016x} latency={}ns rows={rows} ({})",

@@ -13,13 +13,11 @@
 //! XMark summary), `fig4_15` (DBLP), `optional_ablation`, `sec5_6`
 //! (rewriting), `qep_catalogue` (§2.1 plans), `minimize` (§4.5),
 //! `twig` (E10 holistic twig-join ablation; writes `BENCH_twig.json`),
-//! `pipeline` (E11 pipelined batch executor vs materialized evaluation;
-//! writes `BENCH_pipeline.json`), `server` (E13 multi-client query
-//! server: warm result-cache speedup plus a QPS/latency sweep over
-//! client counts; writes `BENCH_server.json`), `feedback`
-//! (E15 feedback-driven adaptive planning: cold catalog estimates vs a
-//! replanned pass under measured cardinalities on a skewed document;
-//! writes `BENCH_feedback.json`).
+//! `server` (E13 multi-client query server: warm result-cache speedup
+//! plus a QPS/latency sweep over client counts; writes
+//! `BENCH_server.json`), `feedback` (E15 feedback-driven adaptive
+//! planning: cold catalog estimates vs a replanned pass under measured
+//! cardinalities on a skewed document; writes `BENCH_feedback.json`).
 //!
 //! `--profile` runs one view-backed query with `EXPLAIN ANALYZE` and
 //! prints the rendered profile; `--profile-json` prints the same profile
@@ -85,9 +83,6 @@ fn main() {
     }
     if want("twig") {
         twig(quick);
-    }
-    if want("pipeline") {
-        pipeline(quick);
     }
     if want("server") {
         server(quick);
@@ -553,82 +548,6 @@ fn twig(quick: bool) {
     }
     println!(
         "(the holistic merge skips the cascade's intermediate pair lists; gains grow with depth)"
-    );
-}
-
-fn pipeline(quick: bool) {
-    header("E11 — pipelined batch executor vs materialized evaluation");
-    // batch 256 balances throughput against resident state: every
-    // operator holds at most one input batch's eval output, so the
-    // executor's footprint scales with batch size, not with the
-    // intermediate blow-up the cascade materializes
-    let (scale, reps, batch, limit) = if quick {
-        (4, 3, 256, 10)
-    } else {
-        (15, 7, 256, 10)
-    };
-    let doc = uload::generate::xmark(scale, 42);
-    let rows = experiments::pipeline_ablation(&doc, reps, batch, limit);
-    println!(
-        "{:<15} {:>8} {:>10} {:>10} {:>9} {:>12} {:>12} {:>12} {:>8}",
-        "workload",
-        "rows",
-        "mat peak",
-        "strm peak",
-        "x resid",
-        "mat (ns)",
-        "strm (ns)",
-        "limit (ns)",
-        "x limit"
-    );
-    for r in &rows {
-        println!(
-            "{:<15} {:>8} {:>10} {:>10} {:>9.2} {:>12} {:>12} {:>12} {:>8.2}",
-            r.name,
-            r.rows,
-            r.mat_peak,
-            r.stream_peak,
-            r.residency_reduction(),
-            r.mat_ns,
-            r.stream_ns,
-            r.limit_ns,
-            r.limit_speedup()
-        );
-    }
-    // machine-readable record (hand-rolled JSON — the workspace
-    // deliberately carries no serializer dependency)
-    let mut json = String::from("{\n  \"experiment\": \"pipeline_ablation\",\n");
-    json.push_str(&format!(
-        "  \"document\": \"xmark({scale}, 42)\",\n  \"reps\": {reps},\n  \
-         \"batch_size\": {batch},\n  \"limit_rows\": {limit},\n  \"workloads\": [\n"
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"rows\": {}, \"mat_peak\": {}, \"stream_peak\": {}, \
-             \"residency_reduction\": {:.3}, \"mat_ns\": {}, \"stream_ns\": {}, \
-             \"limit_rows\": {}, \"limit_ns\": {}, \"limit_speedup\": {:.3}}}{}\n",
-            r.name,
-            r.rows,
-            r.mat_peak,
-            r.stream_peak,
-            r.residency_reduction(),
-            r.mat_ns,
-            r.stream_ns,
-            r.limit_rows,
-            r.limit_ns,
-            r.limit_speedup(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_pipeline.json", &json) {
-        Ok(()) => println!("(wrote BENCH_pipeline.json)"),
-        Err(e) => eprintln!("(could not write BENCH_pipeline.json: {e})"),
-    }
-    println!(
-        "(the cursor tree keeps build sides plus one bounded batch per operator resident; \
-         multiplying twigs see the largest peak-memory reduction, and LIMIT-style consumers \
-         stop paying for rows they never pull)"
     );
 }
 

@@ -67,8 +67,8 @@ pub use obs::json;
 pub use obs::{
     init_from_env, ArmStats, ArmTelemetry, CacheCounters, Counter, EnvFilter, ExecMetrics,
     FmtSubscriber, Gauge, Histogram, HistogramSnapshot, Json, MetricsRegistry, NodeStats,
-    OpProfile, OpStreamProfile, PlanNodeProfile, QueryProfile, RegistrySnapshot,
-    ResultCacheCounters, SessionProfile, StatsKey, StatsStore, StreamProfile,
+    OpStreamProfile, PlanNodeProfile, QueryProfile, RegistrySnapshot, ResultCacheCounters,
+    SessionProfile, StatsKey, StatsStore, StreamProfile,
 };
 pub use rewriting::{
     plan_fingerprint, rewrite_with_engine, CostModel, EngineConfig, EngineOptions, Estimate,

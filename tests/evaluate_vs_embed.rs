@@ -5,6 +5,11 @@
 //! `evaluate` builds only the columns a XAM reads and lets `Π_χ` skip
 //! duplicate elimination when the kept IDs form a key; the cases below
 //! are the ones either shortcut can get wrong.
+//!
+//! The embeddings share no code with the executor, so this is also the
+//! executor's reference: each case's plan additionally runs through
+//! `build_cursor` a row at a time and seven at a time, and must give the
+//! relation `evaluate` (the same plan as one batch) gave.
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -14,7 +19,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use summary::Summary;
 use uload_bench::pattern_gen::{self, GenConfig};
-use xam_core::semantics::{output_columns, StoredAttr};
+use xam_core::semantics::{
+    build_catalog, build_join_plan, final_projection, output_columns, StoredAttr,
+};
 use xam_core::{parse_xam, EdgeSem, IdKind, Xam};
 use xmltree::{Document, DocumentBuilder};
 
@@ -113,10 +120,31 @@ fn expected(xam: &Xam, doc: &Document) -> BTreeSet<Row> {
         .collect()
 }
 
-/// `evaluate` agrees with the embeddings, and `Π_χ` left no duplicate
-/// among the top-level tuples (whether or not it ran the dedup pass).
+/// `evaluate` agrees with the embeddings, `Π_χ` left no duplicate
+/// among the top-level tuples (whether or not it ran the dedup pass),
+/// and cutting the input into batches changes nothing.
 fn check(xam: &Xam, doc: &Document) -> Result<(), String> {
     let rel = xam_core::evaluate(xam, doc).map_err(|e| format!("evaluate failed: {e}\n{xam}"))?;
+    let (cat, plan) = (
+        build_catalog(xam, doc),
+        final_projection(xam, build_join_plan(xam)),
+    );
+    for batch_size in [1, 7] {
+        let cfg = algebra::CursorConfig {
+            batch_size,
+            ..Default::default()
+        };
+        let batched = algebra::build_cursor(&plan, &cat, Some(doc), &cfg)
+            .and_then(|exec| exec.collect())
+            .map_err(|e| format!("batch {batch_size} failed: {e}\n{xam}"))?;
+        if batched != rel {
+            return Err(format!(
+                "batch {batch_size} gave {} rows, one batch {}\n{xam}",
+                batched.len(),
+                rel.len()
+            ));
+        }
+    }
     let distinct: HashSet<String> = rel.tuples.iter().map(|t| t.to_string()).collect();
     if distinct.len() != rel.len() {
         return Err(format!(

@@ -482,7 +482,7 @@ fn same_view_star_is_linear_at_benchmark_scale() {
 
 /// Row order of the cross-pattern join is the nested loop's (left-major,
 /// right ascending): the first rows equal what the commit before the
-/// hash join answered, through both executors.
+/// hash join answered, drained as one batch and streamed.
 #[test]
 fn join_seller_person_keeps_the_nested_loop_row_order() {
     let golden: Vec<&str> = include_str!("golden/join_seller_person_first20.txt")

@@ -1,7 +1,8 @@
 //! `EXPLAIN ANALYZE` integration tests: hand-computed profiles on a
-//! fixed bib QEP, kernel counters through the metered stream on a
-//! selective twig, profiled-equals-plain on random twig workloads, and
-//! the JSON contract against `schemas/query_profile.schema.json`.
+//! fixed bib QEP (plan tree and stream report read off one run), kernel
+//! counters through the metered stream on a selective twig,
+//! profiled-equals-plain on random twig workloads, and the JSON contract
+//! against `schemas/query_profile.schema.json`.
 
 use proptest::prelude::*;
 use uload::prelude::*;
@@ -63,18 +64,33 @@ fn bib_qep_profile_hand_computed() {
     let names: Vec<&str> = profile.phases.iter().map(|(n, _)| n.as_str()).collect();
     assert_eq!(names, ["parse", "extract", "rewrite", "plan", "eval"]);
 
-    // the profile also carries the pipelined executor's stream report:
-    // same rows, per-operator counters in pre-order (root first)
+    // the profile also carries the executor's stream report of the same
+    // run: per-operator counters in pre-order (root first)
     let streamed = profile.streamed.as_ref().expect("streamed profile");
     assert_eq!(streamed.rows as usize, out.len());
     assert!(streamed.batches >= 1);
     assert!(streamed.peak_resident_tuples > 0);
-    assert_eq!(streamed.ops.len(), 9, "one entry per QEP operator");
     assert_eq!(streamed.ops[0].rows, streamed.rows);
-    assert!(streamed
-        .ops
-        .iter()
-        .any(|o| o.op.starts_with("TwigJoin") && o.metrics.comparisons > 0));
+
+    // one run, one set of counters: the plan tree flattened in pre-order
+    // is the stream report's op list — same labels, rows and kernel
+    // metrics, node for node
+    let mut tree = Vec::new();
+    pre_order(&profile.plan, &mut tree);
+    assert_eq!(streamed.ops.len(), tree.len(), "one entry per QEP operator");
+    for (node, op) in tree.iter().zip(&streamed.ops) {
+        assert_eq!(node.op, op.op);
+        assert_eq!(node.actual_rows, op.rows, "{}", op.op);
+        assert_eq!(node.metrics, op.metrics, "{}", op.op);
+        assert!(op.batches >= 1, "{}", op.op);
+    }
+}
+
+fn pre_order<'p>(n: &'p PlanNodeProfile, out: &mut Vec<&'p PlanNodeProfile>) {
+    out.push(n);
+    for c in &n.children {
+        pre_order(c, out);
+    }
 }
 
 fn collect_leaves<'p>(n: &'p PlanNodeProfile, out: &mut Vec<&'p PlanNodeProfile>) {
@@ -225,8 +241,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Profiled execution returns exactly the relation plain execution
-    /// returns, on random XMark twig patterns, and the profile tree
-    /// mirrors the plan shape node for node.
+    /// returns, on random XMark twig patterns, streamed or as one batch,
+    /// and keeps one slot per plan node whose root counted every row.
     #[test]
     fn profiled_execution_matches_plain(
         spec in prop::collection::vec((0usize..10, 0usize..8, 0usize..2), 2..6),
@@ -253,11 +269,18 @@ proptest! {
         }
         let cat = uload_bench::experiments::twig_catalog(&doc);
         let plan = w.twig_plan();
-        let ev = Evaluator::new(&cat);
-        let plain = ev.eval(&plan).unwrap();
-        let (profiled, prof) = ev.eval_profiled(&plan).unwrap();
-        prop_assert_eq!(&plain, &profiled, "profiled != plain on {:?}", w.labels);
-        prop_assert_eq!(prof.node_count(), plan.size());
-        prop_assert_eq!(prof.out_rows as usize, plain.len());
+        let plain = Evaluator::new(&cat).eval(&plan).unwrap();
+        for batch_size in [7, usize::MAX] {
+            let ccfg = algebra::CursorConfig { batch_size, profiling: true, ..Default::default() };
+            let mut exec = algebra::build_cursor(&plan, &cat, None, &ccfg).unwrap();
+            let mut tuples = Vec::new();
+            while let Some(b) = exec.next_batch().unwrap() {
+                tuples.extend(b.tuples);
+            }
+            prop_assert_eq!(&plain.tuples, &tuples, "profiled != plain on {:?}", w.labels);
+            let ops = exec.op_stats();
+            prop_assert_eq!(ops.len(), plan.size());
+            prop_assert_eq!(ops[0].cells.rows.get() as usize, plain.len());
+        }
     }
 }

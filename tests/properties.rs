@@ -222,12 +222,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The pipelined batch executor returns exactly the materialized
-    /// evaluator's relation — same rows, same order — on random XMark
-    /// and DBLP twig plans (both the fused holistic form and the binary
-    /// cascade), across batch sizes down to one row per batch.
+    /// The executor's answer does not depend on how its input is cut
+    /// into batches: one row at a time, a few, the default, or everything
+    /// at once (what `Evaluator::eval` runs) give the same rows in the
+    /// same order on random XMark and DBLP twig plans — the fused
+    /// holistic form and the binary cascade — and so do the oracle arms,
+    /// the nested-loop structural join and the cascade in place of the
+    /// holistic twig.
     #[test]
-    fn streamed_matches_materialized(
+    fn results_are_batch_size_invariant(
         spec in prop::collection::vec((0usize..10, 0usize..8, 0usize..2), 2..7),
         dblp_sel in 0usize..2,
         batch_pick in 0usize..4,
@@ -257,32 +260,37 @@ proptest! {
             return Ok(()); // label absent: no ids_* relation to scan
         }
         let cat = uload_bench::experiments::twig_catalog(&doc);
-        let batch_size = [1usize, 2, 7, 1024][batch_pick];
-        for (plan, twig_on) in [
-            (w.twig_plan(), true),
-            (w.twig_plan(), false), // exercises the cascade fallback
-            (w.cascade_plan(), true),
-        ] {
-            let mut ev = algebra::Evaluator::new(&cat);
-            ev.config.use_twigstack = twig_on;
-            let oracle = ev.eval(&plan).unwrap();
-            let mut ccfg = algebra::CursorConfig {
-                batch_size,
-                ..Default::default()
-            };
-            ccfg.eval.use_twigstack = twig_on;
-            let exec = algebra::build_cursor(&plan, &cat, None, &ccfg).unwrap();
-            let streamed = exec.collect().unwrap();
-            prop_assert_eq!(
-                &streamed, &oracle,
-                "streamed != materialized on {:?} (batch {}, twig {})",
-                w.labels, batch_size, twig_on
-            );
+        let run = |plan: &algebra::LogicalPlan, batch_size: usize, eval: algebra::EvalConfig| {
+            let ccfg = algebra::CursorConfig { batch_size, eval, ..Default::default() };
+            algebra::build_cursor(plan, &cat, None, &ccfg).unwrap().collect().unwrap()
+        };
+        let default = algebra::EvalConfig::default();
+        let nested_loop = algebra::EvalConfig { use_stacktree: false, ..default };
+        let cascade_arm = algebra::EvalConfig { use_twigstack: false, ..default };
+        let sizes = [1usize, 2, 7, 1024];
+        let want = run(&w.twig_plan(), usize::MAX, default);
+        prop_assert_eq!(&algebra::Evaluator::new(&cat).eval(&w.twig_plan()).unwrap(), &want);
+        for plan in [w.twig_plan(), w.cascade_plan()] {
+            for batch_size in sizes.into_iter().chain([usize::MAX]) {
+                prop_assert_eq!(
+                    &run(&plan, batch_size, default), &want,
+                    "batch {} changed the answer on {:?}", batch_size, w.labels
+                );
+            }
+            // the oracles, at one drawn batch size and unbounded
+            for eval in [nested_loop, cascade_arm] {
+                for batch_size in [sizes[batch_pick], usize::MAX] {
+                    prop_assert_eq!(
+                        &run(&plan, batch_size, eval), &want,
+                        "{:?} at batch {} disagrees on {:?}", eval, batch_size, w.labels
+                    );
+                }
+            }
         }
         // value joins whose key columns sit inside nested collections
         // (multi-valued, and empty where a node has no such child): the
-        // cursor's resident hash table against the one-shot evaluator,
-        // at batch sizes around the left input's
+        // resident hash table probed a batch at a time against one probe
+        // with everything, at batch sizes around the left input's
         let rel = |k: usize| {
             algebra::LogicalPlan::scan(storage::IdStreamIndex::relation_of(w.labels[k]))
         };
@@ -308,12 +316,60 @@ proptest! {
                 let streamed = algebra::build_cursor(&plan, &cat, None, &ccfg).unwrap().collect().unwrap();
                 prop_assert_eq!(
                     &streamed, &oracle,
-                    "streamed != materialized on {} join of {:?} (batch {})",
+                    "batch size changed the {} join of {:?} (batch {})",
                     kind, &w.labels[..2], batch_size
                 );
             }
         }
     }
+}
+
+/// What bounded batches buy: on a multiplying twig — `site//item` with
+/// three `//keyword` branches, k³ solutions per item — the binary cascade
+/// drained as one batch holds every intermediate list whole, while at 64
+/// rows a batch only the build sides and one batch per operator are
+/// resident. And a consumer that stops after ten rows has pulled no more
+/// than it asked for plus one batch.
+#[test]
+fn bounded_batches_bound_residency_on_a_multiplying_star() {
+    let doc = generate::xmark(3, 11);
+    let cat = uload_bench::experiments::twig_catalog(&doc);
+    let plan = uload_bench::experiments::TwigWorkload {
+        name: "deep_star_kw3".into(),
+        labels: vec!["site", "item", "keyword", "keyword", "keyword"],
+        parents: vec![0, 0, 1, 1, 1],
+        axes: vec![algebra::Axis::Descendant; 5],
+    }
+    .cascade_plan();
+    let exec = |batch_size: usize| {
+        let ccfg = algebra::CursorConfig {
+            batch_size,
+            ..Default::default()
+        };
+        algebra::build_cursor(&plan, &cat, None, &ccfg).unwrap()
+    };
+    let drain = |batch_size: usize| {
+        let mut exec = exec(batch_size);
+        let mut rows = 0;
+        while let Some(b) = exec.next_batch().unwrap() {
+            rows += b.len();
+        }
+        (rows, exec.peak_resident())
+    };
+    let (rows, whole) = drain(usize::MAX);
+    let (rows_64, bounded) = drain(64);
+    assert!(rows > 0 && rows == rows_64);
+    assert!(
+        whole > 2 * bounded,
+        "no residency win: {whole} resident as one batch, {bounded} at 64 rows a batch"
+    );
+    let mut limited = exec(64);
+    let mut pulled = 0;
+    while pulled < 10 {
+        pulled += limited.next_batch().unwrap().map_or(10, |b| b.len());
+    }
+    limited.close();
+    assert!(pulled <= 10 + 64 && limited.resident_now() == 0);
 }
 
 proptest! {
