@@ -16,23 +16,27 @@
 //!   `Unnest`, `XmlTemplate`, `Navigate`, `Fetch`, `DeriveAncestorId`,
 //!   `Rename`, `CastSchema`) — the operator is applied to each child
 //!   batch;
-//! * **pipeline breakers** (`Project` with `distinct`, `GroupBy`, `Sort`,
-//!   `NestAll`) — the same cursor in breaker mode: the input is drained,
-//!   the operator applied once, and the result streamed out. A single-key
-//!   `Sort` directly over a base scan whose declared [`crate::OrderSpec`]
-//!   already satisfies the key is elided (stable sort of sorted input is
-//!   the identity);
+//! * **pipeline breakers** ([`is_pipeline_breaker`]: `GroupBy`, `Sort`,
+//!   `NestAll`, and a `Project` with `distinct` unless its input is
+//!   provably duplicate-free over the catalog and every column is kept —
+//!   then it streams as a plain `Project`) — the same cursor in breaker
+//!   mode: the input is drained, the operator applied once, and the
+//!   result streamed out. A single-key `Sort` directly over a base scan
+//!   whose declared [`crate::OrderSpec`] already satisfies the key is
+//!   elided (stable sort of sorted input is the identity);
 //! * **build–probe binary** (`Product`, `Join`, `StructJoin`,
 //!   `Difference`) — the right side is drained and packed once (hash
 //!   table, ID columns) and stays resident, then left batches probe it
 //!   (all these operators are per-left-tuple, so batching the left
 //!   preserves both results and order);
 //! * **`Union`** — left exhausted first, then right, pass-through;
-//! * **`TwigJoin`** — inputs are drained (they are base ID streams in
-//!   fused plans), the holistic merge enumerates solution index vectors,
-//!   and output tuples are assembled batch by batch; shapes the holistic
-//!   operator does not cover run the equivalent cascade of binary
-//!   structural joins, bound at compile time, over the drained inputs.
+//! * **`TwigJoin`** — base-relation inputs (`Scan`, `Rename` over a
+//!   `Scan`: the stored views of fused plans) are read in place off the
+//!   catalog, other inputs are drained; the holistic merge enumerates
+//!   solution index vectors, and output tuples are assembled batch by
+//!   batch; shapes the holistic operator does not cover run the
+//!   equivalent cascade of binary structural joins, bound at compile
+//!   time, over copies of the inputs.
 //!
 //! `close()` propagates cancellation down the tree: children are closed,
 //! resident state is released, and every further `next_batch` returns
@@ -44,6 +48,7 @@
 //! counters and its inclusive wall time. `EXPLAIN ANALYZE` is read off
 //! those slots; there is no separate profiled execution.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -53,8 +58,8 @@ use obs::{ExecMetrics, Meter, StatsStore};
 use xmltree::Document;
 
 use crate::eval::{
-    twig_shape, twig_solutions, Binary, Build, Catalog, EvalConfig, EvalError, Metrics, Probe,
-    Relation, TwigShape, Unary,
+    reducing_selection, twig_shape, twig_solutions, Binary, Build, Catalog, EvalConfig, EvalError,
+    Metrics, Probe, Relation, TwigShape, Unary,
 };
 use crate::plan::{JoinKind, LogicalPlan, Path, TwigStep};
 use crate::value::{Schema, Tuple};
@@ -322,36 +327,138 @@ impl<'a> StreamExec<'a> {
 }
 
 // ----------------------------------------------------------------------
-// breaker classification
+// breaker classification and duplicate-freeness
 
 /// Is this plan node a pipeline breaker (must see its whole input before
-/// emitting anything)? `Sort` counts even though [`build_cursor`] elides
-/// it when the input is a base scan whose declared
+/// emitting anything) when it runs over `catalog`? This is the rule
+/// [`build_cursor`] compiles by, so [`OpStats::breaker`],
+/// [`pipeline_breakers`] and every report built on them name exactly the
+/// nodes that buffer. A `π°` whose input is provably duplicate-free runs
+/// as a streaming `Π` and is not one. `Sort` counts even though
+/// [`build_cursor`] elides it when the input is a base scan whose declared
 /// [`crate::OrderSpec`] already satisfies the single sort key.
-pub fn is_pipeline_breaker(plan: &LogicalPlan) -> bool {
-    matches!(
-        plan,
-        LogicalPlan::Project { distinct: true, .. }
-            | LogicalPlan::GroupBy { .. }
-            | LogicalPlan::Sort { .. }
-            | LogicalPlan::NestAll { .. }
-    )
+pub fn is_pipeline_breaker(plan: &LogicalPlan, catalog: &Catalog) -> bool {
+    match plan {
+        LogicalPlan::Project {
+            input,
+            cols,
+            distinct: true,
+        } => !dedup_is_redundant(input, cols, catalog),
+        LogicalPlan::GroupBy { .. } | LogicalPlan::Sort { .. } | LogicalPlan::NestAll { .. } => {
+            true
+        }
+        _ => false,
+    }
 }
 
-/// Pre-order labels of every pipeline breaker in `plan` — the
-/// annotation the rewriting layer logs before streaming starts.
-pub fn pipeline_breakers(plan: &LogicalPlan) -> Vec<String> {
-    fn rec(p: &LogicalPlan, out: &mut Vec<String>) {
-        if is_pipeline_breaker(p) {
+/// Pre-order labels of every pipeline breaker in `plan` over `catalog` —
+/// the annotation the rewriting layer logs before streaming starts.
+pub fn pipeline_breakers(plan: &LogicalPlan, catalog: &Catalog) -> Vec<String> {
+    fn rec(p: &LogicalPlan, catalog: &Catalog, out: &mut Vec<String>) {
+        if is_pipeline_breaker(p, catalog) {
             out.push(p.node_label());
         }
         for c in p.child_plans() {
-            rec(c, out);
+            rec(c, catalog, out);
         }
     }
     let mut out = Vec::new();
-    rec(plan, &mut out);
+    rec(plan, catalog, &mut out);
     out
+}
+
+/// Does `π°[cols]` over `input` have nothing to eliminate? It has not
+/// when `input` is a set ([`set_columns`]) of distinctly named columns
+/// and `cols` keep every one of them whole: distinct tuples stay
+/// distinct.
+fn dedup_is_redundant(input: &LogicalPlan, cols: &[Path], catalog: &Catalog) -> bool {
+    if cols.iter().any(|c| c.as_str().contains('.')) {
+        return false; // a nested sub-projection can merge tuples
+    }
+    let Some(mut names) = set_columns(input, catalog) else {
+        return false;
+    };
+    let arity = names.len();
+    names.sort_unstable();
+    names.dedup();
+    let mut kept: Vec<&str> = cols.iter().map(Path::as_str).collect();
+    kept.sort_unstable();
+    kept.dedup();
+    names.len() == arity && names == kept
+}
+
+/// The top-level column names of `plan`'s output when it provably holds
+/// no two tuples equal under `π°`'s equality; `None` when it may. Worked
+/// out bottom-up from the catalog's declared sets
+/// ([`Catalog::declare_set`]):
+///
+/// * a `Scan` of a declared set is one;
+/// * `Rename`, `CastSchema` and `Sort` keep set-ness, and so does a
+///   `Select` unless it reduces a nested collection (a dotted column
+///   compared with a constant: two tuples can reduce to one);
+/// * an inner `StructJoin` off a flat left attribute and without
+///   `nest_as`, and a `TwigJoin` whose steps all hang off flat
+///   attributes, are sets when every input is — an inner join of sets is
+///   a set;
+/// * `π°` is one by construction.
+///
+/// A path descends into a nested schema only at a `.`
+/// ([`Schema::resolve`]), so a dotted path is one that crosses a
+/// collection.
+fn set_columns<'p>(plan: &'p LogicalPlan, catalog: &'p Catalog) -> Option<Vec<&'p str>> {
+    use LogicalPlan::*;
+    let flat = |p: &Path| !p.as_str().contains('.');
+    let field_names = |s: &'p Schema| s.fields.iter().map(|f| f.name.as_str()).collect();
+    match plan {
+        Scan { relation } if catalog.is_declared_set(relation) => {
+            catalog.get(relation).map(|r| field_names(&r.schema))
+        }
+        Rename { input, names } => {
+            set_columns(input, catalog)?;
+            Some(names.iter().map(String::as_str).collect())
+        }
+        CastSchema { input, schema } => {
+            set_columns(input, catalog)?;
+            Some(field_names(schema))
+        }
+        Sort { input, .. } => set_columns(input, catalog),
+        Select { pred, .. } if reducing_selection(pred).is_some() => None,
+        Select { input, .. } => set_columns(input, catalog),
+        StructJoin {
+            left,
+            right,
+            left_attr,
+            kind: JoinKind::Inner,
+            nest_as: None,
+            ..
+        } if flat(left_attr) => {
+            let mut cols = set_columns(left, catalog)?;
+            cols.extend(set_columns(right, catalog)?);
+            Some(cols)
+        }
+        TwigJoin { root, steps } if steps.iter().all(|s| flat(&s.parent_attr)) => {
+            let mut cols = set_columns(root, catalog)?;
+            for s in steps {
+                cols.extend(set_columns(&s.input, catalog)?);
+            }
+            Some(cols)
+        }
+        Project {
+            cols,
+            distinct: true,
+            ..
+        } => {
+            let mut heads: Vec<&str> = Vec::new();
+            for c in cols {
+                let head = c.as_str().split('.').next().unwrap_or_default();
+                if !heads.contains(&head) {
+                    heads.push(head);
+                }
+            }
+            Some(heads)
+        }
+        _ => None,
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -398,18 +505,8 @@ impl<'a> Builder<'a, '_> {
     /// The one place a plan node becomes something that runs.
     fn build(&mut self, plan: &LogicalPlan) -> Result<Box<dyn Cursor + 'a>, EvalError> {
         use LogicalPlan::*;
-        // every plan node owns a slot, registered before its inputs'
-        // (pre-order), whether or not it gets a cursor of its own
-        let breaker = is_pipeline_breaker(plan);
-        let cells = self.cfg.profiling.then(|| {
-            let cells = Rc::new(OpCells::default());
-            self.ops.push(OpStats {
-                label: plan.node_label(),
-                breaker,
-                cells: Rc::clone(&cells),
-            });
-            cells
-        });
+        let breaker = is_pipeline_breaker(plan, self.catalog);
+        let cells = self.register(plan, breaker);
         let mon = Mon {
             residency: Rc::clone(&self.residency),
             cells: cells.clone(),
@@ -418,10 +515,7 @@ impl<'a> Builder<'a, '_> {
         let (doc, eval) = (self.doc, self.cfg.eval);
         let cursor: Box<dyn Cursor + 'a> = match plan {
             Scan { relation } => {
-                let rel = self
-                    .catalog
-                    .get(relation)
-                    .ok_or_else(|| EvalError::UnknownRelation(relation.clone()))?;
+                let rel = self.relation(relation)?;
                 Box::new(ScanCursor {
                     rel,
                     pos: 0,
@@ -440,11 +534,14 @@ impl<'a> Builder<'a, '_> {
             Select { input, pred } => {
                 self.unary(input, mon, breaker, |s| Unary::select(s, pred))?
             }
+            // a `π°` that is no breaker has no duplicates to eliminate
             Project {
                 input,
                 cols,
                 distinct,
-            } => self.unary(input, mon, breaker, |s| Unary::project(s, cols, *distinct))?,
+            } => self.unary(input, mon, breaker, |s| {
+                Unary::project(s, cols, *distinct && breaker)
+            })?,
             GroupBy {
                 input,
                 keys,
@@ -555,6 +652,28 @@ impl<'a> Builder<'a, '_> {
         })
     }
 
+    /// Register `plan`'s profiling slot. Every plan node owns one,
+    /// registered before its inputs' (pre-order), whether or not it gets
+    /// a cursor of its own.
+    fn register(&mut self, plan: &LogicalPlan, breaker: bool) -> Option<Rc<OpCells>> {
+        self.cfg.profiling.then(|| {
+            let cells = Rc::new(OpCells::default());
+            self.ops.push(OpStats {
+                label: plan.node_label(),
+                breaker,
+                cells: Rc::clone(&cells),
+            });
+            cells
+        })
+    }
+
+    /// The catalog relation `name`.
+    fn relation(&self, name: &str) -> Result<&'a Relation, EvalError> {
+        self.catalog
+            .get(name)
+            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))
+    }
+
     /// Sort elision over a declared order: `by` is one key and `input` a
     /// base scan whose declared order satisfies it.
     fn sort_is_elided(&self, input: &LogicalPlan, by: &[Path]) -> bool {
@@ -623,12 +742,12 @@ impl<'a> Builder<'a, '_> {
         steps: &[TwigStep],
         mon: Mon,
     ) -> Result<Box<dyn Cursor + 'a>, EvalError> {
-        let mut children = Vec::with_capacity(steps.len() + 1);
-        children.push(self.build(root)?);
+        let mut inputs = Vec::with_capacity(steps.len() + 1);
+        inputs.push(self.twig_input(root)?);
         for s in steps {
-            children.push(self.build(&s.input)?);
+            inputs.push(self.twig_input(&s.input)?);
         }
-        let schemas: Vec<&Schema> = children.iter().map(|c| c.schema()).collect();
+        let schemas: Vec<&Schema> = inputs.iter().map(TwigInput::schema).collect();
         let shape = if self.cfg.eval.use_twigstack {
             twig_shape(&schemas, steps)
         } else {
@@ -663,7 +782,7 @@ impl<'a> Builder<'a, '_> {
             None => cascade_schema,
         };
         Ok(Box::new(TwigCursor {
-            children,
+            inputs,
             steps: steps.to_vec(),
             shape,
             cascade,
@@ -675,6 +794,35 @@ impl<'a> Builder<'a, '_> {
             mon,
             closed: false,
         }))
+    }
+
+    /// One twig input. A base relation — a `Scan`, or a `Rename` over
+    /// one — is read in place off the catalog: its nodes keep their
+    /// slots, but nothing is copied and nothing becomes resident. Any
+    /// other input is compiled to a cursor and drained.
+    fn twig_input(&mut self, plan: &LogicalPlan) -> Result<TwigInput<'a>, EvalError> {
+        let (scan, names) = match plan {
+            LogicalPlan::Rename { input, names } => (input.as_ref(), Some(names)),
+            _ => (plan, None),
+        };
+        let LogicalPlan::Scan { relation } = scan else {
+            return Ok(TwigInput::Drained(self.build(plan)?));
+        };
+        let mut slots = Vec::new();
+        if names.is_some() {
+            slots.extend(self.register(plan, false));
+        }
+        slots.extend(self.register(scan, false));
+        let rel = self.relation(relation)?;
+        let schema = match names {
+            Some(names) => Cow::Owned(Unary::rename(&rel.schema, names)?.schema),
+            None => Cow::Borrowed(&rel.schema),
+        };
+        Ok(TwigInput::Stored {
+            rows: &rel.tuples,
+            schema,
+            slots,
+        })
     }
 }
 
@@ -976,12 +1124,34 @@ impl Cursor for UnionCursor<'_> {
     }
 }
 
-enum TwigState {
+/// One input of a [`TwigCursor`] (see `Builder::twig_input`).
+enum TwigInput<'a> {
+    /// A catalog relation read in place, with the profiling slots of the
+    /// plan nodes it stands for (`Rename`, then `Scan`).
+    Stored {
+        rows: &'a [Tuple],
+        schema: Cow<'a, Schema>,
+        slots: Vec<Rc<OpCells>>,
+    },
+    /// A computed input, drained when the merge starts.
+    Drained(Box<dyn Cursor + 'a>),
+}
+
+impl TwigInput<'_> {
+    fn schema(&self) -> &Schema {
+        match self {
+            TwigInput::Stored { schema, .. } => schema,
+            TwigInput::Drained(c) => c.schema(),
+        }
+    }
+}
+
+enum TwigState<'a> {
     Start,
-    /// Holistic: inputs resident, solutions enumerated, assembling
-    /// output tuples batch by batch.
+    /// Holistic: inputs at hand, solutions enumerated, assembling output
+    /// tuples batch by batch. `resident` counts the drained inputs' rows.
     Stream {
-        inputs: Vec<Vec<Tuple>>,
+        inputs: Vec<Cow<'a, [Tuple]>>,
         solutions: Vec<Vec<usize>>,
         pos: usize,
         resident: usize,
@@ -990,19 +1160,19 @@ enum TwigState {
     Done,
 }
 
-/// Holistic twig join: drains its inputs (base ID streams in fused
-/// plans), runs the multi-way merge once, then assembles one output
-/// tuple per solution lazily — solutions are index vectors, so the
-/// concatenated tuples never sit in memory all at once. The cascade arm
-/// (see `Builder::twig`) runs the bound binary joins over the same
-/// drained inputs instead and streams their result out.
+/// Holistic twig join: reads its stored inputs in place and drains the
+/// computed ones, runs the multi-way merge once, then assembles one
+/// output tuple per solution lazily — solutions are index vectors, so
+/// the concatenated tuples never sit in memory all at once. The cascade
+/// arm (see `Builder::twig`) runs the bound binary joins over copies of
+/// the same inputs instead and streams their result out.
 struct TwigCursor<'a> {
-    children: Vec<Box<dyn Cursor + 'a>>,
+    inputs: Vec<TwigInput<'a>>,
     steps: Vec<TwigStep>,
     shape: Option<TwigShape>,
     cascade: Vec<Binary>,
     schema: Schema,
-    state: TwigState,
+    state: TwigState<'a>,
     batch: usize,
     spill: Spill,
     hint: Option<ArmSwitchHint>,
@@ -1010,16 +1180,31 @@ struct TwigCursor<'a> {
     closed: bool,
 }
 
-impl TwigCursor<'_> {
-    /// Drain the inputs and run whichever arm applies; `Some` is the
+impl<'a> TwigCursor<'a> {
+    /// Gather the inputs and run whichever arm applies; `Some` is the
     /// cascade arm's whole output.
     fn start(&mut self) -> Result<Option<Vec<Tuple>>, EvalError> {
-        let mut inputs = Vec::with_capacity(self.children.len());
-        let mut resident = 0usize;
-        for c in &mut self.children {
-            let tuples = self.mon.drain(&mut **c)?;
-            resident += tuples.len();
-            inputs.push(tuples);
+        let mut inputs: Vec<Cow<'a, [Tuple]>> = Vec::with_capacity(self.inputs.len());
+        let (mut leaf_rows, mut resident) = (0usize, 0usize);
+        for input in &mut self.inputs {
+            let rows = match input {
+                TwigInput::Stored { rows, slots, .. } => {
+                    // what the scan would have emitted, batch for batch
+                    let (n, batches) = (rows.len() as u64, rows.len().div_ceil(self.batch));
+                    for c in slots.iter() {
+                        c.rows.set(c.rows.get() + n);
+                        c.batches.set(c.batches.get() + batches as u64);
+                    }
+                    Cow::Borrowed(*rows)
+                }
+                TwigInput::Drained(c) => {
+                    let tuples = self.mon.drain(&mut **c)?;
+                    resident += tuples.len();
+                    Cow::Owned(tuples)
+                }
+            };
+            leaf_rows += rows.len();
+            inputs.push(rows);
         }
         // Mid-query arm check: the leaf streams are fully drained, so
         // their real combined cardinality is known before the merge has
@@ -1028,12 +1213,12 @@ impl TwigCursor<'_> {
         // the merge was priced on, fall over to the cascade arm — same
         // answers, honestly-priced path — and record the outcome.
         let fall_over = match (&self.shape, &self.hint) {
-            (Some(_), Some(h)) if h.should_switch(resident as f64) => {
+            (Some(_), Some(h)) if h.should_switch(leaf_rows as f64) => {
                 h.stats.record_arm_switch(h.doc_version, h.plan_fp, false);
                 tracing::debug!(
                     target: "uload::cost",
                     "twig arm fell over to cascade mid-query: observed {} leaf rows vs est {:.0}",
-                    resident,
+                    leaf_rows,
                     h.est_leaf_rows
                 );
                 true
@@ -1041,9 +1226,10 @@ impl TwigCursor<'_> {
             _ => false,
         };
         if let (Some(shape), false) = (&self.shape, fall_over) {
+            let rows: Vec<&[Tuple]> = inputs.iter().map(|r| r.as_ref()).collect();
             let solutions = self
                 .mon
-                .metered(|m| twig_solutions(&inputs, shape, &self.steps, m))?;
+                .metered(|m| twig_solutions(&rows, shape, &self.steps, m))?;
             self.state = TwigState::Stream {
                 inputs,
                 solutions,
@@ -1058,7 +1244,10 @@ impl TwigCursor<'_> {
             self.steps.len()
         );
         self.state = TwigState::Done;
-        let mut inputs = inputs.into_iter();
+        // the binary joins consume their inputs: the one place a stored
+        // input is copied, and resident while they run
+        self.mon.residency.alloc(leaf_rows - resident);
+        let mut inputs = inputs.into_iter().map(Cow::into_owned);
         let mut acc = inputs.next().expect("a twig has a root input");
         for (join, right) in std::mem::take(&mut self.cascade).into_iter().zip(inputs) {
             acc = self.mon.metered(|mut m| {
@@ -1071,7 +1260,7 @@ impl TwigCursor<'_> {
                 m.note_fallback();
             }
         });
-        self.mon.residency.free(resident);
+        self.mon.residency.free(leaf_rows);
         Ok(Some(acc))
     }
 }
@@ -1110,16 +1299,17 @@ impl Cursor for TwigCursor<'_> {
             self.state = TwigState::Done;
             return Ok(None);
         }
-        // one output tuple per solution; twig_join already emits them in
-        // the cascade's lexicographic order
+        // one output tuple per solution, built in one allocation;
+        // twig_join already emits them in the cascade's lexicographic order
         let hi = pos.saturating_add(self.batch).min(solutions.len());
+        let arity = self.schema.arity();
         let mut tuples = Vec::with_capacity(hi - *pos);
         for sol in &solutions[*pos..hi] {
-            let mut t = inputs[0][sol[0]].clone();
-            for (j, &i) in sol.iter().enumerate().skip(1) {
-                t = t.concat(&inputs[j][i]);
+            let mut vals = Vec::with_capacity(arity);
+            for (rows, &i) in inputs.iter().zip(sol) {
+                vals.extend_from_slice(&rows[i].0);
             }
-            tuples.push(t);
+            tuples.push(Tuple::new(vals));
         }
         *pos = hi;
         Ok(Some(self.mon.emit(tuples)))
@@ -1130,8 +1320,10 @@ impl Cursor for TwigCursor<'_> {
             return;
         }
         self.closed = true;
-        for c in &mut self.children {
-            c.close();
+        for input in &mut self.inputs {
+            if let TwigInput::Drained(c) = input {
+                c.close();
+            }
         }
         if let TwigState::Stream { resident, .. } =
             std::mem::replace(&mut self.state, TwigState::Done)
@@ -1743,11 +1935,184 @@ mod tests {
             .union(LogicalPlan::scan("b"))
             .project_distinct(&["x"])
             .sort(&["x"]);
-        let labels = pipeline_breakers(&plan);
+        let cat = Catalog::new();
+        let labels = pipeline_breakers(&plan, &cat);
         assert_eq!(labels.len(), 2);
         assert!(labels[0].starts_with("Sort"));
         assert!(labels[1].starts_with("Project"));
-        assert!(is_pipeline_breaker(&plan));
-        assert!(!is_pipeline_breaker(&LogicalPlan::scan("a")));
+        assert!(is_pipeline_breaker(&plan, &cat));
+        assert!(!is_pipeline_breaker(&LogicalPlan::scan("a"), &cat));
+    }
+
+    /// `setup()`'s relations, each declared a set, plus an undeclared
+    /// `_dup` copy of each holding every tuple twice.
+    fn set_catalog() -> Catalog {
+        let (_doc, mut cat) = setup();
+        for name in ["library", "book", "phdthesis", "title", "author"] {
+            assert!(cat.declare_set(name));
+            let rel = cat.get(name).unwrap().clone();
+            let twice = rel.tuples.iter().chain(&rel.tuples).cloned().collect();
+            cat.insert(format!("{name}_dup"), Relation::new(rel.schema, twice));
+        }
+        cat
+    }
+
+    /// The fused shape the rewriter emits: `π°` keeping every column of a
+    /// twig over two renamed views.
+    fn dedup_over_twig(book: &str, title: &str) -> LogicalPlan {
+        LogicalPlan::scan(book)
+            .rename(&["b_id", "b_t", "b_v", "b_c"])
+            .twig_join(vec![TwigStep::new(
+                LogicalPlan::scan(title).rename(&["t_id", "t_t", "t_v", "t_c"]),
+                "b_id",
+                "t_id",
+                Axis::Child,
+            )])
+            .project_distinct(&["t_v", "b_id", "b_t", "b_v", "b_c", "t_id", "t_t", "t_c"])
+    }
+
+    /// A `π°` over a declared set is listed as a breaker nowhere — not
+    /// by `pipeline_breakers`, not on its op slot — and streams; over an
+    /// undeclared relation it still is one, and still eliminates.
+    #[test]
+    fn dedup_over_a_declared_set_is_no_breaker() {
+        let cat = set_catalog();
+        let flagged = |plan: &LogicalPlan| {
+            let (rel, ops) = profiled(plan, &cat, 1, EvalConfig::default());
+            let flags: Vec<String> = ops
+                .iter()
+                .filter(|o| o.breaker)
+                .map(|o| o.label.clone())
+                .collect();
+            assert_eq!(flags, pipeline_breakers(plan, &cat), "one rule, {plan}");
+            (rel, flags)
+        };
+        let set = dedup_over_twig("book", "title");
+        let (rel, flags) = flagged(&set);
+        assert!(flags.is_empty(), "{flags:?}");
+        assert!(!is_pipeline_breaker(&set, &cat));
+        assert_eq!(rel.len(), 2);
+        // streams: one row out costs one batch of each input, not a drain
+        let cfg = CursorConfig {
+            batch_size: 1,
+            ..Default::default()
+        };
+        let mut exec = build_cursor(&set, &cat, None, &cfg).unwrap();
+        exec.next_batch().unwrap();
+        assert!(exec.peak_resident() <= 2, "{}", exec.peak_resident());
+
+        let dup = dedup_over_twig("book_dup", "title_dup");
+        let (dedup, flags) = flagged(&dup);
+        assert_eq!(flags.len(), 1, "{flags:?}");
+        assert!(flags[0].starts_with("Project°"), "{flags:?}");
+        assert_eq!(dedup, rel, "the hash pass removed the copies");
+        assert_batch_invariant(&set, &cat, None);
+        assert_batch_invariant(&dup, &cat, None);
+
+        // where set-ness is provable the hash pass goes, wherever the
+        // kept columns move; where it is not, or the projection can merge
+        // tuples, it stays
+        let all = ["ID", "Tag", "Val", "Cont", "as"];
+        let nested = LogicalPlan::scan("book").struct_nest_join(
+            LogicalPlan::scan("author"),
+            "ID",
+            "ID",
+            Axis::Child,
+            false,
+            "as",
+        );
+        let deduped = nested.project_distinct(&all);
+        let cases = [
+            // a non-reducing selection over a set, columns reordered
+            (
+                LogicalPlan::scan("book")
+                    .select(Predicate::eq("Val", Value::str("x")))
+                    .project_distinct(&["Cont", "ID", "Val", "Tag"]),
+                false,
+            ),
+            // a `π°` is a set
+            (deduped.clone().project_distinct(&all), false),
+            // a subset of the columns
+            (
+                LogicalPlan::scan("book").project_distinct(&["ID", "Tag", "Val"]),
+                true,
+            ),
+            // a nest join
+            (deduped.clone(), true),
+            // a nested sub-projection
+            (
+                deduped
+                    .clone()
+                    .project_distinct(&["ID", "Tag", "Val", "Cont", "as.ID"]),
+                true,
+            ),
+            // a selection that reduces a nested collection
+            (
+                deduped
+                    .select(Predicate::eq("as.Val", Value::str("Suciu")))
+                    .project_distinct(&all),
+                true,
+            ),
+        ];
+        for (plan, breaks) in cases {
+            assert_eq!(is_pipeline_breaker(&plan, &cat), breaks, "{plan}");
+            flagged(&plan);
+        }
+    }
+
+    /// A twig reads stored inputs in place, and each `Scan`/`Rename`
+    /// slot still reports what the scan would have emitted: every row,
+    /// in as many batches as the batch size cuts them into. None of
+    /// them is resident.
+    #[test]
+    fn borrowed_twig_inputs_keep_their_slots() {
+        let (_doc, cat) = setup();
+        let twig = LogicalPlan::scan("book")
+            .rename(&["b_id", "b_t", "b_v", "b_c"])
+            .twig_join(vec![
+                TwigStep::new(LogicalPlan::scan("author"), "b_id", "ID", Axis::Child),
+                TwigStep::new(id_col("title", "t_id"), "b_id", "t_id", Axis::Child),
+            ]);
+        let (books, authors) = (
+            cat.get("book").unwrap().len(),
+            cat.get("author").unwrap().len(),
+        );
+        let titles = cat.get("title").unwrap().len();
+        for batch in [1usize, 2, 1024, usize::MAX] {
+            let (rel, ops) = profiled(&twig, &cat, batch, EvalConfig::default());
+            assert_eq!(rel, run(&twig, &cat, None, batch, EvalConfig::default()));
+            assert_eq!(ops.len(), twig.size());
+            let slots: Vec<(&str, u64, u64)> = ops
+                .iter()
+                .map(|o| (o.label.as_str(), o.cells.rows.get(), o.cells.batches.get()))
+                .collect();
+            let cut = |n: usize| n.div_ceil(batch) as u64;
+            assert_eq!(
+                slots[1..],
+                [
+                    ("Rename", books as u64, cut(books)),
+                    ("Scan(book)", books as u64, cut(books)),
+                    ("Scan(author)", authors as u64, cut(authors)),
+                    ("Rename", titles as u64, cut(titles)),
+                    ("Project[ID]", titles as u64, cut(titles)),
+                    ("Scan(title)", titles as u64, cut(titles)),
+                ],
+                "batch {batch}"
+            );
+        }
+        // over stored inputs alone, only the emitted batch is resident
+        let stored = LogicalPlan::scan("book").twig_join(vec![TwigStep::new(
+            LogicalPlan::scan("author").rename(&["a_id", "a_t", "a_v", "a_c"]),
+            "ID",
+            "a_id",
+            Axis::Child,
+        )]);
+        let cfg = CursorConfig {
+            batch_size: usize::MAX,
+            ..Default::default()
+        };
+        let mut exec = build_cursor(&stored, &cat, None, &cfg).unwrap();
+        let out = exec.next_batch().unwrap().unwrap().len() as u64;
+        assert_eq!((out, exec.peak_resident()), (3, 3));
     }
 }

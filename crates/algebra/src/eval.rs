@@ -30,7 +30,7 @@ use crate::cursor::{build_cursor, CursorConfig};
 use crate::hashjoin::{assemble_join, join_schema, JoinTable};
 use crate::order::{tuple_cmp_all, value_cmp, OrderSpec};
 use crate::plan::{
-    Axis, FetchWhat, JoinKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep,
+    Axis, CmpOp, FetchWhat, JoinKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep,
 };
 use crate::pred::{cmp_values, BoundPred, NO_TUPLE};
 use crate::simd::{IdColumns, DEFAULT_BLOCK};
@@ -73,6 +73,7 @@ impl Relation {
 pub struct Catalog {
     relations: HashMap<String, Relation>,
     orders: HashMap<String, OrderSpec>,
+    sets: HashSet<String>,
 }
 
 impl Catalog {
@@ -80,25 +81,31 @@ impl Catalog {
         Catalog::default()
     }
 
+    /// Register a relation. Replacing one clears its set declaration:
+    /// nothing is known about the new tuples.
     pub fn insert(&mut self, name: impl Into<String>, rel: Relation) {
-        self.relations.insert(name.into(), rel);
+        let name = name.into();
+        self.sets.remove(&name);
+        self.relations.insert(name, rel);
     }
 
-    /// Register a relation together with its declared output order.
+    /// Register a relation together with its declared output order (and,
+    /// like [`Catalog::insert`], without a set declaration).
     pub fn insert_ordered(&mut self, name: impl Into<String>, rel: Relation, order: OrderSpec) {
         let name = name.into();
         self.orders.insert(name.clone(), order);
-        self.relations.insert(name, rel);
+        self.insert(name, rel);
     }
 
     pub fn get(&self, name: &str) -> Option<&Relation> {
         self.relations.get(name)
     }
 
-    /// Unregister a relation and its declared order; every other entry
-    /// is left as it was.
+    /// Unregister a relation, its declared order and its set declaration;
+    /// every other entry is left as it was.
     pub fn remove(&mut self, name: &str) -> Option<Relation> {
         self.orders.remove(name);
+        self.sets.remove(name);
         self.relations.remove(name)
     }
 
@@ -108,6 +115,25 @@ impl Catalog {
     /// already satisfies the requested key.
     pub fn declared_order(&self, name: &str) -> Option<&OrderSpec> {
         self.orders.get(name)
+    }
+
+    /// Declare that the registered relation `name` holds no two tuples
+    /// equal under `π°`'s equality — a materialized XAM does not, by
+    /// Def. 2.2.3. The executor then skips `π°`'s hash pass over it
+    /// (see `Duplicate elimination` in DESIGN.md). `false`, and nothing
+    /// declared, when no such relation is registered.
+    pub fn declare_set(&mut self, name: &str) -> bool {
+        let known = self.relations.contains_key(name);
+        if known {
+            self.sets.insert(name.to_string());
+        }
+        known
+    }
+
+    /// Was `name` declared duplicate-free ([`Catalog::declare_set`]) since
+    /// it was last inserted?
+    pub fn is_declared_set(&self, name: &str) -> bool {
+        self.sets.contains(name)
     }
 
     pub fn names(&self) -> impl Iterator<Item = &str> {
@@ -277,17 +303,14 @@ impl<'a> Unary<'a> {
     pub(crate) fn select(input: &Schema, pred: &Predicate) -> Result<Unary<'a>, EvalError> {
         // `map`-extension with reduction for a single comparison over one
         // nested column (Example 1.2.2); plain existential otherwise.
-        if let Predicate::Cmp(Operand::Col(p), op, Operand::Const(c)) = pred {
-            let idx = resolve(input, p)?;
-            if crosses_collection(input, &idx) {
-                let (op, c) = (*op, c.clone());
-                return Ok(Unary::new(input.clone(), move |tuples| {
-                    tuples
-                        .into_iter()
-                        .filter_map(|t| reduce_tuple(t, &idx, &mut |v| cmp_values(v, op, &c)))
-                        .collect()
-                }));
-            }
+        if let Some((p, op, c)) = reducing_selection(pred) {
+            let (idx, c) = (resolve(input, p)?, c.clone());
+            return Ok(Unary::new(input.clone(), move |tuples| {
+                tuples
+                    .into_iter()
+                    .filter_map(|t| reduce_tuple(t, &idx, &mut |v| cmp_values(v, op, &c)))
+                    .collect()
+            }));
         }
         // binding resolves every attribute, so an unknown one fails here,
         // before the first tuple is read
@@ -307,6 +330,9 @@ impl<'a> Unary<'a> {
         distinct: bool,
     ) -> Result<Unary<'a>, EvalError> {
         let spec = ProjSpec::build(input, cols)?;
+        if !distinct && spec.is_identity(input) {
+            return Ok(Unary::new(input.clone(), |tuples| tuples));
+        }
         Ok(Unary::new(spec.schema(input), move |tuples| {
             let mut out: Vec<Tuple> = tuples.iter().map(|t| spec.apply(t)).collect();
             if distinct {
@@ -345,27 +371,31 @@ impl<'a> Unary<'a> {
         schema_fields.push(Field::nested(nest_as, rest_schema));
 
         Ok(Unary::new(Schema::new(schema_fields), move |tuples| {
-            let mut order: Vec<String> = Vec::new();
-            let mut groups: HashMap<String, (Tuple, Vec<Tuple>)> = HashMap::new();
-            for t in &tuples {
-                let key_vals: Vec<Value> = key_idx.iter().map(|&i| t.get(i).clone()).collect();
-                let rest_vals: Vec<Value> = rest_idx.iter().map(|&i| t.get(i).clone()).collect();
-                let key = format!("{}", Tuple::new(key_vals.clone()));
-                groups
-                    .entry(key.clone())
-                    .or_insert_with(|| {
-                        order.push(key);
-                        (Tuple::new(key_vals), Vec::new())
-                    })
-                    .1
-                    .push(Tuple::new(rest_vals));
+            // groups in first-appearance order, found through the
+            // `ByValue` hash of their key — `π°`'s equality
+            let mut groups: Vec<(Tuple, Vec<Tuple>)> = Vec::new();
+            let mut slots: HashMap<u64, Vec<usize>> = HashMap::new();
+            for mut t in tuples {
+                let mut take = |i: usize| std::mem::replace(&mut t.0[i], Value::Null);
+                let key = Tuple::new(key_idx.iter().map(|&i| take(i)).collect());
+                let rest = Tuple::new(rest_idx.iter().map(|&i| take(i)).collect());
+                let slot = slots.entry(hash_of(&key)).or_default();
+                let found = slot
+                    .iter()
+                    .copied()
+                    .find(|&g| ByValue(&groups[g].0) == ByValue(&key));
+                let g = found.unwrap_or_else(|| {
+                    slot.push(groups.len());
+                    groups.push((key, Vec::new()));
+                    groups.len() - 1
+                });
+                groups[g].1.push(rest);
             }
-            order
+            groups
                 .into_iter()
-                .map(|k| {
-                    let (mut key_tuple, rest) = groups.remove(&k).unwrap();
-                    key_tuple.0.push(Value::Coll(Collection::list(rest)));
-                    key_tuple
+                .map(|(mut key, rest)| {
+                    key.0.push(Value::Coll(Collection::list(rest)));
+                    key
                 })
                 .collect()
         }))
@@ -448,14 +478,15 @@ impl<'a> Unary<'a> {
     // tagging, schema-only operators
 
     pub(crate) fn xml_template(input: &Schema, templ: &Template) -> Unary<'a> {
-        let (input, templ) = (input.clone(), templ.clone());
+        let templ = templ.bind(input);
         Unary::new(Schema::atoms(&["xml"]), move |tuples| {
+            let mut buf = String::new();
             tuples
                 .iter()
                 .map(|t| {
-                    let mut out = String::new();
-                    templ.render(&input, t, &mut out);
-                    Tuple::new(vec![Value::str(out)])
+                    buf.clear();
+                    templ.render(t, &mut buf);
+                    Tuple::new(vec![Value::str(&buf)])
                 })
                 .collect()
         })
@@ -678,11 +709,6 @@ impl Binary {
     /// `Difference` probes the right input's tuples by their
     /// [`ByValue`] hash.
     pub(crate) fn difference(left: &Schema) -> Binary {
-        fn hash_of(t: &Tuple) -> u64 {
-            let mut h = DefaultHasher::new();
-            ByValue(t).hash(&mut h);
-            h.finish()
-        }
         Binary::new(left.clone(), |right, _| {
             let mut slots: HashMap<u64, Vec<usize>> = HashMap::new();
             for (i, t) in right.iter().enumerate() {
@@ -882,6 +908,20 @@ fn resolve(schema: &Schema, p: &Path) -> Result<Vec<usize>, EvalError> {
         .ok_or_else(|| EvalError::UnknownAttribute(p.as_str().to_string()))
 }
 
+/// The selection `Unary::select` runs `map`-extended with reduction: one
+/// comparison of a column inside a nested collection with a constant. A
+/// path descends into a nested schema only at a `.` ([`Schema::resolve`]),
+/// so that is a dotted column; the duplicate-freeness rules in
+/// [`crate::cursor`] read the same test.
+pub(crate) fn reducing_selection(pred: &Predicate) -> Option<(&Path, CmpOp, &Value)> {
+    match pred {
+        Predicate::Cmp(Operand::Col(p), op, Operand::Const(c)) if p.as_str().contains('.') => {
+            Some((p, *op, c))
+        }
+        _ => None,
+    }
+}
+
 /// Does the prefix of this index path (all but the last step) cross a
 /// nested collection?
 fn crosses_collection(schema: &Schema, idx: &[usize]) -> bool {
@@ -981,6 +1021,14 @@ impl Hash for ByValue<'_> {
         }
         hash_tuple(self.0, state);
     }
+}
+
+/// The [`ByValue`] hash of a tuple: the one hash key `Difference` and
+/// `GroupBy` probe with.
+fn hash_of(t: &Tuple) -> u64 {
+    let mut h = DefaultHasher::new();
+    ByValue(t).hash(&mut h);
+    h.finish()
 }
 
 /// Duplicate elimination of `π°`: keep the first of every class of
@@ -1092,11 +1140,11 @@ pub(crate) fn twig_shape(schemas: &[&Schema], steps: &[TwigStep]) -> Option<Twig
     })
 }
 
-/// Run the holistic multi-way merge over the drained twig inputs, whose
-/// shape was validated by [`twig_shape`]: one row-index vector per
-/// solution (root first), in the cascade's lexicographic order.
+/// Run the holistic multi-way merge over the twig inputs, whose shape
+/// was validated by [`twig_shape`]: one row-index vector per solution
+/// (root first), in the cascade's lexicographic order.
 pub(crate) fn twig_solutions(
-    inputs: &[Vec<Tuple>],
+    inputs: &[&[Tuple]],
     shape: &TwigShape,
     steps: &[TwigStep],
     m: Metrics<'_>,
@@ -1167,6 +1215,17 @@ impl ProjSpec {
             }
         }
         Ok(ProjSpec { keep })
+    }
+
+    /// Does the projection keep every field of `schema`, whole and in
+    /// place? Then it is the identity on tuples.
+    fn is_identity(&self, schema: &Schema) -> bool {
+        self.keep.len() == schema.arity()
+            && self
+                .keep
+                .iter()
+                .enumerate()
+                .all(|(j, (i, sub))| *i == j && sub.is_none())
     }
 
     fn schema(&self, schema: &Schema) -> Schema {
@@ -1537,6 +1596,94 @@ mod tests {
         // first-seen order is preserved, as with the old scan
         assert_eq!(r.tuples[0].get(1), &Value::Int(1));
         assert_eq!(r.tuples[1].get(1), &Value::str("1"));
+    }
+
+    /// A set declaration lasts until the name is next written:
+    /// `insert`, `insert_ordered` and `remove` each clear it, and only a
+    /// registered relation can be declared.
+    #[test]
+    fn writing_a_declared_name_clears_the_declaration() {
+        let (_doc, mut cat) = setup();
+        let rel = cat.get("book").unwrap().clone();
+        assert!(!cat.declare_set("nope") && !cat.is_declared_set("nope"));
+        for what in ["insert", "insert_ordered", "remove"] {
+            cat.insert_ordered("book", rel.clone(), OrderSpec::by("ID"));
+            assert!(!cat.is_declared_set("book"));
+            assert!(cat.declare_set("book") && cat.is_declared_set("book"));
+            assert!(cat.declare_set("title"));
+            match what {
+                "insert" => cat.insert("book", rel.clone()),
+                "insert_ordered" => cat.insert_ordered("book", rel.clone(), OrderSpec::by("ID")),
+                _ => assert!(cat.remove("book").is_some()),
+            }
+            assert!(!cat.is_declared_set("book"), "{what} kept the declaration");
+            assert!(cat.is_declared_set("title"), "{what} touched another name");
+        }
+    }
+
+    /// Groups are keyed by `π°`'s equality (`ByValue`), in first-seen
+    /// order: nested collections compare element-wise whatever their
+    /// kind, IDs by `pre` alone, and `1` is not `"1"`.
+    #[test]
+    fn group_by_keys_on_tuple_equality() {
+        use crate::value::CollKind;
+        use xmltree::StructuralId;
+        let coll = |kind, xs: &[i64]| {
+            Value::Coll(Collection {
+                kind,
+                tuples: xs
+                    .iter()
+                    .map(|x| Tuple::new(vec![Value::Int(*x)]))
+                    .collect(),
+            })
+        };
+        let id = |pre, post| Value::Id(StructuralId::new(pre, post, 1));
+        let keys = [
+            coll(CollKind::Set, &[1, 2]),
+            Value::Int(1),
+            coll(CollKind::List, &[1, 2]),
+            id(4, 9),
+            Value::str("1"),
+            coll(CollKind::Bag, &[1, 2]),
+            id(4, 2),
+            coll(CollKind::List, &[2, 1]),
+            Value::Int(1),
+        ];
+        let tuples = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| Tuple::new(vec![k.clone(), Value::Int(i as i64)]))
+            .collect();
+        let mut cat = Catalog::new();
+        cat.insert("t", Relation::new(Schema::atoms(&["K", "V"]), tuples));
+        let plan = LogicalPlan::GroupBy {
+            input: Box::new(LogicalPlan::scan("t")),
+            keys: vec![Path::new("K")],
+            nest_as: "vs".into(),
+        };
+        let r = Evaluator::new(&cat).eval(&plan).unwrap();
+        let groups: Vec<(Value, Vec<i64>)> = r
+            .tuples
+            .iter()
+            .map(|t| {
+                let vs = t.get(1).as_coll().unwrap();
+                let vs = vs.tuples.iter().map(|v| match v.get(0) {
+                    Value::Int(i) => *i,
+                    v => panic!("{v}"),
+                });
+                (t.get(0).clone(), vs.collect())
+            })
+            .collect();
+        assert_eq!(
+            groups,
+            [
+                (keys[0].clone(), vec![0, 2, 5]),
+                (Value::Int(1), vec![1, 8]),
+                (id(4, 9), vec![3, 6]),
+                (Value::str("1"), vec![4]),
+                (keys[7].clone(), vec![7]),
+            ]
+        );
     }
 
     #[test]

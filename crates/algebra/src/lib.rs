@@ -44,10 +44,7 @@ pub use order::OrderSpec;
 pub use plan::{
     Axis, CmpOp, FetchWhat, JoinKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep,
 };
-pub use simd::{
-    count_leading_lt, count_leading_lt2, find_first_ge, find_first_gt, IdColumns, DEFAULT_BLOCK,
-    LANE,
-};
+pub use simd::{count_leading_lt, IdColumns, DEFAULT_BLOCK};
 pub use stacktree::{nested_loop_pairs, stack_tree_pairs};
 pub use twig::{fuse_struct_joins, twig_join, twig_to_cascade, TwigNode, TwigPattern};
 pub use value::{CollKind, Collection, Field, FieldKind, Schema, Tuple, Value};

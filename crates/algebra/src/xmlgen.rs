@@ -7,11 +7,15 @@
 //! is what the paper's tagging templates like
 //! `<res_item> A1 <res_desc> A11 </res_desc> </res_item>` denote implicitly.
 //!
-//! The operator runs in constant time per constructed element and its
-//! memory needs are bounded by the largest element to construct, matching
-//! the paper's `xml_templ,φ` physical operator.
+//! A template is bound once to its input schema (`Template::bind`):
+//! attribute names become column indices and `ForEach` bodies are bound to
+//! the nested schema they iterate. Rendering a tuple then runs in constant
+//! time per constructed element and needs no memory beyond the output,
+//! matching the paper's `xml_templ,φ` physical operator.
 
-use crate::value::{Schema, Tuple, Value};
+use std::fmt::Write as _;
+
+use crate::value::{FieldKind, Schema, Tuple, Value};
 
 /// A tagging template.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,9 +30,11 @@ pub enum Template {
     /// Splice the value of an attribute of the current tuple (dotted name
     /// resolved against the *current* nesting level). Null splices nothing —
     /// "an element must still be constructed, albeit with no content" (§3.1).
+    /// So does a name that is unknown or crosses a nested collection.
     Attr(String),
     /// Iterate the tuples of a collection attribute of the current tuple,
-    /// instantiating `body` once per nested tuple.
+    /// instantiating `body` once per nested tuple. An unknown or atomic
+    /// attribute iterates nothing.
     ForEach { attr: String, body: Vec<Template> },
 }
 
@@ -51,41 +57,85 @@ impl Template {
         }
     }
 
-    /// Instantiate the template for one tuple, appending to `out`.
-    pub fn render(&self, schema: &Schema, tuple: &Tuple, out: &mut String) {
+    /// Resolve every attribute against `schema` once; the result renders
+    /// tuples of that schema.
+    pub(crate) fn bind(&self, schema: &Schema) -> BoundTemplate {
+        let mut parts = Vec::new();
+        self.bind_into(schema, &mut parts);
+        BoundTemplate { parts }
+    }
+
+    fn bind_into(&self, schema: &Schema, out: &mut Vec<Part>) {
+        // adjacent literals are emitted as one
+        fn text(out: &mut Vec<Part>, s: &str) {
+            match out.last_mut() {
+                Some(Part::Text(t)) => t.push_str(s),
+                _ => out.push(Part::Text(s.to_string())),
+            }
+        }
         match self {
             Template::Element { tag, children } => {
-                out.push('<');
-                out.push_str(tag);
-                out.push('>');
+                text(out, &format!("<{tag}>"));
                 for c in children {
-                    c.render(schema, tuple, out);
+                    c.bind_into(schema, out);
                 }
-                out.push_str("</");
-                out.push_str(tag);
-                out.push('>');
+                text(out, &format!("</{tag}>"));
             }
-            Template::Text(t) => out.push_str(t),
+            Template::Text(t) => text(out, t),
             Template::Attr(name) => {
-                if let Some(path) = schema.resolve(name) {
-                    if path.len() == 1 {
-                        render_value(tuple.get(path[0]), out);
-                    }
+                if let Some(&[i]) = schema.resolve(name).as_deref() {
+                    out.push(Part::Col(i));
                 }
             }
             Template::ForEach { attr, body } => {
-                let Some(idx) = schema.index_of(attr) else {
+                let Some(i) = schema.index_of(attr) else {
                     return;
                 };
-                let Some(inner) = schema.schema_at(&[idx]) else {
-                    return;
-                };
-                let inner = inner.clone();
-                if let Value::Coll(c) = tuple.get(idx) {
+                if let FieldKind::Nested(inner) = &schema.fields[i].kind {
+                    let mut parts = Vec::new();
+                    for b in body {
+                        b.bind_into(inner, &mut parts);
+                    }
+                    out.push(Part::ForEach(i, parts));
+                }
+            }
+        }
+    }
+}
+
+/// A [`Template`] bound to its input schema by [`Template::bind`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct BoundTemplate {
+    parts: Vec<Part>,
+}
+
+/// One step of a bound template, in output order.
+#[derive(Debug, Clone, PartialEq)]
+enum Part {
+    /// Literal markup or character data.
+    Text(String),
+    /// The value of this column of the current tuple.
+    Col(usize),
+    /// The parts, once per tuple of this collection column.
+    ForEach(usize, Vec<Part>),
+}
+
+impl BoundTemplate {
+    /// Instantiate the template for one tuple, appending to `out`.
+    pub(crate) fn render(&self, tuple: &Tuple, out: &mut String) {
+        render_parts(&self.parts, tuple, out);
+    }
+}
+
+fn render_parts(parts: &[Part], tuple: &Tuple, out: &mut String) {
+    for p in parts {
+        match p {
+            Part::Text(t) => out.push_str(t),
+            Part::Col(i) => render_value(tuple.get(*i), out),
+            Part::ForEach(i, body) => {
+                if let Value::Coll(c) = tuple.get(*i) {
                     for t in &c.tuples {
-                        for b in body {
-                            b.render(&inner, t, out);
-                        }
+                        render_parts(body, t, out);
                     }
                 }
             }
@@ -97,8 +147,12 @@ fn render_value(v: &Value, out: &mut String) {
     match v {
         Value::Null => {}
         Value::Str(s) => out.push_str(s),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Id(i) => out.push_str(&format!("({},{})", i.pre, i.post)),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::Id(i) => {
+            let _ = write!(out, "({},{})", i.pre, i.post);
+        }
         Value::Coll(c) => {
             for t in &c.tuples {
                 for v in &t.0 {
@@ -113,6 +167,13 @@ fn render_value(v: &Value, out: &mut String) {
 mod tests {
     use super::*;
     use crate::value::{CollKind, Collection, Field};
+    use xmltree::StructuralId;
+
+    fn render(t: &Template, schema: &Schema, tuple: &Tuple) -> String {
+        let mut out = String::new();
+        t.bind(schema).render(tuple, &mut out);
+        out
+    }
 
     #[test]
     fn renders_nested_template() {
@@ -132,10 +193,8 @@ mod tests {
                 vec![Template::elem("res_desc", vec![Template::attr("A11")])],
             )],
         );
-        let mut out = String::new();
-        t.render(&schema, &tuple, &mut out);
         assert_eq!(
-            out,
+            render(&t, &schema, &tuple),
             "<res_item><res_desc>x</res_desc><res_desc>y</res_desc></res_item>"
         );
     }
@@ -145,9 +204,7 @@ mod tests {
         let schema = Schema::atoms(&["A"]);
         let tuple = Tuple::new(vec![Value::Null]);
         let t = Template::elem("res", vec![Template::attr("A")]);
-        let mut out = String::new();
-        t.render(&schema, &tuple, &mut out);
-        assert_eq!(out, "<res></res>");
+        assert_eq!(render(&t, &schema, &tuple), "<res></res>");
     }
 
     #[test]
@@ -158,8 +215,54 @@ mod tests {
             "r",
             vec![Template::for_each("A", vec![Template::attr("B")])],
         );
-        let mut out = String::new();
-        t.render(&schema, &tuple, &mut out);
-        assert_eq!(out, "<r></r>");
+        assert_eq!(render(&t, &schema, &tuple), "<r></r>");
+    }
+
+    /// What the by-name renderer this one replaced produced: unknown
+    /// names, names crossing a collection and `ForEach` over an atom or
+    /// over `⊥` render nothing; the element around them is still built,
+    /// and every value kind renders as before.
+    #[test]
+    fn unresolvable_attributes_render_nothing() {
+        let schema = Schema::new(vec![
+            Field::atom("A"),
+            Field::nested("N", Schema::atoms(&["B"])),
+            Field::atom("I"),
+            Field::atom("D"),
+        ]);
+        let nested = Value::Coll(Collection::list(vec![
+            Tuple::new(vec![Value::str("b1")]),
+            Tuple::new(vec![Value::Int(2)]),
+        ]));
+        let tuple = Tuple::new(vec![
+            Value::str("a"),
+            nested,
+            Value::Int(-7),
+            Value::Id(StructuralId::new(3, 9, 2)),
+        ]);
+        let t = Template::elem(
+            "r",
+            vec![
+                Template::Text("t:".into()),
+                Template::attr("A"),
+                Template::attr("Nope"),
+                Template::attr("N.B"),
+                Template::attr("A.B"),
+                Template::elem("n", vec![Template::attr("N")]),
+                Template::for_each("A", vec![Template::attr("A")]),
+                Template::for_each("Nope", vec![Template::Text("x".into())]),
+                Template::attr("I"),
+                Template::attr("D"),
+            ],
+        );
+        assert_eq!(render(&t, &schema, &tuple), "<r>t:a<n>b12</n>-7(3,9)</r>");
+        // `ForEach` over a `⊥` in a collection column iterates nothing
+        let nulls = Tuple::new(vec![Value::Null, Value::Null, Value::Null, Value::Null]);
+        let each = Template::elem(
+            "r",
+            vec![Template::for_each("N", vec![Template::elem("b", vec![])])],
+        );
+        assert_eq!(render(&each, &schema, &nulls), "<r></r>");
+        assert_eq!(render(&t, &schema, &nulls), "<r>t:<n></n></r>");
     }
 }

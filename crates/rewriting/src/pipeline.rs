@@ -481,15 +481,7 @@ impl Uload {
             (true, true) => "twig",
             (true, false) => "cascade",
         };
-        Ok(Self::finish_prepared(
-            query,
-            plan,
-            use_twigstack,
-            p.used,
-            0,
-            arm,
-            "knob",
-        ))
+        Ok(self.finish_prepared(query, plan, use_twigstack, p.used, 0, arm, "knob"))
     }
 
     /// [`Uload::prepare_query`] with cardinality feedback: when the
@@ -530,7 +522,7 @@ impl Uload {
                 choice.source
             );
         }
-        Ok(Self::finish_prepared(
+        Ok(self.finish_prepared(
             query,
             choice.plan,
             choice.use_twigstack,
@@ -647,7 +639,12 @@ impl Uload {
         })
     }
 
+    /// Wrap an executable plan as a [`PreparedQuery`]; its breakers are
+    /// classified over the store's catalog, by the rule the executor
+    /// compiles with.
+    #[allow(clippy::too_many_arguments)]
     fn finish_prepared(
+        &self,
         query: &str,
         plan: LogicalPlan,
         use_twigstack: bool,
@@ -656,7 +653,7 @@ impl Uload {
         arm: &str,
         arm_source: &str,
     ) -> PreparedQuery {
-        let breakers = algebra::pipeline_breakers(&plan);
+        let breakers = algebra::pipeline_breakers(&plan, self.store.catalog());
         let fingerprint = plan_fingerprint(&plan);
         PreparedQuery {
             query: query.to_string(),
@@ -847,7 +844,7 @@ impl Uload {
             (p.base_plan, fused)
         };
         let arm_name = |twig: bool| if twig { "twig" } else { "cascade" };
-        let chosen = Self::finish_prepared(
+        let chosen = self.finish_prepared(
             query,
             chosen_plan,
             twig_on,
@@ -865,7 +862,7 @@ impl Uload {
             Ok((results, out, t.elapsed().as_nanos() as u64))
         };
         let alt = if has_twig_arm {
-            let alt = Self::finish_prepared(
+            let alt = self.finish_prepared(
                 query,
                 alt_plan,
                 !twig_on,

@@ -44,6 +44,9 @@ impl MaterializedStore {
             .map(|c| OrderSpec::by(c.path.clone()))
             .unwrap_or_default();
         self.catalog.insert_ordered(name.clone(), rel, order);
+        // `final_projection` either eliminates duplicates or keeps ID
+        // columns that tell every tuple apart (Def. 2.2.3)
+        self.catalog.declare_set(&name);
         self.defs.push((name, xam));
         Ok(())
     }
@@ -144,8 +147,14 @@ mod tests {
             before,
             [Some(OrderSpec::by("book1_ID")), Some(OrderSpec::by("a_ID"))]
         );
+        // every view is a declared set, until it is dropped
+        assert!(["v_books", "v_titles", "v_authors"]
+            .iter()
+            .all(|v| store.catalog().is_declared_set(v)));
         assert!(store.drop_view("v_books"));
         assert!(store.catalog().declared_order("v_books").is_none());
+        assert!(!store.catalog().is_declared_set("v_books"));
+        assert!(store.catalog().is_declared_set("v_titles"));
         assert_eq!(orders(&store), before);
         assert_eq!(store.len(), 2);
     }

@@ -534,6 +534,208 @@ proptest! {
     }
 }
 
+/// The catalogs of `dedup_elision_never_changes_answers`: five views over
+/// one XMark document, each a declared set (one holds a nested
+/// collection), and an undeclared `_dup` copy of each with every row
+/// repeated one to three times; beside them the same relations with no
+/// declaration at all — the catalog on which every `π°` hashes. Plus the
+/// relation names, in a fixed order.
+fn dedup_catalogs() -> &'static (algebra::Catalog, algebra::Catalog, Vec<String>) {
+    static CATALOGS: std::sync::OnceLock<(algebra::Catalog, algebra::Catalog, Vec<String>)> =
+        std::sync::OnceLock::new();
+    CATALOGS.get_or_init(|| {
+        let doc = generate::xmark(2, 7);
+        let mut store = storage::MaterializedStore::new();
+        for (name, xam) in [
+            ("v_item_name", "//i:item[id:s]{ /n:name[id:s,val] }"),
+            ("v_item_kw", "//i:item[id:s]{ //k:keyword[id:s,val] }"),
+            ("v_item_kws", "//i:item[id:s]{ //n k:keyword[id:s,val] }"),
+            ("v_kw", "//k:keyword[id:s,val]"),
+            ("v_desc", "//d:description[id:s]"),
+            // no ID kept: reducing its collections can merge tuples
+            ("v_kw_vals", "//i:item{ //n k:keyword[val] }"),
+        ] {
+            store
+                .add_view(name, xam_core::parse_xam(xam).unwrap(), &doc)
+                .unwrap();
+        }
+        let (mut declared, mut oracle) = (algebra::Catalog::new(), algebra::Catalog::new());
+        let mut names = Vec::new();
+        for (i, (name, _)) in store.definitions().iter().enumerate() {
+            let rel = store.relation(name).unwrap().clone();
+            let copies = rel
+                .tuples
+                .iter()
+                .enumerate()
+                .flat_map(|(j, t)| std::iter::repeat_n(t.clone(), 1 + (i + j) % 3))
+                .collect();
+            let dup = algebra::Relation::new(rel.schema.clone(), copies);
+            let dup_name = format!("{name}_dup");
+            for cat in [&mut declared, &mut oracle] {
+                cat.insert(name.clone(), rel.clone());
+                cat.insert(dup_name.clone(), dup.clone());
+            }
+            assert!(declared.declare_set(name));
+            names.extend([name.clone(), dup_name]);
+        }
+        (declared, oracle, names)
+    })
+}
+
+/// Why a reducing selection ends set-ness: items that store only their
+/// keywords' values differ in some keyword, and cutting each collection
+/// down to the keywords that pass makes some of them equal. The `π°`
+/// above keeps its hash pass and removes them.
+#[test]
+fn reducing_selection_keeps_the_hash_pass() {
+    use algebra::{LogicalPlan, Predicate, Value};
+    let (declared, oracle, _) = dedup_catalogs();
+    let reduced =
+        LogicalPlan::scan("v_kw_vals").select(Predicate::eq("k.k_Val", Value::str("gold")));
+    let plan = reduced.clone().project_distinct(&["k"]);
+    assert!(algebra::is_pipeline_breaker(&plan, declared));
+    let eval = |cat, plan| algebra::Evaluator::new(cat).eval(plan).unwrap();
+    let (all, distinct) = (eval(declared, &reduced), eval(declared, &plan));
+    assert!(
+        distinct.len() < all.len(),
+        "{} of {}",
+        distinct.len(),
+        all.len()
+    );
+    assert_eq!(distinct, eval(oracle, &plan));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Skipping `π°`'s hash pass over a provably duplicate-free input
+    /// never changes an answer: random plans — scans of declared sets and
+    /// of undeclared relations with duplicate rows, renamed or not,
+    /// filtered by flat or collection-reducing selections, combined by an
+    /// inner twig or a cascade of inner structural joins, under a `π°`
+    /// keeping all columns (shuffled), a subset, or nested
+    /// sub-projections — return the same rows in the same order, at batch
+    /// sizes 1, 7 and unbounded, as on a catalog that declares nothing.
+    #[test]
+    fn dedup_elision_never_changes_answers(
+        leaves in prop::collection::vec((0usize..12, 0usize..2, 0usize..3, 0usize..4), 1..4),
+        joins in prop::collection::vec((0usize..4, 0usize..4, 0usize..4, 0usize..3), 3..4),
+        twig in 0usize..2,
+        proj_mode in 0usize..4,
+        keys in prop::collection::vec(0usize..1000, 16..17),
+    ) {
+        use algebra::{CmpOp, FieldKind, LogicalPlan, Operand, Path, Predicate, TwigStep, Value};
+        let (declared, oracle, names) = dedup_catalogs();
+        // one leaf per pattern node; the columns of several are renamed
+        // apart
+        let mut inputs = Vec::new();
+        let mut fields: Vec<algebra::Field> = Vec::new();
+        let mut ids: Vec<Vec<String>> = Vec::new();
+        for (j, &(pick, rename, select, cst)) in leaves.iter().enumerate() {
+            let name = &names[pick % names.len()];
+            let mut schema = declared.get(name).unwrap().schema.clone();
+            let mut leaf = LogicalPlan::scan(name.as_str());
+            if leaves.len() > 1 || rename == 1 {
+                for f in &mut schema.fields {
+                    f.name = format!("l{j}_{}", f.name);
+                }
+                let new: Vec<&str> = schema.fields.iter().map(|f| f.name.as_str()).collect();
+                leaf = leaf.rename(&new);
+            }
+            // a flat `Val` test, or one inside the nested collection (a
+            // reducing selection) where the relation has one
+            let flat_val = schema.fields.iter().find(|f| f.name.ends_with("_Val"));
+            let nested_val = schema.fields.iter().find_map(|f| match &f.kind {
+                FieldKind::Nested(s) => s
+                    .fields
+                    .iter()
+                    .find(|g| g.name.ends_with("_Val"))
+                    .map(|g| format!("{}.{}", f.name, g.name)),
+                FieldKind::Atom => None,
+            });
+            let col = match select {
+                1 => flat_val.map(|f| f.name.clone()),
+                2 => nested_val.or(flat_val.map(|f| f.name.clone())),
+                _ => None,
+            };
+            if let Some(col) = col {
+                leaf = leaf.select(Predicate::Cmp(
+                    Operand::Col(Path::new(col)),
+                    [CmpOp::Lt, CmpOp::Ge, CmpOp::Ne][cst % 3],
+                    Operand::Const(Value::str(["g", "m", "t"][cst % 3])),
+                ));
+            }
+            ids.push(
+                schema
+                    .fields
+                    .iter()
+                    .filter(|f| f.name.ends_with("_ID") && f.kind == FieldKind::Atom)
+                    .map(|f| f.name.clone())
+                    .collect(),
+            );
+            fields.extend(schema.fields.iter().cloned());
+            inputs.push(leaf);
+        }
+        // leaf k hangs off an ID column of an earlier leaf
+        if inputs.len() > 1 && ids.iter().any(Vec::is_empty) {
+            return Ok(()); // an ID-less view only stands alone
+        }
+        let mut inputs = inputs.into_iter();
+        let mut plan = inputs.next().unwrap();
+        let mut steps = Vec::new();
+        for (k, input) in inputs.enumerate().map(|(k, p)| (k + 1, p)) {
+            let (parent, pcol, ccol, axis) = joins[k - 1];
+            let parent = parent % k;
+            let parent_attr = ids[parent][pcol % ids[parent].len()].clone();
+            let attr = ids[k][ccol % ids[k].len()].clone();
+            let axis = if axis == 0 { algebra::Axis::Child } else { algebra::Axis::Descendant };
+            if twig == 1 {
+                steps.push(TwigStep::new(input, parent_attr, attr, axis));
+            } else {
+                plan = plan.struct_join(input, parent_attr, attr, axis, algebra::JoinKind::Inner);
+            }
+        }
+        if twig == 1 {
+            plan = plan.twig_join(steps);
+        }
+        // π° over every column in a shuffled order, over a subset, or with
+        // each nested column cut down to one of its fields
+        let mut order: Vec<usize> = (0..fields.len()).collect();
+        order.sort_by_key(|&i| keys[i % keys.len()] * 31 + i);
+        let cols: Vec<String> = match proj_mode {
+            0 | 1 => order.iter().map(|&i| fields[i].name.clone()).collect(),
+            2 => order
+                .iter()
+                .filter(|&&i| keys[i % keys.len()] % 2 == 0 || i == order[0])
+                .map(|&i| fields[i].name.clone())
+                .collect(),
+            _ => fields
+                .iter()
+                .map(|f| match &f.kind {
+                    FieldKind::Nested(s) => format!("{}.{}", f.name, s.fields[0].name),
+                    FieldKind::Atom => f.name.clone(),
+                })
+                .collect(),
+        };
+        let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
+        let plan = plan.project_distinct(&cols);
+
+        let run = |cat: &algebra::Catalog, batch_size: usize| {
+            let ccfg = algebra::CursorConfig { batch_size, ..Default::default() };
+            algebra::build_cursor(&plan, cat, None, &ccfg).unwrap().collect().unwrap()
+        };
+        prop_assert!(algebra::is_pipeline_breaker(&plan, oracle));
+        let want = run(oracle, usize::MAX);
+        for batch_size in [1, 7, usize::MAX] {
+            prop_assert_eq!(
+                &run(declared, batch_size), &want,
+                "batch {} changed {} (hash pass elided: {})",
+                batch_size, plan, !algebra::is_pipeline_breaker(&plan, declared)
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
