@@ -36,6 +36,15 @@ fn rewriting_vs_views(c: &mut Criterion) {
             b.iter(|| rewriting::rewrite_with_config(q, vs, &ds.summary, cfg))
         });
     }
+    // a realistic view count: the XMark tag-partition model (one
+    // `//l[id:s]` per element label) plus the exact view
+    let mut views = storage::catalog::tag_partition_model(&ds.summary);
+    views.push(("exact".into(), q.clone()));
+    g.bench_with_input(
+        BenchmarkId::new("tag_partition", views.len()),
+        &views,
+        |b, vs| b.iter(|| rewriting::rewrite(q, vs, &ds.summary)),
+    );
     g.finish();
 }
 

@@ -20,6 +20,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,14 +46,27 @@ fn fnv_u64(h: &mut u64, v: u64) {
     fnv(h, &v.to_le_bytes());
 }
 
+/// A `fmt::Write` sink that FNV-hashes what is written to it, so a
+/// `Display` form is fingerprinted without being formatted into a
+/// `String` first.
+struct FnvSink(u64);
+
+impl fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        fnv(&mut self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Structural fingerprint of a pattern: its display form (which round-
 /// trips every label, axis, edge semantics, stored attribute and value
-/// formula) plus the `ordered` flag the display omits.
+/// formula) plus the `ordered` flag the display omits. The display form
+/// is streamed into the hash, never formatted.
 pub fn pattern_fingerprint(p: &Xam) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    fnv(&mut h, p.to_string().as_bytes());
-    fnv_u64(&mut h, p.ordered as u64);
-    h
+    let mut sink = FnvSink(0xcbf2_9ce4_8422_2325u64);
+    write!(sink, "{p}").expect("hashing into a sink cannot fail");
+    fnv_u64(&mut sink.0, p.ordered as u64);
+    sink.0
 }
 
 /// Fingerprint of a return-node list (the rewriter aligns these
@@ -392,6 +406,38 @@ mod tests {
         let s1 = s_of("<a><b/></a>");
         let s2 = s_of("<a><b/><c/></a>");
         assert_ne!(summary_fingerprint(&s1), summary_fingerprint(&s2));
+    }
+
+    /// Streaming the display form hashes the same bytes in the same order
+    /// as formatting it first: every cache key keeps its value.
+    #[test]
+    fn streamed_fingerprint_equals_the_formatted_one() {
+        let formatted = |p: &Xam| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            fnv(&mut h, p.to_string().as_bytes());
+            fnv_u64(&mut h, p.ordered as u64);
+            h
+        };
+        let corpus = [
+            "//b[id:s]",
+            "/library{ /book[id:i]{ /@year[val=\"1999\"] } }",
+            "//book[id:s,tag!]{ /title[val!], /author[id:s,val] }",
+            "//item[id:s]{ /n? name[val], //n? listitem[id:s,cont] }",
+            "//person[id:s]{ /? emailaddress[val], /s profile{ /@income[val>50000] } }",
+            "//*[id:i!]{ //*[id:i,tag!] }",
+            "//a:author[id:p]{ //x:*[val<5, val>1] }",
+            "//open_auction[id:s]{ /bidder[id:s]{ /increase[id:s,val] }, /initial[id:s,val] }",
+        ];
+        for text in corpus {
+            let mut p = parse_xam(text).unwrap();
+            assert_eq!(pattern_fingerprint(&p), formatted(&p), "{text}");
+            p.ordered = !p.ordered;
+            assert_eq!(
+                pattern_fingerprint(&p),
+                formatted(&p),
+                "{text} (order flipped)"
+            );
+        }
     }
 
     #[test]

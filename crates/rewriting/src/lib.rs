@@ -20,6 +20,7 @@ pub mod cost;
 pub mod pipeline;
 pub mod planpat;
 pub mod rewrite;
+pub mod viewindex;
 
 pub use cost::{CostModel, Estimate, EstimateNode, EstimateSource};
 pub use pipeline::{
@@ -31,6 +32,7 @@ pub use rewrite::{
     rewrite, rewrite_with_config, rewrite_with_engine, EngineOptions, RewriteConfig, RewriteStats,
     Rewriting,
 };
+pub use viewindex::ViewIndex;
 
 #[cfg(test)]
 mod tests {

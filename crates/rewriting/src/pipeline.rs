@@ -31,7 +31,8 @@ use xam_core::Xam;
 use xmltree::Document;
 
 use crate::cost::{CostModel, EstimateNode};
-use crate::rewrite::{rewrite_with_engine, EngineOptions, RewriteConfig, Rewriting};
+use crate::rewrite::{rewrite_indexed, EngineOptions, RewriteConfig, Rewriting};
+use crate::viewindex::ViewIndex;
 
 /// Engine-wide execution knobs, threaded through [`Uload`] to every
 /// containment and rewriting call.
@@ -248,6 +249,9 @@ pub struct Uload {
     summary: Summary,
     summary_fp: u64,
     store: storage::MaterializedStore,
+    /// The rewriter's index over `store`'s definitions, kept in step by
+    /// [`Uload::add_view`].
+    view_index: ViewIndex,
     config: EngineConfig,
     cache: Option<Arc<CanonicalCache>>,
     last_profile: Mutex<Option<QueryProfile>>,
@@ -275,6 +279,7 @@ impl Uload {
             summary,
             summary_fp,
             store: storage::MaterializedStore::new(),
+            view_index: ViewIndex::default(),
             config,
             cache,
             last_profile: Mutex::new(None),
@@ -292,6 +297,12 @@ impl Uload {
 
     pub fn store(&self) -> &storage::MaterializedStore {
         &self.store
+    }
+
+    /// The view index the rewriter searches: one slot per definition of
+    /// [`Uload::store`], in the same order.
+    pub fn view_index(&self) -> &ViewIndex {
+        &self.view_index
     }
 
     /// Build the columnar ID-stream access module for `doc` under the
@@ -337,10 +348,15 @@ impl Uload {
 
     /// Materialize a view over the document and add it to the set — the
     /// only step needed to change the physical design (no optimizer code).
+    /// A name added again replaces its view in place.
     pub fn add_view(&mut self, name: impl Into<String>, xam: Xam, doc: &Document) -> Result<()> {
-        self.store
+        let pos = self
+            .store
             .add_view(name, xam, doc)
-            .map_err(|e| Error::Storage(e.to_string()))
+            .map_err(|e| Error::Storage(e.to_string()))?;
+        let (_, xam) = &self.store.definitions()[pos];
+        self.view_index.set(pos, xam, &self.summary);
+        Ok(())
     }
 
     /// Parse a textual XAM and add it as a view.
@@ -358,9 +374,10 @@ impl Uload {
     /// estimated cost over the *actual* view sizes (cheapest first); ties
     /// fall back to the paper's operator-count minimality.
     pub fn rewrite_pattern(&self, q: &Xam) -> Vec<Rewriting> {
-        let (mut rws, _) = rewrite_with_engine(
+        let (rws, _) = rewrite_indexed(
             q,
             self.store.definitions(),
+            Some(&self.view_index),
             &self.summary,
             self.config.rewrite,
             &self.engine_options(),
@@ -369,14 +386,16 @@ impl Uload {
         // rewriting must not depend on what happened to run before, so
         // the same view set always yields the same plan
         let model = CostModel::new(self.store.catalog());
-        rws.sort_by(|a, b| {
-            let ca = model.cost(&a.plan);
-            let cb = model.cost(&b.plan);
-            ca.partial_cmp(&cb)
+        let mut priced: Vec<(f64, Rewriting)> = rws
+            .into_iter()
+            .map(|rw| (model.cost(&rw.plan), rw))
+            .collect();
+        priced.sort_by(|(ca, a), (cb, b)| {
+            ca.partial_cmp(cb)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.size.cmp(&b.size))
         });
-        rws
+        priced.into_iter().map(|(_, rw)| rw).collect()
     }
 
     /// Parse, extract, rewrite and combine: everything up to (but not

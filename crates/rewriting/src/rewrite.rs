@@ -12,17 +12,27 @@
 //! Nested query patterns are rewritten by exact-shape view matches
 //! (the §5.4 "extending rewriting" fragment); conjunctive/optional
 //! patterns get the full search.
+//!
+//! The flat search reaches views through a [`ViewIndex`]: every
+//! (sub-)pattern is annotated once, and only the views sharing a summary
+//! path with one of its nodes are mapped — in view order, so the
+//! candidate list is the one a scan of every view would build. [`Uload`]
+//! holds an index over its store; the free functions build one per call.
+//!
+//! [`Uload`]: crate::Uload
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use algebra::{LogicalPlan, NavMode, Path, Schema};
+use containment::canonical::path_annotations_all;
 use containment::{contain, CanonicalCache, ContainOptions};
-use summary::Summary;
+use summary::{Summary, SummaryNodeId};
 use xam_core::ast::{Formula, Xam, XamNodeId};
 use xam_core::semantics::{output_columns, StoredAttr};
 
 use crate::planpat::PlanPattern;
+use crate::viewindex::{Annotations, ViewIndex};
 
 /// Execution context of the rewriting search: worker threads and the
 /// shared containment cache. Distinct from [`RewriteConfig`] (which
@@ -137,10 +147,23 @@ pub fn rewrite_with_config(
 /// and memoizes through the shared cache. The produced rewriting set is
 /// identical to the sequential run — candidates are generated, deduped
 /// and merged in one stable order; only the verification wall-clock
-/// changes.
+/// changes. Builds a [`ViewIndex`] over `views` for this call.
 pub fn rewrite_with_engine(
     q: &Xam,
     views: &[(String, Xam)],
+    s: &Summary,
+    cfg: RewriteConfig,
+    eng: &EngineOptions,
+) -> (Vec<Rewriting>, RewriteStats) {
+    rewrite_indexed(q, views, None, s, cfg, eng)
+}
+
+/// [`rewrite_with_engine`] over a [`ViewIndex`] already built for
+/// `views`; `None` builds one if the flat search needs it.
+pub(crate) fn rewrite_indexed(
+    q: &Xam,
+    views: &[(String, Xam)],
+    index: Option<&ViewIndex>,
     s: &Summary,
     cfg: RewriteConfig,
     eng: &EngineOptions,
@@ -149,7 +172,7 @@ pub fn rewrite_with_engine(
     let q_rets = q.return_nodes();
     let q_has_nesting = q.pattern_nodes().any(|n| q.node(n).edge.sem.is_nested());
 
-    let mut verified: Vec<(Rewriting, Xam, Vec<XamNodeId>)> = Vec::new();
+    let mut verified: Vec<Rewriting> = Vec::new();
     let mut contained_only: Vec<(PlanPattern, HashMap<XamNodeId, XamNodeId>)> = Vec::new();
 
     let mut prefix_counter = 0usize;
@@ -165,7 +188,22 @@ pub fn rewrite_with_engine(
         }
         c
     } else {
-        flat_candidates(q, views, s, cfg, eng, &mut stats, &mut prefix_counter)
+        let built;
+        let index = match index {
+            Some(index) => index,
+            None => {
+                built = ViewIndex::build(views, s);
+                &built
+            }
+        };
+        debug_assert_eq!(index.len(), views.len(), "view index out of step");
+        let search = FlatSearch {
+            views,
+            index,
+            s,
+            eng,
+        };
+        search.candidates(q, cfg, &mut stats, &mut prefix_counter)
     };
 
     // distinct mappings frequently induce the *same* verification pattern
@@ -192,14 +230,14 @@ pub fn rewrite_with_engine(
     stats.candidates_verified += unique.len();
     let verdicts = verify_candidates(q, &q_rets, s, &unique, eng);
 
-    for (pp, qmap, vp, p_rets, key) in &prepared {
+    for (pp, qmap, _, _, key) in &prepared {
         let (fwd_ok, bwd_ok) = verdicts[key_slot[key.as_str()]];
         if !fwd_ok {
             continue;
         }
         if bwd_ok {
             if let Some(rw) = finalize(q, pp.clone(), qmap) {
-                verified.push((rw, vp.clone(), p_rets.clone()));
+                verified.push(rw);
             }
         } else if cfg.allow_unions {
             contained_only.push((pp.clone(), qmap.clone()));
@@ -209,16 +247,15 @@ pub fn rewrite_with_engine(
     // union rewritings: candidates each ⊆ q whose union covers q
     if verified.is_empty() && cfg.allow_unions && contained_only.len() >= 2 {
         if let Some(rw) = try_union(q, s, &contained_only, &mut stats) {
-            verified.push((rw, q.clone(), q_rets.clone()));
+            verified.push(rw);
         }
     }
 
-    let mut out: Vec<Rewriting> = verified.into_iter().map(|(r, _, _)| r).collect();
-    out.sort_by_key(|r| r.size);
+    verified.sort_by_key(|r| r.size);
     // drop redundant rewritings (same view multiset and size)
-    out.dedup_by(|a, b| a.views_used == b.views_used && a.size == b.size);
-    stats.rewritings_found = out.len();
-    (out, stats)
+    verified.dedup_by(|a, b| a.views_used == b.views_used && a.size == b.size);
+    stats.rewritings_found = verified.len();
+    (verified, stats)
 }
 
 /// Verify the deduped candidates: forward (`vp ⊆ q`, required) and
@@ -273,64 +310,92 @@ fn verify_candidates(
 // --------------------------------------------------------------------
 // candidate generation: flat patterns
 
-fn flat_candidates(
-    q: &Xam,
-    views: &[(String, Xam)],
-    s: &Summary,
-    cfg: RewriteConfig,
-    eng: &EngineOptions,
-    stats: &mut RewriteStats,
-    prefix_counter: &mut usize,
-) -> Vec<(PlanPattern, HashMap<XamNodeId, XamNodeId>)> {
-    let mut out = Vec::new();
-    // 1. single-view candidates over the whole pattern; the per-view
-    // mapping budget shrinks with the view count so large view sets stay
-    // tractable (every kept candidate is still exactly verified)
-    let per_view = (cfg.max_mappings / views.len().max(1)).max(4);
-    for (name, v) in views.iter() {
-        if v.has_access_restrictions() {
-            continue; // index views need bindings; handled elsewhere
-        }
-        for h in node_mappings(q, v, s, per_view, eng) {
-            // globally unique column prefix: the same view may appear on
-            // both sides of a join, and colliding names would turn join
-            // predicates into tautologies
-            *prefix_counter += 1;
-            if let Some(c) =
-                build_candidate(q, name, v, &h, *prefix_counter, cfg.allow_navigation, stats)
-            {
-                out.push(c);
-            }
+/// What the flat candidate search reads: the views, their index, the
+/// summary and the execution context.
+struct FlatSearch<'a> {
+    views: &'a [(String, Xam)],
+    index: &'a ViewIndex,
+    s: &'a Summary,
+    eng: &'a EngineOptions<'a>,
+}
+
+impl FlatSearch<'_> {
+    /// Per-node path annotations of a query (sub-)pattern, through the
+    /// engine cache when there is one.
+    fn annotate(&self, q: &Xam) -> Arc<Annotations> {
+        match self.eng.cache {
+            Some(c) => c.path_annotations(q, self.s, self.eng.summary_fp),
+            None => Arc::new(path_annotations_all(q, self.s)),
         }
     }
-    // 2. multi-view joins: split q at an edge, rewrite parts, join
-    if cfg.max_views >= 2 {
+
+    fn candidates(
+        &self,
+        q: &Xam,
+        cfg: RewriteConfig,
+        stats: &mut RewriteStats,
+        prefix_counter: &mut usize,
+    ) -> Vec<(PlanPattern, HashMap<XamNodeId, XamNodeId>)> {
+        let mut out = Vec::new();
+        // 1. single-view candidates over the whole pattern; the per-view
+        // mapping budget shrinks with the view count so large view sets
+        // stay tractable (every kept candidate is still exactly verified)
+        let per_view = (cfg.max_mappings / self.views.len().max(1)).max(4);
+        let q_ann = self.annotate(q);
+        // views sharing no summary path with q have no mapping: skip them
+        for pos in self.index.covering(&q_ann) {
+            let (name, v) = &self.views[pos];
+            let v_ann = self
+                .index
+                .annotations(pos)
+                .expect("covering views are indexed");
+            for h in node_mappings(q, v, &q_ann, v_ann, per_view) {
+                // globally unique column prefix: the same view may appear
+                // on both sides of a join, and colliding names would turn
+                // join predicates into tautologies
+                *prefix_counter += 1;
+                if let Some(c) =
+                    build_candidate(q, name, v, &h, *prefix_counter, cfg.allow_navigation, stats)
+                {
+                    out.push(c);
+                }
+            }
+        }
+        if cfg.max_views >= 2 {
+            self.join_candidates(q, cfg, stats, prefix_counter, &mut out);
+        }
+        out
+    }
+
+    /// 2. multi-view joins: split q at an edge, rewrite parts, join.
+    fn join_candidates(
+        &self,
+        q: &Xam,
+        cfg: RewriteConfig,
+        stats: &mut RewriteStats,
+        prefix_counter: &mut usize,
+        out: &mut Vec<(PlanPattern, HashMap<XamNodeId, XamNodeId>)>,
+    ) {
         let splits = decompositions(q);
         for (upper, upper_map, sub, sub_map, join_node, axis, equality) in splits {
             if !equality && !cfg.use_structural_ids {
                 continue;
             }
-            let upper_cands = flat_candidates(
+            let upper_cands = self.candidates(
                 &upper,
-                views,
-                s,
                 RewriteConfig {
                     max_views: 1,
                     ..cfg
                 },
-                eng,
                 stats,
                 prefix_counter,
             );
-            let sub_cands = flat_candidates(
+            let sub_cands = self.candidates(
                 &sub,
-                views,
-                s,
                 RewriteConfig {
                     max_views: cfg.max_views - 1,
                     ..cfg
                 },
-                eng,
                 stats,
                 prefix_counter,
             );
@@ -384,13 +449,12 @@ fn flat_candidates(
                     }
                     out.push((joined, qmap));
                     if out.len() >= cfg.max_mappings * 4 {
-                        return out; // candidate budget; verification is exact
+                        return; // candidate budget; verification is exact
                     }
                 }
             }
         }
     }
-    out
 }
 
 /// Where a grafted sub-pattern node ends up in the joined pattern: the
@@ -569,26 +633,20 @@ fn prune_children(q: &Xam, node: XamNodeId) -> Option<(Xam, HashMap<XamNodeId, X
 }
 
 /// Enumerate partial node mappings `h : q-nodes ⇀ v-nodes` respecting
-/// labels, kinds, summary path annotations and tree structure; unmapped
-/// nodes will be compensated by navigation.
+/// kinds, summary path annotations and tree structure; unmapped nodes
+/// will be compensated by navigation. `q_ann` and `v_ann` are the two
+/// patterns' per-node path annotations: the caller computes each once
+/// (the query's per search call, the views' in the [`ViewIndex`]). A
+/// pair is compatible when the kinds agree and the annotations meet, so
+/// a view with no compatible pair yields no mapping — which is what lets
+/// the index skip it.
 fn node_mappings(
     q: &Xam,
     v: &Xam,
-    s: &Summary,
+    q_ann: &[HashSet<SummaryNodeId>],
+    v_ann: &[HashSet<SummaryNodeId>],
     cap: usize,
-    eng: &EngineOptions,
 ) -> Vec<HashMap<XamNodeId, XamNodeId>> {
-    // path annotations for pruning: one enumeration pass per pattern
-    // (not per node), memoized across calls through the engine cache —
-    // the same views are re-annotated for every query otherwise
-    let annotations = |p: &Xam| -> Arc<Vec<std::collections::HashSet<summary::SummaryNodeId>>> {
-        match eng.cache {
-            Some(c) => c.path_annotations(p, s, eng.summary_fp),
-            None => Arc::new(containment::canonical::path_annotations_all(p, s)),
-        }
-    };
-    let q_ann = annotations(q);
-    let v_ann = annotations(v);
     let compatible = |qn: XamNodeId, vn: XamNodeId| -> bool {
         let qd = q.node(qn);
         let vd = v.node(vn);

@@ -24,13 +24,16 @@ impl MaterializedStore {
         MaterializedStore::default()
     }
 
-    /// Materialize a XAM over the document and register it under `name`.
+    /// Materialize a XAM over the document and register it under `name`,
+    /// returning its position in [`MaterializedStore::definitions`]. A
+    /// name already present keeps its position and gets the new
+    /// definition, so the definitions always describe the relations.
     pub fn add_view(
         &mut self,
         name: impl Into<String>,
         xam: Xam,
         doc: &Document,
-    ) -> Result<(), EvalError> {
+    ) -> Result<usize, EvalError> {
         let name = name.into();
         let span = tracing::debug_span!(target: "uload::storage", "materialize_view");
         let rel = span.in_scope(|| xam_core::evaluate(&xam, doc))?;
@@ -47,8 +50,16 @@ impl MaterializedStore {
         // `final_projection` either eliminates duplicates or keeps ID
         // columns that tell every tuple apart (Def. 2.2.3)
         self.catalog.declare_set(&name);
-        self.defs.push((name, xam));
-        Ok(())
+        match self.defs.iter().position(|(n, _)| *n == name) {
+            Some(pos) => {
+                self.defs[pos].1 = xam;
+                Ok(pos)
+            }
+            None => {
+                self.defs.push((name, xam));
+                Ok(self.defs.len() - 1)
+            }
+        }
     }
 
     /// Drop a view — the "change the storage by updating the XAM set"
@@ -157,6 +168,28 @@ mod tests {
         assert!(store.catalog().is_declared_set("v_titles"));
         assert_eq!(orders(&store), before);
         assert_eq!(store.len(), 2);
+    }
+
+    /// Re-adding a name replaces its definition in place: the rewriter
+    /// must never plan over a XAM that no longer describes the relation.
+    #[test]
+    fn re_adding_a_name_replaces_its_definition_in_place() {
+        let doc = bib_sample();
+        let mut store = MaterializedStore::new();
+        let title = parse_xam("//title[id:s,val]").unwrap();
+        let author = parse_xam("//author[id:s,val]").unwrap();
+        assert_eq!(store.add_view("v", title, &doc).unwrap(), 0);
+        assert_eq!(
+            store
+                .add_view("w", parse_xam("//book[id:s]").unwrap(), &doc)
+                .unwrap(),
+            1
+        );
+        assert_eq!(store.add_view("v", author.clone(), &doc).unwrap(), 0);
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.definitions()[0], ("v".to_string(), author.clone()));
+        assert_eq!(store.definition("v"), Some(&author));
+        assert_eq!(store.relation("v").unwrap().len(), 4);
     }
 
     #[test]

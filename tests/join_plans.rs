@@ -532,3 +532,126 @@ fn explain_shows_a_hash_join_cheaper_than_the_nested_loop() {
         .to_string_compact()
         .contains("HashJoin(⋈)"));
 }
+
+// ----------------------------------------------------------------------
+// the rewriter's view index
+
+/// A suite text: `(name, query)`.
+type Text = (&'static str, &'static str);
+
+/// Each suite's engine with its texts, as `suite_plans` builds them.
+fn suite_engines() -> Vec<(&'static str, Uload, Vec<Text>)> {
+    let joins = joins_engine(&generate::xmark(250, SEED));
+    let serve = joins_engine(&generate::xmark(150, SEED));
+    let adhoc = engine(&generate::xmark(50, SEED), false, adhoc_design);
+    vec![
+        ("prepared_joins", joins, JOIN_SUITE.to_vec()),
+        (
+            "serve_swap",
+            serve,
+            [&JOIN_SUITE[..], &SERVE_EXTRA[..]].concat(),
+        ),
+        ("adhoc_rewrite", adhoc, ADHOC_SUITE.to_vec()),
+    ]
+}
+
+fn patterns_of(text: &str) -> Vec<Xam> {
+    let q = Uload::parse_query(text).unwrap();
+    Uload::extract_patterns(&q).unwrap().patterns
+}
+
+/// The index `Uload` keeps in step with `add_view` equals one built
+/// afresh over the store's definitions — also after a name is re-added —
+/// and searching through it ranks the same plans as the free
+/// `rewrite_with_engine`, which builds its own index, over those
+/// definitions. The summed `RewriteStats` per suite are the ones the
+/// parent commit's scan over every view produced.
+#[test]
+fn engine_index_tracks_add_view() {
+    let doc = generate::bib_sample();
+    let mut u = Uload::builder().document(&doc).build().unwrap();
+    for (name, text) in [
+        ("titles", "//title[id:s,val]"),
+        ("index", "//book[id:s]{ /title[val!] }"),
+        ("books", "//book[id:s]"),
+        ("titles", "//book{ /@year[val] }"),
+        ("authors", "//author[id:s,val]"),
+    ] {
+        u.add_view_text(name, text, &doc).unwrap();
+        let fresh = rewriting::ViewIndex::build(u.store().definitions(), u.summary());
+        assert_eq!(u.view_index(), &fresh, "after adding {name}");
+    }
+    assert_eq!(u.view_index().len(), 4);
+
+    let mut stats = Vec::new();
+    for (suite, u, texts) in suite_engines() {
+        let fresh = rewriting::ViewIndex::build(u.store().definitions(), u.summary());
+        assert_eq!(u.view_index(), &fresh, "{suite}");
+        let model = CostModel::new(u.store().catalog());
+        let mut sum = uload::RewriteStats::default();
+        for (name, text) in texts {
+            for pat in patterns_of(text) {
+                let (mut free, s) = rewrite_with_engine(
+                    &pat,
+                    u.store().definitions(),
+                    u.summary(),
+                    u.config().rewrite,
+                    &EngineOptions::default(),
+                );
+                sum.candidates_built += s.candidates_built;
+                sum.candidates_verified += s.candidates_verified;
+                sum.rewritings_found += s.rewritings_found;
+                // `rewrite_pattern`'s ranking: cost, then size, stable
+                free.sort_by(|a, b| {
+                    let (ca, cb) = (model.cost(&a.plan), model.cost(&b.plan));
+                    ca.partial_cmp(&cb)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.size.cmp(&b.size))
+                });
+                let plans = |rws: &[Rewriting]| -> Vec<u64> {
+                    rws.iter().map(|r| plan_fingerprint(&r.plan)).collect()
+                };
+                assert_eq!(
+                    plans(&u.rewrite_pattern(&pat)),
+                    plans(&free),
+                    "{suite}/{name}: {pat}"
+                );
+            }
+        }
+        stats.push((
+            suite,
+            sum.candidates_built,
+            sum.candidates_verified,
+            sum.rewritings_found,
+        ));
+    }
+    assert_eq!(stats, STATS_AT_PARENT);
+}
+
+/// `(suite, candidates_built, candidates_verified, rewritings_found)`
+/// summed over every pattern of the suite, taken at the commit before the
+/// view index.
+const STATS_AT_PARENT: [(&str, usize, usize, usize); 3] = [
+    ("prepared_joins", 3779, 49, 396),
+    ("serve_swap", 4086, 65, 484),
+    ("adhoc_rewrite", 2991, 469, 250),
+];
+
+/// Re-adding a view name replaces its definition: the rewriter plans over
+/// the XAM that describes the stored relation, not the first one added
+/// under that name.
+#[test]
+fn re_added_view_answers_from_its_new_definition() {
+    let doc = generate::bib_sample();
+    let mut u = Uload::builder().document(&doc).build().unwrap();
+    u.add_view_text("v", "//title[id:s,val]", &doc).unwrap();
+    u.add_view_text("v", "//author[id:s,val]", &doc).unwrap();
+    const Q: &str = r#"for $t in doc("d")//title return <t>{$t/text()}</t>"#;
+    let want = Uload::execute_direct(Q, &doc).unwrap().into_strings();
+    match u.answer(Q, &doc) {
+        Ok((got, _)) => assert_eq!(got, want),
+        Err(e) => assert!(matches!(e, Error::NoRewriting { .. }), "{e}"),
+    }
+    u.add_view_text("v", "//title[id:s,val]", &doc).unwrap();
+    assert_eq!(u.answer(Q, &doc).unwrap().0, want);
+}

@@ -939,3 +939,77 @@ proptest! {
         prop_assert!(cache.stats().hits > 0, "cache never hit");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The rewriter's view index returns, in ascending order, exactly the
+    /// views a brute-force all-pairs check finds compatible with the
+    /// query — some (query node, view node) pair of the same kind whose
+    /// path annotations meet — and never an R-marked view.
+    #[test]
+    fn view_index_covers_exactly_the_compatible_views(
+        seed in 0u64..1000,
+        dblp_sel in 0usize..2,
+    ) {
+        let dblp = dblp_sel == 1;
+        let doc = if dblp { generate::dblp(6, 7) } else { generate::xmark(3, 7) };
+        let s = Summary::of_document(&doc);
+        let gen = |size: usize, count: usize, seed: u64| {
+            let cfg = if dblp { GenConfig::dblp(size, 1) } else { GenConfig::xmark(size, 1) };
+            pattern_gen::generate_set(&s, &cfg, count, seed)
+        };
+        let attrs: Vec<_> = s.all_nodes().filter(|&n| s.kind(n) == NodeKind::Attribute).collect();
+        prop_assert!(!attrs.is_empty());
+        let attr_view = |i: usize| {
+            let a = attrs[(seed as usize * 7 + i * 13) % attrs.len()];
+            let parent = s.label(s.parent(a).unwrap());
+            xam_core::parse_xam(&format!("//{parent}{{ /@{}[val] }}", s.label(a))).unwrap()
+        };
+        let mut queries = gen(4, 3, seed);
+        queries.push(attr_view(0));
+
+        let mut views: Vec<xam_core::Xam> = gen(3, 6, 10_000 + seed);
+        views.extend((1..4).map(attr_view));
+        // R-marked copies of a query and of a view: compatible by
+        // construction, never indexed
+        for src in [queries[0].clone(), views[0].clone()] {
+            let mut r = src;
+            let ret = r.return_nodes()[0];
+            r.node_mut(ret).requires_id = true;
+            views.push(r);
+        }
+        let views: Vec<(String, xam_core::Xam)> = views
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| (format!("v{i}"), v))
+            .collect();
+        let index = rewriting::ViewIndex::build(&views, &s);
+        prop_assert_eq!(index.len(), views.len());
+
+        let ann = |p: &xam_core::Xam| containment::canonical::path_annotations_all(p, &s);
+        let compatible = |q: &xam_core::Xam, v: &xam_core::Xam| {
+            let (q_ann, v_ann) = (ann(q), ann(v));
+            q.pattern_nodes().any(|qn| {
+                v.pattern_nodes().any(|vn| {
+                    q.node(qn).is_attribute == v.node(vn).is_attribute
+                        && !q_ann[qn.index()].is_disjoint(&v_ann[vn.index()])
+                })
+            })
+        };
+        let r_copy = &views[views.len() - 2].1;
+        prop_assert!(compatible(&queries[0], r_copy), "the R-marked copy must be compatible");
+        let mut covered = 0;
+        for q in &queries {
+            let want: Vec<usize> = views
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, v))| !v.has_access_restrictions() && compatible(q, v))
+                .map(|(i, _)| i)
+                .collect();
+            covered += want.len();
+            prop_assert_eq!(index.covering(&ann(q)), want, "query\n{}", q);
+        }
+        prop_assert!(covered > 0, "no query met any view");
+    }
+}
