@@ -51,10 +51,9 @@
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Instant;
 
-use obs::{ExecMetrics, Meter, StatsStore};
+use obs::{ExecMetrics, Meter};
 use xmltree::Document;
 
 use crate::eval::{
@@ -204,43 +203,6 @@ pub trait Cursor {
     fn close(&mut self);
 }
 
-/// Runtime arm-switch hint for the holistic twig operator, threaded in
-/// by the planner when the feedback store says this plan's arm choice
-/// has mispredicted before. At the first batch boundary (after the leaf
-/// streams are drained, before the merge runs) the twig cursor compares
-/// the observed combined leaf cardinality against `est_leaf_rows`; a
-/// ≥2× deviation in either direction means the cost model priced the
-/// merge from the wrong stream sizes, so the cursor falls over to the
-/// cascade arm (the path uncovered shapes take — answers are identical
-/// by construction) and records the outcome back into the store. The
-/// cascade→twig direction has no mid-query hook (an unfused plan carries
-/// no `TwigJoin` node); it is handled at re-plan time.
-#[derive(Debug, Clone)]
-pub struct ArmSwitchHint {
-    /// The feedback store the switch outcome is recorded into.
-    pub stats: Arc<StatsStore>,
-    /// `DocumentVersion` counter the plan runs under (0 = unversioned).
-    pub doc_version: u64,
-    /// Fingerprint of the executing plan.
-    pub plan_fp: u64,
-    /// The cost model's estimate of the combined twig leaf cardinality.
-    pub est_leaf_rows: f64,
-}
-
-/// Observed-vs-estimated leaf-cardinality deviation that triggers the
-/// mid-query arm fallover (mirrors the ≥2× wrong-arm telemetry rule).
-const ARM_SWITCH_RATIO: f64 = 2.0;
-
-impl ArmSwitchHint {
-    /// Whether `observed` leaf rows contradict the estimate badly enough
-    /// to fall over to the cascade arm.
-    fn should_switch(&self, observed: f64) -> bool {
-        let est = self.est_leaf_rows.max(1.0);
-        let obs = observed.max(1.0);
-        (obs / est).max(est / obs) >= ARM_SWITCH_RATIO
-    }
-}
-
 /// Knobs for [`build_cursor`].
 #[derive(Debug, Clone)]
 pub struct CursorConfig {
@@ -254,9 +216,6 @@ pub struct CursorConfig {
     /// Keep per-node rows, batches, kernel metrics and wall time,
     /// reported via [`StreamExec::op_stats`].
     pub profiling: bool,
-    /// Mid-query twig→cascade fallover hint (see [`ArmSwitchHint`]);
-    /// `None` disables the check entirely.
-    pub arm_hint: Option<ArmSwitchHint>,
 }
 
 impl Default for CursorConfig {
@@ -265,7 +224,6 @@ impl Default for CursorConfig {
             batch_size: 1024,
             eval: EvalConfig::default(),
             profiling: false,
-            arm_hint: None,
         }
     }
 }
@@ -753,15 +711,14 @@ impl<'a> Builder<'a, '_> {
         } else {
             None
         };
-        // The cascade arm — the twig desugared to left-deep `Inner`
-        // structural joins — is bound whenever it can run: always for a
-        // shape the holistic operator does not cover (map-extended
-        // attributes, two steps off different ID columns of one input, or
-        // `use_twigstack` off), and beside the holistic arm when a hint
-        // may force the mid-query fallover.
+        // The cascade — the twig desugared to left-deep `Inner`
+        // structural joins — is bound only for a shape the holistic
+        // operator does not cover (map-extended attributes, two steps off
+        // different ID columns of one input) or for the
+        // `use_twigstack = false` oracle.
         let mut cascade = Vec::new();
         let mut cascade_schema = schemas[0].clone();
-        if shape.is_none() || self.cfg.arm_hint.is_some() {
+        if shape.is_none() {
             for (s, right) in steps.iter().zip(&schemas[1..]) {
                 let join = Binary::struct_join(
                     &cascade_schema,
@@ -790,7 +747,6 @@ impl<'a> Builder<'a, '_> {
             state: TwigState::Start,
             batch: self.batch,
             spill: Spill::default(),
-            hint: self.cfg.arm_hint.clone(),
             mon,
             closed: false,
         }))
@@ -1156,16 +1112,17 @@ enum TwigState<'a> {
         pos: usize,
         resident: usize,
     },
-    /// Exhausted, or the cascade arm ran and its result is in the spill.
+    /// Exhausted, or the cascade ran and its result is in the spill.
     Done,
 }
 
 /// Holistic twig join: reads its stored inputs in place and drains the
 /// computed ones, runs the multi-way merge once, then assembles one
 /// output tuple per solution lazily — solutions are index vectors, so
-/// the concatenated tuples never sit in memory all at once. The cascade
-/// arm (see `Builder::twig`) runs the bound binary joins over copies of
-/// the same inputs instead and streams their result out.
+/// the concatenated tuples never sit in memory all at once. For a shape
+/// the merge does not cover, or under the `use_twigstack = false` oracle,
+/// the bound cascade (see `Builder::twig`) runs the binary joins over
+/// copies of the same inputs instead and streams their result out.
 struct TwigCursor<'a> {
     inputs: Vec<TwigInput<'a>>,
     steps: Vec<TwigStep>,
@@ -1175,14 +1132,14 @@ struct TwigCursor<'a> {
     state: TwigState<'a>,
     batch: usize,
     spill: Spill,
-    hint: Option<ArmSwitchHint>,
     mon: Mon,
     closed: bool,
 }
 
 impl<'a> TwigCursor<'a> {
-    /// Gather the inputs and run whichever arm applies; `Some` is the
-    /// cascade arm's whole output.
+    /// Gather the inputs and run the holistic merge, or the bound
+    /// cascade when the shape has none; `Some` is the cascade's whole
+    /// output.
     fn start(&mut self) -> Result<Option<Vec<Tuple>>, EvalError> {
         let mut inputs: Vec<Cow<'a, [Tuple]>> = Vec::with_capacity(self.inputs.len());
         let (mut leaf_rows, mut resident) = (0usize, 0usize);
@@ -1206,26 +1163,7 @@ impl<'a> TwigCursor<'a> {
             leaf_rows += rows.len();
             inputs.push(rows);
         }
-        // Mid-query arm check: the leaf streams are fully drained, so
-        // their real combined cardinality is known before the merge has
-        // run. If a hint is attached (the store flagged this plan's arm
-        // choice before) and the observation contradicts the estimate
-        // the merge was priced on, fall over to the cascade arm — same
-        // answers, honestly-priced path — and record the outcome.
-        let fall_over = match (&self.shape, &self.hint) {
-            (Some(_), Some(h)) if h.should_switch(leaf_rows as f64) => {
-                h.stats.record_arm_switch(h.doc_version, h.plan_fp, false);
-                tracing::debug!(
-                    target: "uload::cost",
-                    "twig arm fell over to cascade mid-query: observed {} leaf rows vs est {:.0}",
-                    leaf_rows,
-                    h.est_leaf_rows
-                );
-                true
-            }
-            _ => false,
-        };
-        if let (Some(shape), false) = (&self.shape, fall_over) {
+        if let Some(shape) = &self.shape {
             let rows: Vec<&[Tuple]> = inputs.iter().map(|r| r.as_ref()).collect();
             let solutions = self
                 .mon
@@ -1589,73 +1527,6 @@ mod tests {
     }
 
     #[test]
-    fn arm_hint_falls_over_to_cascade_and_records_the_switch() {
-        let (doc, cat) = setup();
-        let plan = id_col("library", "id0").twig_join(vec![
-            TwigStep {
-                input: id_col("book", "id1"),
-                parent_attr: "id0".into(),
-                attr: "id1".into(),
-                axis: Axis::Descendant,
-            },
-            TwigStep {
-                input: id_col("title", "id2"),
-                parent_attr: "id1".into(),
-                attr: "id2".into(),
-                axis: Axis::Child,
-            },
-        ]);
-        let oracle = build_cursor(&plan, &cat, Some(&doc), &CursorConfig::default())
-            .unwrap()
-            .collect()
-            .unwrap();
-
-        // estimate wildly above the real combined leaf cardinality: the
-        // cursor must fall over to the cascade arm, produce identical
-        // rows, and record exactly one switch in the store
-        let stats = Arc::new(StatsStore::new());
-        let cfg = CursorConfig {
-            arm_hint: Some(ArmSwitchHint {
-                stats: Arc::clone(&stats),
-                doc_version: 5,
-                plan_fp: 0x51,
-                est_leaf_rows: 1_000_000.0,
-            }),
-            ..Default::default()
-        };
-        let got = build_cursor(&plan, &cat, Some(&doc), &cfg)
-            .unwrap()
-            .collect()
-            .unwrap();
-        assert_eq!(got, oracle, "fallover must not change answers");
-        let arm = stats.arm(5, 0x51).expect("switch recorded");
-        assert_eq!(arm.switches, 1);
-        assert_eq!(arm.mispredicts, 1);
-
-        // an accurate estimate keeps the twig arm and records nothing
-        let quiet = Arc::new(StatsStore::new());
-        let total: usize = ["library", "book", "title"]
-            .iter()
-            .map(|n| cat.get(n).unwrap().len())
-            .sum();
-        let cfg = CursorConfig {
-            arm_hint: Some(ArmSwitchHint {
-                stats: Arc::clone(&quiet),
-                doc_version: 5,
-                plan_fp: 0x51,
-                est_leaf_rows: total as f64,
-            }),
-            ..Default::default()
-        };
-        let got = build_cursor(&plan, &cat, Some(&doc), &cfg)
-            .unwrap()
-            .collect()
-            .unwrap();
-        assert_eq!(got, oracle);
-        assert!(quiet.arm(5, 0x51).is_none(), "no switch on a sane estimate");
-    }
-
-    #[test]
     fn unnest_roundtrip_is_batch_size_invariant() {
         let (doc, cat) = setup();
         let nested = LogicalPlan::scan("book").struct_nest_join(
@@ -1826,7 +1697,6 @@ mod tests {
             batch_size,
             eval,
             profiling: true,
-            ..Default::default()
         };
         let mut exec = build_cursor(plan, cat, None, &cfg).unwrap();
         let mut tuples = Vec::new();

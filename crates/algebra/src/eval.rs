@@ -156,8 +156,8 @@ pub struct EvalConfig {
     /// for the ablation bench).
     pub use_stacktree: bool,
     /// Evaluate [`LogicalPlan::TwigJoin`] with the holistic multi-way
-    /// merge (`false` = desugar to the binary cascade, for the ablation
-    /// bench and as the correctness oracle).
+    /// merge (`false` = desugar to the binary cascade: the correctness
+    /// oracle; no engine path sets it).
     pub use_twigstack: bool,
 }
 

@@ -35,8 +35,8 @@ pub mod value;
 pub mod xmlgen;
 
 pub use cursor::{
-    build_cursor, is_pipeline_breaker, pipeline_breakers, ArmSwitchHint, Cursor, CursorConfig,
-    OpCells, OpStats, Residency, StreamExec, TupleBatch,
+    build_cursor, is_pipeline_breaker, pipeline_breakers, Cursor, CursorConfig, OpCells, OpStats,
+    Residency, StreamExec, TupleBatch,
 };
 pub use eval::{Catalog, EvalConfig, EvalError, Evaluator, Relation};
 pub use obs::{ExecMetrics, Meter, NoMeter};

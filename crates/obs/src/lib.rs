@@ -19,9 +19,9 @@
 //!   atomic [`Counter`]s/[`Gauge`]s and lock-free log-linear
 //!   [`Histogram`]s with mergeable snapshots (p50/p90/p99/p999);
 //! * [`stats`] — the [`StatsStore`] cardinality feedback store:
-//!   measured per-plan-node cardinalities and twig-vs-cascade arm
-//!   outcomes keyed by `(document version, plan fingerprint)`, recorded
-//!   from every profiled run for later adaptive re-optimization.
+//!   measured per-plan-node cardinalities keyed by
+//!   `(document version, plan fingerprint)`, recorded from every profiled
+//!   run and blended into the cost model's estimates.
 //!
 //! ## Span taxonomy
 //!
@@ -48,10 +48,8 @@ pub mod telemetry;
 
 pub use json::Json;
 pub use metrics::{CacheCounters, ExecMetrics, Meter, NoMeter, ResultCacheCounters};
-pub use profile::{
-    ArmTelemetry, OpStreamProfile, PlanNodeProfile, QueryProfile, SessionProfile, StreamProfile,
-};
-pub use stats::{ArmStats, NodeStats, StatsKey, StatsStore};
+pub use profile::{OpStreamProfile, PlanNodeProfile, QueryProfile, SessionProfile, StreamProfile};
+pub use stats::{NodeStats, StatsKey, StatsStore};
 pub use subscriber::{init_from_env, EnvFilter, FmtSubscriber};
 pub use telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,

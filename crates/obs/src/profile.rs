@@ -4,7 +4,7 @@
 //! wall time and kernel counters per plan node, for the one run there is.
 //! The rewriting layer pairs those counters with the cost model's
 //! *estimates* into a [`PlanNodeProfile`] tree, wraps it with phase
-//! timings, cache counters and arm telemetry into a [`QueryProfile`],
+//! timings, cache counters and the stream report into a [`QueryProfile`],
 //! and renders the result as pretty text or JSON.
 
 use crate::json::Json;
@@ -95,40 +95,6 @@ impl PlanNodeProfile {
                 "children",
                 Json::Arr(self.children.iter().map(PlanNodeProfile::to_json).collect()),
             ),
-        ])
-    }
-}
-
-/// Which cost-model arm ran, and how the alternative actually compared.
-/// Recorded only in profiled mode, where both arms execute.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArmTelemetry {
-    /// `"twig"` or `"cascade"`.
-    pub chosen: String,
-    /// Estimated cost of the chosen arm (abstract units).
-    pub est_chosen: f64,
-    /// Estimated cost of the alternative arm.
-    pub est_alternative: f64,
-    /// Measured wall time of the chosen arm.
-    pub actual_chosen_ns: u64,
-    /// Measured wall time of the alternative arm.
-    pub actual_alternative_ns: u64,
-    /// True when the chosen arm ran ≥2× slower than the alternative.
-    pub mispredicted: bool,
-}
-
-impl ArmTelemetry {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("chosen", Json::Str(self.chosen.clone())),
-            ("est_chosen", Json::Num(self.est_chosen)),
-            ("est_alternative", Json::Num(self.est_alternative)),
-            ("actual_chosen_ns", Json::Num(self.actual_chosen_ns as f64)),
-            (
-                "actual_alternative_ns",
-                Json::Num(self.actual_alternative_ns as f64),
-            ),
-            ("mispredicted", Json::Bool(self.mispredicted)),
         ])
     }
 }
@@ -254,8 +220,6 @@ pub struct QueryProfile {
     pub plan: PlanNodeProfile,
     /// Shared-cache counters, when the engine runs with a cache.
     pub cache: Option<CacheCounters>,
-    /// Twig-vs-cascade arm telemetry, when the plan had both arms.
-    pub arm: Option<ArmTelemetry>,
     /// The executor's stream report of the profiled run.
     pub streamed: Option<StreamProfile>,
     /// End-to-end wall time.
@@ -415,28 +379,6 @@ impl QueryProfile {
                 cache.annotation_entries
             );
         }
-        if let Some(arm) = &self.arm {
-            let alternative = if arm.chosen == "twig" {
-                "cascade"
-            } else {
-                "twig"
-            };
-            let _ = writeln!(
-                out,
-                "arm: chose {} (est {:.1} vs {:.1}); actual {} vs {} ({}){}",
-                arm.chosen,
-                arm.est_chosen,
-                arm.est_alternative,
-                fmt_ns(arm.actual_chosen_ns),
-                fmt_ns(arm.actual_alternative_ns),
-                alternative,
-                if arm.mispredicted {
-                    "  ** MISPREDICTED **"
-                } else {
-                    ""
-                }
-            );
-        }
         if let Some(s) = &self.streamed {
             let _ = writeln!(
                 out,
@@ -498,13 +440,6 @@ impl QueryProfile {
                     ("model_entries", Json::Num(c.model_entries as f64)),
                     ("annotation_entries", Json::Num(c.annotation_entries as f64)),
                 ]),
-                None => Json::Null,
-            },
-        ));
-        fields.push((
-            "arm",
-            match &self.arm {
-                Some(a) => a.to_json(),
                 None => Json::Null,
             },
         ));
@@ -646,14 +581,6 @@ mod tests {
                 model_entries: 1,
                 annotation_entries: 0,
             }),
-            arm: Some(ArmTelemetry {
-                chosen: "twig".to_string(),
-                est_chosen: 100.0,
-                est_alternative: 140.0,
-                actual_chosen_ns: 1_500_000,
-                actual_alternative_ns: 2_100_000,
-                mispredicted: false,
-            }),
             streamed: Some(StreamProfile {
                 batch_size: 1024,
                 batches: 1,
@@ -702,7 +629,6 @@ mod tests {
         assert!(text.contains("vbatches=7"));
         assert!(text.contains("vcmp=448"));
         assert!(text.contains("cache: hits=2"));
-        assert!(text.contains("arm: chose twig"));
         assert!(text.contains("phases: parse=1.0µs"));
         assert!(text.contains("streamed: batch_size=1024 batches=1 rows=50 peak_resident=62"));
         assert!(text.contains("breakers=[Sort]"));

@@ -1,19 +1,14 @@
 //! The cardinality feedback store.
 //!
-//! EXPLAIN ANALYZE (PR 3) measures per-node actual cardinalities and
-//! flags ≥4× mispredictions, and the twig-vs-cascade arm telemetry
-//! flags ≥2× wrong arm choices — but until now both were rendered and
-//! dropped. [`StatsStore`] is the durable half of the
-//! observe-and-re-optimize loop (ROADMAP item 6): every profiled run
-//! records what each plan node *actually* produced, keyed by
-//! `(document version, plan fingerprint, plan-node index)`, plus the
-//! arm-choice outcome per `(document version, plan fingerprint)`.
+//! EXPLAIN ANALYZE measures per-node actual cardinalities and flags ≥4×
+//! mispredictions; [`StatsStore`] keeps them: every profiled run records
+//! what each plan node *actually* produced, keyed by
+//! `(document version, plan fingerprint, plan-node index)`.
 //!
-//! This module records and exposes; the planner reads it back through
-//! `rewriting::CostModel::with_feedback`, the server's re-planning check
-//! polls the per-fingerprint rollups ([`StatsStore::mispredicted_nodes_for`]),
-//! and the streamed executor's mid-query arm switch reports back through
-//! [`StatsStore::record_arm_switch`]. Keys are raw `u64`s (`obs` sits
+//! This module records and exposes; the cost model reads it back through
+//! `rewriting::CostModel::with_feedback` to blend its estimates (which
+//! `EXPLAIN` reports with their provenance). Feedback changes estimates,
+//! never plans or answers. Keys are raw `u64`s (`obs` sits
 //! below `storage`, so it cannot name `DocumentVersion`); version `0` is
 //! the conventional key for unversioned embedded runs. Entries for
 //! document versions that are no longer resident are evicted with
@@ -86,51 +81,13 @@ impl NodeStats {
     }
 }
 
-/// Accumulated twig-vs-cascade arm outcomes for one plan under one
-/// document version.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ArmStats {
-    /// Profiled runs where the cost model picked the twig arm.
-    pub chosen_twig: u64,
-    /// Profiled runs where it picked the cascade arm.
-    pub chosen_cascade: u64,
-    /// Runs where the chosen arm ran ≥2× slower than the alternative.
-    pub mispredicts: u64,
-    /// Wall time of the chosen arm on the latest run.
-    pub last_chosen_ns: u64,
-    /// Wall time of the alternative arm on the latest run.
-    pub last_alternative_ns: u64,
-    /// Mid-query arm fallovers the streamed executor performed when the
-    /// observed leaf cardinality contradicted the estimate.
-    pub switches: u64,
-}
-
-impl ArmStats {
-    fn to_json(&self, doc_version: u64, plan_fp: u64) -> Json {
-        Json::obj(vec![
-            ("doc_version", Json::Num(doc_version as f64)),
-            ("plan_fp", Json::Str(format!("{plan_fp:016x}"))),
-            ("chosen_twig", Json::Num(self.chosen_twig as f64)),
-            ("chosen_cascade", Json::Num(self.chosen_cascade as f64)),
-            ("mispredicts", Json::Num(self.mispredicts as f64)),
-            ("last_chosen_ns", Json::Num(self.last_chosen_ns as f64)),
-            (
-                "last_alternative_ns",
-                Json::Num(self.last_alternative_ns as f64),
-            ),
-            ("switches", Json::Num(self.switches as f64)),
-        ])
-    }
-}
-
-/// Thread-safe store of measured cardinalities and arm-choice outcomes,
-/// fed by every profiled run. Recording walks the profiled plan tree in
+/// Thread-safe store of measured cardinalities, fed by every profiled
+/// run. Recording walks the profiled plan tree in
 /// pre-order, so `node_idx` is stable for a given plan shape (and the
 /// plan fingerprint pins the shape).
 #[derive(Debug, Default)]
 pub struct StatsStore {
     nodes: Mutex<HashMap<StatsKey, NodeStats>>,
-    arms: Mutex<HashMap<(u64, u64), ArmStats>>,
 }
 
 impl StatsStore {
@@ -138,28 +95,12 @@ impl StatsStore {
         StatsStore::default()
     }
 
-    /// Record one profiled run: every plan node's measured cardinality
-    /// (pre-order) and the arm outcome, if the profile carries one.
+    /// Record one profiled run: every plan node's measured cardinality,
+    /// in pre-order.
     pub fn record_profile(&self, doc_version: u64, plan_fp: u64, profile: &QueryProfile) {
-        {
-            let mut nodes = self.nodes.lock().unwrap_or_else(|e| e.into_inner());
-            let mut idx = 0u32;
-            record_node(&mut nodes, doc_version, plan_fp, &profile.plan, &mut idx);
-        }
-        if let Some(arm) = &profile.arm {
-            let mut arms = self.arms.lock().unwrap_or_else(|e| e.into_inner());
-            let entry = arms.entry((doc_version, plan_fp)).or_default();
-            if arm.chosen == "twig" {
-                entry.chosen_twig += 1;
-            } else {
-                entry.chosen_cascade += 1;
-            }
-            if arm.mispredicted {
-                entry.mispredicts += 1;
-            }
-            entry.last_chosen_ns = arm.actual_chosen_ns;
-            entry.last_alternative_ns = arm.actual_alternative_ns;
-        }
+        let mut nodes = self.nodes.lock().unwrap_or_else(|e| e.into_inner());
+        let mut idx = 0u32;
+        record_node(&mut nodes, doc_version, plan_fp, &profile.plan, &mut idx);
     }
 
     /// Look up one node's accumulated stats.
@@ -175,36 +116,6 @@ impl StatsStore {
             .cloned()
     }
 
-    /// Look up one plan's accumulated arm outcomes.
-    pub fn arm(&self, doc_version: u64, plan_fp: u64) -> Option<ArmStats> {
-        self.arms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&(doc_version, plan_fp))
-            .cloned()
-    }
-
-    /// Record a mid-query arm fallover the streamed executor performed
-    /// for this plan (`to_twig` says which direction it fell).
-    pub fn record_arm_switch(&self, doc_version: u64, plan_fp: u64, to_twig: bool) {
-        let mut arms = self.arms.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = arms.entry((doc_version, plan_fp)).or_default();
-        entry.switches += 1;
-        // the switch is evidence the planned arm was the wrong one
-        entry.mispredicts += 1;
-        if to_twig {
-            entry.chosen_cascade += 1;
-        } else {
-            entry.chosen_twig += 1;
-        }
-    }
-
-    /// Whether the store holds any node observations recorded under
-    /// `(doc_version, plan_fp)` — the gate for feedback-aware costing.
-    pub fn has_feedback(&self, doc_version: u64, plan_fp: u64) -> bool {
-        self.observations_for(doc_version, plan_fp) > 0
-    }
-
     /// Total node observations recorded under `(doc_version, plan_fp)`.
     pub fn observations_for(&self, doc_version: u64, plan_fp: u64) -> u64 {
         self.nodes
@@ -216,39 +127,16 @@ impl StatsStore {
             .sum()
     }
 
-    /// Per-fingerprint rollup: node series under `(doc_version, plan_fp)`
-    /// with at least one ≥4× misprediction. The server's re-planning
-    /// check compares this against its threshold before every `EXEC`.
-    pub fn mispredicted_nodes_for(&self, doc_version: u64, plan_fp: u64) -> u64 {
-        self.nodes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .filter(|(k, n)| {
-                k.doc_version == doc_version && k.plan_fp == plan_fp && n.mispredicts > 0
-            })
-            .count() as u64
-    }
-
-    /// Evict every node and arm series whose document version is not in
-    /// `keep`, returning `(nodes_evicted, arms_evicted)`. The server
-    /// calls this on `swap_document` with the resident versions (plus
-    /// the conventional version 0), so the store follows the same
-    /// lifecycle as the result cache instead of growing without bound.
-    pub fn retain_versions(&self, keep: &[u64]) -> (usize, usize) {
-        let nodes_evicted = {
-            let mut nodes = self.nodes.lock().unwrap_or_else(|e| e.into_inner());
-            let before = nodes.len();
-            nodes.retain(|k, _| keep.contains(&k.doc_version));
-            before - nodes.len()
-        };
-        let arms_evicted = {
-            let mut arms = self.arms.lock().unwrap_or_else(|e| e.into_inner());
-            let before = arms.len();
-            arms.retain(|(v, _), _| keep.contains(v));
-            before - arms.len()
-        };
-        (nodes_evicted, arms_evicted)
+    /// Evict every node series whose document version is not in `keep`,
+    /// returning how many were evicted. The server calls this on
+    /// `swap_document` with the resident versions (plus the conventional
+    /// version 0), so the store follows the same lifecycle as the result
+    /// cache instead of growing without bound.
+    pub fn retain_versions(&self, keep: &[u64]) -> usize {
+        let mut nodes = self.nodes.lock().unwrap_or_else(|e| e.into_inner());
+        let before = nodes.len();
+        nodes.retain(|k, _| keep.contains(&k.doc_version));
+        before - nodes.len()
     }
 
     /// Distinct `(version, fingerprint, node)` series recorded.
@@ -258,11 +146,6 @@ impl StatsStore {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Distinct `(version, fingerprint)` arm series recorded.
-    pub fn arm_len(&self) -> usize {
-        self.arms.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Total node observations across all series.
@@ -285,16 +168,6 @@ impl StatsStore {
             .count() as u64
     }
 
-    /// Total mid-query arm fallovers across all series.
-    pub fn arm_switches(&self) -> u64 {
-        self.arms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-            .map(|a| a.switches)
-            .sum()
-    }
-
     /// Compact rollup (the `"stats_store"` object of the `METRICS`
     /// schema).
     pub fn summary_json(&self) -> Json {
@@ -305,13 +178,10 @@ impl StatsStore {
                 "mispredicted_nodes",
                 Json::Num(self.mispredicted_nodes() as f64),
             ),
-            ("arms", Json::Num(self.arm_len() as f64)),
-            ("arm_switches", Json::Num(self.arm_switches() as f64)),
         ])
     }
 
-    /// Full dump: every node series and arm series, deterministically
-    /// ordered by key.
+    /// Full dump: every node series, deterministically ordered by key.
     pub fn to_json(&self) -> Json {
         let mut nodes: Vec<(StatsKey, NodeStats)> = self
             .nodes
@@ -321,24 +191,10 @@ impl StatsStore {
             .map(|(k, v)| (*k, v.clone()))
             .collect();
         nodes.sort_by_key(|(k, _)| (k.doc_version, k.plan_fp, k.node_idx));
-        let mut arms: Vec<((u64, u64), ArmStats)> = self
-            .arms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        arms.sort_by_key(|(k, _)| *k);
-        Json::obj(vec![
-            (
-                "nodes",
-                Json::Arr(nodes.iter().map(|(k, n)| n.to_json(k)).collect()),
-            ),
-            (
-                "arms",
-                Json::Arr(arms.iter().map(|((v, fp), a)| a.to_json(*v, *fp)).collect()),
-            ),
-        ])
+        Json::obj(vec![(
+            "nodes",
+            Json::Arr(nodes.iter().map(|(k, n)| n.to_json(k)).collect()),
+        )])
     }
 }
 
@@ -383,7 +239,6 @@ fn record_node(
 mod tests {
     use super::*;
     use crate::metrics::ExecMetrics;
-    use crate::profile::ArmTelemetry;
 
     fn leaf(op: &str, est: f64, actual: u64, mispredicted: bool) -> PlanNodeProfile {
         PlanNodeProfile {
@@ -398,13 +253,12 @@ mod tests {
         }
     }
 
-    fn profile(plan: PlanNodeProfile, arm: Option<ArmTelemetry>) -> QueryProfile {
+    fn profile(plan: PlanNodeProfile) -> QueryProfile {
         QueryProfile {
             query: "//a".to_string(),
             phases: Vec::new(),
             plan,
             cache: None,
-            arm,
             streamed: None,
             total_ns: 100,
         }
@@ -416,8 +270,8 @@ mod tests {
         let mut root = leaf("join", 100.0, 10, false);
         root.children.push(leaf("scan-a", 50.0, 400, true));
         root.children.push(leaf("scan-b", 8.0, 9, false));
-        store.record_profile(7, 0xfeed, &profile(root.clone(), None));
-        store.record_profile(7, 0xfeed, &profile(root, None));
+        store.record_profile(7, 0xfeed, &profile(root.clone()));
+        store.record_profile(7, 0xfeed, &profile(root));
 
         assert_eq!(store.len(), 3);
         assert_eq!(store.observations(), 6);
@@ -433,72 +287,29 @@ mod tests {
     }
 
     #[test]
-    fn records_arm_outcomes() {
-        let store = StatsStore::new();
-        let arm = ArmTelemetry {
-            chosen: "twig".to_string(),
-            est_chosen: 10.0,
-            est_alternative: 20.0,
-            actual_chosen_ns: 900,
-            actual_alternative_ns: 300,
-            mispredicted: true,
-        };
-        store.record_profile(0, 0xbeef, &profile(leaf("twig", 1.0, 1, false), Some(arm)));
-        let a = store.arm(0, 0xbeef).unwrap();
-        assert_eq!(a.chosen_twig, 1);
-        assert_eq!(a.chosen_cascade, 0);
-        assert_eq!(a.mispredicts, 1);
-        assert_eq!(store.arm_len(), 1);
-        let json = store.to_json().to_string_compact();
-        assert!(json.contains("\"arms\""), "{json}");
-    }
-
-    #[test]
     fn per_fingerprint_rollups_filter_by_key() {
         let store = StatsStore::new();
         let mut root = leaf("join", 100.0, 10, false);
         root.children.push(leaf("scan-a", 50.0, 400, true));
         root.children.push(leaf("scan-b", 8.0, 9, false));
-        store.record_profile(7, 0xfeed, &profile(root.clone(), None));
-        store.record_profile(8, 0xfeed, &profile(root, None));
+        store.record_profile(7, 0xfeed, &profile(root.clone()));
+        store.record_profile(8, 0xfeed, &profile(root));
 
-        assert!(store.has_feedback(7, 0xfeed));
-        assert!(!store.has_feedback(7, 0xdead));
-        assert!(!store.has_feedback(9, 0xfeed));
         assert_eq!(store.observations_for(7, 0xfeed), 3);
-        assert_eq!(store.mispredicted_nodes_for(7, 0xfeed), 1);
-        assert_eq!(store.mispredicted_nodes_for(7, 0xdead), 0);
-    }
-
-    #[test]
-    fn arm_switches_accumulate_and_flag_mispredicts() {
-        let store = StatsStore::new();
-        store.record_arm_switch(2, 0xabba, true);
-        store.record_arm_switch(2, 0xabba, true);
-        let a = store.arm(2, 0xabba).unwrap();
-        assert_eq!(a.switches, 2);
-        assert_eq!(a.mispredicts, 2);
-        assert_eq!(a.chosen_cascade, 2);
-        assert_eq!(store.arm_switches(), 2);
-        let json = store.summary_json().to_string_compact();
-        assert!(json.contains("\"arm_switches\":2"), "{json}");
+        assert_eq!(store.observations_for(7, 0xdead), 0);
+        assert_eq!(store.observations_for(9, 0xfeed), 0);
     }
 
     #[test]
     fn retain_versions_evicts_stale_document_versions() {
         let store = StatsStore::new();
-        store.record_profile(0, 0xa, &profile(leaf("scan", 1.0, 1, false), None));
-        store.record_profile(3, 0xa, &profile(leaf("scan", 1.0, 1, false), None));
-        store.record_profile(4, 0xa, &profile(leaf("scan", 1.0, 1, false), None));
-        store.record_arm_switch(3, 0xa, true);
-        store.record_arm_switch(4, 0xa, false);
+        store.record_profile(0, 0xa, &profile(leaf("scan", 1.0, 1, false)));
+        store.record_profile(3, 0xa, &profile(leaf("scan", 1.0, 1, false)));
+        store.record_profile(4, 0xa, &profile(leaf("scan", 1.0, 1, false)));
 
-        let (nodes, arms) = store.retain_versions(&[0, 4]);
-        assert_eq!((nodes, arms), (1, 1));
+        assert_eq!(store.retain_versions(&[0, 4]), 1);
         assert!(store.node(3, 0xa, 0).is_none());
         assert!(store.node(4, 0xa, 0).is_some());
         assert!(store.node(0, 0xa, 0).is_some());
-        assert!(store.arm(3, 0xa).is_none());
-        assert!(store.arm(4, 0xa).is_some());
     }
 }

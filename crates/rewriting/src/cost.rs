@@ -285,8 +285,7 @@ impl<'a> CostModel<'a> {
                 // the most selective stream plus the output — everything
                 // else is seeked over at a gallop (log) charge per touched
                 // element and stream. On skewed twigs this term undercuts
-                // the linear sweep, which is exactly when the
-                // twig-vs-cascade arm should prefer the twig.
+                // the linear sweep.
                 let seek_merge = (min_rows + out) * log * (steps.len() as f64 + 1.0);
                 let merge = linear_merge.min(seek_merge);
                 (cost + merge, out)
@@ -392,7 +391,6 @@ mod tests {
             phases: Vec::new(),
             plan,
             cache: None,
-            arm: None,
             streamed: None,
             total_ns: 1,
         }
@@ -620,10 +618,9 @@ mod tests {
     }
 
     #[test]
-    fn feedback_rescores_the_twig_vs_cascade_arm() {
-        // A 2-step twig the static model prices above a cheap plan; once
-        // feedback reveals the streams are tiny, the twig arm's cost
-        // must drop below its static figure.
+    fn feedback_rescores_a_twig() {
+        // A 2-step twig over large streams; once feedback reveals the
+        // streams are tiny, its cost must drop below its static figure.
         let c = catalog();
         let plan = LogicalPlan::scan("big")
             .rename(&["a"])

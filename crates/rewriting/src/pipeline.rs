@@ -20,8 +20,7 @@ use std::time::Instant;
 use algebra::{CursorConfig, Evaluator, LogicalPlan, OpStats, Relation, StreamExec, TupleBatch};
 use containment::{CacheStats, CanonicalCache};
 use obs::{
-    ArmTelemetry, CacheCounters, OpStreamProfile, PlanNodeProfile, QueryProfile, StatsStore,
-    StreamProfile,
+    CacheCounters, OpStreamProfile, PlanNodeProfile, QueryProfile, StatsStore, StreamProfile,
 };
 use parking_lot::Mutex;
 use storage::DocumentHandle;
@@ -69,15 +68,10 @@ pub struct EngineConfig {
     /// Capacity of the shared [`CanonicalCache`] (verdict entries);
     /// `0` disables caching entirely.
     pub cache_capacity: usize,
-    /// Fuse structural-join cascades into holistic `TwigJoin` operators
-    /// before execution and evaluate them with the TwigStack algorithm.
-    /// Off, every twig falls back to the binary StackTree cascade.
-    pub use_twigstack: bool,
     /// Collect an `EXPLAIN ANALYZE` [`QueryProfile`] on every
     /// [`Uload::answer`] call (retrievable via [`Uload::last_profile`]).
-    /// A profiled answer is one metered run of the plan — plus one run of
-    /// the other twig arm, when there is one, to see how the choice fared;
-    /// off (the default), answering takes the unmetered path.
+    /// A profiled answer is one metered run of the plan; off (the
+    /// default), answering takes the unmetered path.
     pub profiling: bool,
     /// Target rows per [`TupleBatch`] pulled through the streaming
     /// executor behind [`Uload::query`] (must be ≥ 1). Operators may
@@ -98,7 +92,6 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: 1,
             cache_capacity: 4096,
-            use_twigstack: true,
             profiling: false,
             batch_size: 1024,
             use_summary_pruning: true,
@@ -117,12 +110,6 @@ impl EngineConfig {
     /// Shared-cache capacity; `0` disables caching.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Toggle holistic twig-join planning and execution.
-    pub fn with_twigstack(mut self, on: bool) -> Self {
-        self.use_twigstack = on;
         self
     }
 
@@ -201,12 +188,6 @@ impl<'d> UloadBuilder<'d> {
     /// Cache capacity; `0` disables the shared cache.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.config.cache_capacity = capacity;
-        self
-    }
-
-    /// Toggle holistic twig-join planning and execution.
-    pub fn use_twigstack(mut self, on: bool) -> Self {
-        self.config.use_twigstack = on;
         self
     }
 
@@ -328,11 +309,11 @@ impl Uload {
     }
 
     /// The engine's cardinality feedback store: measured per-plan-node
-    /// cardinalities and arm-choice outcomes, recorded by every
-    /// profiled run ([`Uload::answer_profiled`] under document-version
-    /// key `0`, [`Uload::profile_prepared`] and [`Uload::profile_stream`]
-    /// under the handle's real version). The durable feed for adaptive
-    /// re-optimization.
+    /// cardinalities, recorded by every profiled run
+    /// ([`Uload::answer_profiled`] under document-version key `0`,
+    /// [`Uload::profile_prepared`] and [`Uload::profile_stream`] under the
+    /// handle's real version). It feeds the blended estimates of
+    /// [`Uload::explain`] and of later profiles; it never changes a plan.
     pub fn stats_store(&self) -> &Arc<StatsStore> {
         &self.stats
     }
@@ -398,8 +379,9 @@ impl Uload {
         priced.into_iter().map(|(_, rw)| rw).collect()
     }
 
-    /// Parse, extract, rewrite and combine: everything up to (but not
-    /// including) plan fusing and evaluation, with per-phase wall times.
+    /// Parse, extract, rewrite, combine and fuse: everything up to
+    /// evaluation, with per-phase wall times. Structural-join cascades
+    /// always fuse into holistic `TwigJoin` operators.
     fn prepare(&self, query: &str) -> Result<Prepared> {
         let t = Instant::now();
         let q = xquery::parse_query(query).map_err(|e| Error::Parse(e.to_string()))?;
@@ -444,10 +426,10 @@ impl Uload {
         let rewrite_ns = t.elapsed().as_nanos() as u64;
 
         let t = Instant::now();
-        let base_plan = xquery::translate::combine_plans(&ex, plans);
+        let plan = algebra::fuse_struct_joins(&xquery::translate::combine_plans(&ex, plans));
         let plan_ns = t.elapsed().as_nanos() as u64;
         Ok(Prepared {
-            base_plan,
+            plan,
             used,
             parse_ns,
             extract_ns,
@@ -491,138 +473,7 @@ impl Uload {
         let span = tracing::debug_span!(target: "uload::query", "prepare");
         let _g = span.enter();
         let p = self.prepare(query)?;
-        let use_twigstack = self.config.use_twigstack;
-        let fused = algebra::fuse_struct_joins(&p.base_plan);
-        let has_twig_arm = fused != p.base_plan;
-        let plan = if use_twigstack { fused } else { p.base_plan };
-        let arm = match (has_twig_arm, use_twigstack) {
-            (false, _) => "single",
-            (true, true) => "twig",
-            (true, false) => "cascade",
-        };
-        Ok(self.finish_prepared(query, plan, use_twigstack, p.used, 0, arm, "knob"))
-    }
-
-    /// [`Uload::prepare_query`] with cardinality feedback: when the
-    /// [`StatsStore`] holds observations for this query's plans under
-    /// `doc_version`, the twig-vs-cascade arm is re-chosen from the
-    /// measured evidence instead of the `use_twigstack` knob. With an
-    /// empty store (or an unseen document version) this is exactly
-    /// [`Uload::prepare_query`] — same plan, same fingerprint — so
-    /// results stay deterministic.
-    pub fn prepare_query_for_version(
-        &self,
-        query: &str,
-        doc_version: u64,
-    ) -> Result<PreparedQuery> {
-        self.prepare_adaptive(query, doc_version, 0)
-    }
-
-    /// Re-plan an already-prepared query under feedback for
-    /// `doc_version`, bumping the plan epoch. The server calls this when
-    /// the store's rollup marks the prepared fingerprint mispredicted
-    /// past its threshold; the returned plan (possibly the other arm)
-    /// replaces the shared prepared entry.
-    pub fn replan_prepared(&self, prep: &PreparedQuery, doc_version: u64) -> Result<PreparedQuery> {
-        self.prepare_adaptive(&prep.query, doc_version, prep.epoch + 1)
-    }
-
-    fn prepare_adaptive(&self, query: &str, doc_version: u64, epoch: u64) -> Result<PreparedQuery> {
-        let span = tracing::debug_span!(target: "uload::query", "prepare_adaptive");
-        let _g = span.enter();
-        let p = self.prepare(query)?;
-        let fused = algebra::fuse_struct_joins(&p.base_plan);
-        let choice = self.choose_arm(&p.base_plan, &fused, doc_version);
-        if choice.source != "knob" {
-            tracing::debug!(
-                target: "uload::cost",
-                "adaptive prepare chose the {} arm via {} (epoch {epoch}, doc version {doc_version})",
-                choice.arm,
-                choice.source
-            );
-        }
-        Ok(self.finish_prepared(
-            query,
-            choice.plan,
-            choice.use_twigstack,
-            p.used,
-            epoch,
-            choice.arm,
-            choice.source,
-        ))
-    }
-
-    /// Pick the twig or cascade arm for a plan pair under feedback for
-    /// `doc_version`. The cascade, in order of evidence strength:
-    /// measured arm outcomes (a plan whose chosen arm ran ≥2× slower
-    /// flips to the alternative), then blended-cost comparison when the
-    /// store holds node observations for either arm, then the
-    /// `use_twigstack` knob. An empty store always lands on the knob.
-    fn choose_arm(
-        &self,
-        base_plan: &LogicalPlan,
-        fused: &LogicalPlan,
-        doc_version: u64,
-    ) -> ArmChoice {
-        let knob_twig = self.config.use_twigstack;
-        if fused == base_plan {
-            let cost = self
-                .cost_model(doc_version, plan_fingerprint(base_plan))
-                .cost(base_plan);
-            return ArmChoice {
-                plan: base_plan.clone(),
-                use_twigstack: knob_twig,
-                arm: "single",
-                source: "knob",
-                chosen_cost: cost,
-                alternative: None,
-            };
-        }
-        let twig_fp = plan_fingerprint(fused);
-        let cascade_fp = plan_fingerprint(base_plan);
-        let twig_cost = self.cost_model(doc_version, twig_fp).cost(fused);
-        let cascade_cost = self.cost_model(doc_version, cascade_fp).cost(base_plan);
-        let (knob_fp, alt_fp) = if knob_twig {
-            (twig_fp, cascade_fp)
-        } else {
-            (cascade_fp, twig_fp)
-        };
-        let arm_mispredicts =
-            |fp: u64| self.stats.arm(doc_version, fp).map_or(0, |a| a.mispredicts);
-        let knob_arm_bad = arm_mispredicts(knob_fp) > 0;
-        let alt_arm_bad = arm_mispredicts(alt_fp) > 0;
-        let has_node_feedback = self.stats.has_feedback(doc_version, twig_fp)
-            || self.stats.has_feedback(doc_version, cascade_fp);
-        let (choose_twig, source) = if knob_arm_bad && !alt_arm_bad {
-            // the measured arm outcome is the strongest signal: the knob's
-            // arm ran ≥2× slower than the alternative at least once
-            (!knob_twig, "feedback-arm")
-        } else if has_node_feedback || knob_arm_bad {
-            // measured cardinalities exist (or both arms misfired):
-            // re-score both arms with blended selectivities
-            (twig_cost <= cascade_cost, "feedback-cost")
-        } else {
-            (knob_twig, "knob")
-        };
-        let (plan, arm, chosen_cost, alt_arm, alt_cost) = if choose_twig {
-            (fused.clone(), "twig", twig_cost, "cascade", cascade_cost)
-        } else {
-            (
-                base_plan.clone(),
-                "cascade",
-                cascade_cost,
-                "twig",
-                twig_cost,
-            )
-        };
-        ArmChoice {
-            plan,
-            use_twigstack: choose_twig,
-            arm,
-            source,
-            chosen_cost,
-            alternative: Some((alt_arm, alt_cost)),
-        }
+        Ok(self.finish_prepared(query, p.plan, p.used))
     }
 
     /// The feedback-aware cost model for plans keyed by
@@ -631,103 +482,59 @@ impl Uload {
         CostModel::new(self.store.catalog()).with_feedback(&self.stats, doc_version, plan_fp)
     }
 
-    /// Build the mid-query arm-switch hint for a streamed twig plan.
-    ///
-    /// The hint is only attached when the stats store holds evidence
-    /// that the twig arm has mispredicted for this `(version, plan)`
-    /// before — a cold store never perturbs execution, keeping
-    /// feedback-free runs byte-identical to the static planner.
-    fn arm_hint(&self, prep: &PreparedQuery, doc_version: u64) -> Option<algebra::ArmSwitchHint> {
-        if !prep.use_twigstack {
-            return None;
-        }
-        let arm = self.stats.arm(doc_version, prep.fingerprint)?;
-        if arm.mispredicts == 0 {
-            return None;
-        }
-        let tree = self
-            .cost_model(doc_version, prep.fingerprint)
-            .estimate_tree(&prep.plan);
-        let twig = find_twig_node(&tree)?;
-        let est_leaf_rows: f64 = twig.children.iter().map(|c| c.estimate.rows).sum();
-        Some(algebra::ArmSwitchHint {
-            stats: Arc::clone(&self.stats),
-            doc_version,
-            plan_fp: prep.fingerprint,
-            est_leaf_rows,
-        })
-    }
-
     /// Wrap an executable plan as a [`PreparedQuery`]; its breakers are
     /// classified over the store's catalog, by the rule the executor
     /// compiles with.
-    #[allow(clippy::too_many_arguments)]
     fn finish_prepared(
         &self,
         query: &str,
         plan: LogicalPlan,
-        use_twigstack: bool,
         rewritings: Vec<Rewriting>,
-        epoch: u64,
-        arm: &str,
-        arm_source: &str,
     ) -> PreparedQuery {
         let breakers = algebra::pipeline_breakers(&plan, self.store.catalog());
         let fingerprint = plan_fingerprint(&plan);
         PreparedQuery {
             query: query.to_string(),
             plan,
-            use_twigstack,
             rewritings,
             breakers,
             fingerprint,
-            epoch,
-            arm: arm.to_string(),
-            arm_source: arm_source.to_string(),
         }
     }
 
     /// `EXPLAIN` without executing: the typed plan tree with per-node
-    /// [`crate::cost::Estimate`]s (feedback provenance included) and the
-    /// chosen/alternative arm, for the conventional embedded document
-    /// version `0`. Callers no longer have to parse the `QueryProfile`
-    /// JSON to see why a plan was picked.
+    /// [`crate::cost::Estimate`]s (feedback provenance included), for the
+    /// conventional embedded document version `0`. The plan is the one
+    /// [`Uload::prepare_query`] returns; feedback only moves the
+    /// estimates.
     pub fn explain(&self, query: &str) -> Result<Explain> {
         self.explain_for_version(query, 0)
     }
 
     /// [`Uload::explain`] under a specific document version — the
     /// server's `EXPLAIN` command uses the live handle's version so the
-    /// report reflects exactly what the next `EXEC` would plan.
+    /// estimates reflect the feedback recorded against the served
+    /// document.
     pub fn explain_for_version(&self, query: &str, doc_version: u64) -> Result<Explain> {
         let p = self.prepare(query)?;
-        let fused = algebra::fuse_struct_joins(&p.base_plan);
-        let choice = self.choose_arm(&p.base_plan, &fused, doc_version);
-        let fingerprint = plan_fingerprint(&choice.plan);
+        let fingerprint = plan_fingerprint(&p.plan);
         let tree = self
             .cost_model(doc_version, fingerprint)
-            .estimate_tree(&choice.plan);
+            .estimate_tree(&p.plan);
         Ok(Explain {
             query: query.to_string(),
             fingerprint,
             doc_version,
-            chosen_arm: choice.arm.to_string(),
-            arm_source: choice.source.to_string(),
-            chosen_cost: choice.chosen_cost,
-            alternative_arm: choice.alternative.map(|(a, _)| a.to_string()),
-            alternative_cost: choice.alternative.map(|(_, c)| c),
             feedback_nodes: tree.feedback_nodes(),
             plan: tree,
         })
     }
 
     /// Execute a prepared plan to completion (materialized), returning
-    /// the serialized rows. The plan was already fused (or not) at
-    /// prepare time; only the per-call document is supplied here.
+    /// the serialized rows. The plan was already fused at prepare time;
+    /// only the per-call document is supplied here.
     pub fn answer_prepared(&self, prep: &PreparedQuery, doc: &Document) -> Result<Vec<String>> {
-        let mut ev = Evaluator::with_document(self.store.catalog(), doc);
-        ev.config.use_twigstack = prep.use_twigstack;
-        let rel = ev
+        let rel = Evaluator::with_document(self.store.catalog(), doc)
             .eval(&prep.plan)
             .map_err(|e| Error::Eval(e.to_string()))?;
         Ok(Self::serialize(&rel))
@@ -759,8 +566,7 @@ impl Uload {
         prep: &PreparedQuery,
         handle: &'e DocumentHandle,
     ) -> Result<QueryResults<'e>> {
-        let hint = self.arm_hint(prep, handle.version().0);
-        self.stream_prepared_with(prep, handle.document(), hint, self.config.profiling)
+        self.stream_prepared_with(prep, handle.document(), self.config.profiling)
     }
 
     /// [`Uload::stream_prepared`] with per-operator metering forced on
@@ -776,24 +582,20 @@ impl Uload {
         prep: &PreparedQuery,
         handle: &'e DocumentHandle,
     ) -> Result<QueryResults<'e>> {
-        let hint = self.arm_hint(prep, handle.version().0);
-        self.stream_prepared_with(prep, handle.document(), hint, true)
+        self.stream_prepared_with(prep, handle.document(), true)
     }
 
     fn stream_prepared_with<'e>(
         &'e self,
         prep: &PreparedQuery,
         doc: &'e Document,
-        arm_hint: Option<algebra::ArmSwitchHint>,
         profiling: bool,
     ) -> Result<QueryResults<'e>> {
-        let mut ccfg = CursorConfig {
+        let ccfg = CursorConfig {
             batch_size: self.config.batch_size,
             profiling,
-            arm_hint,
             ..CursorConfig::default()
         };
-        ccfg.eval.use_twigstack = prep.use_twigstack;
         if !prep.breakers.is_empty() {
             tracing::debug!(
                 target: "uload::eval",
@@ -828,18 +630,14 @@ impl Uload {
         let span = tracing::debug_span!(target: "uload::query", "query");
         let _g = span.enter();
         let prep = self.prepare_query(query)?;
-        let hint = self.arm_hint(&prep, 0);
-        self.stream_prepared_with(&prep, doc, hint, self.config.profiling)
+        self.stream_prepared_with(&prep, doc, self.config.profiling)
     }
 
     /// `EXPLAIN ANALYZE`: answer the query while measuring every phase
     /// and operator, pairing the cost model's estimates with actuals.
     ///
-    /// The chosen plan runs **once**, metered, and the profile — plan
-    /// tree and stream report alike — is read off the counters that run
-    /// kept. When the plan has a holistic twig arm, the alternative arm
-    /// runs once too (before the chosen one, metered the same way), so
-    /// the profile can report how the cost model's choice actually fared.
+    /// The plan runs **once**, metered, and the profile — plan tree and
+    /// stream report alike — is read off the counters that run kept.
     pub fn answer_profiled(
         &self,
         query: &str,
@@ -849,98 +647,32 @@ impl Uload {
         let span = tracing::debug_span!(target: "uload::query", "answer_profiled");
         let _g = span.enter();
         let p = self.prepare(query)?;
+        let prep = self.finish_prepared(query, p.plan, p.used);
 
         let t = Instant::now();
-        let fused = algebra::fuse_struct_joins(&p.base_plan);
-        let has_twig_arm = fused != p.base_plan;
-        let fuse_ns = t.elapsed().as_nanos() as u64;
-
-        // the arm the engine would run unprofiled, and the road not taken
-        let twig_on = self.config.use_twigstack;
-        let (chosen_plan, alt_plan) = if twig_on {
-            (fused, p.base_plan)
-        } else {
-            (p.base_plan, fused)
-        };
-        let arm_name = |twig: bool| if twig { "twig" } else { "cascade" };
-        let chosen = self.finish_prepared(
-            query,
-            chosen_plan,
-            twig_on,
-            p.used,
-            0,
-            arm_name(twig_on),
-            "knob",
-        );
-        // both arms run without a fallover hint: each must be timed as
-        // itself
-        let run = |prep: &PreparedQuery| -> Result<(QueryResults<'_>, Vec<String>, u64)> {
-            let t = Instant::now();
-            let mut results = self.stream_prepared_with(prep, doc, None, true)?;
-            let out = results.by_ref().collect::<Result<Vec<String>>>()?;
-            Ok((results, out, t.elapsed().as_nanos() as u64))
-        };
-        let alt = if has_twig_arm {
-            let alt = self.finish_prepared(
-                query,
-                alt_plan,
-                !twig_on,
-                Vec::new(),
-                0,
-                arm_name(!twig_on),
-                "knob",
-            );
-            let (_, _, alt_ns) = run(&alt)?;
-            Some((alt, alt_ns))
-        } else {
-            None
-        };
-        let (results, out, eval_ns) = run(&chosen)?;
-
-        let arm = alt.map(|(alt, alt_ns)| {
-            let mispredicted = alt_ns > 0 && eval_ns >= 2 * alt_ns;
-            if mispredicted {
-                tracing::warn!(
-                    target: "uload::cost",
-                    "cost model chose the {} arm but it ran {:.1}× slower \
-                     than the {} arm ({eval_ns}ns vs {alt_ns}ns)",
-                    chosen.arm,
-                    eval_ns as f64 / alt_ns as f64,
-                    alt.arm
-                );
-            }
-            ArmTelemetry {
-                chosen: chosen.arm.clone(),
-                est_chosen: self.cost_model(0, chosen.fingerprint).cost(&chosen.plan),
-                est_alternative: self.cost_model(0, alt.fingerprint).cost(&alt.plan),
-                actual_chosen_ns: eval_ns,
-                actual_alternative_ns: alt_ns,
-                mispredicted,
-            }
-        });
+        let mut results = self.stream_prepared_with(&prep, doc, true)?;
+        let out = results.by_ref().collect::<Result<Vec<String>>>()?;
+        let eval_ns = t.elapsed().as_nanos() as u64;
 
         let mut profile = self
-            .profile_of(&chosen, &results, 0)
+            .profile_of(&prep, &results, 0)
             .expect("the run was metered");
         profile.phases = vec![
             ("parse".to_string(), p.parse_ns),
             ("extract".to_string(), p.extract_ns),
             ("rewrite".to_string(), p.rewrite_ns),
-            ("plan".to_string(), p.plan_ns + fuse_ns),
+            ("plan".to_string(), p.plan_ns),
             ("eval".to_string(), eval_ns),
         ];
-        profile.arm = arm;
         profile.total_ns = total.elapsed().as_nanos() as u64;
-        self.publish_profile(0, chosen.fingerprint, &profile);
-        Ok((out, chosen.rewritings, profile))
+        self.publish_profile(0, prep.fingerprint, &profile);
+        Ok((out, prep.rewritings, profile))
     }
 
     /// `EXPLAIN ANALYZE` an already-prepared plan over a versioned
     /// [`DocumentHandle`]: one metered run
     /// ([`Uload::stream_prepared_metered`]) drained, and its
-    /// [`Uload::profile_stream`]. Runs only the prepared arm (the plan
-    /// was fused or not at prepare time, so there is no alternative to
-    /// time).
+    /// [`Uload::profile_stream`].
     pub fn profile_prepared(
         &self,
         prep: &PreparedQuery,
@@ -1004,7 +736,6 @@ impl Uload {
                 model_entries: s.model_entries,
                 annotation_entries: s.annotation_entries,
             }),
-            arm: None,
             streamed: Some(results.stream_profile()),
             total_ns: eval_ns,
         })
@@ -1078,46 +809,22 @@ pub fn plan_fingerprint(plan: &LogicalPlan) -> u64 {
 }
 
 /// A query prepared once and executable many times: the executable plan
-/// (already fused under the engine's twig knob), the rewritings that
+/// (structural-join cascades already fused into twigs), the rewritings that
 /// produced it, and the plan [`fingerprint`](PreparedQuery::fingerprint).
 /// Plain data — `Send + Sync`, shareable across server sessions.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     query: String,
     plan: LogicalPlan,
-    use_twigstack: bool,
     rewritings: Vec<Rewriting>,
     breakers: Vec<String>,
     fingerprint: u64,
-    epoch: u64,
-    arm: String,
-    arm_source: String,
 }
 
 impl PreparedQuery {
     /// The original query text.
     pub fn query(&self) -> &str {
         &self.query
-    }
-
-    /// The plan epoch: `0` for the initial preparation, bumped by every
-    /// [`Uload::replan_prepared`]. The server surfaces it so clients can
-    /// see a shared prepared plan was adaptively swapped.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Which arm the plan runs: `"twig"`, `"cascade"`, or `"single"`
-    /// when the query has no holistic alternative.
-    pub fn arm(&self) -> &str {
-        &self.arm
-    }
-
-    /// What chose the arm: `"knob"` (the `use_twigstack` config),
-    /// `"feedback-arm"` (a measured wrong-arm outcome flipped it), or
-    /// `"feedback-cost"` (blended-cost comparison under feedback).
-    pub fn arm_source(&self) -> &str {
-        &self.arm_source
     }
 
     /// The executable plan.
@@ -1311,10 +1018,10 @@ fn stream_profile_of(
     }
 }
 
-/// Output of [`Uload::prepare`]: the combined (unfused) plan plus the
+/// Output of [`Uload::prepare`]: the combined, fused plan plus the
 /// rewritings and phase wall times that produced it.
 struct Prepared {
-    base_plan: LogicalPlan,
+    plan: LogicalPlan,
     used: Vec<Rewriting>,
     parse_ns: u64,
     extract_ns: u64,
@@ -1322,21 +1029,10 @@ struct Prepared {
     plan_ns: u64,
 }
 
-/// Outcome of the twig-vs-cascade arm choice (see `Uload::choose_arm`).
-struct ArmChoice {
-    plan: LogicalPlan,
-    use_twigstack: bool,
-    arm: &'static str,
-    source: &'static str,
-    chosen_cost: f64,
-    alternative: Option<(&'static str, f64)>,
-}
-
 /// Typed output of [`Uload::explain`]: why the planner picked what it
 /// picked. The plan tree carries a per-node [`crate::cost::Estimate`]
 /// with feedback provenance ([`crate::cost::EstimateSource`] plus
-/// confidence), and the arm fields report the chosen physical arm, the
-/// evidence that chose it, and the road not taken.
+/// confidence); the root's estimate is the plan's cost.
 #[derive(Debug, Clone)]
 pub struct Explain {
     /// The query text.
@@ -1345,19 +1041,9 @@ pub struct Explain {
     pub fingerprint: u64,
     /// The document version the estimates were keyed by.
     pub doc_version: u64,
-    /// `"twig"`, `"cascade"`, or `"single"`.
-    pub chosen_arm: String,
-    /// `"knob"`, `"feedback-arm"`, or `"feedback-cost"`.
-    pub arm_source: String,
-    /// Estimated cost of the chosen arm (feedback-blended when available).
-    pub chosen_cost: f64,
-    /// The alternative arm, when the plan has one.
-    pub alternative_arm: Option<String>,
-    /// Its estimated cost.
-    pub alternative_cost: Option<f64>,
     /// Plan nodes whose estimate consumed measured feedback.
     pub feedback_nodes: usize,
-    /// The per-node estimate tree of the chosen plan.
+    /// The per-node estimate tree of the plan.
     pub plan: EstimateNode,
 }
 
@@ -1365,35 +1051,17 @@ impl Explain {
     /// Serialize for the wire (`EXPLAIN` protocol reply) and the CLI.
     pub fn to_json(&self) -> obs::Json {
         use obs::Json;
-        let mut fields = vec![
+        Json::obj(vec![
             ("query", Json::Str(self.query.clone())),
             (
                 "fingerprint",
                 Json::Str(format!("{:016x}", self.fingerprint)),
             ),
             ("doc_version", Json::Num(self.doc_version as f64)),
-            ("chosen_arm", Json::Str(self.chosen_arm.clone())),
-            ("arm_source", Json::Str(self.arm_source.clone())),
-            ("chosen_cost", Json::Num(self.chosen_cost)),
-        ];
-        if let (Some(arm), Some(cost)) = (&self.alternative_arm, self.alternative_cost) {
-            fields.push(("alternative_arm", Json::Str(arm.clone())));
-            fields.push(("alternative_cost", Json::Num(cost)));
-        }
-        fields.push(("feedback_nodes", Json::Num(self.feedback_nodes as f64)));
-        fields.push(("plan", estimate_node_json(&self.plan)));
-        Json::obj(fields)
+            ("feedback_nodes", Json::Num(self.feedback_nodes as f64)),
+            ("plan", estimate_node_json(&self.plan)),
+        ])
     }
-}
-
-/// Depth-first search for the (outermost) `TwigJoin` node in an
-/// estimate tree — the node whose leaf children the arm-switch hint
-/// compares against observed stream cardinality.
-fn find_twig_node(node: &EstimateNode) -> Option<&EstimateNode> {
-    if node.op.starts_with("TwigJoin") {
-        return Some(node);
-    }
-    node.children.iter().find_map(find_twig_node)
 }
 
 fn estimate_node_json(node: &EstimateNode) -> obs::Json {
@@ -1536,27 +1204,6 @@ mod tests {
     }
 
     #[test]
-    fn twigstack_toggle_preserves_answers() {
-        // same query, twig planning on vs. off: identical output
-        let doc = xmark(2, 13);
-        let q = r#"for $x in doc("X")//item return <res>{$x/name/text()}</res>"#;
-        let view = "//item[id:s]{ /n? name1:name[val] }";
-        let run = |on: bool| {
-            let mut u = Uload::builder()
-                .document(&doc)
-                .use_twigstack(on)
-                .build()
-                .unwrap();
-            u.add_view_text("V", view, &doc).unwrap();
-            u.answer(q, &doc).unwrap().0
-        };
-        let with_twig = run(true);
-        let without = run(false);
-        assert!(!with_twig.is_empty());
-        assert_eq!(with_twig, without);
-    }
-
-    #[test]
     fn summary_pruning_knob_preserves_answers() {
         // summary pruning is an access-path choice: flipping it must
         // never change what a query returns
@@ -1670,55 +1317,45 @@ mod tests {
     }
 
     #[test]
-    fn profile_reports_both_twig_arms() {
+    fn profile_of_a_fused_twig_plan() {
         // join-only rewriting (navigation off) over two single-node views:
-        // the plan is a structural join that fuses into a twig, so both
-        // arms must be timed and the estimates attached
+        // the plan is a structural join that always fuses into a twig,
+        // which runs once, metered, with estimates attached
         let doc = xmark(2, 13);
         let q = r#"doc("X")//item/name"#;
-        let run = |twig: bool| {
-            let mut cfg = EngineConfig {
-                profiling: true,
-                use_twigstack: twig,
-                ..Default::default()
-            };
-            cfg.rewrite.allow_navigation = false;
-            let mut u = Uload::builder().document(&doc).config(cfg).build().unwrap();
-            u.add_view_text("v_items", "//item[id:s]", &doc).unwrap();
-            u.add_view_text("v_names", "//name[id:s,val]", &doc)
-                .unwrap();
-            u.answer_profiled(q, &doc).unwrap()
+        let mut cfg = EngineConfig {
+            profiling: true,
+            ..Default::default()
         };
-        let (out_twig, used, prof_twig) = run(true);
-        let (out_cascade, _, prof_cascade) = run(false);
-        assert_eq!(out_twig, out_cascade);
-        assert!(!out_twig.is_empty());
+        cfg.rewrite.allow_navigation = false;
+        let mut u = Uload::builder().document(&doc).config(cfg).build().unwrap();
+        u.add_view_text("v_items", "//item[id:s]", &doc).unwrap();
+        u.add_view_text("v_names", "//name[id:s,val]", &doc)
+            .unwrap();
+        let (out, used, profile) = u.answer_profiled(q, &doc).unwrap();
+        assert!(!out.is_empty());
         assert_eq!(used[0].views_used, vec!["v_items", "v_names"]);
-        for (profile, chosen) in [(&prof_twig, "twig"), (&prof_cascade, "cascade")] {
-            let arm = profile
-                .arm
-                .as_ref()
-                .expect("join plan must have a twig arm");
-            assert_eq!(arm.chosen, chosen);
-            assert!(arm.est_chosen > 0.0 && arm.est_alternative > 0.0);
-            assert!(arm.actual_chosen_ns > 0 && arm.actual_alternative_ns > 0);
-        }
-        // the twig run's plan tree actually contains the fused operator
+        assert_eq!(profile.plan.actual_rows as usize, out.len());
+        // the plan tree actually contains the fused operator
         fn has_twig(n: &super::PlanNodeProfile) -> bool {
             n.op.starts_with("TwigJoin") || n.children.iter().any(has_twig)
         }
-        assert!(has_twig(&prof_twig.plan));
-        assert!(!has_twig(&prof_cascade.plan));
+        assert!(has_twig(&profile.plan));
+        assert_eq!(
+            u.prepare_query(q).unwrap().fingerprint(),
+            u.explain(q).unwrap().fingerprint,
+            "explain reports the prepared plan"
+        );
         // estimates are attached on every node
         fn all_estimated(n: &super::PlanNodeProfile) -> bool {
             n.est_cost > 0.0 && n.children.iter().all(all_estimated)
         }
-        assert!(all_estimated(&prof_twig.plan));
+        assert!(all_estimated(&profile.plan));
         // render and JSON both work end to end
-        let text = prof_twig.render();
+        let text = profile.render();
         assert!(text.contains("EXPLAIN ANALYZE"));
         assert!(text.contains("actual rows="));
-        let json = prof_twig.to_json();
+        let json = profile.to_json();
         assert!(obs::json::parse(&json.to_string_pretty()).is_ok());
     }
 

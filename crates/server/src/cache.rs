@@ -100,20 +100,6 @@ impl ResultCache {
         self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drop one entry eagerly (no hit/miss accounting), returning
-    /// whether it was resident. Version bumps invalidate implicitly;
-    /// this explicit path exists for feedback-driven re-plans, which
-    /// change the *fingerprint* half of the key while the document
-    /// version stays put — the old entry would otherwise keep serving
-    /// a plan the server no longer executes.
-    pub fn invalidate(&self, key: ResultKey) -> bool {
-        let removed = self.inner.lock().remove(&key).is_some();
-        if removed {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        removed
-    }
-
     /// Entries currently resident.
     pub fn entries(&self) -> usize {
         self.inner.lock().len()

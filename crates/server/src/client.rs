@@ -168,9 +168,9 @@ impl Client {
     }
 
     /// Plan `query` server-side without executing it, returning the
-    /// engine's typed explain — arm choice with its cost and the
-    /// rejected alternative's, plus the per-node estimate tree with
-    /// feedback provenance — as compact JSON text, evaluated under the
+    /// engine's typed explain — the plan's fingerprint and per-node
+    /// estimate tree with feedback provenance — as compact JSON text,
+    /// evaluated under the
     /// currently served document version's feedback.
     pub fn explain_json(&mut self, query: &str) -> Result<String> {
         self.send_line(&format!("EXPLAIN {}", crate::protocol::escape(query)))?;

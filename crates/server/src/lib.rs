@@ -64,5 +64,5 @@ pub use cache::ResultCache;
 pub use client::{Client, ExecReply, RowEvent};
 pub use conn::BindAddr;
 pub use metrics::ServerMetrics;
-pub use server::{PreparedSlot, Server, ServerConfig, ServerHandle, ServerState};
+pub use server::{Server, ServerConfig, ServerHandle, ServerState};
 pub use slowlog::{SlowDisposition, SlowLog, SlowQueryEntry};

@@ -48,13 +48,6 @@ pub struct ServerMetrics {
     pub result_cache_hits: Arc<Counter>,
     pub result_cache_misses: Arc<Counter>,
 
-    /// Feedback-driven re-plans triggered by the mispredict threshold.
-    pub replan_triggered: Arc<Counter>,
-    /// Re-plans whose new plan was swapped into the prepared registry.
-    pub replan_swapped: Arc<Counter>,
-    /// Stale result-cache entries invalidated by a re-plan.
-    pub replan_cache_invalidated: Arc<Counter>,
-
     /// Requests currently waiting in (or holding) the admission queue.
     pub queue_depth: Arc<Gauge>,
     /// High-water mark of any single request's resident tuples.
@@ -95,9 +88,6 @@ impl ServerMetrics {
             slow_queries: registry.counter("server.slow_queries_total"),
             result_cache_hits: registry.counter("cache.result_hits_total"),
             result_cache_misses: registry.counter("cache.result_misses_total"),
-            replan_triggered: registry.counter("replan.triggered_total"),
-            replan_swapped: registry.counter("replan.swapped_total"),
-            replan_cache_invalidated: registry.counter("replan.cache_invalidated_total"),
             queue_depth: registry.gauge("server.admission_queue_depth"),
             residency_high_water: registry.gauge("server.residency_high_water"),
             exec_comparisons: registry.counter("exec.comparisons_total"),

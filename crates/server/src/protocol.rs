@@ -29,8 +29,8 @@
 //! `SLOWLOG` answers `SLOWLOG <compact-json-array>` and *drains* the
 //! log — each captured entry is delivered exactly once. `EXPLAIN`
 //! answers `EXPLAIN <compact-json>` — the engine's typed
-//! [`Explain`](rewriting::Explain) (arm choice, per-node estimates
-//! with feedback provenance) under the currently served document
+//! [`Explain`](rewriting::Explain) (plan fingerprint, per-node
+//! estimates with feedback provenance) under the currently served document
 //! version, without executing anything. `QUIT` and `SHUTDOWN` answer
 //! `BYE`.
 //!

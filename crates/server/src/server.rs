@@ -8,7 +8,7 @@
 //! registry, the [`ResultCache`] and the [`Admission`] budget — lives
 //! in one [`ServerState`] shared by `Arc`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,13 +85,6 @@ pub struct ServerConfig {
     /// real document version). Uncached executions run with
     /// per-operator metering on for this, as they do for `telemetry`.
     pub slowlog_profile: bool,
-    /// Feedback-driven re-planning threshold: once the `StatsStore`
-    /// holds at least this many mispredicted plan nodes (or arm
-    /// mispredicts) for a prepared plan under the served document
-    /// version, the next `EXEC` re-plans it under feedback, swaps the
-    /// registry entry and invalidates the stale result-cache entry —
-    /// at most once per `(plan, version)`. `0` disables re-planning.
-    pub replan_mispredicts: u64,
 }
 
 impl Default for ServerConfig {
@@ -109,7 +102,6 @@ impl Default for ServerConfig {
             slow_query_threshold: Duration::from_millis(250),
             slowlog_capacity: 128,
             slowlog_profile: true,
-            replan_mispredicts: 1,
         }
     }
 }
@@ -175,13 +167,6 @@ impl ServerConfig {
         self
     }
 
-    /// Feedback re-planning threshold in mispredicted nodes (0
-    /// disables adaptive re-planning entirely).
-    pub fn with_replan(mut self, mispredicts: u64) -> ServerConfig {
-        self.replan_mispredicts = mispredicts;
-        self
-    }
-
     /// Reject nonsensical combinations up front.
     pub fn validate(&self) -> Result<()> {
         if self.admission_per_query == 0 {
@@ -200,41 +185,11 @@ impl ServerConfig {
     }
 }
 
-/// One prepared-plan registry entry: the plan the server currently
-/// executes for a registration fingerprint, plus the bookkeeping that
-/// makes feedback-driven re-planning idempotent per document version.
-///
-/// The registry key stays the fingerprint `PREPARE` answered with even
-/// after a re-plan swaps in a plan with a different fingerprint —
-/// clients keep `EXEC`ing the handle they know, and the swap is
-/// invisible except for the `replan.*` counters (and better latency).
-pub struct PreparedSlot {
-    current: RwLock<Arc<PreparedQuery>>,
-    /// Document versions already re-planned (or attempted) for this
-    /// slot — each `(plan, version)` pair re-plans at most once.
-    replanned_versions: Mutex<HashSet<u64>>,
-}
-
-impl PreparedSlot {
-    fn new(prep: PreparedQuery) -> PreparedSlot {
-        PreparedSlot {
-            current: RwLock::new(Arc::new(prep)),
-            replanned_versions: Mutex::new(HashSet::new()),
-        }
-    }
-
-    /// The plan the server would execute right now (post-swap after a
-    /// re-plan; its fingerprint can differ from the registry key).
-    pub fn current(&self) -> Arc<PreparedQuery> {
-        self.current.read().clone()
-    }
-}
-
 /// Everything the sessions share.
 pub struct ServerState {
     engine: Uload,
     handle: RwLock<DocumentHandle>,
-    prepared: RwLock<HashMap<u64, Arc<PreparedSlot>>>,
+    prepared: RwLock<HashMap<u64, Arc<PreparedQuery>>>,
     cache: ResultCache,
     admission: Admission,
     metrics: ServerMetrics,
@@ -291,11 +246,11 @@ impl ServerState {
             *h = h.reload(doc);
             h.version()
         };
-        let (nodes, arms) = self.engine.stats_store().retain_versions(&[0, v.0]);
-        if nodes + arms > 0 {
+        let nodes = self.engine.stats_store().retain_versions(&[0, v.0]);
+        if nodes > 0 {
             tracing::debug!(
                 target: "uload::server",
-                "document swap to {v}: evicted {nodes} node / {arms} arm feedback series"
+                "document swap to {v}: evicted {nodes} node feedback series"
             );
         }
         v
@@ -416,91 +371,13 @@ impl ServerState {
         self.prepared
             .write()
             .entry(fp)
-            .or_insert_with(|| Arc::new(PreparedSlot::new(prep)));
+            .or_insert_with(|| Arc::new(prep));
         fp
     }
 
-    fn lookup(&self, fp: u64) -> Option<Arc<PreparedSlot>> {
-        self.prepared.read().get(&fp).cloned()
-    }
-
-    /// The plan currently executing for a registered fingerprint —
-    /// after a feedback re-plan this is the swapped-in plan, whose own
-    /// fingerprint (and epoch/arm) can differ from the registry key.
+    /// The plan registered under a fingerprint.
     pub fn prepared_plan(&self, fp: u64) -> Option<Arc<PreparedQuery>> {
-        self.lookup(fp).map(|slot| slot.current())
-    }
-
-    /// Adaptive re-planning checkpoint, run at the top of every `EXEC`
-    /// against the request's document snapshot: when the `StatsStore`
-    /// rollup says the current plan has mispredicted past the
-    /// configured threshold under this version, re-plan it under
-    /// feedback, invalidate the now-stale result-cache entry and swap
-    /// the slot — exactly once per `(plan, version)`. Returns the plan
-    /// the request should execute.
-    fn maybe_replan(
-        &self,
-        session_id: u64,
-        slot: &PreparedSlot,
-        handle: &DocumentHandle,
-    ) -> Arc<PreparedQuery> {
-        let prep = slot.current();
-        let threshold = self.config.replan_mispredicts;
-        if threshold == 0 {
-            return prep;
-        }
-        let version = handle.version().0;
-        let stats = self.engine.stats_store();
-        let fp = prep.fingerprint();
-        let node_mis = stats.mispredicted_nodes_for(version, fp);
-        let arm_mis = stats.arm(version, fp).map_or(0, |a| a.mispredicts);
-        if node_mis.max(arm_mis) < threshold {
-            return prep;
-        }
-        if !slot.replanned_versions.lock().insert(version) {
-            return prep; // this (plan, version) already got its shot
-        }
-        self.metrics.replan_triggered.inc();
-        let t = Instant::now();
-        let replanned = match self.engine.replan_prepared(&prep, version) {
-            Ok(p) => Arc::new(p),
-            Err(e) => {
-                tracing::warn!(
-                    target: "uload::server",
-                    "re-plan of fp={fp:016x} failed: {e}; keeping the current plan"
-                );
-                return prep;
-            }
-        };
-        if replanned.fingerprint() != fp {
-            // the plan actually changed: the memoized rows under the
-            // old (fingerprint, version) key will never be looked up
-            // again by this slot — drop them eagerly
-            if self.cache.invalidate((fp, handle.version())) {
-                self.metrics.replan_cache_invalidated.inc();
-            }
-        }
-        tracing::info!(
-            target: "uload::server",
-            "re-planned fp={fp:016x} for version {version}: arm {} -> {} ({}), epoch {}",
-            prep.arm(),
-            replanned.arm(),
-            replanned.arm_source(),
-            replanned.epoch()
-        );
-        self.slowlog.record(SlowQueryEntry {
-            session_id,
-            fingerprint: fp,
-            query: prep.query().to_string(),
-            latency_ns: t.elapsed().as_nanos() as u64,
-            cached: false,
-            rows: 0,
-            disposition: SlowDisposition::Replanned,
-            profile: None,
-        });
-        *slot.current.write() = Arc::clone(&replanned);
-        self.metrics.replan_swapped.inc();
-        replanned
+        self.prepared.read().get(&fp).cloned()
     }
 }
 
@@ -743,12 +620,12 @@ fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::R
             Request::Exec(fp) => {
                 let span = tracing::debug_span!(target: "uload::server", "exec");
                 let _g = span.enter();
-                match state.lookup(fp) {
-                    Some(slot) => {
+                match state.prepared_plan(fp) {
+                    Some(prep) => {
                         let end = execute(
                             state,
                             id,
-                            &slot,
+                            &prep,
                             &mut reader,
                             &mut writer,
                             &mut line,
@@ -771,11 +648,11 @@ fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::R
                 match state.engine.prepare_query(&text) {
                     Ok(prep) => {
                         let fp = state.register(prep);
-                        let slot = state.lookup(fp).expect("just registered");
+                        let prep = state.prepared_plan(fp).expect("just registered");
                         let end = execute(
                             state,
                             id,
-                            &slot,
+                            &prep,
                             &mut reader,
                             &mut writer,
                             &mut line,
@@ -874,12 +751,9 @@ fn finish(
 
 /// Run one prepared plan for a session, streaming `ROW` lines.
 ///
-/// First the adaptive checkpoint: if execution feedback says the
-/// slot's current plan has been mispredicting under this document
-/// version, it is re-planned and swapped before anything runs
-/// ([`ServerState::maybe_replan`]). Then — cache hit: the memoized
-/// rows are written straight out — no admission, no executor, nothing
-/// materialized. Miss: admission first (bounded wait), then the
+/// Cache hit: the memoized rows are written straight out — no
+/// admission, no executor, nothing materialized. Miss: admission first
+/// (bounded wait), then the
 /// engine's streaming cursor with a per-batch ceiling check on its
 /// `Residency` gauge and a per-batch poll for a client `CANCEL` (or
 /// disconnect); completed results are memoized for the snapshot's
@@ -887,7 +761,7 @@ fn finish(
 fn execute(
     state: &ServerState,
     session_id: u64,
-    slot: &PreparedSlot,
+    prep: &PreparedQuery,
     reader: &mut BufReader<Box<dyn Conn>>,
     writer: &mut BufWriter<Box<dyn Conn>>,
     line: &mut String,
@@ -897,8 +771,6 @@ fn execute(
     let telemetry = state.config.telemetry;
     state.metrics.requests.inc();
     let handle = state.document(); // snapshot: swaps don't affect us mid-stream
-    let prep = state.maybe_replan(session_id, slot, &handle);
-    let prep = prep.as_ref();
     let key = (prep.fingerprint(), handle.version());
 
     if let Some(rows) = state.cache.get(key) {

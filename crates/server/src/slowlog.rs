@@ -27,23 +27,17 @@ pub enum SlowDisposition {
     BudgetAbort,
     /// Failed with an `ERR` (including admission timeouts).
     Failed,
-    /// Not a request at all: the feedback loop re-planned this
-    /// fingerprint (the entry's latency is the re-planning time and
-    /// its rows are 0). Recorded regardless of the latency threshold
-    /// so plan swaps are always auditable.
-    Replanned,
 }
 
 impl SlowDisposition {
     /// The wire label (`"done"`, `"cancelled"`, `"budget_abort"`,
-    /// `"failed"`, `"replan"`).
+    /// `"failed"`).
     pub fn as_str(&self) -> &'static str {
         match self {
             SlowDisposition::Done => "done",
             SlowDisposition::Cancelled => "cancelled",
             SlowDisposition::BudgetAbort => "budget_abort",
             SlowDisposition::Failed => "failed",
-            SlowDisposition::Replanned => "replan",
         }
     }
 }

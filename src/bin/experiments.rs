@@ -4,7 +4,7 @@
 //! cargo run --release --bin experiments            # everything
 //! cargo run --release --bin experiments -- fig4_13 # one experiment
 //! cargo run --release --bin experiments -- quick   # reduced set sizes
-//! cargo run --release --bin experiments -- feedback quick # one, reduced
+//! cargo run --release --bin experiments -- twig quick # one, reduced
 //! ```
 //!
 //! Experiments (ids from DESIGN.md):
@@ -15,9 +15,7 @@
 //! `twig` (E10 holistic twig-join ablation; writes `BENCH_twig.json`),
 //! `server` (E13 multi-client query server: warm result-cache speedup
 //! plus a QPS/latency sweep over client counts; writes
-//! `BENCH_server.json`), `feedback` (E15 feedback-driven adaptive
-//! planning: cold catalog estimates vs a replanned pass under measured
-//! cardinalities on a skewed document; writes `BENCH_feedback.json`).
+//! `BENCH_server.json`).
 //!
 //! `--profile` runs one view-backed query with `EXPLAIN ANALYZE` and
 //! prints the rendered profile; `--profile-json` prints the same profile
@@ -44,8 +42,8 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(1);
-    // `quick` and `all` are modifiers, not experiment names: `feedback
-    // quick` runs just E15 at reduced size, `quick` alone runs everything
+    // `quick` and `all` are modifiers, not experiment names: `twig
+    // quick` runs just E10 at reduced size, `quick` alone runs everything
     let want = |name: &str| -> bool {
         let named: Vec<&String> = args
             .iter()
@@ -87,233 +85,6 @@ fn main() {
     if want("server") {
         server(quick);
     }
-    if want("feedback") {
-        feedback(quick);
-    }
-}
-
-/// E15 — feedback-driven adaptive planning on a skewed document.
-///
-/// The document is built so the catalog's uniform estimates are badly
-/// wrong: a handful of `item`s carry the real `item//name//keyword`
-/// twig while decoy `person` subtrees — with *nested* names over long
-/// keyword runs — blow up the cascade's inner descendant join. The cold
-/// pass runs the knob-forced cascade arm with catalog estimates;
-/// profiled runs feed the stats store; `replan_prepared` (the same call
-/// the server's mispredict threshold triggers) then re-plans under
-/// feedback, and the replanned pass runs the arm the measurements
-/// picked with blended estimates. Per-pass arm mispredicts compare
-/// *median* arm timings (the per-rep flag is a single-measurement ≥2×
-/// test, which one noisy rep can flip). Writes `BENCH_feedback.json`.
-fn feedback(quick: bool) {
-    header("E15 — feedback-driven adaptive planning: cold vs replanned");
-    let (items, people, decoy_keywords, nesting, observations) = if quick {
-        (5usize, 10usize, 120usize, 12usize, 40usize)
-    } else {
-        (10, 30, 200, 20, 80)
-    };
-    let query = r#"doc("X")//item//name//keyword"#;
-
-    // skewed document: a handful of items carry the item/name/keyword
-    // twig, drowned by `person` decoys that repeat the name/keyword
-    // shape — so the path summary cannot collapse the query onto one
-    // view and the rewrite must join all three. The plan is right-deep,
-    // and the decoy names are *nested* `nesting` deep: the cascade's
-    // inner name⋈keyword descendant join pairs every decoy keyword with
-    // each of its ancestor names — a multiplying intermediate the
-    // selective item join then throws away — while the twig arm keeps
-    // per-node solution lists and never enumerates a decoy (no item
-    // opens above them). The catalog estimates the join output at the
-    // keyword count; the measured output is `items` rows.
-    let mut xml = String::from("<site>");
-    for i in 0..items {
-        // the bare keyword outside <name> keeps the path summary from
-        // proving //item//name//keyword ≡ //item//keyword — without it
-        // the rewrite drops the name view and the twig degenerates to a
-        // single binary join
-        xml.push_str(&format!(
-            "<item><keyword>bare{i}</keyword><name><keyword>sale{i}</keyword></name></item>"
-        ));
-    }
-    for _ in 0..people {
-        xml.push_str("<person>");
-        for _ in 0..nesting {
-            xml.push_str("<name>");
-        }
-        for _ in 0..decoy_keywords {
-            xml.push_str("<keyword>decoy</keyword>");
-        }
-        for _ in 0..nesting {
-            xml.push_str("</name>");
-        }
-        xml.push_str("</person>");
-    }
-    xml.push_str("</site>");
-    let doc = uload::parse_document(&xml).expect("skewed document");
-
-    let build = |use_twigstack: bool| {
-        let mut cfg = uload::EngineConfig {
-            use_twigstack,
-            ..Default::default()
-        };
-        // join-only rewriting: the three single-node views combine
-        // through structural joins, which fuse into a real twig arm
-        cfg.rewrite.allow_navigation = false;
-        let mut u = uload::Uload::builder()
-            .document(&doc)
-            .config(cfg)
-            .build()
-            .expect("engine over skewed doc");
-        u.add_view_text("v_items", "//item[id:s]", &doc)
-            .expect("v_items");
-        u.add_view_text("v_names", "//name[id:s]", &doc)
-            .expect("v_names");
-        u.add_view_text("v_kw", "//keyword[id:s,val]", &doc)
-            .expect("v_kw");
-        u
-    };
-
-    fn count_mispredicted(p: &uload::PlanNodeProfile) -> usize {
-        usize::from(p.mispredicted) + p.children.iter().map(count_mispredicted).sum::<usize>()
-    }
-    fn median(mut ns: Vec<u64>) -> u64 {
-        assert!(
-            !ns.is_empty(),
-            "no arm telemetry: the plan never fused a twig arm"
-        );
-        ns.sort_unstable();
-        ns[ns.len() / 2]
-    }
-
-    // a pass = `observations` profiled runs on one engine; each run
-    // records into the stats store, so estimates blend as it goes.
-    // Arm misprediction is judged on median timings across the pass —
-    // the same ≥2× rule the per-rep flag uses, minus per-rep noise.
-    let run_pass = |u: &uload::Uload| {
-        let mut first_nodes = 0usize;
-        let mut last_nodes = 0usize;
-        let mut chosen_ns = Vec::new();
-        let mut alt_ns = Vec::new();
-        let mut rows = 0usize;
-        for rep in 0..observations {
-            let (out, _, profile) = u.answer_profiled(query, &doc).expect("profiled answer");
-            rows = out.len();
-            let nodes = count_mispredicted(&profile.plan);
-            if rep == 0 {
-                first_nodes = nodes;
-            }
-            last_nodes = nodes;
-            if let Some(arm) = &profile.arm {
-                chosen_ns.push(arm.actual_chosen_ns);
-                alt_ns.push(arm.actual_alternative_ns);
-            }
-        }
-        let med_chosen = median(chosen_ns);
-        let med_alt = median(alt_ns);
-        let arm_mispredicts = usize::from(med_chosen >= 2 * med_alt);
-        (
-            first_nodes,
-            last_nodes,
-            arm_mispredicts,
-            med_chosen,
-            med_alt,
-            rows,
-        )
-    };
-
-    // cold pass: the knob forces the cascade arm — the wrong choice for
-    // a three-level twig — and the first run sees pure catalog estimates
-    let cold_engine = build(false);
-    let (cold_nodes, _, cold_arm_mis, cold_median_ns, cold_alt_ns, rows) = run_pass(&cold_engine);
-
-    // re-plan under the stats the cold pass recorded — the same call the
-    // server makes when the rollup crosses its mispredict threshold
-    let prep_cold = cold_engine.prepare_query(query).expect("cold prepare");
-    let prep = cold_engine
-        .replan_prepared(&prep_cold, 0)
-        .expect("feedback replan");
-    let fingerprint_changed = prep.fingerprint() != prep_cold.fingerprint();
-
-    // replanned pass: run the arm feedback picked; profiled runs keep
-    // recording, so the final run reports blended-estimate mispredicts
-    let replanned_engine = build(prep.arm() == "twig");
-    let (_, repl_nodes, repl_arm_mis, repl_median_ns, repl_alt_ns, repl_rows) =
-        run_pass(&replanned_engine);
-    assert_eq!(rows, repl_rows, "feedback changed answers");
-
-    let speedup = cold_median_ns as f64 / repl_median_ns.max(1) as f64;
-    println!(
-        "document: {items} items with name/keyword, {people} decoy persons x {nesting} nested names x {decoy_keywords} keywords; {rows} result rows"
-    );
-    println!(
-        "{:<10} {:>9} {:>14} {:>15} {:>13} {:>12} {:>12}",
-        "pass", "arm", "source", "nodes mispred.", "arm mispred.", "median (ns)", "alt (ns)"
-    );
-    println!(
-        "{:<10} {:>9} {:>14} {:>15} {:>13} {:>12} {:>12}",
-        "cold",
-        prep_cold.arm(),
-        prep_cold.arm_source(),
-        cold_nodes,
-        cold_arm_mis,
-        cold_median_ns,
-        cold_alt_ns
-    );
-    println!(
-        "{:<10} {:>9} {:>14} {:>15} {:>13} {:>12} {:>12}",
-        "replanned",
-        prep.arm(),
-        prep.arm_source(),
-        repl_nodes,
-        repl_arm_mis,
-        repl_median_ns,
-        repl_alt_ns
-    );
-    println!(
-        "replan: epoch {} (fingerprint {}), median speedup {speedup:.2}x",
-        prep.epoch(),
-        if fingerprint_changed {
-            "changed"
-        } else {
-            "kept"
-        },
-    );
-
-    // machine-readable record (hand-rolled JSON — the workspace
-    // deliberately carries no serializer dependency)
-    let mut json = String::from("{\n  \"experiment\": \"feedback\",\n");
-    json.push_str(&format!(
-        "  \"document\": \"skewed({items} items, {people} persons x {nesting} nested names x {decoy_keywords} keywords)\",\n  \
-         \"query\": \"{}\",\n  \"observations\": {observations},\n  \"rows\": {rows},\n",
-        query.replace('\\', "\\\\").replace('"', "\\\"")
-    ));
-    json.push_str(&format!(
-        "  \"cold\": {{\"arm\": \"{}\", \"arm_source\": \"{}\", \"nodes_mispredicted\": {cold_nodes}, \
-         \"arm_mispredicts\": {cold_arm_mis}, \"median_ns\": {cold_median_ns}}},\n",
-        prep_cold.arm(),
-        prep_cold.arm_source()
-    ));
-    json.push_str(&format!(
-        "  \"replanned\": {{\"arm\": \"{}\", \"arm_source\": \"{}\", \"epoch\": {}, \
-         \"fingerprint_changed\": {fingerprint_changed}, \"nodes_mispredicted\": {repl_nodes}, \
-         \"arm_mispredicts\": {repl_arm_mis}, \"median_ns\": {repl_median_ns}}},\n",
-        prep.arm(),
-        prep.arm_source(),
-        prep.epoch()
-    ));
-    json.push_str(&format!(
-        "  \"improvement\": {{\"median_speedup\": {speedup:.3}, \
-         \"nodes_mispredicted_delta\": {}}}\n}}\n",
-        cold_nodes as i64 - repl_nodes as i64
-    ));
-    match std::fs::write("BENCH_feedback.json", &json) {
-        Ok(()) => println!("(wrote BENCH_feedback.json)"),
-        Err(e) => eprintln!("(could not write BENCH_feedback.json: {e})"),
-    }
-    println!(
-        "(measured cardinalities blend over the catalog's uniform guesses, so the replanned \
-         pass runs the arm the observations picked and its estimates stop mispredicting)"
-    );
 }
 
 fn profile_demo(json_out: bool) {
@@ -324,7 +95,7 @@ fn profile_demo(json_out: bool) {
     };
     // join-only rewriting (no navigation compensation): the two
     // single-node views can only combine through a structural join, which
-    // fuses into a twig — so the profile carries both-arm telemetry
+    // fuses into a twig — so the profile shows the holistic operator
     cfg.rewrite.allow_navigation = false;
     let mut u = uload::Uload::builder()
         .document(&doc)

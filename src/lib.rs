@@ -55,9 +55,7 @@
 
 pub use uload_error::{Error, Result};
 
-pub use algebra::{
-    fuse_struct_joins, ArmSwitchHint, Evaluator, Relation, StreamExec, TupleBatch, TwigPattern,
-};
+pub use algebra::{fuse_struct_joins, Evaluator, Relation, StreamExec, TupleBatch, TwigPattern};
 pub use containment::{
     canonical_model, contain, contained_in_union, equivalent, equivalent_with,
     minimize_by_contraction, minimize_by_contraction_with, minimize_global, minimize_global_with,
@@ -65,10 +63,10 @@ pub use containment::{
 };
 pub use obs::json;
 pub use obs::{
-    init_from_env, ArmStats, ArmTelemetry, CacheCounters, Counter, EnvFilter, ExecMetrics,
-    FmtSubscriber, Gauge, Histogram, HistogramSnapshot, Json, MetricsRegistry, NodeStats,
-    OpStreamProfile, PlanNodeProfile, QueryProfile, RegistrySnapshot, ResultCacheCounters,
-    SessionProfile, StatsKey, StatsStore, StreamProfile,
+    init_from_env, CacheCounters, Counter, EnvFilter, ExecMetrics, FmtSubscriber, Gauge, Histogram,
+    HistogramSnapshot, Json, MetricsRegistry, NodeStats, OpStreamProfile, PlanNodeProfile,
+    QueryProfile, RegistrySnapshot, ResultCacheCounters, SessionProfile, StatsKey, StatsStore,
+    StreamProfile,
 };
 pub use rewriting::{
     plan_fingerprint, rewrite_with_engine, CostModel, EngineConfig, EngineOptions, Estimate,

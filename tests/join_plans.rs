@@ -533,6 +533,44 @@ fn explain_shows_a_hash_join_cheaper_than_the_nested_loop() {
         .contains("HashJoin(⋈)"));
 }
 
+/// Cardinality feedback changes estimates, never plans: for the nine
+/// twig texts of `prepared_joins`, the prepared and the explained plan
+/// keep their fingerprints after three profiled answers (recorded under
+/// version 0, the key `explain` reads) and one profiled prepared run
+/// (under the handle's version).
+#[test]
+fn feedback_never_moves_a_plan() {
+    let doc = generate::xmark(250, SEED);
+    let u = joins_engine(&doc);
+    let handle = DocumentHandle::new(doc.clone());
+    let twigs = &JOIN_SUITE[..9];
+    let fingerprints = |u: &Uload| -> Vec<(u64, u64)> {
+        twigs
+            .iter()
+            .map(|(_, q)| {
+                (
+                    u.prepare_query(q).unwrap().fingerprint(),
+                    u.explain(q).unwrap().fingerprint,
+                )
+            })
+            .collect()
+    };
+    let before = fingerprints(&u);
+    for ((name, q), (prepared, explained)) in twigs.iter().zip(&before) {
+        assert_eq!(
+            prepared, explained,
+            "{name}: explain is not the prepared plan"
+        );
+        for _ in 0..3 {
+            u.answer_profiled(q, &doc).unwrap();
+        }
+        let prep = u.prepare_query(q).unwrap();
+        u.profile_prepared(&prep, &handle).unwrap();
+        assert!(u.stats_store().observations_for(0, *prepared) > 0, "{name}");
+    }
+    assert_eq!(fingerprints(&u), before);
+}
+
 // ----------------------------------------------------------------------
 // the rewriter's view index
 

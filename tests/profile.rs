@@ -10,10 +10,9 @@ use uload::prelude::*;
 /// The engine used throughout: join-only rewriting (navigation
 /// compensation off) over two single-node views, so the executed plan is
 /// a structural join that fuses into a twig.
-fn bib_engine(doc: &Document, use_twigstack: bool) -> Uload {
+fn bib_engine(doc: &Document) -> Uload {
     let mut cfg = EngineConfig {
         profiling: true,
-        use_twigstack,
         ..Default::default()
     };
     cfg.rewrite.allow_navigation = false;
@@ -27,7 +26,7 @@ fn bib_engine(doc: &Document, use_twigstack: bool) -> Uload {
 #[test]
 fn bib_qep_profile_hand_computed() {
     let doc = generate::bib_sample();
-    let u = bib_engine(&doc, true);
+    let u = bib_engine(&doc);
     let q = r#"doc("d")//book/title"#;
     let (out, used, profile) = u.answer_profiled(q, &doc).unwrap();
 
@@ -124,28 +123,29 @@ fn check_time_monotone(n: &PlanNodeProfile) {
 }
 
 #[test]
-fn arm_telemetry_is_consistent() {
+fn profiled_answer_is_one_metered_run() {
     let doc = generate::bib_sample();
-    for twig_on in [true, false] {
-        let u = bib_engine(&doc, twig_on);
-        let (_, _, profile) = u.answer_profiled(r#"doc("d")//book/title"#, &doc).unwrap();
-        let arm = profile.arm.as_ref().expect("join plan has a twig arm");
-        assert_eq!(arm.chosen, if twig_on { "twig" } else { "cascade" });
-        assert!(arm.actual_chosen_ns > 0 && arm.actual_alternative_ns > 0);
-        // the flag is exactly the ≥2× rule
-        assert_eq!(
-            arm.mispredicted,
-            arm.actual_chosen_ns >= 2 * arm.actual_alternative_ns
-        );
-        // last_profile() returns what answer_profiled returned
-        assert_eq!(u.last_profile().as_ref(), Some(&profile));
-    }
+    let u = bib_engine(&doc);
+    let q = r#"doc("d")//book/title"#;
+    let (_, _, profile) = u.answer_profiled(q, &doc).unwrap();
+    // last_profile() returns what answer_profiled returned
+    assert_eq!(u.last_profile().as_ref(), Some(&profile));
+    // the plan ran once: one observation per plan node in the store,
+    // recorded under the fingerprint the engine prepares
+    let fp = u.prepare_query(q).unwrap().fingerprint();
+    assert_eq!(
+        u.stats_store().observations_for(0, fp),
+        profile.plan.node_count() as u64
+    );
+    assert_eq!(u.stats_store().len(), profile.plan.node_count());
+    // and the profile carries no second, alternative-arm run
+    assert!(profile.to_json().get("arm").is_none());
 }
 
 #[test]
 fn cache_stats_expose_per_map_occupancy() {
     let doc = generate::bib_sample();
-    let u = bib_engine(&doc, true);
+    let u = bib_engine(&doc);
     u.answer_profiled(r#"doc("d")//book/title"#, &doc).unwrap();
     let stats = u.cache_stats().expect("default engine has a cache");
     assert!(stats.hits + stats.misses > 0, "{stats:?}");
@@ -164,7 +164,7 @@ fn cache_stats_expose_per_map_occupancy() {
 #[test]
 fn profile_json_matches_checked_in_schema() {
     let doc = generate::bib_sample();
-    let u = bib_engine(&doc, true);
+    let u = bib_engine(&doc);
     let (_, _, profile) = u.answer_profiled(r#"doc("d")//book/title"#, &doc).unwrap();
 
     let schema_text = std::fs::read_to_string(concat!(

@@ -381,19 +381,31 @@ proptest! {
     /// non-strict and a duplicate can straddle a fence-block boundary),
     /// packed at fence block sizes from degenerate to default. Random
     /// small documents nest a label inside itself at random depth; the
-    /// XMark document makes streams long enough to span 64-wide blocks.
+    /// XMark document makes streams long enough to span 64-wide blocks;
+    /// `<a><b>k</b>` nested 60 deep is the deep recursion the twig runs
+    /// without an alternative (an `a` chain's solutions grow as depth to
+    /// the pattern size, so there patterns keep at most three nodes and
+    /// streams are not duplicated).
     /// Patterns are drawn from the document, so nearly every case has
     /// solutions to lose.
     #[test]
     fn kernels_match_nested_loop_on_duplicated_streams(
         small in arb_document(),
-        xmark_sel in 0usize..3,
+        doc_sel in 0usize..4,
         spec in prop::collection::vec((0usize..100_000, 0usize..8, 0usize..2), 2..5),
         dups in prop::collection::vec(0usize..3, 1..40),
     ) {
         use algebra::Axis::{Child, Descendant};
-        let xmark = xmark_sel == 0;
-        let doc = if xmark { generate::xmark(2, 7) } else { small };
+        let xmark = doc_sel == 0;
+        let deep = doc_sel == 1;
+        let doc = if xmark {
+            generate::xmark(2, 7)
+        } else if deep {
+            xmltree::parse_document(&("<a><b>k</b>".repeat(60) + &"</a>".repeat(60))).unwrap()
+        } else {
+            small
+        };
+        let spec = &spec[..if deep { spec.len().min(3) } else { spec.len() }];
         // pattern node 0 is a random inner element — there always is
         // one, the document root — (on XMark one at item level or below:
         // a star under `site` has millions of solutions), node k a
@@ -426,15 +438,14 @@ proptest! {
         }
         // stream k: the IDs of the drawn node's label in document order,
         // element i in 1–3 consecutive copies; payloads are positions
+        let copies = |i: usize| if deep { 1 } else { 1 + dups[i % dups.len()] };
         let sids: Vec<Vec<xmltree::StructuralId>> = drawn
             .iter()
             .enumerate()
             .map(|(k, &n)| {
                 doc.nodes_with_label(doc.label(n), NodeKind::Element)
                     .enumerate()
-                    .flat_map(|(i, m)| {
-                        std::iter::repeat_n(doc.structural_id(m), 1 + dups[(i + k) % dups.len()])
-                    })
+                    .flat_map(|(i, m)| std::iter::repeat_n(doc.structural_id(m), copies(i + k)))
                     .collect()
             })
             .collect();
@@ -801,12 +812,11 @@ fn skew_profile(p: &mut uload::PlanNodeProfile, rows: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Cardinality feedback is invisible to answers: an engine whose
-    /// `StatsStore` holds profiled runs plus adversarial synthetic skew
-    /// (every node flagged mispredicted, the arm choice flagged wrong)
-    /// returns byte-identical results to a cold engine — materialized,
-    /// streamed (where the skew arms the mid-query fallover hint), and
-    /// through the adaptive prepare path that may pick the other arm.
+    /// Cardinality feedback is invisible to plans and answers: an engine
+    /// whose `StatsStore` holds profiled runs plus adversarial synthetic
+    /// skew (every node flagged mispredicted) prepares and explains the
+    /// cold engine's plan and returns byte-identical results to it, both
+    /// materialized and streamed.
     #[test]
     fn feedback_never_changes_answers(
         qsel in 0usize..3,
@@ -841,36 +851,28 @@ proptest! {
         for _ in 0..observations {
             let (_, _, mut profile) = warm.answer_profiled(query, &doc).unwrap();
             skew_profile(&mut profile.plan, skew);
-            if let Some(arm) = profile.arm.as_mut() {
-                arm.mispredicted = true;
-            }
             warm.stats_store().record_profile(0, fp, &profile);
         }
-        prop_assert!(warm.stats_store().has_feedback(0, fp), "store never populated");
+        prop_assert!(warm.stats_store().observations_for(0, fp) > 0, "store never populated");
         prop_assert!(cold.stats_store().is_empty());
+
+        // feedback moves estimates, never the plan
+        prop_assert_eq!(warm.prepare_query(query).unwrap().fingerprint(), fp);
+        prop_assert_eq!(cold.prepare_query(query).unwrap().fingerprint(), fp);
+        prop_assert_eq!(warm.explain(query).unwrap().fingerprint, fp);
 
         // materialized path
         let (rows_cold, _) = cold.answer(query, &doc).unwrap();
         let (rows_warm, _) = warm.answer(query, &doc).unwrap();
         prop_assert_eq!(&rows_cold, &rows_warm, "feedback changed materialized answers");
 
-        // streamed path: the skewed arm stats arm the fallover hint
+        // streamed path
         let drain = |u: &uload::Uload| -> Vec<String> {
             let res = u.query(query, &doc).unwrap();
             res.map(|item| item.unwrap()).collect()
         };
         prop_assert_eq!(&drain(&cold), &rows_cold, "cold streamed != materialized");
         prop_assert_eq!(&drain(&warm), &rows_cold, "feedback changed streamed answers");
-
-        // adaptive prepare: whatever arm the feedback picks, the rows
-        // are the cold plan's rows
-        let prep_cold = cold.prepare_query(query).unwrap();
-        let prep_warm = warm.prepare_query_for_version(query, 0).unwrap();
-        let h1 = uload::DocumentHandle::new(doc.clone());
-        let out_cold = cold.execute_prepared(&prep_cold, &h1).unwrap();
-        let out_warm = warm.execute_prepared(&prep_warm, &h1).unwrap();
-        let xml = |o: &uload::QueryOutput| o.items.iter().map(|i| i.xml.clone()).collect::<Vec<_>>();
-        prop_assert_eq!(xml(&out_cold), xml(&out_warm), "adaptive prepare changed answers");
     }
 }
 

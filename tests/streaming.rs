@@ -164,23 +164,39 @@ fn stream_profile_reports_executor_counters() {
 }
 
 #[test]
-fn query_honors_twigstack_toggle() {
+fn query_streams_what_the_cascade_oracle_answers() {
+    // join-only rewriting over two single-node views: the prepared plan
+    // always fuses into a twig, streamed three rows a batch; the
+    // `use_twigstack = false` oracle runs the same plan as the cascade
     let doc = generate::xmark(2, 13);
-    let run = |twig: bool| {
-        let mut u = Uload::builder()
-            .document(&doc)
-            .use_twigstack(twig)
-            .batch_size(3)
-            .build()
-            .unwrap();
-        u.add_view_text("V", VIEW, &doc).unwrap();
-        let results = u.query(QUERY, &doc).unwrap();
-        results.collect::<Result<Vec<String>>>().unwrap()
-    };
-    let with_twig = run(true);
-    let without = run(false);
-    assert!(!with_twig.is_empty());
-    assert_eq!(with_twig, without);
+    let mut cfg = EngineConfig::default();
+    cfg.rewrite.allow_navigation = false;
+    let mut u = Uload::builder()
+        .document(&doc)
+        .config(cfg)
+        .batch_size(3)
+        .build()
+        .unwrap();
+    u.add_view_text("v_items", "//item[id:s]", &doc).unwrap();
+    u.add_view_text("v_names", "//name[id:s,val]", &doc)
+        .unwrap();
+    let q = r#"doc("X")//item/name"#;
+    let prep = u.prepare_query(q).unwrap();
+    assert!(prep.plan().to_string().contains("twig("), "{}", prep.plan());
+    let streamed: Vec<String> = u.query(q, &doc).unwrap().collect::<Result<_>>().unwrap();
+    let mut ccfg = algebra::CursorConfig::default();
+    ccfg.eval.use_twigstack = false;
+    let oracle: Vec<String> =
+        algebra::build_cursor(prep.plan(), u.store().catalog(), Some(&doc), &ccfg)
+            .unwrap()
+            .collect()
+            .unwrap()
+            .tuples
+            .iter()
+            .map(|t| t.get(0).as_str().unwrap_or("").to_string())
+            .collect();
+    assert!(!streamed.is_empty());
+    assert_eq!(streamed, oracle);
 }
 
 #[test]
