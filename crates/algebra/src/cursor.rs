@@ -17,13 +17,13 @@
 //!   `Rename`, `CastSchema`) — the operator is applied to each child
 //!   batch;
 //! * **pipeline breakers** ([`is_pipeline_breaker`]: `GroupBy`, `Sort`,
-//!   `NestAll`, and a `Project` with `distinct` unless its input is
-//!   provably duplicate-free over the catalog and every column is kept —
-//!   then it streams as a plain `Project`) — the same cursor in breaker
-//!   mode: the input is drained, the operator applied once, and the
-//!   result streamed out. A single-key `Sort` directly over a base scan
-//!   whose declared [`crate::OrderSpec`] already satisfies the key is
-//!   elided (stable sort of sorted input is the identity);
+//!   `NestAll`, and a `Project` with `distinct` unless it keeps a key its
+//!   input provably has over the catalog — then it streams as a plain
+//!   `Project`) — the same cursor in breaker mode: the input is drained,
+//!   the operator applied once, and the result streamed out. A
+//!   single-key `Sort` directly over a base scan whose declared
+//!   [`crate::OrderSpec`] already satisfies the key is elided (stable sort
+//!   of sorted input is the identity);
 //! * **build–probe binary** (`Product`, `Join`, `StructJoin`,
 //!   `Difference`) — the right side is drained and packed once (hash
 //!   table, ID columns) and stays resident, then left batches probe it
@@ -37,6 +37,11 @@
 //!   batch; shapes the holistic operator does not cover run the
 //!   equivalent cascade of binary structural joins, bound at compile
 //!   time, over copies of the inputs.
+//!
+//! The compiler also passes down which columns some ancestor reads (a
+//! `Project` names them, a predicate or a navigation adds its own): a
+//! `Navigate` leaves an unread `_Val` or `_Cont` `⊥` instead of
+//! serializing it.
 //!
 //! `close()` propagates cancellation down the tree: children are closed,
 //! resident state is released, and every further `next_batch` returns
@@ -57,10 +62,10 @@ use obs::{ExecMetrics, Meter};
 use xmltree::Document;
 
 use crate::eval::{
-    reducing_selection, twig_shape, twig_solutions, Binary, Build, Catalog, EvalConfig, EvalError,
-    Metrics, Probe, Relation, TwigShape, Unary,
+    reducing_selection, twig_shape, twig_solutions, Binary, Build, Catalog, ColumnDemand,
+    EvalConfig, EvalError, Metrics, Probe, Relation, TwigShape, Unary,
 };
-use crate::plan::{JoinKind, LogicalPlan, Path, TwigStep};
+use crate::plan::{JoinKind, LogicalPlan, NavMode, Path, TwigStep};
 use crate::value::{Schema, Tuple};
 
 // ----------------------------------------------------------------------
@@ -291,8 +296,8 @@ impl<'a> StreamExec<'a> {
 /// emitting anything) when it runs over `catalog`? This is the rule
 /// [`build_cursor`] compiles by, so [`OpStats::breaker`],
 /// [`pipeline_breakers`] and every report built on them name exactly the
-/// nodes that buffer. A `π°` whose input is provably duplicate-free runs
-/// as a streaming `Π` and is not one. `Sort` counts even though
+/// nodes that buffer. A `π°` that keeps a key of its input runs as a
+/// streaming `Π` and is not one. `Sort` counts even though
 /// [`build_cursor`] elides it when the input is a base scan whose declared
 /// [`crate::OrderSpec`] already satisfies the single sort key.
 pub fn is_pipeline_breaker(plan: &LogicalPlan, catalog: &Catalog) -> bool {
@@ -326,62 +331,98 @@ pub fn pipeline_breakers(plan: &LogicalPlan, catalog: &Catalog) -> Vec<String> {
 }
 
 /// Does `π°[cols]` over `input` have nothing to eliminate? It has not
-/// when `input` is a set ([`set_columns`]) of distinctly named columns
-/// and `cols` keep every one of them whole: distinct tuples stay
-/// distinct.
+/// when `input` has a key ([`set_key`]), every kept column is a flat
+/// input column named once, and every key column is kept: input tuples
+/// differ on the key, so their projections differ too.
 fn dedup_is_redundant(input: &LogicalPlan, cols: &[Path], catalog: &Catalog) -> bool {
-    if cols.iter().any(|c| c.as_str().contains('.')) {
-        return false; // a nested sub-projection can merge tuples
-    }
-    let Some(mut names) = set_columns(input, catalog) else {
-        return false;
-    };
-    let arity = names.len();
-    names.sort_unstable();
-    names.dedup();
-    let mut kept: Vec<&str> = cols.iter().map(Path::as_str).collect();
-    kept.sort_unstable();
-    kept.dedup();
-    names.len() == arity && names == kept
+    kept_key(input, cols, catalog).is_some()
 }
 
-/// The top-level column names of `plan`'s output when it provably holds
-/// no two tuples equal under `π°`'s equality; `None` when it may. Worked
-/// out bottom-up from the catalog's declared sets
+/// The key of `input` that `π°[cols]` keeps, when that makes its hash
+/// pass redundant (see [`dedup_is_redundant`]).
+fn kept_key<'p>(
+    input: &'p LogicalPlan,
+    cols: &[Path],
+    catalog: &'p Catalog,
+) -> Option<Vec<Cow<'p, str>>> {
+    let Keyed { cols: names, key } = set_key(input, catalog)?;
+    let named_once = |c: &str| names.iter().filter(|n| *n == c).count() == 1;
+    let kept = |c: &str| cols.iter().any(|p| p.as_str() == c);
+    // a dotted column is a nested sub-projection, which can merge tuples
+    let redundant = cols.iter().all(|c| named_once(c.as_str()))
+        && key
+            .iter()
+            .all(|&k| named_once(&names[k]) && kept(&names[k]));
+    redundant.then(|| key.iter().map(|&k| names[k].clone()).collect())
+}
+
+/// A plan's top-level column names with a key: positions of columns on
+/// which no two of its tuples agree under `π°`'s equality.
+struct Keyed<'p> {
+    cols: Vec<Cow<'p, str>>,
+    key: Vec<usize>,
+}
+
+impl<'p> Keyed<'p> {
+    fn concat(mut self, other: Keyed<'p>) -> Keyed<'p> {
+        let offset = self.cols.len();
+        self.cols.extend(other.cols);
+        self.key.extend(other.key.into_iter().map(|k| k + offset));
+        self
+    }
+}
+
+/// `plan`'s columns and a key of them ([`Keyed`]), when one is
+/// provable; `None` when `plan` may hold duplicates. Worked out
+/// bottom-up from the keys the catalog declares
 /// ([`Catalog::declare_set`]):
 ///
-/// * a `Scan` of a declared set is one;
-/// * `Rename`, `CastSchema` and `Sort` keep set-ness, and so does a
-///   `Select` unless it reduces a nested collection (a dotted column
-///   compared with a constant: two tuples can reduce to one);
+/// * a `Scan` of a declared relation has the declared key;
+/// * `Rename` and `CastSchema` rename the columns and keep the key by
+///   position; `Sort` keeps it, and so does a `Select` unless it reduces
+///   a nested collection (a dotted column compared with a constant: two
+///   tuples can reduce to one);
 /// * an inner `StructJoin` off a flat left attribute and without
 ///   `nest_as`, and a `TwigJoin` whose steps all hang off flat
-///   attributes, are sets when every input is — an inner join of sets is
-///   a set;
-/// * `π°` is one by construction.
+///   attributes, have the union of their inputs' keys: each output tuple
+///   is one vector of input tuples;
+/// * a `Navigate` in `Flat` or `Outer` mode has its input's key plus the
+///   reached node's `_ID` (the node's `_Val` and `_Cont` are functions of
+///   it); in `Exists` mode it filters and keeps its input's key;
+/// * `π°` is keyed on every column it keeps, by construction.
 ///
 /// A path descends into a nested schema only at a `.`
 /// ([`Schema::resolve`]), so a dotted path is one that crosses a
 /// collection.
-fn set_columns<'p>(plan: &'p LogicalPlan, catalog: &'p Catalog) -> Option<Vec<&'p str>> {
+fn set_key<'p>(plan: &'p LogicalPlan, catalog: &'p Catalog) -> Option<Keyed<'p>> {
     use LogicalPlan::*;
     let flat = |p: &Path| !p.as_str().contains('.');
-    let field_names = |s: &'p Schema| s.fields.iter().map(|f| f.name.as_str()).collect();
+    let field_names = |s: &'p Schema| {
+        s.fields
+            .iter()
+            .map(|f| Cow::from(f.name.as_str()))
+            .collect()
+    };
+    // the key stays at its positions under the new names
+    let renamed = |keyed: Keyed<'p>, cols: Vec<Cow<'p, str>>| {
+        (cols.len() == keyed.cols.len()).then_some(Keyed {
+            cols,
+            key: keyed.key,
+        })
+    };
     match plan {
-        Scan { relation } if catalog.is_declared_set(relation) => {
-            catalog.get(relation).map(|r| field_names(&r.schema))
-        }
-        Rename { input, names } => {
-            set_columns(input, catalog)?;
-            Some(names.iter().map(String::as_str).collect())
-        }
-        CastSchema { input, schema } => {
-            set_columns(input, catalog)?;
-            Some(field_names(schema))
-        }
-        Sort { input, .. } => set_columns(input, catalog),
+        Scan { relation } => Some(Keyed {
+            key: catalog.declared_key(relation)?.to_vec(),
+            cols: field_names(&catalog.get(relation)?.schema),
+        }),
+        Rename { input, names } => renamed(
+            set_key(input, catalog)?,
+            names.iter().map(|n| Cow::from(n.as_str())).collect(),
+        ),
+        CastSchema { input, schema } => renamed(set_key(input, catalog)?, field_names(schema)),
+        Sort { input, .. } => set_key(input, catalog),
         Select { pred, .. } if reducing_selection(pred).is_some() => None,
-        Select { input, .. } => set_columns(input, catalog),
+        Select { input, .. } => set_key(input, catalog),
         StructJoin {
             left,
             right,
@@ -389,34 +430,50 @@ fn set_columns<'p>(plan: &'p LogicalPlan, catalog: &'p Catalog) -> Option<Vec<&'
             kind: JoinKind::Inner,
             nest_as: None,
             ..
-        } if flat(left_attr) => {
-            let mut cols = set_columns(left, catalog)?;
-            cols.extend(set_columns(right, catalog)?);
-            Some(cols)
-        }
+        } if flat(left_attr) => Some(set_key(left, catalog)?.concat(set_key(right, catalog)?)),
         TwigJoin { root, steps } if steps.iter().all(|s| flat(&s.parent_attr)) => {
-            let mut cols = set_columns(root, catalog)?;
+            let mut keyed = set_key(root, catalog)?;
             for s in steps {
-                cols.extend(set_columns(&s.input, catalog)?);
+                keyed = keyed.concat(set_key(&s.input, catalog)?);
             }
-            Some(cols)
+            Some(keyed)
+        }
+        Navigate {
+            input,
+            mode: NavMode::Exists,
+            ..
+        } => set_key(input, catalog),
+        Navigate {
+            input, as_prefix, ..
+        } => {
+            let mut keyed = set_key(input, catalog)?;
+            keyed.key.push(keyed.cols.len());
+            keyed
+                .cols
+                .extend(["ID", "Val", "Cont"].map(|c| Cow::from(format!("{as_prefix}_{c}"))));
+            Some(keyed)
         }
         Project {
             cols,
             distinct: true,
             ..
         } => {
-            let mut heads: Vec<&str> = Vec::new();
+            let mut heads: Vec<Cow<'p, str>> = Vec::new();
             for c in cols {
-                let head = c.as_str().split('.').next().unwrap_or_default();
-                if !heads.contains(&head) {
-                    heads.push(head);
+                if !heads.iter().any(|h| h == head(c)) {
+                    heads.push(Cow::from(head(c)));
                 }
             }
-            Some(heads)
+            let key = (0..heads.len()).collect();
+            Some(Keyed { cols: heads, key })
         }
         _ => None,
     }
+}
+
+/// The top-level column a (possibly dotted) path starts at.
+fn head(p: &Path) -> &str {
+    p.as_str().split('.').next().unwrap_or_default()
 }
 
 // ----------------------------------------------------------------------
@@ -441,13 +498,26 @@ pub fn build_cursor<'a>(
         residency: Rc::new(Residency::default()),
         ops: Vec::new(),
     };
-    let root = b.build(plan)?;
+    let root = b.build(plan, None)?;
     Ok(StreamExec {
         root,
         residency: b.residency,
         ops: b.ops,
         batch_size: b.batch,
     })
+}
+
+/// The top-level columns of a node's output that some ancestor reads;
+/// `None` is every column. A `Project` narrows it to the heads of its
+/// columns; `Select`, `Join` and `Navigate` add the columns they read
+/// themselves; every other node reads whole tuples and resets it.
+type Demand<'p> = Option<Vec<&'p str>>;
+
+/// `demand` plus the heads of `cols` (still `None` when it was).
+fn demand_with<'p>(demand: &Demand<'p>, cols: impl IntoIterator<Item = &'p Path>) -> Demand<'p> {
+    let mut d = demand.clone()?;
+    d.extend(cols.into_iter().map(head));
+    Some(d)
 }
 
 struct Builder<'a, 'c> {
@@ -460,8 +530,13 @@ struct Builder<'a, 'c> {
 }
 
 impl<'a> Builder<'a, '_> {
-    /// The one place a plan node becomes something that runs.
-    fn build(&mut self, plan: &LogicalPlan) -> Result<Box<dyn Cursor + 'a>, EvalError> {
+    /// The one place a plan node becomes something that runs, computing
+    /// only the `demand`ed columns where an operator can skip one.
+    fn build<'p>(
+        &mut self,
+        plan: &'p LogicalPlan,
+        demand: Demand<'p>,
+    ) -> Result<Box<dyn Cursor + 'a>, EvalError> {
         use LogicalPlan::*;
         let breaker = is_pipeline_breaker(plan, self.catalog);
         let cells = self.register(plan, breaker);
@@ -485,36 +560,45 @@ impl<'a> Builder<'a, '_> {
             // a stable sort of input already sorted on the (single) key
             // is the identity: the node keeps its slot, the scan streams
             // through untouched
-            Sort { input, by } if self.sort_is_elided(input, by) => self.build(input)?,
+            Sort { input, by } if self.sort_is_elided(input, by) => self.build(input, None)?,
             // likewise a twig of no steps is its root
-            TwigJoin { root, steps } if steps.is_empty() => self.build(root)?,
+            TwigJoin { root, steps } if steps.is_empty() => self.build(root, None)?,
 
             Select { input, pred } => {
-                self.unary(input, mon, breaker, |s| Unary::select(s, pred))?
+                let demand = demand_with(&demand, pred.columns());
+                self.unary(input, demand, mon, breaker, |s| Unary::select(s, pred))?
             }
             // a `π°` that is no breaker has no duplicates to eliminate
             Project {
                 input,
                 cols,
                 distinct,
-            } => self.unary(input, mon, breaker, |s| {
-                Unary::project(s, cols, *distinct && breaker)
-            })?,
+            } => {
+                if *distinct && !breaker {
+                    self.log_dedup_elided(input, cols);
+                }
+                let demand = Some(cols.iter().map(head).collect());
+                self.unary(input, demand, mon, breaker, |s| {
+                    Unary::project(s, cols, *distinct && breaker)
+                })?
+            }
             GroupBy {
                 input,
                 keys,
                 nest_as,
-            } => self.unary(input, mon, breaker, |s| Unary::group_by(s, keys, nest_as))?,
+            } => self.unary(input, None, mon, breaker, |s| {
+                Unary::group_by(s, keys, nest_as)
+            })?,
             Unnest { input, attr } => {
-                self.unary(input, mon, breaker, |s| Unary::unnest(s, attr))?
+                self.unary(input, None, mon, breaker, |s| Unary::unnest(s, attr))?
             }
-            NestAll { input, as_name } => {
-                self.unary(input, mon, breaker, |s| Ok(Unary::nest_all(s, as_name)))?
-            }
-            Sort { input, by } => self.unary(input, mon, breaker, |s| Unary::sort(s, by))?,
-            XmlTemplate { input, templ } => {
-                self.unary(input, mon, breaker, |s| Ok(Unary::xml_template(s, templ)))?
-            }
+            NestAll { input, as_name } => self.unary(input, None, mon, breaker, |s| {
+                Ok(Unary::nest_all(s, as_name))
+            })?,
+            Sort { input, by } => self.unary(input, None, mon, breaker, |s| Unary::sort(s, by))?,
+            XmlTemplate { input, templ } => self.unary(input, None, mon, breaker, |s| {
+                Ok(Unary::xml_template(s, templ))
+            })?,
             Navigate {
                 input,
                 from_attr,
@@ -522,15 +606,36 @@ impl<'a> Builder<'a, '_> {
                 label,
                 as_prefix,
                 mode,
-            } => self.unary(input, mon, breaker, |s| {
-                Unary::navigate(s, doc, from_attr, *axis, label, as_prefix, *mode)
-            })?,
+            } => {
+                let reads = |item: &str| {
+                    let col = format!("{as_prefix}_{item}");
+                    demand.as_ref().is_none_or(|d| d.contains(&col.as_str()))
+                };
+                let want = ColumnDemand {
+                    tag: false,
+                    val: reads("Val"),
+                    cont: reads("Cont"),
+                };
+                if *mode != NavMode::Exists && !(want.val && want.cont) {
+                    tracing::debug!(
+                        target: "uload::cursor",
+                        "{} skips{}{}: no ancestor reads it",
+                        plan.node_label(),
+                        if want.val { "" } else { " _Val" },
+                        if want.cont { "" } else { " _Cont" },
+                    );
+                }
+                let demand = demand_with(&demand, [from_attr]);
+                self.unary(input, demand, mon, breaker, |s| {
+                    Unary::navigate(s, doc, from_attr, *axis, label, as_prefix, *mode, want)
+                })?
+            }
             Fetch {
                 input,
                 id_attr,
                 what,
                 as_name,
-            } => self.unary(input, mon, breaker, |s| {
+            } => self.unary(input, None, mon, breaker, |s| {
                 Unary::fetch(s, doc, id_attr, *what, as_name)
             })?,
             DeriveAncestorId {
@@ -538,27 +643,35 @@ impl<'a> Builder<'a, '_> {
                 attr,
                 levels,
                 as_name,
-            } => self.unary(input, mon, breaker, |s| {
+            } => self.unary(input, None, mon, breaker, |s| {
                 Unary::derive_ancestor(s, doc, attr, *levels, as_name)
             })?,
             CastSchema { input, schema } => {
-                self.unary(input, mon, breaker, |s| Unary::cast(s, schema))?
+                self.unary(input, None, mon, breaker, |s| Unary::cast(s, schema))?
             }
             Rename { input, names } => {
-                self.unary(input, mon, breaker, |s| Unary::rename(s, names))?
+                self.unary(input, None, mon, breaker, |s| Unary::rename(s, names))?
             }
 
             Product { left, right } => {
-                self.binary(left, right, mon, |l, r| Ok(Binary::product(l, r)))?
+                self.binary(left, right, None, mon, |l, r| Ok(Binary::product(l, r)))?
             }
+            // a nest join folds its right side into one column, which the
+            // demand does not name
             Join {
                 left,
                 right,
                 pred,
                 kind,
-            } => self.binary(left, right, mon, |l, r| {
-                Binary::value_join(l, r, pred, *kind)
-            })?,
+            } => {
+                let demand = match kind {
+                    JoinKind::Nest | JoinKind::NestOuter => None,
+                    _ => demand_with(&demand, pred.columns()),
+                };
+                self.binary(left, right, demand, mon, |l, r| {
+                    Binary::value_join(l, r, pred, *kind)
+                })?
+            }
             StructJoin {
                 left,
                 right,
@@ -567,7 +680,7 @@ impl<'a> Builder<'a, '_> {
                 axis,
                 kind,
                 nest_as,
-            } => self.binary(left, right, mon, |l, r| {
+            } => self.binary(left, right, None, mon, |l, r| {
                 Binary::struct_join(
                     l,
                     r,
@@ -580,11 +693,11 @@ impl<'a> Builder<'a, '_> {
                 )
             })?,
             Difference { left, right } => {
-                self.binary(left, right, mon, |l, _| Ok(Binary::difference(l)))?
+                self.binary(left, right, None, mon, |l, _| Ok(Binary::difference(l)))?
             }
             Union { left, right } => {
-                let left = self.build(left)?;
-                let right = self.build(right)?;
+                let left = self.build(left, None)?;
+                let right = self.build(right, None)?;
                 let (l, r) = (left.schema().arity(), right.schema().arity());
                 if l != r {
                     return Err(EvalError::TypeError(format!(
@@ -652,14 +765,28 @@ impl<'a> Builder<'a, '_> {
         elided
     }
 
-    fn unary(
+    /// The debug line saying why a `π°` streams; the key is only worked
+    /// out again when the line is logged.
+    fn log_dedup_elided(&self, input: &LogicalPlan, cols: &[Path]) {
+        tracing::debug!(
+            target: "uload::cursor",
+            "Project°[{}] elided: it keeps the key [{}] of its input",
+            cols.iter().map(Path::as_str).collect::<Vec<_>>().join(","),
+            kept_key(input, cols, self.catalog)
+                .unwrap_or_default()
+                .join(",")
+        );
+    }
+
+    fn unary<'p>(
         &mut self,
-        input: &LogicalPlan,
+        input: &'p LogicalPlan,
+        demand: Demand<'p>,
         mon: Mon,
         breaker: bool,
         bind: impl FnOnce(&Schema) -> Result<Unary<'a>, EvalError>,
     ) -> Result<Box<dyn Cursor + 'a>, EvalError> {
-        let child = self.build(input)?;
+        let child = self.build(input, demand)?;
         let op = bind(child.schema())?;
         Ok(Box::new(MapCursor {
             child,
@@ -672,15 +799,17 @@ impl<'a> Builder<'a, '_> {
         }))
     }
 
-    fn binary(
+    /// A build–probe binary; `demand` goes to both inputs.
+    fn binary<'p>(
         &mut self,
-        left: &LogicalPlan,
-        right: &LogicalPlan,
+        left: &'p LogicalPlan,
+        right: &'p LogicalPlan,
+        demand: Demand<'p>,
         mon: Mon,
         bind: impl FnOnce(&Schema, &Schema) -> Result<Binary, EvalError>,
     ) -> Result<Box<dyn Cursor + 'a>, EvalError> {
-        let left = self.build(left)?;
-        let right = self.build(right)?;
+        let left = self.build(left, demand.clone())?;
+        let right = self.build(right, demand)?;
         let op = bind(left.schema(), right.schema())?;
         Ok(Box::new(BinaryCursor {
             left,
@@ -762,7 +891,7 @@ impl<'a> Builder<'a, '_> {
             _ => (plan, None),
         };
         let LogicalPlan::Scan { relation } = scan else {
-            return Ok(TwigInput::Drained(self.build(plan)?));
+            return Ok(TwigInput::Drained(self.build(plan, None)?));
         };
         let mut slots = Vec::new();
         if names.is_some() {
@@ -1686,7 +1815,8 @@ mod tests {
         );
     }
 
-    /// Drain `plan` with profiling on; the rows and the per-node slots.
+    /// Drain `plan` over the bib sample with profiling on; the rows and
+    /// the per-node slots.
     fn profiled(
         plan: &LogicalPlan,
         cat: &Catalog,
@@ -1698,7 +1828,8 @@ mod tests {
             eval,
             profiling: true,
         };
-        let mut exec = build_cursor(plan, cat, None, &cfg).unwrap();
+        let doc = bib_sample();
+        let mut exec = build_cursor(plan, cat, Some(&doc), &cfg).unwrap();
         let mut tuples = Vec::new();
         while let Some(b) = exec.next_batch().unwrap() {
             tuples.extend(b.tuples);
@@ -1814,12 +1945,12 @@ mod tests {
         assert!(!is_pipeline_breaker(&LogicalPlan::scan("a"), &cat));
     }
 
-    /// `setup()`'s relations, each declared a set, plus an undeclared
+    /// `setup()`'s relations, each keyed on `ID`, plus an undeclared
     /// `_dup` copy of each holding every tuple twice.
     fn set_catalog() -> Catalog {
         let (_doc, mut cat) = setup();
         for name in ["library", "book", "phdthesis", "title", "author"] {
-            assert!(cat.declare_set(name));
+            assert!(cat.declare_set(name, &["ID"]));
             let rel = cat.get(name).unwrap().clone();
             let twice = rel.tuples.iter().chain(&rel.tuples).cloned().collect();
             cat.insert(format!("{name}_dup"), Relation::new(rel.schema, twice));
@@ -1879,7 +2010,7 @@ mod tests {
         assert_batch_invariant(&set, &cat, None);
         assert_batch_invariant(&dup, &cat, None);
 
-        // where set-ness is provable the hash pass goes, wherever the
+        // where a kept key is provable the hash pass goes, wherever the
         // kept columns move; where it is not, or the projection can merge
         // tuples, it stays
         let all = ["ID", "Tag", "Val", "Cont", "as"];
@@ -1902,9 +2033,32 @@ mod tests {
             ),
             // a `π°` is a set
             (deduped.clone().project_distinct(&all), false),
-            // a subset of the columns
+            // a subset of the columns that keeps the key
             (
                 LogicalPlan::scan("book").project_distinct(&["ID", "Tag", "Val"]),
+                false,
+            ),
+            // one that drops it
+            (
+                LogicalPlan::scan("book").project_distinct(&["Tag", "Val"]),
+                true,
+            ),
+            // navigation keeps its input's key and adds the reached `_ID`
+            (
+                nav(LogicalPlan::scan("book"), NavMode::Flat)
+                    .project_distinct(&["ID", "a_ID", "a_Val"]),
+                false,
+            ),
+            (
+                nav(LogicalPlan::scan("book"), NavMode::Outer).project_distinct(&["ID", "a_Val"]),
+                true,
+            ),
+            (
+                nav(LogicalPlan::scan("book"), NavMode::Exists).project_distinct(&["ID"]),
+                false,
+            ),
+            (
+                nav(LogicalPlan::scan("book_dup"), NavMode::Flat).project_distinct(&["ID", "a_ID"]),
                 true,
             ),
             // a nest join
@@ -1924,9 +2078,23 @@ mod tests {
                 true,
             ),
         ];
+        let doc = bib_sample();
         for (plan, breaks) in cases {
             assert_eq!(is_pipeline_breaker(&plan, &cat), breaks, "{plan}");
             flagged(&plan);
+            assert_batch_invariant(&plan, &cat, Some(&doc));
+        }
+    }
+
+    /// `Navigate` from `ID` to the `author` children, as `a_*`.
+    fn nav(input: LogicalPlan, mode: NavMode) -> LogicalPlan {
+        LogicalPlan::Navigate {
+            input: Box::new(input),
+            from_attr: "ID".into(),
+            axis: Axis::Child,
+            label: "author".into(),
+            as_prefix: "a".into(),
+            mode,
         }
     }
 

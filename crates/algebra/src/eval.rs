@@ -73,7 +73,8 @@ impl Relation {
 pub struct Catalog {
     relations: HashMap<String, Relation>,
     orders: HashMap<String, OrderSpec>,
-    sets: HashSet<String>,
+    /// Declared keys, as field positions.
+    keys: HashMap<String, Vec<usize>>,
 }
 
 impl Catalog {
@@ -81,16 +82,16 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register a relation. Replacing one clears its set declaration:
+    /// Register a relation. Replacing one clears its key declaration:
     /// nothing is known about the new tuples.
     pub fn insert(&mut self, name: impl Into<String>, rel: Relation) {
         let name = name.into();
-        self.sets.remove(&name);
+        self.keys.remove(&name);
         self.relations.insert(name, rel);
     }
 
     /// Register a relation together with its declared output order (and,
-    /// like [`Catalog::insert`], without a set declaration).
+    /// like [`Catalog::insert`], without a key declaration).
     pub fn insert_ordered(&mut self, name: impl Into<String>, rel: Relation, order: OrderSpec) {
         let name = name.into();
         self.orders.insert(name.clone(), order);
@@ -101,11 +102,11 @@ impl Catalog {
         self.relations.get(name)
     }
 
-    /// Unregister a relation, its declared order and its set declaration;
+    /// Unregister a relation, its declared order and its key declaration;
     /// every other entry is left as it was.
     pub fn remove(&mut self, name: &str) -> Option<Relation> {
         self.orders.remove(name);
-        self.sets.remove(name);
+        self.keys.remove(name);
         self.relations.remove(name)
     }
 
@@ -117,23 +118,35 @@ impl Catalog {
         self.orders.get(name)
     }
 
-    /// Declare that the registered relation `name` holds no two tuples
-    /// equal under `π°`'s equality — a materialized XAM does not, by
-    /// Def. 2.2.3. The executor then skips `π°`'s hash pass over it
-    /// (see `Duplicate elimination` in DESIGN.md). `false`, and nothing
-    /// declared, when no such relation is registered.
-    pub fn declare_set(&mut self, name: &str) -> bool {
-        let known = self.relations.contains_key(name);
-        if known {
-            self.sets.insert(name.to_string());
-        }
-        known
+    /// Declare that no two tuples of the registered relation `name` agree
+    /// on the top-level columns `key` under `π°`'s equality — a
+    /// materialized XAM is a set by Def. 2.2.3, and its stored IDs are a
+    /// key of it. The executor then skips the hash pass of a `π°` that
+    /// keeps the key (see `Duplicate elimination` in DESIGN.md). `false`,
+    /// and nothing declared, when no such relation is registered or a
+    /// key column is not exactly one of its top-level fields.
+    pub fn declare_set(&mut self, name: &str, key: &[&str]) -> bool {
+        let Some(rel) = self.relations.get(name) else {
+            return false;
+        };
+        let fields = &rel.schema.fields;
+        let position = |k: &str| match fields.iter().filter(|f| f.name == k).count() {
+            1 => fields.iter().position(|f| f.name == k),
+            _ => None,
+        };
+        let Some(mut key) = key.iter().map(|k| position(k)).collect::<Option<Vec<_>>>() else {
+            return false;
+        };
+        key.sort_unstable();
+        key.dedup();
+        self.keys.insert(name.to_string(), key);
+        true
     }
 
-    /// Was `name` declared duplicate-free ([`Catalog::declare_set`]) since
-    /// it was last inserted?
-    pub fn is_declared_set(&self, name: &str) -> bool {
-        self.sets.contains(name)
+    /// The key `name` was declared with ([`Catalog::declare_set`]) since
+    /// it was last inserted, as field positions.
+    pub fn declared_key(&self, name: &str) -> Option<&[usize]> {
+        self.keys.get(name).map(Vec::as_slice)
     }
 
     pub fn names(&self) -> impl Iterator<Item = &str> {
@@ -530,6 +543,10 @@ impl<'a> Unary<'a> {
     // ------------------------------------------------------------------
     // document-backed operators
 
+    /// `Navigate`: each input tuple paired with the nodes its `from_attr`
+    /// ID reaches, found through the label's posting ([`Reach`]). Of the
+    /// `_Val` and `_Cont` columns only those `want` asks for are built;
+    /// the others are `⊥` (the schema is the same either way).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn navigate(
         input: &Schema,
@@ -539,6 +556,7 @@ impl<'a> Unary<'a> {
         label: &str,
         as_prefix: &str,
         mode: NavMode,
+        want: ColumnDemand,
     ) -> Result<Unary<'a>, EvalError> {
         let doc = doc.ok_or(EvalError::NeedsDocument("Navigate"))?;
         let idx = resolve(input, from_attr)?;
@@ -547,70 +565,51 @@ impl<'a> Unary<'a> {
                 "navigate source attribute must not be nested".into(),
             ));
         }
+        let col = idx[0];
         let mut schema = input.clone();
         if mode != NavMode::Exists {
             schema.fields.push(Field::atom(format!("{as_prefix}_ID")));
             schema.fields.push(Field::atom(format!("{as_prefix}_Val")));
             schema.fields.push(Field::atom(format!("{as_prefix}_Cont")));
         }
-        let label = label.to_string();
+        let arity = schema.arity();
+        let reach = Reach::bind(doc, axis, label);
         Ok(Unary::new(schema, move |tuples| {
-            let mut out = Vec::new();
-            for t in &tuples {
-                let targets: Vec<NodeId> = match flat_value(t, &idx).as_id() {
-                    None => Vec::new(),
-                    Some(sid) => {
-                        let n = NodeId(sid.pre);
-                        let (want_attr, want) = match label.strip_prefix('@') {
-                            Some(a) => (true, a),
-                            None => (false, label.as_str()),
-                        };
-                        let matches_label = |doc: &Document, m: NodeId| -> bool {
-                            let k = doc.kind(m);
-                            if want_attr {
-                                k == NodeKind::Attribute && doc.label(m) == want
-                            } else if want == "*" {
-                                k == NodeKind::Element
-                            } else {
-                                k == NodeKind::Element && doc.label(m) == want
-                            }
-                        };
-                        match axis {
-                            Axis::Child => doc
-                                .children(n)
-                                .iter()
-                                .copied()
-                                .filter(|&m| matches_label(doc, m))
-                                .collect(),
-                            Axis::Descendant => doc
-                                .descendants(n)
-                                .filter(|&m| matches_label(doc, m))
-                                .collect(),
-                        }
+            let mut out = Vec::with_capacity(tuples.len());
+            let (mut reached, mut buf) = (Vec::new(), String::new());
+            let mut item = |on: bool, write: fn(&Document, NodeId, &mut String), m| {
+                if !on {
+                    return Value::Null;
+                }
+                buf.clear();
+                write(doc, m, &mut buf);
+                Value::str(&buf)
+            };
+            for t in tuples {
+                let from = t.get(col).as_id();
+                if mode == NavMode::Exists {
+                    if from.is_some_and(|n| reach.any(doc, n)) {
+                        out.push(t);
                     }
-                };
-                match mode {
-                    NavMode::Exists => {
-                        if !targets.is_empty() {
-                            out.push(t.clone());
-                        }
-                    }
-                    NavMode::Outer if targets.is_empty() => {
-                        let mut nt = t.clone();
-                        nt.0.push(Value::Null);
-                        nt.0.push(Value::Null);
-                        nt.0.push(Value::Null);
-                        out.push(nt);
-                    }
-                    _ => {
-                        for m in targets {
-                            let mut nt = t.clone();
-                            nt.0.push(Value::Id(doc.structural_id(m)));
-                            nt.0.push(Value::str(doc.value(m)));
-                            nt.0.push(Value::str(doc.content(m)));
-                            out.push(nt);
-                        }
-                    }
+                    continue;
+                }
+                reached.clear();
+                if let Some(n) = from {
+                    reach.collect(doc, n, &mut reached);
+                }
+                if reached.is_empty() && mode == NavMode::Outer {
+                    let mut vals = Vec::with_capacity(arity);
+                    vals.extend_from_slice(&t.0);
+                    vals.resize(arity, Value::Null);
+                    out.push(Tuple::new(vals));
+                }
+                for &m in &reached {
+                    let mut vals = Vec::with_capacity(arity);
+                    vals.extend_from_slice(&t.0);
+                    vals.push(Value::Id(doc.structural_id(m)));
+                    vals.push(item(want.val, Document::write_value, m));
+                    vals.push(item(want.cont, xmltree::parser::serialize_node, m));
+                    out.push(Tuple::new(vals));
                 }
             }
             out
@@ -896,6 +895,80 @@ fn struct_join_schema(
     schema.fields[lidx[0]].kind =
         FieldKind::Nested(struct_join_schema(inner, &lidx[1..], right, kind, nest_as)?);
     Ok(schema)
+}
+
+// ----------------------------------------------------------------------
+// navigation
+
+/// A `Navigate` step's label resolved against the document once, when
+/// the operator is bound: `l` is an element label, `@a` an attribute,
+/// `*` any element.
+enum Reach<'a> {
+    /// `//`: the label's posting (every element's, for `*`), sorted by
+    /// `pre`, so the nodes below `n` are one run of it.
+    Descendants(&'a [NodeId]),
+    /// `/`: the children of this kind and interned label (`None`: any).
+    Children(NodeKind, Option<u32>),
+    /// `/` to a label no node carries.
+    Nothing,
+}
+
+impl<'a> Reach<'a> {
+    fn bind(doc: &'a Document, axis: Axis, label: &str) -> Reach<'a> {
+        let (kind, name) = match label.strip_prefix('@') {
+            Some(a) => (NodeKind::Attribute, Some(a)),
+            None if label == "*" => (NodeKind::Element, None),
+            None => (NodeKind::Element, Some(label)),
+        };
+        match (axis, name) {
+            (Axis::Descendant, name) => Reach::Descendants(doc.label_posting(name, kind)),
+            (Axis::Child, None) => Reach::Children(kind, None),
+            (Axis::Child, Some(l)) => match doc.find_label(l) {
+                Some(id) => Reach::Children(kind, Some(id)),
+                None => Reach::Nothing,
+            },
+        }
+    }
+
+    /// The run of `posting` inside the subtree of `n`, found by two
+    /// binary searches on `pre` alone: a subtree holds
+    /// `post - pre + depth - 1` nodes after its root, so its last node in
+    /// document order is `post + depth - 1`.
+    fn below(posting: &'a [NodeId], n: StructuralId) -> &'a [NodeId] {
+        let last = n.post + u32::from(n.depth) - 1;
+        let lo = posting.partition_point(|m| m.0 <= n.pre);
+        let len = posting[lo..].partition_point(|m| m.0 <= last);
+        &posting[lo..lo + len]
+    }
+
+    fn is_child(doc: &Document, m: NodeId, kind: NodeKind, label: Option<u32>) -> bool {
+        doc.kind(m) == kind && label.is_none_or(|l| doc.label_id(m) == l)
+    }
+
+    /// Append the nodes reached from `n` to `out`, in document order.
+    fn collect(&self, doc: &Document, n: StructuralId, out: &mut Vec<NodeId>) {
+        match *self {
+            Reach::Descendants(posting) => out.extend_from_slice(Reach::below(posting, n)),
+            Reach::Children(kind, label) => out.extend(
+                doc.children(NodeId(n.pre))
+                    .iter()
+                    .filter(|&&m| Reach::is_child(doc, m, kind, label)),
+            ),
+            Reach::Nothing => {}
+        }
+    }
+
+    /// Does `n` reach any node? Stops at the first.
+    fn any(&self, doc: &Document, n: StructuralId) -> bool {
+        match *self {
+            Reach::Descendants(posting) => !Reach::below(posting, n).is_empty(),
+            Reach::Children(kind, label) => doc
+                .children(NodeId(n.pre))
+                .iter()
+                .any(|&m| Reach::is_child(doc, m, kind, label)),
+            Reach::Nothing => false,
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1324,17 +1397,12 @@ pub fn derived(
             names.push(name);
         }
     }
-    let nodes = match (label, kind) {
-        (Some(l), _) => doc.nodes_with_label(l, kind),
-        (None, NodeKind::Element) => doc.elements(),
-        (None, NodeKind::Attribute) => doc.attributes(),
-        (None, NodeKind::Text) => doc.nodes_with_label("#text", kind),
-    };
+    let nodes = doc.label_posting(label, kind);
     // one shared string per label instead of one allocation per node
     let mut tags: HashMap<u32, Value> = HashMap::new();
     let mut buf = String::new();
     let mut tuples = Vec::with_capacity(nodes.len());
-    for n in nodes {
+    for &n in nodes {
         let mut t = Vec::with_capacity(names.len());
         t.push(Value::Id(doc.structural_id(n)));
         if demand.tag {
@@ -1598,26 +1666,39 @@ mod tests {
         assert_eq!(r.tuples[1].get(1), &Value::str("1"));
     }
 
-    /// A set declaration lasts until the name is next written:
-    /// `insert`, `insert_ordered` and `remove` each clear it, and only a
-    /// registered relation can be declared.
+    /// A key declaration lasts until the name is next written:
+    /// `insert`, `insert_ordered` and `remove` each clear it. Only a
+    /// registered relation can be declared, and only on columns it has,
+    /// each named once; the key is kept as field positions.
     #[test]
     fn writing_a_declared_name_clears_the_declaration() {
         let (_doc, mut cat) = setup();
         let rel = cat.get("book").unwrap().clone();
-        assert!(!cat.declare_set("nope") && !cat.is_declared_set("nope"));
+        assert!(!cat.declare_set("nope", &["ID"]) && cat.declared_key("nope").is_none());
+        assert!(!cat.declare_set("book", &["ID", "Nope"]));
+        assert!(cat.declared_key("book").is_none());
+        let twin = Relation::new(Schema::atoms(&["ID", "ID"]), Vec::new());
+        cat.insert("twin", twin);
+        assert!(!cat.declare_set("twin", &["ID"]) && cat.declare_set("twin", &[]));
         for what in ["insert", "insert_ordered", "remove"] {
             cat.insert_ordered("book", rel.clone(), OrderSpec::by("ID"));
-            assert!(!cat.is_declared_set("book"));
-            assert!(cat.declare_set("book") && cat.is_declared_set("book"));
-            assert!(cat.declare_set("title"));
+            assert!(cat.declared_key("book").is_none());
+            assert!(cat.declare_set("book", &["Val", "ID", "Val"]));
+            assert_eq!(cat.declared_key("book"), Some(&[0, 2][..]));
+            assert!(cat.declare_set("title", &["ID"]));
             match what {
                 "insert" => cat.insert("book", rel.clone()),
                 "insert_ordered" => cat.insert_ordered("book", rel.clone(), OrderSpec::by("ID")),
                 _ => assert!(cat.remove("book").is_some()),
             }
-            assert!(!cat.is_declared_set("book"), "{what} kept the declaration");
-            assert!(cat.is_declared_set("title"), "{what} touched another name");
+            assert!(
+                cat.declared_key("book").is_none(),
+                "{what} kept the declaration"
+            );
+            assert!(
+                cat.declared_key("title").is_some(),
+                "{what} touched another name"
+            );
         }
     }
 
@@ -1824,6 +1905,150 @@ mod tests {
         // without a document the operator errors
         let ev2 = Evaluator::new(&cat);
         assert!(matches!(ev2.eval(&p), Err(EvalError::NeedsDocument(_))));
+    }
+
+    /// Descent by posting reaches exactly the nodes a walk of the subtree
+    /// (or of the children) comparing label strings reaches, in document
+    /// order, and `any` agrees — over XMark and over `a` nesting itself
+    /// 60 deep.
+    #[test]
+    fn descent_by_posting_equals_the_subtree_walk() {
+        let deep = "<a><b>k</b>".repeat(60) + &"</a>".repeat(60);
+        let deep = xmltree::parser::parse_document(&deep).unwrap();
+        let steps = [
+            (Axis::Descendant, "keyword"),
+            (Axis::Descendant, "@id"),
+            (Axis::Descendant, "*"),
+            (Axis::Descendant, "a"),
+            (Axis::Descendant, "b"),
+            (Axis::Descendant, "nope"),
+            (Axis::Child, "name"),
+            (Axis::Child, "@id"),
+            (Axis::Child, "*"),
+            (Axis::Child, "b"),
+            (Axis::Child, "nope"),
+        ];
+        for doc in [xmltree::generate::xmark(5, 7), deep] {
+            let mut total = 0;
+            for (axis, label) in steps {
+                let reach = Reach::bind(&doc, axis, label);
+                let matches = |m: NodeId| match label.strip_prefix('@') {
+                    Some(a) => doc.kind(m) == NodeKind::Attribute && doc.label(m) == a,
+                    None => {
+                        doc.kind(m) == NodeKind::Element && (label == "*" || doc.label(m) == label)
+                    }
+                };
+                let mut reached = 0;
+                for n in doc.all_nodes() {
+                    let want: Vec<NodeId> = match axis {
+                        Axis::Descendant => doc.descendants(n).filter(|&m| matches(m)).collect(),
+                        Axis::Child => doc
+                            .children(n)
+                            .iter()
+                            .copied()
+                            .filter(|&m| matches(m))
+                            .collect(),
+                    };
+                    let (sid, mut got) = (doc.structural_id(n), Vec::new());
+                    reach.collect(&doc, sid, &mut got);
+                    assert_eq!(got, want, "{n}{axis}{label}");
+                    assert_eq!(reach.any(&doc, sid), !want.is_empty(), "{n}{axis}{label}");
+                    reached += got.len();
+                }
+                assert!(reached > 0 || label != "*", "{axis}{label}");
+                total += reached;
+            }
+            // not vacuous: every node is reached many times over
+            assert!(total > 4 * doc.len(), "{total} of {}", doc.len());
+        }
+    }
+
+    /// `Navigate` builds only the `_Val`/`_Cont` columns some ancestor
+    /// reads: a `Π` keeping one navigation's `_Cont` gets the node's
+    /// content there, and the operator leaves what it is not asked for ⊥.
+    #[test]
+    fn navigate_builds_only_demanded_columns() {
+        let (doc, cat) = setup();
+        let nav = |input, label: &str, prefix: &str| LogicalPlan::Navigate {
+            input: Box::new(input),
+            from_attr: Path::new("ID"),
+            axis: Axis::Child,
+            label: label.into(),
+            as_prefix: prefix.into(),
+            mode: NavMode::Flat,
+        };
+        let both = nav(nav(LogicalPlan::scan("book"), "author", "a"), "title", "t");
+        let ev = Evaluator::with_document(&cat, &doc);
+        let kept = ev
+            .eval(&both.clone().project(&["a_ID", "a_Cont", "t_ID"]))
+            .unwrap();
+        assert_eq!(kept.len(), 3);
+        for t in &kept.tuples {
+            let a = NodeId(t.get(0).as_id().unwrap().pre);
+            assert_eq!(t.get(1).as_str(), Some(doc.content(a).as_str()));
+        }
+        let all = ev.eval(&both).unwrap();
+        assert_eq!(all.len(), 3);
+        // a column only a predicate reads is built
+        let authors = nav(LogicalPlan::scan("book"), "author", "a");
+        let sel = authors
+            .select(Predicate::eq("a_Val", Value::str("Suciu")))
+            .project(&["a_ID"]);
+        assert_eq!(ev.eval(&sel).unwrap().len(), 1);
+        let titles = LogicalPlan::scan("title").project(&["Val"]).rename(&["v"]);
+        let join = nav(LogicalPlan::scan("book"), "title", "t")
+            .join(
+                titles,
+                Predicate::col_cmp("t_Cont", CmpOp::Ne, "v"),
+                JoinKind::Semi,
+            )
+            .project(&["t_ID"]);
+        assert_eq!(ev.eval(&join).unwrap().len(), 2);
+        let schema = &cat.get("book").unwrap().schema;
+        for (want, val, cont) in [
+            (ColumnDemand::default(), true, true),
+            (
+                ColumnDemand {
+                    val: true,
+                    ..Default::default()
+                },
+                false,
+                true,
+            ),
+            (
+                ColumnDemand {
+                    cont: true,
+                    ..Default::default()
+                },
+                true,
+                false,
+            ),
+        ] {
+            let op = Unary::navigate(
+                schema,
+                Some(&doc),
+                &Path::new("ID"),
+                Axis::Child,
+                "author",
+                "a",
+                NavMode::Flat,
+                want,
+            )
+            .unwrap();
+            let out = (op.apply)(cat.get("book").unwrap().tuples.clone());
+            assert_eq!(out.len(), 3);
+            for t in &out {
+                let a = NodeId(t.get(4).as_id().unwrap().pre);
+                assert_eq!(t.get(5).is_null(), val);
+                assert_eq!(t.get(6).is_null(), cont);
+                if !cont {
+                    assert_eq!(t.get(6).as_str(), Some(doc.content(a).as_str()));
+                }
+                if !val {
+                    assert_eq!(t.get(5).as_str(), Some(doc.value(a).as_str()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! through an [`algebra::Catalog`].
 
 use algebra::{Catalog, EvalError, OrderSpec, Relation};
+use xam_core::semantics::{OutputColumn, StoredAttr};
 use xam_core::Xam;
 use xmltree::Document;
 
@@ -42,14 +43,16 @@ impl MaterializedStore {
             "materialized view `{name}` ← {xam}: {} tuples",
             rel.len()
         );
-        let order = xam_core::semantics::output_columns(&xam)
+        let columns = xam_core::semantics::output_columns(&xam);
+        let order = columns
             .first()
             .map(|c| OrderSpec::by(c.path.clone()))
             .unwrap_or_default();
+        let key = view_key(&xam, &columns, &rel);
         self.catalog.insert_ordered(name.clone(), rel, order);
-        // `final_projection` either eliminates duplicates or keeps ID
-        // columns that tell every tuple apart (Def. 2.2.3)
-        self.catalog.declare_set(&name);
+        let key: Vec<&str> = key.iter().map(String::as_str).collect();
+        let declared = self.catalog.declare_set(&name, &key);
+        debug_assert!(declared, "a view's key names its own columns");
         match self.defs.iter().position(|(n, _)| *n == name) {
             Some(pos) => {
                 self.defs[pos].1 = xam;
@@ -106,6 +109,21 @@ impl MaterializedStore {
     }
 }
 
+/// The key a materialized view is declared with. `⟦χ⟧_d` is a set
+/// (Def. 2.2.3), and a node's `Tag`, `Val` and `Cont` are functions of
+/// its ID: the ID columns plus every item of a node that stores no ID are
+/// a key. A view with a nested collection is keyed on all its columns.
+fn view_key(xam: &Xam, columns: &[OutputColumn], rel: &Relation) -> Vec<String> {
+    if columns.iter().any(|c| c.path.contains('.')) {
+        return rel.schema.fields.iter().map(|f| f.name.clone()).collect();
+    }
+    columns
+        .iter()
+        .filter(|c| c.attr == StoredAttr::Id || xam.node(c.node).stores_id.is_none())
+        .map(|c| c.path.clone())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,16 +176,44 @@ mod tests {
             before,
             [Some(OrderSpec::by("book1_ID")), Some(OrderSpec::by("a_ID"))]
         );
-        // every view is a declared set, until it is dropped
-        assert!(["v_books", "v_titles", "v_authors"]
-            .iter()
-            .all(|v| store.catalog().is_declared_set(v)));
+        // every view has a declared key, until it is dropped
+        let key = |v| store.catalog().declared_key(v).map(<[usize]>::to_vec);
+        assert_eq!(
+            ["v_books", "v_titles", "v_authors"].map(key),
+            [Some(vec![0]), Some(vec![0, 1]), Some(vec![0])]
+        );
         assert!(store.drop_view("v_books"));
         assert!(store.catalog().declared_order("v_books").is_none());
-        assert!(!store.catalog().is_declared_set("v_books"));
-        assert!(store.catalog().is_declared_set("v_titles"));
+        assert!(store.catalog().declared_key("v_books").is_none());
+        assert!(store.catalog().declared_key("v_titles").is_some());
         assert_eq!(orders(&store), before);
         assert_eq!(store.len(), 2);
+    }
+
+    /// A view is keyed on its ID columns plus the items of the nodes that
+    /// store no ID; one with a nested collection on every column.
+    #[test]
+    fn views_are_keyed_on_ids_and_the_items_of_id_less_nodes() {
+        let doc = bib_sample();
+        let mut store = MaterializedStore::new();
+        for (text, key) in [
+            (
+                "//b:book[id:s,val]{ /t:title[id:s,val] }",
+                &["b_ID", "t_ID"][..],
+            ),
+            ("//b:book[id:s,tag]{ /a:author[val] }", &["b_ID", "a_Val"]),
+            ("//b:book{ /t:title[val] }", &["t_Val"]),
+            ("//b:book[id:s]{ /n? t:title[id:s,val] }", &["b_ID", "t"]),
+        ] {
+            store.add_view("v", parse_xam(text).unwrap(), &doc).unwrap();
+            let rel = store.relation("v").unwrap();
+            let got = store.catalog().declared_key("v").unwrap();
+            let got: Vec<&str> = got
+                .iter()
+                .map(|&k| rel.schema.fields[k].name.as_str())
+                .collect();
+            assert_eq!(got, key, "{text}");
+        }
     }
 
     /// Re-adding a name replaces its definition in place: the rewriter

@@ -287,11 +287,23 @@ impl Document {
     /// restricted to node ids (the algebra layer adds Val/Tag/Cont
     /// columns); it walks the label's posting, `O(|R_t|)`.
     pub fn nodes_with_label(&self, label: &str, kind: NodeKind) -> NodeIds<'_> {
-        let posting = match self.find_label(label) {
-            Some(id) => self.postings.posting(Postings::key(id, kind)),
-            None => &[],
-        };
-        posting.iter().copied()
+        self.label_posting(Some(label), kind).iter().copied()
+    }
+
+    /// The posting of `(label, kind)` as a slice in document order, or,
+    /// for `None`, every node of `kind` (for `Text`, the `#text`
+    /// posting). Sorted by `pre`, so the nodes of it inside a subtree are
+    /// one contiguous run a binary search finds.
+    pub fn label_posting(&self, label: Option<&str>, kind: NodeKind) -> &[NodeId] {
+        let p = &self.postings;
+        match (label, kind) {
+            (None, NodeKind::Element) => &p.by_kind[..p.element_count],
+            (None, NodeKind::Attribute) => &p.by_kind[p.element_count..],
+            (label, kind) => match self.find_label(label.unwrap_or("#text")) {
+                Some(id) => p.posting(Postings::key(id, kind)),
+                None => &[],
+            },
+        }
     }
 
     /// Every non-empty `(label, kind)` posting with its nodes in document
@@ -625,9 +637,23 @@ mod tests {
                 assert_eq!((d.label(n), d.kind(n)), (label, kind));
             }
             assert_eq!(d.nodes_with_label(label, kind).len(), posting.len());
+            assert_eq!(d.label_posting(Some(label), kind), posting);
             seen += posting.len();
         }
         assert_eq!(seen, d.len());
+        assert!(d.label_posting(Some("zzz"), NodeKind::Element).is_empty());
+        assert_eq!(
+            d.label_posting(None, NodeKind::Element),
+            d.elements().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            d.label_posting(None, NodeKind::Attribute),
+            d.attributes().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            d.label_posting(None, NodeKind::Text),
+            d.label_posting(Some("#text"), NodeKind::Text)
+        );
         let by_filter = |k| {
             d.all_nodes()
                 .filter(|&n| d.kind(n) == k)

@@ -545,15 +545,21 @@ proptest! {
     }
 }
 
-/// The catalogs of `dedup_elision_never_changes_answers`: five views over
-/// one XMark document, each a declared set (one holds a nested
-/// collection), and an undeclared `_dup` copy of each with every row
-/// repeated one to three times; beside them the same relations with no
-/// declaration at all — the catalog on which every `π°` hashes. Plus the
-/// relation names, in a fixed order.
-fn dedup_catalogs() -> &'static (algebra::Catalog, algebra::Catalog, Vec<String>) {
-    static CATALOGS: std::sync::OnceLock<(algebra::Catalog, algebra::Catalog, Vec<String>)> =
-        std::sync::OnceLock::new();
+/// The catalogs of `dedup_elision_never_changes_answers`: seven views
+/// over one XMark document, each keyed as the store declares it (two hold
+/// a nested collection), and an undeclared `_dup` copy of each with every
+/// row repeated one to three times; beside them the same relations with
+/// no declaration at all — the catalog on which every `π°` hashes. Plus
+/// the relation names, in a fixed order, and the document.
+type DedupCatalogs = (
+    algebra::Catalog,
+    algebra::Catalog,
+    Vec<String>,
+    xmltree::Document,
+);
+
+fn dedup_catalogs() -> &'static DedupCatalogs {
+    static CATALOGS: std::sync::OnceLock<DedupCatalogs> = std::sync::OnceLock::new();
     CATALOGS.get_or_init(|| {
         let doc = generate::xmark(2, 7);
         let mut store = storage::MaterializedStore::new();
@@ -561,6 +567,7 @@ fn dedup_catalogs() -> &'static (algebra::Catalog, algebra::Catalog, Vec<String>
             ("v_item_name", "//i:item[id:s]{ /n:name[id:s,val] }"),
             ("v_item_kw", "//i:item[id:s]{ //k:keyword[id:s,val] }"),
             ("v_item_kws", "//i:item[id:s]{ //n k:keyword[id:s,val] }"),
+            ("v_item_kwo", "//i:item[id:s]{ //n? k:keyword[id:s,val] }"),
             ("v_kw", "//k:keyword[id:s,val]"),
             ("v_desc", "//d:description[id:s]"),
             // no ID kept: reducing its collections can merge tuples
@@ -586,10 +593,18 @@ fn dedup_catalogs() -> &'static (algebra::Catalog, algebra::Catalog, Vec<String>
                 cat.insert(name.clone(), rel.clone());
                 cat.insert(dup_name.clone(), dup.clone());
             }
-            assert!(declared.declare_set(name));
+            // the key the store declared for the view
+            let key: Vec<&str> = store
+                .catalog()
+                .declared_key(name)
+                .unwrap()
+                .iter()
+                .map(|&k| rel.schema.fields[k].name.as_str())
+                .collect();
+            assert!(declared.declare_set(name, &key));
             names.extend([name.clone(), dup_name]);
         }
-        (declared, oracle, names)
+        (declared, oracle, names, doc)
     })
 }
 
@@ -600,7 +615,7 @@ fn dedup_catalogs() -> &'static (algebra::Catalog, algebra::Catalog, Vec<String>
 #[test]
 fn reducing_selection_keeps_the_hash_pass() {
     use algebra::{LogicalPlan, Predicate, Value};
-    let (declared, oracle, _) = dedup_catalogs();
+    let (declared, oracle, _, _) = dedup_catalogs();
     let reduced =
         LogicalPlan::scan("v_kw_vals").select(Predicate::eq("k.k_Val", Value::str("gold")));
     let plan = reduced.clone().project_distinct(&["k"]);
@@ -619,24 +634,30 @@ fn reducing_selection_keeps_the_hash_pass() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Skipping `π°`'s hash pass over a provably duplicate-free input
-    /// never changes an answer: random plans — scans of declared sets and
-    /// of undeclared relations with duplicate rows, renamed or not,
-    /// filtered by flat or collection-reducing selections, combined by an
-    /// inner twig or a cascade of inner structural joins, under a `π°`
-    /// keeping all columns (shuffled), a subset, or nested
+    /// Skipping `π°`'s hash pass over an input with a key it keeps
+    /// never changes an answer: random plans — scans of keyed views (flat
+    /// and nested) and of undeclared relations with duplicate rows,
+    /// renamed or not, filtered by flat or collection-reducing
+    /// selections, combined by an inner twig or a cascade of inner
+    /// structural joins, navigated from (`Flat`, `Outer`, `Exists`; `/`
+    /// and `//`; a label, `*`, an attribute, an absent label), under a
+    /// `π°` keeping all columns (shuffled), a subset, every ID plus some
+    /// items, all but a navigation's `_ID`, one `_Val`, or nested
     /// sub-projections — return the same rows in the same order, at batch
     /// sizes 1, 7 and unbounded, as on a catalog that declares nothing.
     #[test]
     fn dedup_elision_never_changes_answers(
-        leaves in prop::collection::vec((0usize..12, 0usize..2, 0usize..3, 0usize..4), 1..4),
+        leaves in prop::collection::vec((0usize..14, 0usize..2, 0usize..3, 0usize..4), 1..4),
         joins in prop::collection::vec((0usize..4, 0usize..4, 0usize..4, 0usize..3), 3..4),
         twig in 0usize..2,
-        proj_mode in 0usize..4,
+        navs in prop::collection::vec((0usize..16, 0usize..3, 0usize..2, 0usize..6), 0..3),
+        proj_mode in 0usize..7,
         keys in prop::collection::vec(0usize..1000, 16..17),
     ) {
-        use algebra::{CmpOp, FieldKind, LogicalPlan, Operand, Path, Predicate, TwigStep, Value};
-        let (declared, oracle, names) = dedup_catalogs();
+        use algebra::{
+            CmpOp, FieldKind, LogicalPlan, NavMode, Operand, Path, Predicate, TwigStep, Value,
+        };
+        let (declared, oracle, names, doc) = dedup_catalogs();
         // one leaf per pattern node; the columns of several are renamed
         // apart
         let mut inputs = Vec::new();
@@ -709,17 +730,66 @@ proptest! {
         if twig == 1 {
             plan = plan.twig_join(steps);
         }
-        // π° over every column in a shuffled order, over a subset, or with
-        // each nested column cut down to one of its fields
+        // navigation from a flat ID column of what is there so far
+        let mut nav_ids = Vec::new();
+        for (j, &(from, mode, axis, label)) in navs.iter().enumerate() {
+            let flat_ids: Vec<String> = fields
+                .iter()
+                .filter(|f| f.name.ends_with("_ID") && f.kind == FieldKind::Atom)
+                .map(|f| f.name.clone())
+                .collect();
+            if flat_ids.is_empty() {
+                break;
+            }
+            let mode = [NavMode::Flat, NavMode::Outer, NavMode::Exists][mode];
+            let prefix = format!("nv{j}");
+            plan = LogicalPlan::Navigate {
+                input: Box::new(plan),
+                from_attr: Path::new(flat_ids[from % flat_ids.len()].clone()),
+                axis: [algebra::Axis::Child, algebra::Axis::Descendant][axis],
+                label: ["keyword", "*", "@id", "nope", "name", "listitem"][label].into(),
+                as_prefix: prefix.clone(),
+                mode,
+            };
+            if mode != NavMode::Exists {
+                for c in ["ID", "Val", "Cont"] {
+                    fields.push(algebra::Field::atom(format!("{prefix}_{c}")));
+                }
+                nav_ids.push(format!("{prefix}_ID"));
+            }
+        }
+        // π° over every column in a shuffled order, over a subset, over
+        // every ID and some other columns, over all but a navigation's ID,
+        // over one `_Val`, or with each nested column cut down to one of
+        // its fields
         let mut order: Vec<usize> = (0..fields.len()).collect();
         order.sort_by_key(|&i| keys[i % keys.len()] * 31 + i);
+        let coin = |i: usize| keys[i % keys.len()] % 2 == 0;
+        let name = |i: &usize| fields[*i].name.clone();
         let cols: Vec<String> = match proj_mode {
-            0 | 1 => order.iter().map(|&i| fields[i].name.clone()).collect(),
-            2 => order
+            0 | 1 => order.iter().map(name).collect(),
+            2 => order.iter().filter(|&&i| coin(i) || i == order[0]).map(name).collect(),
+            3 => order
                 .iter()
-                .filter(|&&i| keys[i % keys.len()] % 2 == 0 || i == order[0])
-                .map(|&i| fields[i].name.clone())
+                .filter(|&&i| fields[i].name.ends_with("_ID") || coin(i) || i == order[0])
+                .map(name)
                 .collect(),
+            4 => order
+                .iter()
+                .filter(|&&i| nav_ids.last() != Some(&fields[i].name))
+                .map(name)
+                .collect(),
+            5 => {
+                let vals: Vec<String> = fields
+                    .iter()
+                    .filter(|f| f.name.ends_with("_Val") && f.kind == FieldKind::Atom)
+                    .map(|f| f.name.clone())
+                    .collect();
+                match vals.is_empty() {
+                    true => order.iter().take(1).map(name).collect(),
+                    false => vec![vals[keys[0] % vals.len()].clone()],
+                }
+            }
             _ => fields
                 .iter()
                 .map(|f| match &f.kind {
@@ -728,14 +798,21 @@ proptest! {
                 })
                 .collect(),
         };
+        if cols.is_empty() {
+            return Ok(()); // a navigation's lone ID dropped: nothing to keep
+        }
         let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
         let plan = plan.project_distinct(&cols);
 
         let run = |cat: &algebra::Catalog, batch_size: usize| {
             let ccfg = algebra::CursorConfig { batch_size, ..Default::default() };
-            algebra::build_cursor(&plan, cat, None, &ccfg).unwrap().collect().unwrap()
+            algebra::build_cursor(&plan, cat, Some(doc), &ccfg).unwrap().collect().unwrap()
         };
         prop_assert!(algebra::is_pipeline_breaker(&plan, oracle));
+        if proj_mode == 4 && !nav_ids.is_empty() {
+            // a navigation's reached nodes are told apart by their ID alone
+            prop_assert!(algebra::is_pipeline_breaker(&plan, declared), "{}", plan);
+        }
         let want = run(oracle, usize::MAX);
         for batch_size in [1, 7, usize::MAX] {
             prop_assert_eq!(

@@ -199,6 +199,128 @@ fn query_streams_what_the_cascade_oracle_answers() {
     assert_eq!(streamed, oracle);
 }
 
+/// Tag-partition ID views plus value views of the leaves the queries
+/// return: the XMark half of the `bulk_load` physical design.
+fn tag_and_value_views(doc: &Document) -> Vec<(String, String)> {
+    let s = Summary::of_document(doc);
+    let mut seen = std::collections::BTreeSet::new();
+    let mut out = Vec::new();
+    for n in s.all_nodes() {
+        let l = s.label(n);
+        if s.kind(n) == xmltree::NodeKind::Element
+            && s.parent(n).is_some()
+            && seen.insert(l.to_string())
+        {
+            out.push((format!("tagpart_{l}"), format!("//{l}[id:s]")));
+        }
+    }
+    for l in ["keyword", "bold", "name", "increase", "date", "emph"] {
+        out.push((format!("val_{l}"), format!("//{l}[id:s,val]")));
+    }
+    out
+}
+
+/// One rooted child chain per summary path, ending in `[id:s,val]`: the
+/// DBLP half of the `bulk_load` physical design.
+fn path_views(doc: &Document) -> Vec<(String, String)> {
+    let s = Summary::of_document(doc);
+    let mut out = Vec::new();
+    for n in s.all_nodes() {
+        if s.kind(n) == xmltree::NodeKind::Text {
+            continue;
+        }
+        let mut chain = Vec::new();
+        let mut cur = Some(n);
+        while let Some(c) = cur {
+            let sigil = if s.kind(c) == xmltree::NodeKind::Attribute {
+                "@"
+            } else {
+                ""
+            };
+            chain.push(format!("{sigil}{}", s.label(c)));
+            cur = s.parent(c);
+        }
+        chain.reverse();
+        let mut text = String::new();
+        for (i, l) in chain.iter().enumerate() {
+            text.push_str(if i == 0 { "/" } else { "{ /" });
+            text.push_str(l);
+        }
+        text.push_str("[id:s,val]");
+        text.push_str(&" }".repeat(chain.len() - 1));
+        let name = storage::PathPartitionStore::relation_of(&s.path_of(n));
+        out.push((name, text));
+    }
+    out
+}
+
+/// The `bulk_load` query shapes — navigation cascades from stored IDs
+/// under a `π°` — stream: every `π°` keeps a key of its input, so none
+/// hashes, except the one over a value join that drops the key of its
+/// one-row `path-dblp` side. Rows equal direct evaluation at batch 1 and
+/// at 1024.
+#[test]
+fn bulk_load_navigation_plans_stream() {
+    let xmark = generate::xmark(20, 11);
+    let dblp = generate::dblp(300, 11);
+    let designs = [
+        (&xmark, tag_and_value_views(&xmark)),
+        (&dblp, path_views(&dblp)),
+    ];
+    // (query, document, breakers)
+    let cases: [(&str, usize, &[&str]); 5] = [
+        (
+            r#"for $d in doc("X")//description, $p in $d//parlist, $k in $p//keyword return <r>{$k/text()}</r>"#,
+            0,
+            &[],
+        ),
+        (
+            r#"for $t in doc("X")//text, $b in $t//bold return <r>{$b/text()}</r>"#,
+            0,
+            &[],
+        ),
+        (
+            r#"for $m in doc("X")//mail, $k in $m//keyword return <r>{$k/text()}</r>"#,
+            0,
+            &[],
+        ),
+        (
+            r#"for $a in doc("D")/dblp/article, $t in $a/title, $y in $a/year return <r>{$t/text()},{$y/text()}</r>"#,
+            1,
+            &["Project°"],
+        ),
+        (
+            r#"for $a in doc("D")//article, $u in $a/author return <r>{$u/text()}</r>"#,
+            1,
+            &[],
+        ),
+    ];
+    for (q, d, breakers) in cases {
+        let (doc, views) = &designs[d];
+        let direct = Uload::execute_direct(q, doc).unwrap().into_strings();
+        assert!(direct.len() > 2, "{q}: {} rows", direct.len());
+        for bs in [1, 1024] {
+            let mut u = Uload::builder()
+                .document(doc)
+                .batch_size(bs)
+                .build()
+                .unwrap();
+            for (v, text) in views {
+                u.add_view_text(v.clone(), text, doc).unwrap();
+            }
+            let prep = u.prepare_query(q).unwrap();
+            let got: Vec<&str> = prep
+                .breakers()
+                .iter()
+                .map(|b| b.split('[').next().unwrap_or(""))
+                .collect();
+            assert_eq!(got, breakers, "{q}: {}", prep.plan());
+            let rows: Vec<String> = u.query(q, doc).unwrap().collect::<Result<_>>().unwrap();
+            assert_eq!(rows, direct, "{q} at batch {bs}");
+        }
+    }
+}
+
 #[test]
 fn query_surfaces_planning_errors_before_streaming() {
     let doc = generate::bib_sample();
