@@ -626,6 +626,57 @@ impl LogicalPlan {
         out
     }
 
+    /// The operator kinds, one per variant: the keys of per-operator
+    /// statistics such as the engine's q-error histograms.
+    pub const KINDS: [&'static str; 19] = [
+        "Scan",
+        "Select",
+        "Project",
+        "Product",
+        "Join",
+        "StructJoin",
+        "TwigJoin",
+        "Union",
+        "Difference",
+        "GroupBy",
+        "Unnest",
+        "NestAll",
+        "Sort",
+        "XmlTemplate",
+        "Navigate",
+        "Fetch",
+        "DeriveAncestorId",
+        "Rename",
+        "CastSchema",
+    ];
+
+    /// This node's operator kind: its variant name, one of
+    /// [`LogicalPlan::KINDS`].
+    pub fn kind(&self) -> &'static str {
+        use LogicalPlan::*;
+        match self {
+            Scan { .. } => "Scan",
+            Select { .. } => "Select",
+            Project { .. } => "Project",
+            Product { .. } => "Product",
+            Join { .. } => "Join",
+            StructJoin { .. } => "StructJoin",
+            TwigJoin { .. } => "TwigJoin",
+            Union { .. } => "Union",
+            Difference { .. } => "Difference",
+            GroupBy { .. } => "GroupBy",
+            Unnest { .. } => "Unnest",
+            NestAll { .. } => "NestAll",
+            Sort { .. } => "Sort",
+            XmlTemplate { .. } => "XmlTemplate",
+            Navigate { .. } => "Navigate",
+            Fetch { .. } => "Fetch",
+            DeriveAncestorId { .. } => "DeriveAncestorId",
+            Rename { .. } => "Rename",
+            CastSchema { .. } => "CastSchema",
+        }
+    }
+
     /// The direct child plans, left to right (a `TwigJoin` yields its
     /// root followed by each step's input). The cost model's estimate
     /// tree is built through this accessor, in the order the executor
@@ -842,6 +893,27 @@ mod tests {
         let s = p.to_string();
         assert!(s.contains("book"), "{s}");
         assert!(s.contains("≺"), "{s}");
+    }
+
+    #[test]
+    fn kind_is_the_variant_name() {
+        let join = LogicalPlan::scan("a")
+            .rename(&["x"])
+            .struct_join(
+                LogicalPlan::scan("b"),
+                "x",
+                "ID",
+                Axis::Child,
+                JoinKind::Inner,
+            )
+            .select(Predicate::True)
+            .project(&["x"]);
+        let mut nodes = vec![&join];
+        while let Some(p) = nodes.pop() {
+            assert!(LogicalPlan::KINDS.contains(&p.kind()));
+            assert!(format!("{p:?}").starts_with(&format!("{} ", p.kind())));
+            nodes.extend(p.child_plans());
+        }
     }
 
     #[test]

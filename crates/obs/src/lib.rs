@@ -18,10 +18,8 @@
 //! * [`telemetry`] — server-wide metrics: the [`MetricsRegistry`] of
 //!   atomic [`Counter`]s/[`Gauge`]s and lock-free log-linear
 //!   [`Histogram`]s with mergeable snapshots (p50/p90/p99/p999);
-//! * [`stats`] — the [`StatsStore`] cardinality feedback store:
-//!   measured per-plan-node cardinalities keyed by
-//!   `(document version, plan fingerprint)`, recorded from every profiled
-//!   run and blended into the cost model's estimates.
+//! * [`stats`] — estimate error: one q-error [`Histogram`] per operator
+//!   kind ([`QErrorHistograms`]), fed by every published profile.
 //!
 //! ## Span taxonomy
 //!
@@ -49,7 +47,7 @@ pub mod telemetry;
 pub use json::Json;
 pub use metrics::{CacheCounters, ExecMetrics, Meter, NoMeter, ResultCacheCounters};
 pub use profile::{OpStreamProfile, PlanNodeProfile, QueryProfile, SessionProfile, StreamProfile};
-pub use stats::{NodeStats, StatsKey, StatsStore};
+pub use stats::{q_error, QErrorHistograms, QErrorSnapshot};
 pub use subscriber::{init_from_env, EnvFilter, FmtSubscriber};
 pub use telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,

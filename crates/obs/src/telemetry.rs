@@ -337,6 +337,16 @@ impl HistogramSnapshot {
             ),
         ])
     }
+
+    /// [`HistogramSnapshot::to_json`] with a leading `"name"` field (the
+    /// `histogram` definition of the `METRICS` schema).
+    pub fn to_named_json(&self, name: &str) -> Json {
+        let mut fields = vec![("name".to_string(), Json::Str(name.to_string()))];
+        if let Json::Obj(rest) = self.to_json() {
+            fields.extend(rest);
+        }
+        Json::Obj(fields)
+    }
 }
 
 /// A named collection of [`Counter`]s, [`Gauge`]s and [`Histogram`]s.
@@ -456,13 +466,7 @@ impl RegistrySnapshot {
                 Json::Arr(
                     self.histograms
                         .iter()
-                        .map(|(n, s)| {
-                            let mut fields = vec![("name".to_string(), Json::Str(n.clone()))];
-                            if let Json::Obj(rest) = s.to_json() {
-                                fields.extend(rest);
-                            }
-                            Json::Obj(fields)
-                        })
+                        .map(|(n, s)| s.to_named_json(n))
                         .collect(),
                 ),
             ),

@@ -1,4 +1,4 @@
-//! The cost model for rewriting plans, with cardinality feedback.
+//! The cost model for rewriting plans.
 //!
 //! The paper ranks rewritings by operator count ("a minimal plan", §5.3);
 //! a real optimizer also weighs the data volumes behind the scans. This
@@ -7,19 +7,11 @@
 //! pipeline uses it to pick among verified rewritings. Estimates feed on
 //! the same statistics a path summary supports (§4.2.1).
 //!
-//! Since PR 9 the model is a struct, [`CostModel`], and the estimate is
-//! typed ([`Estimate`]): besides the catalog it can consume the measured
-//! cardinalities a profiled run left in [`obs::StatsStore`]. When the
-//! store holds observations for `(document version, plan fingerprint,
-//! node)`, the node's row estimate blends the measured mean over the
-//! catalog figure with a confidence weight that grows with the number of
-//! observations; nodes (or whole document versions) the store has never
-//! seen fall back to the pure catalog estimate, so planning for unseen
-//! data stays deterministic and byte-identical to the feedback-free
-//! model.
+//! [`CostModel::new`] is the one way to price a plan: ranking, `EXPLAIN`
+//! and `EXPLAIN ANALYZE` all read the same catalog arithmetic, so a
+//! profile prints the estimates the planner ranked by.
 
 use algebra::{Catalog, JoinKind, LogicalPlan};
-use obs::StatsStore;
 
 /// The twig kernel's batched columnar sweep retires compares
 /// lane-at-a-time with no data-dependent branches; the measured
@@ -29,34 +21,13 @@ use obs::StatsStore;
 /// larger plan purely on kernel width.
 const COLUMNAR_SWEEP_DISCOUNT: f64 = 0.5;
 
-/// Laplace-style smoothing constant of the feedback blend: with `n`
-/// observations the measured mean gets weight `n / (n + K)`, so one
-/// observation already moves the estimate but never fully overrides the
-/// catalog, and repeated confirmation converges toward the measurement.
-const FEEDBACK_SMOOTHING: f64 = 2.0;
-
-/// Where a node's row estimate came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EstimateSource {
-    /// Pure catalog arithmetic — no measured observations consulted.
-    Catalog,
-    /// Blended with measured cardinalities from the [`StatsStore`].
-    Feedback,
-}
-
-/// A typed cost estimate: output cardinality, abstract cost units, and
-/// the provenance of the row figure.
+/// A typed cost estimate: output cardinality and abstract cost units.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
-    /// Estimated output rows (blended with measurements when available).
+    /// Estimated output rows.
     pub rows: f64,
     /// Estimated cost in abstract units (comparisons touched).
     pub cost: f64,
-    /// Whether `rows` consumed measured feedback.
-    pub source: EstimateSource,
-    /// Feedback weight in `[0, 1)`: `0.0` for pure catalog estimates,
-    /// approaching `1.0` as observations accumulate.
-    pub confidence: f64,
 }
 
 /// One node of an estimated plan tree (the payload of `EXPLAIN`):
@@ -72,16 +43,6 @@ pub struct EstimateNode {
 }
 
 impl EstimateNode {
-    /// Nodes in this subtree whose estimate consumed feedback.
-    pub fn feedback_nodes(&self) -> usize {
-        let own = usize::from(self.estimate.source == EstimateSource::Feedback);
-        own + self
-            .children
-            .iter()
-            .map(EstimateNode::feedback_nodes)
-            .sum::<usize>()
-    }
-
     /// Total nodes in this subtree.
     pub fn node_count(&self) -> usize {
         1 + self
@@ -92,51 +53,16 @@ impl EstimateNode {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct FeedbackContext<'a> {
-    stats: &'a StatsStore,
-    doc_version: u64,
-    plan_fp: u64,
-}
-
-/// The cost model: a catalog of materialized relation sizes and
-/// (optionally) the cardinality feedback recorded by profiled runs.
-///
-/// Unknown relations count as size 1000. Without feedback
-/// ([`CostModel::new`]) the arithmetic is exactly the historical static
-/// model; [`CostModel::with_feedback`] keys the store lookup by the
-/// `(document version, plan fingerprint)` the observations were recorded
-/// under, matching node indices by the same pre-order walk
-/// `StatsStore::record_profile` uses.
+/// The cost model: a catalog of materialized relation sizes. Unknown
+/// relations count as size 1000.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel<'a> {
     catalog: &'a Catalog,
-    feedback: Option<FeedbackContext<'a>>,
 }
 
 impl<'a> CostModel<'a> {
-    /// A feedback-free model: pure catalog estimates.
     pub fn new(catalog: &'a Catalog) -> CostModel<'a> {
-        CostModel {
-            catalog,
-            feedback: None,
-        }
-    }
-
-    /// Attach measured-cardinality feedback: node estimates blend the
-    /// store's observations recorded under `(doc_version, plan_fp)`.
-    pub fn with_feedback(
-        mut self,
-        stats: &'a StatsStore,
-        doc_version: u64,
-        plan_fp: u64,
-    ) -> CostModel<'a> {
-        self.feedback = Some(FeedbackContext {
-            stats,
-            doc_version,
-            plan_fp,
-        });
-        self
+        CostModel { catalog }
     }
 
     /// The root estimate of `plan`.
@@ -149,57 +75,23 @@ impl<'a> CostModel<'a> {
         self.estimate(plan).cost
     }
 
-    /// The full per-node estimate tree (the `EXPLAIN` payload).
+    /// The full per-node estimate tree (the `EXPLAIN` payload): recurse
+    /// into `child_plans()`, then combine with the per-operator formula.
     pub fn estimate_tree(&self, plan: &LogicalPlan) -> EstimateNode {
-        let mut idx = 0u32;
-        self.node(plan, &mut idx)
-    }
-
-    /// Estimate one node: pre-order index assignment (matching
-    /// `StatsStore::record_profile`), recurse into `child_plans()`,
-    /// combine with the per-operator formula, then blend in feedback.
-    fn node(&self, plan: &LogicalPlan, idx: &mut u32) -> EstimateNode {
-        let my_idx = *idx;
-        *idx += 1;
         let children: Vec<EstimateNode> = plan
             .child_plans()
             .into_iter()
-            .map(|c| self.node(c, idx))
+            .map(|c| self.estimate_tree(c))
             .collect();
         let (cost, rows) = self.combine(plan, &children);
-        let (rows, source, confidence) = self.blend(my_idx, rows);
         EstimateNode {
             op: plan.node_label(),
-            estimate: Estimate {
-                rows,
-                cost,
-                source,
-                confidence,
-            },
+            estimate: Estimate { rows, cost },
             children,
         }
     }
 
-    /// Blend the catalog row estimate with the store's measured mean,
-    /// weighted by observation count. Catalog passthrough when the store
-    /// has never seen this `(version, fingerprint, node)`.
-    fn blend(&self, node_idx: u32, est_rows: f64) -> (f64, EstimateSource, f64) {
-        if let Some(fb) = &self.feedback {
-            if let Some(stats) = fb.stats.node(fb.doc_version, fb.plan_fp, node_idx) {
-                if stats.observations > 0 {
-                    let n = stats.observations as f64;
-                    let w = n / (n + FEEDBACK_SMOOTHING);
-                    let rows = w * stats.mean_actual_rows() + (1.0 - w) * est_rows;
-                    return (rows, EstimateSource::Feedback, w);
-                }
-            }
-        }
-        (est_rows, EstimateSource::Catalog, 0.0)
-    }
-
-    /// Per-operator (cost, rows) from the already-estimated children —
-    /// the historical formulas, fed the children's (possibly blended)
-    /// cardinalities so measured selectivities propagate upward.
+    /// Per-operator (cost, rows) from the already-estimated children.
     fn combine(&self, plan: &LogicalPlan, children: &[EstimateNode]) -> (f64, f64) {
         use LogicalPlan::*;
         let ch = |i: usize| {
@@ -330,8 +222,8 @@ impl<'a> CostModel<'a> {
                 (c + r * 2.0, r)
             }
             // Pure schema adapters: pass the child's figures through
-            // unchanged. (They still hold a pre-order index of their own,
-            // matching the profiled plan tree.)
+            // unchanged. (They still hold a node of their own in the
+            // estimate tree, matching the profiled plan tree.)
             Rename { .. } | CastSchema { .. } => ch(0),
         }
     }
@@ -341,7 +233,6 @@ impl<'a> CostModel<'a> {
 mod tests {
     use super::*;
     use algebra::{Relation, Schema, Tuple, Value};
-    use obs::{ExecMetrics, PlanNodeProfile, QueryProfile};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -364,36 +255,6 @@ mod tests {
 
     fn rows_of(plan: &LogicalPlan, c: &Catalog) -> f64 {
         CostModel::new(c).estimate(plan).rows
-    }
-
-    /// A profile tree mirroring `plan`'s shape where every node reports
-    /// `actual` measured rows.
-    fn uniform_profile(plan: &LogicalPlan, actual: u64) -> PlanNodeProfile {
-        PlanNodeProfile {
-            op: plan.node_label(),
-            est_cost: 0.0,
-            est_rows: 0.0,
-            actual_rows: actual,
-            time_ns: 1,
-            metrics: ExecMetrics::default(),
-            mispredicted: false,
-            children: plan
-                .child_plans()
-                .into_iter()
-                .map(|c| uniform_profile(c, actual))
-                .collect(),
-        }
-    }
-
-    fn query_profile(plan: PlanNodeProfile) -> QueryProfile {
-        QueryProfile {
-            query: "q".to_string(),
-            phases: Vec::new(),
-            plan,
-            cache: None,
-            streamed: None,
-            total_ns: 1,
-        }
     }
 
     #[test]
@@ -573,89 +434,9 @@ mod tests {
     }
 
     #[test]
-    fn feedback_blends_measured_rows_with_growing_confidence() {
-        let c = catalog();
-        let plan = LogicalPlan::scan("big").select(algebra::Predicate::True);
-        let fp = 0xfeedu64;
-        let stats = obs::StatsStore::new();
-
-        // catalog says Select outputs 10_000 * 0.33; the runs measure 10
-        let catalog_est = CostModel::new(&c).estimate(&plan);
-        stats.record_profile(7, fp, &query_profile(uniform_profile(&plan, 10)));
-        let one = CostModel::new(&c)
-            .with_feedback(&stats, 7, fp)
-            .estimate(&plan);
-        assert_eq!(one.source, EstimateSource::Feedback);
-        assert!(one.confidence > 0.0 && one.confidence < 1.0);
-        assert!(
-            one.rows < catalog_est.rows && one.rows > 10.0,
-            "blend must sit between measurement and catalog: {} vs ({}, {})",
-            one.rows,
-            catalog_est.rows,
-            10.0
-        );
-
-        // more observations → more weight on the measurement
-        for _ in 0..9 {
-            stats.record_profile(7, fp, &query_profile(uniform_profile(&plan, 10)));
-        }
-        let ten = CostModel::new(&c)
-            .with_feedback(&stats, 7, fp)
-            .estimate(&plan);
-        assert!(ten.confidence > one.confidence);
-        assert!(ten.rows < one.rows, "{} !< {}", ten.rows, one.rows);
-
-        // an unseen document version falls back to pure catalog figures
-        let unseen = CostModel::new(&c)
-            .with_feedback(&stats, 8, fp)
-            .estimate(&plan);
-        assert_eq!(unseen, catalog_est);
-        // as does an unseen fingerprint
-        let other_fp = CostModel::new(&c)
-            .with_feedback(&stats, 7, fp ^ 1)
-            .estimate(&plan);
-        assert_eq!(other_fp, catalog_est);
-    }
-
-    #[test]
-    fn feedback_rescores_a_twig() {
-        // A 2-step twig over large streams; once feedback reveals the
-        // streams are tiny, its cost must drop below its static figure.
-        let c = catalog();
-        let plan = LogicalPlan::scan("big")
-            .rename(&["a"])
-            .struct_join(
-                LogicalPlan::scan("big").rename(&["b"]),
-                "a",
-                "b",
-                algebra::Axis::Descendant,
-                algebra::JoinKind::Inner,
-            )
-            .struct_join(
-                LogicalPlan::scan("big").rename(&["c"]),
-                "b",
-                "c",
-                algebra::Axis::Descendant,
-                algebra::JoinKind::Inner,
-            );
-        let twig = algebra::fuse_struct_joins(&plan);
-        let fp = 0xabcdu64;
-        let stats = obs::StatsStore::new();
-        for _ in 0..8 {
-            stats.record_profile(3, fp, &query_profile(uniform_profile(&twig, 5)));
-        }
-        let cold = CostModel::new(&c).cost(&twig);
-        let warm = CostModel::new(&c).with_feedback(&stats, 3, fp).cost(&twig);
-        assert!(
-            warm < cold,
-            "measured-tiny streams must cut the twig cost: {warm} vs {cold}"
-        );
-    }
-
-    #[test]
-    fn estimate_tree_indexes_match_the_profile_walk() {
-        // Rename is a pure adapter but still holds a pre-order slot, so
-        // the tree must line up node-for-node with the profiled plan.
+    fn estimate_tree_mirrors_the_plan_shape() {
+        // Rename is a pure adapter but still holds a node, so the tree
+        // lines up node-for-node with the profiled plan.
         let c = catalog();
         let plan = LogicalPlan::scan("small")
             .rename(&["x"])
@@ -664,18 +445,5 @@ mod tests {
         assert_eq!(tree.node_count(), 3);
         assert_eq!(tree.op, plan.node_label());
         assert_eq!(tree.children[0].children[0].op, "Scan(small)");
-
-        // feedback recorded at pre-order idx 2 (the scan) must land on
-        // the scan node of the tree, not the adapters
-        let stats = obs::StatsStore::new();
-        let fp = 0x77u64;
-        stats.record_profile(1, fp, &query_profile(uniform_profile(&plan, 4)));
-        let warm = CostModel::new(&c)
-            .with_feedback(&stats, 1, fp)
-            .estimate_tree(&plan);
-        assert_eq!(warm.feedback_nodes(), 3);
-        let scan = &warm.children[0].children[0];
-        assert_eq!(scan.estimate.source, EstimateSource::Feedback);
-        assert!(scan.estimate.rows < 10.0, "blend toward the measured 4");
     }
 }

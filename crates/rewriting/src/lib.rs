@@ -22,7 +22,7 @@ pub mod planpat;
 pub mod rewrite;
 pub mod viewindex;
 
-pub use cost::{CostModel, Estimate, EstimateNode, EstimateSource};
+pub use cost::{CostModel, Estimate, EstimateNode};
 pub use pipeline::{
     plan_fingerprint, EngineConfig, Explain, PreparedQuery, QueryItem, QueryOutput, QueryResults,
     Uload, UloadBuilder,

@@ -20,7 +20,8 @@ use std::time::Instant;
 use algebra::{CursorConfig, Evaluator, LogicalPlan, OpStats, Relation, StreamExec, TupleBatch};
 use containment::{CacheStats, CanonicalCache};
 use obs::{
-    CacheCounters, OpStreamProfile, PlanNodeProfile, QueryProfile, StatsStore, StreamProfile,
+    CacheCounters, OpStreamProfile, PlanNodeProfile, QErrorHistograms, QErrorSnapshot,
+    QueryProfile, StreamProfile,
 };
 use parking_lot::Mutex;
 use storage::DocumentHandle;
@@ -78,11 +79,6 @@ pub struct EngineConfig {
     /// emit smaller batches (filters) or larger ones (joins, `Unnest`);
     /// this only sets the granularity at which base scans chunk.
     pub batch_size: usize,
-    /// Partition document ID streams by summary path
-    /// ([`storage::IdStreamIndex::build_with_summary`]) so pattern scans
-    /// open only summary-compatible partitions (`false` = whole-column
-    /// streams, for the ablation).
-    pub use_summary_pruning: bool,
     /// The rewriting search bounds (§5.3's generate-and-test knobs).
     pub rewrite: RewriteConfig,
 }
@@ -94,7 +90,6 @@ impl Default for EngineConfig {
             cache_capacity: 4096,
             profiling: false,
             batch_size: 1024,
-            use_summary_pruning: true,
             rewrite: RewriteConfig::default(),
         }
     }
@@ -122,12 +117,6 @@ impl EngineConfig {
     /// Target rows per streamed batch (≥ 1).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Toggle summary-path partitioning of document ID streams.
-    pub fn with_summary_pruning(mut self, on: bool) -> Self {
-        self.use_summary_pruning = on;
         self
     }
 
@@ -197,12 +186,6 @@ impl<'d> UloadBuilder<'d> {
         self
     }
 
-    /// Toggle summary-path partitioning of document ID streams.
-    pub fn use_summary_pruning(mut self, on: bool) -> Self {
-        self.config.use_summary_pruning = on;
-        self
-    }
-
     /// Target rows per batch of the streaming executor (≥ 1).
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.config.batch_size = batch_size;
@@ -236,7 +219,7 @@ pub struct Uload {
     config: EngineConfig,
     cache: Option<Arc<CanonicalCache>>,
     last_profile: Mutex<Option<QueryProfile>>,
-    stats: Arc<StatsStore>,
+    q_error: QErrorHistograms,
 }
 
 impl Uload {
@@ -264,7 +247,7 @@ impl Uload {
             config,
             cache,
             last_profile: Mutex::new(None),
-            stats: Arc::new(StatsStore::new()),
+            q_error: QErrorHistograms::new(&LogicalPlan::KINDS),
         }
     }
 
@@ -286,20 +269,12 @@ impl Uload {
         &self.view_index
     }
 
-    /// Build the columnar ID-stream access module for `doc` under the
-    /// engine's physical-design knobs: with
-    /// [`EngineConfig::use_summary_pruning`] on, every column is
-    /// partitioned by the engine's summary so pattern scans can open
-    /// only summary-compatible partitions
-    /// ([`storage::IdStreamIndex::pruned_stream`]); off, plain
-    /// whole-column streams. Either way the streams answer the same
-    /// queries — the knob changes the access path, not the results.
+    /// Build the columnar ID-stream access module for `doc`, every
+    /// column partitioned by the engine's summary so pattern scans can
+    /// open only summary-compatible partitions
+    /// ([`storage::IdStreamIndex::pruned_stream`]).
     pub fn id_stream_index(&self, doc: &Document) -> storage::IdStreamIndex {
-        if self.config.use_summary_pruning {
-            storage::IdStreamIndex::build_with_summary(doc, &self.summary)
-        } else {
-            storage::IdStreamIndex::build(doc)
-        }
+        storage::IdStreamIndex::build_with_summary(doc, &self.summary)
     }
 
     /// Effectiveness counters of the shared cache (`None` when caching
@@ -308,14 +283,12 @@ impl Uload {
         self.cache.as_deref().map(CanonicalCache::stats)
     }
 
-    /// The engine's cardinality feedback store: measured per-plan-node
-    /// cardinalities, recorded by every profiled run
-    /// ([`Uload::answer_profiled`] under document-version key `0`,
-    /// [`Uload::profile_prepared`] and [`Uload::profile_stream`] under the
-    /// handle's real version). It feeds the blended estimates of
-    /// [`Uload::explain`] and of later profiles; it never changes a plan.
-    pub fn stats_store(&self) -> &Arc<StatsStore> {
-        &self.stats
+    /// The engine's estimate error so far: one histogram of q-error ×100
+    /// per operator kind, with one observation per node of every
+    /// profile [`Uload::answer_profiled`], [`Uload::profile_prepared`]
+    /// and [`Uload::profile_stream`] produced.
+    pub fn q_error(&self) -> QErrorSnapshot {
+        self.q_error.snapshot()
     }
 
     /// The execution context handed to the rewriting/containment layers.
@@ -363,9 +336,6 @@ impl Uload {
             self.config.rewrite,
             &self.engine_options(),
         );
-        // candidate ranking stays catalog-only (no feedback): the chosen
-        // rewriting must not depend on what happened to run before, so
-        // the same view set always yields the same plan
         let model = CostModel::new(self.store.catalog());
         let mut priced: Vec<(f64, Rewriting)> = rws
             .into_iter()
@@ -476,12 +446,6 @@ impl Uload {
         Ok(self.finish_prepared(query, p.plan, p.used))
     }
 
-    /// The feedback-aware cost model for plans keyed by
-    /// `(doc_version, plan_fp)` in the stats store.
-    fn cost_model(&self, doc_version: u64, plan_fp: u64) -> CostModel<'_> {
-        CostModel::new(self.store.catalog()).with_feedback(&self.stats, doc_version, plan_fp)
-    }
-
     /// Wrap an executable plan as a [`PreparedQuery`]; its breakers are
     /// classified over the store's catalog, by the rule the executor
     /// compiles with.
@@ -502,31 +466,15 @@ impl Uload {
         }
     }
 
-    /// `EXPLAIN` without executing: the typed plan tree with per-node
-    /// [`crate::cost::Estimate`]s (feedback provenance included), for the
-    /// conventional embedded document version `0`. The plan is the one
-    /// [`Uload::prepare_query`] returns; feedback only moves the
-    /// estimates.
+    /// `EXPLAIN` without executing: the plan [`Uload::prepare_query`]
+    /// returns, with the per-node [`crate::cost::Estimate`]s the planner
+    /// ranked it by.
     pub fn explain(&self, query: &str) -> Result<Explain> {
-        self.explain_for_version(query, 0)
-    }
-
-    /// [`Uload::explain`] under a specific document version — the
-    /// server's `EXPLAIN` command uses the live handle's version so the
-    /// estimates reflect the feedback recorded against the served
-    /// document.
-    pub fn explain_for_version(&self, query: &str, doc_version: u64) -> Result<Explain> {
         let p = self.prepare(query)?;
-        let fingerprint = plan_fingerprint(&p.plan);
-        let tree = self
-            .cost_model(doc_version, fingerprint)
-            .estimate_tree(&p.plan);
         Ok(Explain {
             query: query.to_string(),
-            fingerprint,
-            doc_version,
-            feedback_nodes: tree.feedback_nodes(),
-            plan: tree,
+            fingerprint: plan_fingerprint(&p.plan),
+            plan: CostModel::new(self.store.catalog()).estimate_tree(&p.plan),
         })
     }
 
@@ -655,7 +603,7 @@ impl Uload {
         let eval_ns = t.elapsed().as_nanos() as u64;
 
         let mut profile = self
-            .profile_of(&prep, &results, 0)
+            .profile_of(&prep, &results)
             .expect("the run was metered");
         profile.phases = vec![
             ("parse".to_string(), p.parse_ns),
@@ -665,7 +613,7 @@ impl Uload {
             ("eval".to_string(), eval_ns),
         ];
         profile.total_ns = total.elapsed().as_nanos() as u64;
-        self.publish_profile(0, prep.fingerprint, &profile);
+        self.publish_profile(&prep, &profile);
         Ok((out, prep.rewritings, profile))
     }
 
@@ -683,44 +631,36 @@ impl Uload {
         let mut results = self.stream_prepared_metered(prep, handle)?;
         while results.next_batch()?.is_some() {}
         Ok(self
-            .profile_stream(prep, handle, &results)
+            .profile_stream(prep, &results)
             .expect("the run was metered"))
     }
 
     /// The `EXPLAIN ANALYZE` record of a run that has already happened:
-    /// `results` is `prep` streamed over `handle` with metering on
+    /// `results` is `prep` streamed with metering on
     /// ([`Uload::stream_prepared_metered`], or any stream of a profiling
     /// engine) and pulled as far as the caller cared to; `None` if it was
     /// not metered. Nothing is executed here — the cost model's estimates
-    /// are paired with the counters the run kept. The result is recorded
-    /// in the [`StatsStore`] under the handle's real document version and
-    /// stashed for [`Uload::last_profile`]. This is how the server
-    /// profiles a slow query without running it twice.
+    /// are paired with the counters the run kept. The profile's q-errors
+    /// are recorded ([`Uload::q_error`]) and the profile is stashed for
+    /// [`Uload::last_profile`]. This is how the server profiles a slow
+    /// query without running it twice.
     pub fn profile_stream(
         &self,
         prep: &PreparedQuery,
-        handle: &DocumentHandle,
         results: &QueryResults<'_>,
     ) -> Option<QueryProfile> {
-        let profile = self.profile_of(prep, results, handle.version().0)?;
-        self.publish_profile(handle.version().0, prep.fingerprint, &profile);
+        let profile = self.profile_of(prep, results)?;
+        self.publish_profile(prep, &profile);
         Some(profile)
     }
 
     /// Pair the cost model's estimate tree for `prep`'s plan with the
     /// per-node counters `results` kept (`None` if it kept none). The one
     /// phase is `eval`: the root operator's inclusive time.
-    fn profile_of(
-        &self,
-        prep: &PreparedQuery,
-        results: &QueryResults<'_>,
-        doc_version: u64,
-    ) -> Option<QueryProfile> {
+    fn profile_of(&self, prep: &PreparedQuery, results: &QueryResults<'_>) -> Option<QueryProfile> {
         let ops = results.exec.op_stats();
         let eval_ns = ops.first()?.cells.time_ns.get();
-        let estimates = self
-            .cost_model(doc_version, prep.fingerprint)
-            .estimate_tree(&prep.plan);
+        let estimates = CostModel::new(self.store.catalog()).estimate_tree(&prep.plan);
         let mut ops = ops.iter();
         let plan = pair_nodes(&estimates, &mut ops);
         debug_assert!(ops.next().is_none(), "one slot per plan node");
@@ -741,8 +681,16 @@ impl Uload {
         })
     }
 
-    fn publish_profile(&self, doc_version: u64, plan_fp: u64, profile: &QueryProfile) {
-        self.stats.record_profile(doc_version, plan_fp, profile);
+    /// Record every node's q-error under its operator kind and stash
+    /// the profile for [`Uload::last_profile`].
+    fn publish_profile(&self, prep: &PreparedQuery, profile: &QueryProfile) {
+        fn record(q_error: &QErrorHistograms, plan: &LogicalPlan, node: &PlanNodeProfile) {
+            q_error.record(plan.kind(), node.est_rows, node.actual_rows);
+            for (child, node) in plan.child_plans().into_iter().zip(&node.children) {
+                record(q_error, child, node);
+            }
+        }
+        record(&self.q_error, &prep.plan, &profile.plan);
         *self.last_profile.lock() = Some(profile.clone());
     }
 
@@ -1030,19 +978,14 @@ struct Prepared {
 }
 
 /// Typed output of [`Uload::explain`]: why the planner picked what it
-/// picked. The plan tree carries a per-node [`crate::cost::Estimate`]
-/// with feedback provenance ([`crate::cost::EstimateSource`] plus
-/// confidence); the root's estimate is the plan's cost.
+/// picked. The plan tree carries a per-node [`crate::cost::Estimate`];
+/// the root's estimate is the plan's cost.
 #[derive(Debug, Clone)]
 pub struct Explain {
     /// The query text.
     pub query: String,
     /// Fingerprint of the chosen executable plan.
     pub fingerprint: u64,
-    /// The document version the estimates were keyed by.
-    pub doc_version: u64,
-    /// Plan nodes whose estimate consumed measured feedback.
-    pub feedback_nodes: usize,
     /// The per-node estimate tree of the plan.
     pub plan: EstimateNode,
 }
@@ -1057,8 +1000,6 @@ impl Explain {
                 "fingerprint",
                 Json::Str(format!("{:016x}", self.fingerprint)),
             ),
-            ("doc_version", Json::Num(self.doc_version as f64)),
-            ("feedback_nodes", Json::Num(self.feedback_nodes as f64)),
             ("plan", estimate_node_json(&self.plan)),
         ])
     }
@@ -1071,17 +1012,6 @@ fn estimate_node_json(node: &EstimateNode) -> obs::Json {
         ("est_rows", Json::Num(node.estimate.rows)),
         ("est_cost", Json::Num(node.estimate.cost)),
         (
-            "source",
-            Json::Str(
-                match node.estimate.source {
-                    crate::cost::EstimateSource::Catalog => "catalog",
-                    crate::cost::EstimateSource::Feedback => "feedback",
-                }
-                .to_string(),
-            ),
-        ),
-        ("confidence", Json::Num(node.estimate.confidence)),
-        (
             "children",
             Json::Arr(node.children.iter().map(estimate_node_json).collect()),
         ),
@@ -1091,15 +1021,12 @@ fn estimate_node_json(node: &EstimateNode) -> obs::Json {
 /// Walk the plan's estimate tree and the run's per-node counters in
 /// lockstep — the executor keeps one slot per plan node in pre-order, so
 /// they share one shape by construction — and attach the cost model's
-/// estimates. With a feedback-bearing model the estimates are blended, so
-/// repeated profiled runs see their mispredict flags clear as the store
-/// converges on the measured cardinalities.
+/// estimates.
 fn pair_nodes(est: &EstimateNode, ops: &mut std::slice::Iter<'_, OpStats>) -> PlanNodeProfile {
     let op = ops.next().expect("one slot per plan node");
     let est_rows = est.estimate.rows;
     let actual_rows = op.cells.rows.get();
-    let actual = actual_rows as f64;
-    let ratio = (actual.max(1.0) / est_rows.max(1.0)).max(est_rows.max(1.0) / actual.max(1.0));
+    let ratio = obs::q_error(est_rows, actual_rows);
     let mispredicted = ratio >= 4.0 && (actual_rows > 0 || est_rows >= 1.0);
     if mispredicted {
         tracing::debug!(
@@ -1204,34 +1131,9 @@ mod tests {
     }
 
     #[test]
-    fn summary_pruning_knob_preserves_answers() {
-        // summary pruning is an access-path choice: flipping it must
-        // never change what a query returns
+    fn id_stream_index_is_partitioned_by_the_summary() {
         let doc = xmark(2, 13);
-        let q = r#"for $x in doc("X")//item return <res>{$x/name/text()}</res>"#;
-        let view = "//item[id:s]{ /n? name1:name[val] }";
-        let run = |prune: bool| {
-            let mut u = Uload::builder()
-                .document(&doc)
-                .use_summary_pruning(prune)
-                .build()
-                .unwrap();
-            u.add_view_text("V", view, &doc).unwrap();
-            let materialized = u.answer(q, &doc).unwrap().0;
-            let streamed: Vec<String> = u.query(q, &doc).unwrap().map(|r| r.unwrap()).collect();
-            assert_eq!(materialized, streamed, "prune={prune}");
-            (materialized, u)
-        };
-        let (base, engine_on) = run(true);
-        assert!(!base.is_empty());
-        let (unpruned, engine_off) = run(false);
-        assert_eq!(unpruned, base);
-        // the engine's access-module hook follows the pruning knob
-        assert!(!engine_on
-            .id_stream_index(&doc)
-            .partitions("item", xmltree::NodeKind::Element)
-            .is_empty());
-        assert!(engine_off
+        assert!(!engine(&doc)
             .id_stream_index(&doc)
             .partitions("item", xmltree::NodeKind::Element)
             .is_empty());

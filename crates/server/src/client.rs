@@ -169,9 +169,7 @@ impl Client {
 
     /// Plan `query` server-side without executing it, returning the
     /// engine's typed explain — the plan's fingerprint and per-node
-    /// estimate tree with feedback provenance — as compact JSON text,
-    /// evaluated under the
-    /// currently served document version's feedback.
+    /// estimate tree — as compact JSON text.
     pub fn explain_json(&mut self, query: &str) -> Result<String> {
         self.send_line(&format!("EXPLAIN {}", crate::protocol::escape(query)))?;
         let line = self.read_line()?;
@@ -192,8 +190,8 @@ impl Client {
     }
 
     /// The server-wide `METRICS` snapshot as compact JSON text
-    /// (latency histograms, counters/gauges, cache and `StatsStore`
-    /// rollups — the shape of `schemas/metrics.schema.json`).
+    /// (latency histograms, counters/gauges, cache rollups and q-error
+    /// histograms — the shape of `schemas/metrics.schema.json`).
     pub fn metrics_json(&mut self) -> Result<String> {
         self.send_line("METRICS")?;
         let line = self.read_line()?;

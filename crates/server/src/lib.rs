@@ -26,8 +26,9 @@
 //!   `CanonicalCache` hit rates plus absorbed kernel counters;
 //!   `METRICS` returns the server-wide [`metrics`] snapshot (latency
 //!   histograms with p50/p90/p99/p999, admission-wait and queue-depth
-//!   telemetry, cache and `StatsStore` rollups), `SLOWLOG` drains the
-//!   structured [`slowlog`] ring of threshold-crossing requests, and
+//!   telemetry, cache rollups and per-operator q-error histograms),
+//!   `SLOWLOG` drains the structured [`slowlog`] ring of
+//!   threshold-crossing requests, and
 //!   `ULOAD_LOG=uload::server=debug` traces the serving path.
 //!
 //! ```no_run

@@ -12,7 +12,7 @@
 //! | `PREPARE <query>`      | plan once, register under the plan fingerprint  |
 //! | `EXEC <fp-hex>`        | run a prepared plan, stream rows                |
 //! | `QUERY <query>`        | prepare + exec in one round trip                |
-//! | `EXPLAIN <query>`      | plan (don't run): typed cost/feedback explain   |
+//! | `EXPLAIN <query>`      | plan (don't run): per-node cost estimates       |
 //! | `STATS`                | this session's [`obs::SessionProfile`] as JSON  |
 //! | `METRICS`              | server-wide registry snapshot as JSON           |
 //! | `SLOWLOG`              | drain the slow-query log as a JSON array        |
@@ -29,9 +29,8 @@
 //! `SLOWLOG` answers `SLOWLOG <compact-json-array>` and *drains* the
 //! log — each captured entry is delivered exactly once. `EXPLAIN`
 //! answers `EXPLAIN <compact-json>` — the engine's typed
-//! [`Explain`](rewriting::Explain) (plan fingerprint, per-node
-//! estimates with feedback provenance) under the currently served document
-//! version, without executing anything. `QUIT` and `SHUTDOWN` answer
+//! [`Explain`](rewriting::Explain) (plan fingerprint and the per-node
+//! estimates the planner ranked by), without executing anything. `QUIT` and `SHUTDOWN` answer
 //! `BYE`.
 //!
 //! Row payloads and error messages are escaped so embedded newlines

@@ -81,8 +81,8 @@ pub struct ServerConfig {
     pub slowlog_capacity: usize,
     /// Attach a full `EXPLAIN ANALYZE` profile to the slow-log entries
     /// of completed uncached queries, read off the counters the slow run
-    /// itself kept (which also feeds the engine's `StatsStore` under the
-    /// real document version). Uncached executions run with
+    /// itself kept (which also feeds the engine's q-error histograms).
+    /// Uncached executions run with
     /// per-operator metering on for this, as they do for `telemetry`.
     pub slowlog_profile: bool,
 }
@@ -236,24 +236,11 @@ impl ServerState {
     /// Replace the served document. In-flight requests keep streaming
     /// from their snapshot; all result-cache entries for the old
     /// version stop matching at the next lookup (the version is part of
-    /// the cache key), so there is no explicit invalidation step. The
-    /// engine's `StatsStore` is bounded the same way: feedback for
-    /// versions no longer resident is evicted here (version 0 — the
-    /// embedded/bench key — is kept).
+    /// the cache key), so there is no explicit invalidation step.
     pub fn swap_document(&self, doc: xmltree::Document) -> DocumentVersion {
-        let v = {
-            let mut h = self.handle.write();
-            *h = h.reload(doc);
-            h.version()
-        };
-        let nodes = self.engine.stats_store().retain_versions(&[0, v.0]);
-        if nodes > 0 {
-            tracing::debug!(
-                target: "uload::server",
-                "document swap to {v}: evicted {nodes} node feedback series"
-            );
-        }
-        v
+        let mut h = self.handle.write();
+        *h = h.reload(doc);
+        h.version()
     }
 
     /// The shared admission budget (for observability and tests).
@@ -277,8 +264,8 @@ impl ServerState {
     }
 
     /// The `METRICS` response: the whole-server observability snapshot
-    /// — session/admission/slowlog state, cache counters, the
-    /// `StatsStore` rollup and the full registry (counters, gauges,
+    /// — session/admission/slowlog state, cache counters, the engine's
+    /// q-error histograms and the full registry (counters, gauges,
     /// latency histograms). Validated against
     /// `schemas/metrics.schema.json`.
     pub fn metrics_json(&self) -> Json {
@@ -334,7 +321,7 @@ impl ServerState {
                 Json::obj(vec![("result", result_cache), ("canonical", canonical)]),
             ),
             ("slowlog", self.slowlog.summary_json()),
-            ("stats_store", self.engine.stats_store().summary_json()),
+            ("q_error", self.engine.q_error().to_json()),
             ("registry", self.metrics.snapshot().to_json()),
         ])
     }
@@ -669,8 +656,7 @@ fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::R
             Request::Explain(text) => {
                 let span = tracing::debug_span!(target: "uload::server", "explain");
                 let _g = span.enter();
-                let version = state.document().version().0;
-                match state.engine.explain_for_version(&text, version) {
+                match state.engine.explain(&text) {
                     Ok(explain) => send(
                         &mut writer,
                         &format!("EXPLAIN {}", explain.to_json().to_string_compact()),
@@ -791,7 +777,6 @@ fn execute(
             state,
             session_id,
             prep,
-            &handle,
             elapsed,
             true,
             None,
@@ -828,7 +813,6 @@ fn execute(
                 state,
                 session_id,
                 prep,
-                &handle,
                 started.elapsed(),
                 false,
                 None,
@@ -970,7 +954,6 @@ fn execute(
         state,
         session_id,
         prep,
-        &handle,
         elapsed,
         false,
         Some(&results),
@@ -985,15 +968,13 @@ fn execute(
 /// Count a request against the slow-query threshold and, when it
 /// qualifies, capture it in the ring — for a completed uncached
 /// execution (`run`) optionally with its `EXPLAIN ANALYZE` profile, read
-/// off the counters the run kept (which also records its measured
-/// cardinalities in the engine's `StatsStore` under the real document
-/// version). The query is not executed again.
+/// off the counters the run kept (which also records its q-errors in the
+/// engine's histograms). The query is not executed again.
 #[allow(clippy::too_many_arguments)]
 fn observe_slow(
     state: &ServerState,
     session_id: u64,
     prep: &PreparedQuery,
-    handle: &DocumentHandle,
     latency: Duration,
     cached: bool,
     run: Option<&QueryResults<'_>>,
@@ -1008,7 +989,7 @@ fn observe_slow(
     }
     let profile = run
         .filter(|_| state.config.slowlog_profile && disposition == SlowDisposition::Done)
-        .and_then(|run| state.engine.profile_stream(prep, handle, run));
+        .and_then(|run| state.engine.profile_stream(prep, run));
     tracing::debug!(
         target: "uload::server",
         "session {session_id}: slow query fp={:016x} latency={}ns rows={rows} ({})",

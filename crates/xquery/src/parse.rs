@@ -133,9 +133,19 @@ pub enum Query {
     },
 }
 
+/// How many levels a query may nest around its innermost item. Each
+/// item, FLWR, element constructor and `,`-sequence counts a level, so
+/// `((…))` takes one per parenthesis and `<a>{…}</a>` two. Parsing (and
+/// every later walk of the query) recurses once per level, and the cap
+/// keeps a hostile text from overflowing a 2 MB thread stack: past it,
+/// [`parse_query`] returns a [`QueryParseError`]. Unoptimized builds
+/// spend several times the stack per level, so their cap is lower.
+pub const MAX_NESTING: usize = if cfg!(debug_assertions) { 400 } else { 3_000 };
+
 struct P<'a> {
     s: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parse a `Q` query.
@@ -150,6 +160,7 @@ pub fn parse_query(text: &str) -> Result<Query, QueryParseError> {
     let mut p = P {
         s: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let q = p.query()?;
     p.ws();
@@ -165,6 +176,16 @@ impl<'a> P<'a> {
             offset: self.pos,
             message: m.to_string(),
         }
+    }
+
+    /// Enter one nesting level; the caller steps back out with
+    /// `self.depth -= 1` once the level is parsed.
+    fn enter(&mut self) -> Result<(), QueryParseError> {
+        if self.depth > MAX_NESTING {
+            return Err(self.err(&format!("query nests deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn peek(&self) -> Option<u8> {
@@ -238,23 +259,33 @@ impl<'a> P<'a> {
     fn query(&mut self) -> Result<Query, QueryParseError> {
         self.ws();
         let first = self.item()?;
+        self.ws();
+        if self.peek() != Some(b',') {
+            return Ok(first);
+        }
+        self.enter()?;
+        let r = self.concat(first);
+        self.depth -= 1;
+        r
+    }
+
+    fn concat(&mut self, first: Query) -> Result<Query, QueryParseError> {
         let mut items = vec![first];
-        loop {
+        while self.eat(b',') {
+            items.push(self.item()?);
             self.ws();
-            if self.eat(b',') {
-                items.push(self.item()?);
-            } else {
-                break;
-            }
         }
-        if items.len() == 1 {
-            Ok(items.pop().unwrap())
-        } else {
-            Ok(Query::Concat(items))
-        }
+        Ok(Query::Concat(items))
     }
 
     fn item(&mut self) -> Result<Query, QueryParseError> {
+        self.enter()?;
+        let r = self.item_body();
+        self.depth -= 1;
+        r
+    }
+
+    fn item_body(&mut self) -> Result<Query, QueryParseError> {
         self.ws();
         if self.at_kw("for") {
             return self.flwr();
@@ -274,6 +305,13 @@ impl<'a> P<'a> {
     }
 
     fn flwr(&mut self) -> Result<Query, QueryParseError> {
+        self.enter()?;
+        let r = self.flwr_body();
+        self.depth -= 1;
+        r
+    }
+
+    fn flwr_body(&mut self) -> Result<Query, QueryParseError> {
         self.ws();
         if !self.eat_kw("for") {
             return Err(self.err("expected `for`"));
@@ -487,6 +525,13 @@ impl<'a> P<'a> {
     }
 
     fn constructor(&mut self) -> Result<Query, QueryParseError> {
+        self.enter()?;
+        let r = self.constructor_body();
+        self.depth -= 1;
+        r
+    }
+
+    fn constructor_body(&mut self) -> Result<Query, QueryParseError> {
         if !self.eat(b'<') {
             return Err(self.err("expected `<`"));
         }
@@ -654,5 +699,40 @@ mod tests {
         assert!(parse_query("//a[").is_err());
         assert!(parse_query("for $x in //a return").is_err());
         assert!(parse_query("").is_err());
+    }
+
+    /// `<a>{` … `}</a>` nested `levels` deep around one path.
+    fn nested_constructors(levels: usize) -> String {
+        "<a>{".repeat(levels) + "//b" + &"}</a>".repeat(levels)
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_parse_error() {
+        let parens = "(".repeat(20_000) + "//a" + &")".repeat(20_000);
+        let err = parse_query(&parens).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err}");
+        assert!(parse_query(&nested_constructors(20_000)).is_err());
+        let flwrs = "for $x in //a return ".repeat(20_000) + "$x";
+        assert!(parse_query(&flwrs).is_err());
+        let sequences = "(//a,".repeat(20_000) + "//a" + &")".repeat(20_000);
+        assert!(parse_query(&sequences).is_err());
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses_on_a_two_megabyte_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let parens = |n: usize| "(".repeat(n) + "//a" + &")".repeat(n);
+                assert!(parse_query(&parens(MAX_NESTING)).is_ok());
+                assert!(parse_query(&parens(MAX_NESTING + 1)).is_err());
+                // a constructor level enters a constructor and an item
+                let deepest = MAX_NESTING / 2;
+                assert!(parse_query(&nested_constructors(deepest)).is_ok());
+                assert!(parse_query(&nested_constructors(deepest + 1)).is_err());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

@@ -13,7 +13,7 @@
 //!                                          # serve the document to clients
 //!                                          # (--slow-ms: slow-query threshold)
 //! uload client <ADDR> query '<xquery>'     # one query against a server
-//! uload client <ADDR> explain '<xquery>'   # plan + cost/feedback JSON, no exec
+//! uload client <ADDR> explain '<xquery>'   # plan + cost estimates JSON, no exec
 //! uload client <ADDR> stats                # the session's profile JSON
 //! uload client <ADDR> metrics              # server-wide metrics JSON
 //! uload client <ADDR> slowlog              # drain the slow-query log

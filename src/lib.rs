@@ -64,14 +64,13 @@ pub use containment::{
 pub use obs::json;
 pub use obs::{
     init_from_env, CacheCounters, Counter, EnvFilter, ExecMetrics, FmtSubscriber, Gauge, Histogram,
-    HistogramSnapshot, Json, MetricsRegistry, NodeStats, OpStreamProfile, PlanNodeProfile,
-    QueryProfile, RegistrySnapshot, ResultCacheCounters, SessionProfile, StatsKey, StatsStore,
-    StreamProfile,
+    HistogramSnapshot, Json, MetricsRegistry, OpStreamProfile, PlanNodeProfile, QErrorSnapshot,
+    QueryProfile, RegistrySnapshot, ResultCacheCounters, SessionProfile, StreamProfile,
 };
 pub use rewriting::{
     plan_fingerprint, rewrite_with_engine, CostModel, EngineConfig, EngineOptions, Estimate,
-    EstimateNode, EstimateSource, Explain, PreparedQuery, QueryItem, QueryOutput, QueryResults,
-    RewriteConfig, RewriteStats, Rewriting, Uload, UloadBuilder,
+    EstimateNode, Explain, PreparedQuery, QueryItem, QueryOutput, QueryResults, RewriteConfig,
+    RewriteStats, Rewriting, Uload, UloadBuilder,
 };
 pub use storage::{catalog, qep, DocumentHandle, DocumentVersion, IdStreamIndex};
 pub use summary::Summary;
@@ -110,11 +109,11 @@ pub mod prelude {
         parse_xam, plan_fingerprint, qep, rewrite_with_engine, BindAddr, CacheStats,
         CanonicalCache, Client, ContainOptions, ContainmentOutcome, CostModel, Document,
         DocumentHandle, DocumentVersion, EngineConfig, EngineOptions, Error, Estimate,
-        EstimateNode, EstimateSource, Evaluator, ExecReply, Explain, Histogram, HistogramSnapshot,
-        IdStreamIndex, MetricsRegistry, PlanNodeProfile, PreparedQuery, QueryItem, QueryOutput,
-        QueryProfile, QueryResults, Relation, Result, ResultCacheCounters, RewriteConfig,
-        Rewriting, Server, ServerConfig, ServerHandle, SessionProfile, StatsStore, StreamProfile,
-        Summary, TupleBatch, TwigPattern, Uload, Xam,
+        EstimateNode, Evaluator, ExecReply, Explain, Histogram, HistogramSnapshot, IdStreamIndex,
+        MetricsRegistry, PlanNodeProfile, PreparedQuery, QueryItem, QueryOutput, QueryProfile,
+        QueryResults, Relation, Result, ResultCacheCounters, RewriteConfig, Rewriting, Server,
+        ServerConfig, ServerHandle, SessionProfile, StreamProfile, Summary, TupleBatch,
+        TwigPattern, Uload, Xam,
     };
 }
 

@@ -130,14 +130,8 @@ fn profiled_answer_is_one_metered_run() {
     let (_, _, profile) = u.answer_profiled(q, &doc).unwrap();
     // last_profile() returns what answer_profiled returned
     assert_eq!(u.last_profile().as_ref(), Some(&profile));
-    // the plan ran once: one observation per plan node in the store,
-    // recorded under the fingerprint the engine prepares
-    let fp = u.prepare_query(q).unwrap().fingerprint();
-    assert_eq!(
-        u.stats_store().observations_for(0, fp),
-        profile.plan.node_count() as u64
-    );
-    assert_eq!(u.stats_store().len(), profile.plan.node_count());
+    // the plan ran once: one q-error observation per plan node
+    assert_eq!(u.q_error().observations(), profile.plan.node_count() as u64);
     // and the profile carries no second, alternative-arm run
     assert!(profile.to_json().get("arm").is_none());
 }

@@ -875,84 +875,6 @@ proptest! {
     }
 }
 
-/// Overwrite a profiled plan tree's measurements with synthetic skew:
-/// every node claims `rows` actual rows and a ≥4× misprediction flag,
-/// regardless of what really ran.
-fn skew_profile(p: &mut uload::PlanNodeProfile, rows: u64) {
-    p.actual_rows = rows;
-    p.mispredicted = true;
-    for c in &mut p.children {
-        skew_profile(c, rows);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Cardinality feedback is invisible to plans and answers: an engine
-    /// whose `StatsStore` holds profiled runs plus adversarial synthetic
-    /// skew (every node flagged mispredicted) prepares and explains the
-    /// cold engine's plan and returns byte-identical results to it, both
-    /// materialized and streamed.
-    #[test]
-    fn feedback_never_changes_answers(
-        qsel in 0usize..3,
-        skew in 1u64..10_000,
-        observations in 1usize..4,
-    ) {
-        let doc = generate::xmark(2, 13);
-        let build = || {
-            let mut cfg = uload::EngineConfig::default();
-            cfg.rewrite.allow_navigation = false;
-            let mut u = uload::Uload::builder()
-                .document(&doc)
-                .config(cfg)
-                .batch_size(7)
-                .build()
-                .unwrap();
-            u.add_view_text("v_items", "//item[id:s]", &doc).unwrap();
-            u.add_view_text("v_names", "//name[id:s,val]", &doc).unwrap();
-            u
-        };
-        let query = [
-            r#"doc("X")//item/name"#,
-            r#"for $n in doc("X")//item/name return <r>{$n}</r>"#,
-            r#"doc("X")//name"#,
-        ][qsel];
-        let cold = build();
-        let warm = build();
-
-        // populate warm's store with real profiled runs, then poison it
-        // with synthetic skew under the plan's own fingerprint
-        let fp = warm.prepare_query(query).unwrap().fingerprint();
-        for _ in 0..observations {
-            let (_, _, mut profile) = warm.answer_profiled(query, &doc).unwrap();
-            skew_profile(&mut profile.plan, skew);
-            warm.stats_store().record_profile(0, fp, &profile);
-        }
-        prop_assert!(warm.stats_store().observations_for(0, fp) > 0, "store never populated");
-        prop_assert!(cold.stats_store().is_empty());
-
-        // feedback moves estimates, never the plan
-        prop_assert_eq!(warm.prepare_query(query).unwrap().fingerprint(), fp);
-        prop_assert_eq!(cold.prepare_query(query).unwrap().fingerprint(), fp);
-        prop_assert_eq!(warm.explain(query).unwrap().fingerprint, fp);
-
-        // materialized path
-        let (rows_cold, _) = cold.answer(query, &doc).unwrap();
-        let (rows_warm, _) = warm.answer(query, &doc).unwrap();
-        prop_assert_eq!(&rows_cold, &rows_warm, "feedback changed materialized answers");
-
-        // streamed path
-        let drain = |u: &uload::Uload| -> Vec<String> {
-            let res = u.query(query, &doc).unwrap();
-            res.map(|item| item.unwrap()).collect()
-        };
-        prop_assert_eq!(&drain(&cold), &rows_cold, "cold streamed != materialized");
-        prop_assert_eq!(&drain(&warm), &rows_cold, "feedback changed streamed answers");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 

@@ -261,6 +261,19 @@ fn per_query_budget_overrun_aborts_with_an_error() {
 }
 
 #[test]
+fn deeply_nested_query_answers_err_and_the_session_keeps_serving() {
+    let server = start(generate::xmark(2, 13), 64, ServerConfig::default());
+    let mut c = Client::connect(server.addr()).unwrap();
+    let deep = "(".repeat(20_000) + r#"doc("X")//item"# + &")".repeat(20_000);
+    let err = c.query(&deep).unwrap_err();
+    assert!(err.to_string().contains("nests deeper"), "{err}");
+    assert!(!c.query(QUERY).unwrap().rows.is_empty());
+    c.quit().unwrap();
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn document_swap_invalidates_through_the_version_key() {
     let server = start(generate::xmark(2, 13), 64, ServerConfig::default());
     let mut c = Client::connect(server.addr()).unwrap();
@@ -325,11 +338,26 @@ fn slow_query_lands_in_slowlog_with_profile_and_fast_one_does_not() {
         "slow entry must carry the re-profiled plan: {profile:?}"
     );
 
-    // the profiled re-run fed the cardinality feedback store under the
-    // served document's version
-    let stats = server.state().engine().stats_store();
-    assert!(!stats.is_empty(), "StatsStore empty after a profiled run");
-    assert!(stats.observations() > 0);
+    // the captured profile fed the engine's q-error histograms, one
+    // observation per plan node, and METRICS reports them
+    let nodes = server.state().prepared_plan(fp).unwrap().plan().size();
+    assert_eq!(
+        server.state().engine().q_error().observations(),
+        nodes as u64
+    );
+    let metrics = json::parse(&c.metrics_json().unwrap()).unwrap();
+    let schema_text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/schemas/metrics.schema.json"
+    ))
+    .unwrap();
+    json::validate(&metrics, &json::parse(&schema_text).unwrap()).unwrap();
+    let q_error = metrics.get("q_error").unwrap();
+    assert_eq!(
+        q_error.get("observations").unwrap().as_f64().unwrap(),
+        nodes as f64
+    );
+    assert!(!q_error.get("kinds").unwrap().as_arr().unwrap().is_empty());
 
     // SLOWLOG drains: a second call returns nothing, but the lifetime
     // counter remembers the capture
@@ -414,67 +442,6 @@ fn metrics_snapshot_validates_against_schema_and_stats_absorb_exec_counters() {
 }
 
 #[test]
-fn mispredict_feedback_leaves_the_served_plan_and_its_cache_entry() {
-    // join-only rewriting over two single-node views: the prepared plan
-    // is a fused twig
-    let doc = generate::xmark(2, 13);
-    let mut cfg = EngineConfig::default();
-    cfg.rewrite.allow_navigation = false;
-    let mut engine = Uload::builder().document(&doc).config(cfg).build().unwrap();
-    engine
-        .add_view_text("v_items", "//item[id:s]", &doc)
-        .unwrap();
-    engine
-        .add_view_text("v_names", "//name[id:s,val]", &doc)
-        .unwrap();
-    let server = Server::start(ServerConfig::default(), engine, DocumentHandle::new(doc)).unwrap();
-    let mut c = Client::connect(server.addr()).unwrap();
-
-    let fp = c.prepare(r#"doc("X")//item/name"#).unwrap();
-    let cold = c.exec(fp).unwrap();
-    assert!(!cold.cached && !cold.rows.is_empty());
-    assert!(c.exec(fp).unwrap().cached, "second exec must hit the cache");
-
-    // forced mispredict: feed the stats store a measured node ≥4× off
-    // its estimate, under the served document's real version
-    let version = server.state().document().version().0;
-    let profile = QueryProfile {
-        query: r#"doc("X")//item/name"#.to_string(),
-        phases: Vec::new(),
-        plan: PlanNodeProfile {
-            op: "TwigJoin(3 steps)".to_string(),
-            est_cost: 1.0,
-            est_rows: 1.0,
-            actual_rows: 1000,
-            time_ns: 1,
-            metrics: uload::ExecMetrics::default(),
-            mispredicted: true,
-            children: Vec::new(),
-        },
-        cache: None,
-        streamed: None,
-        total_ns: 1,
-    };
-    let stats = server.state().engine().stats_store();
-    stats.record_profile(version, fp, &profile);
-    assert_eq!(stats.mispredicted_nodes(), 1);
-
-    // feedback changes estimates, never plans: the registered plan keeps
-    // its fingerprint, the next EXEC is still a cache hit with the same
-    // rows, and nothing was logged
-    let warm = c.exec(fp).unwrap();
-    assert!(warm.cached, "feedback must not evict the served entry");
-    assert_eq!(warm.rows, cold.rows);
-    assert_eq!(server.state().prepared_plan(fp).unwrap().fingerprint(), fp);
-    let log = json::parse(&c.slowlog_json().unwrap()).unwrap();
-    assert!(log.as_arr().unwrap().is_empty(), "{log:?}");
-
-    c.quit().unwrap();
-    server.shutdown();
-    server.wait();
-}
-
-#[test]
 fn explain_reports_feedback_provenance_without_executing() {
     let server = start(generate::xmark(2, 13), 64, ServerConfig::default());
     let mut c = Client::connect(server.addr()).unwrap();
@@ -492,14 +459,9 @@ fn explain_reports_feedback_provenance_without_executing() {
         explain.get("fingerprint").unwrap().as_str().unwrap(),
         format!("{fp:016x}")
     );
-    assert_eq!(
-        explain.get("feedback_nodes").unwrap().as_f64().unwrap(),
-        0.0
-    );
     let plan = explain.get("plan").unwrap();
     assert!(plan.get("op").unwrap().as_str().is_some());
     assert!(plan.get("est_rows").unwrap().as_f64().is_some());
-    assert_eq!(plan.get("source").unwrap().as_str().unwrap(), "catalog");
     // nothing executed: no request counted, nothing cached
     assert_eq!(server.state().metrics().requests.get(), 0);
     assert_eq!(server.state().result_cache().counters().entries, 0);
