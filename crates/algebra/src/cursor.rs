@@ -63,7 +63,7 @@ use xmltree::Document;
 
 use crate::eval::{
     reducing_selection, twig_shape, twig_solutions, Binary, Build, Catalog, ColumnDemand,
-    EvalConfig, EvalError, Metrics, Probe, Relation, TwigShape, Unary,
+    EvalError, Metrics, Probe, Relation, TwigShape, Unary,
 };
 use crate::plan::{JoinKind, LogicalPlan, NavMode, Path, TwigStep};
 use crate::value::{Schema, Tuple};
@@ -216,8 +216,6 @@ pub struct CursorConfig {
     /// whole input as one batch, which is how [`crate::Evaluator::eval`]
     /// materializes a plan.
     pub batch_size: usize,
-    /// Physical-operator choices.
-    pub eval: EvalConfig,
     /// Keep per-node rows, batches, kernel metrics and wall time,
     /// reported via [`StreamExec::op_stats`].
     pub profiling: bool,
@@ -227,7 +225,6 @@ impl Default for CursorConfig {
     fn default() -> Self {
         CursorConfig {
             batch_size: 1024,
-            eval: EvalConfig::default(),
             profiling: false,
         }
     }
@@ -545,7 +542,7 @@ impl<'a> Builder<'a, '_> {
             cells: cells.clone(),
             outstanding: Cell::new(0),
         };
-        let (doc, eval) = (self.doc, self.cfg.eval);
+        let doc = self.doc;
         let cursor: Box<dyn Cursor + 'a> = match plan {
             Scan { relation } => {
                 let rel = self.relation(relation)?;
@@ -689,7 +686,6 @@ impl<'a> Builder<'a, '_> {
                     *axis,
                     *kind,
                     nest_as.as_deref(),
-                    eval.use_stacktree,
                 )
             })?,
             Difference { left, right } => {
@@ -835,16 +831,11 @@ impl<'a> Builder<'a, '_> {
             inputs.push(self.twig_input(&s.input)?);
         }
         let schemas: Vec<&Schema> = inputs.iter().map(TwigInput::schema).collect();
-        let shape = if self.cfg.eval.use_twigstack {
-            twig_shape(&schemas, steps)
-        } else {
-            None
-        };
+        let shape = twig_shape(&schemas, steps);
         // The cascade — the twig desugared to left-deep `Inner`
         // structural joins — is bound only for a shape the holistic
         // operator does not cover (map-extended attributes, two steps off
-        // different ID columns of one input) or for the
-        // `use_twigstack = false` oracle.
+        // different ID columns of one input).
         let mut cascade = Vec::new();
         let mut cascade_schema = schemas[0].clone();
         if shape.is_none() {
@@ -857,7 +848,6 @@ impl<'a> Builder<'a, '_> {
                     s.axis,
                     JoinKind::Inner,
                     None,
-                    self.cfg.eval.use_stacktree,
                 )?;
                 cascade_schema = join.schema.clone();
                 cascade.push(join);
@@ -1249,9 +1239,9 @@ enum TwigState<'a> {
 /// computed ones, runs the multi-way merge once, then assembles one
 /// output tuple per solution lazily — solutions are index vectors, so
 /// the concatenated tuples never sit in memory all at once. For a shape
-/// the merge does not cover, or under the `use_twigstack = false` oracle,
-/// the bound cascade (see `Builder::twig`) runs the binary joins over
-/// copies of the same inputs instead and streams their result out.
+/// the merge does not cover, the bound cascade (see `Builder::twig`)
+/// runs the binary joins over copies of the same inputs instead and
+/// streams their result out.
 struct TwigCursor<'a> {
     inputs: Vec<TwigInput<'a>>,
     steps: Vec<TwigStep>,
@@ -1431,11 +1421,9 @@ mod tests {
         cat: &Catalog,
         doc: Option<&Document>,
         batch_size: usize,
-        eval: EvalConfig,
     ) -> Relation {
         let cfg = CursorConfig {
             batch_size,
-            eval,
             ..Default::default()
         };
         build_cursor(plan, cat, doc, &cfg)
@@ -1445,26 +1433,13 @@ mod tests {
     }
 
     /// Drain `plan` at batch sizes from one row to unbounded (what
-    /// [`Evaluator::eval`] runs), under the default kernels and under
-    /// each oracle knob, and require the same rows in the same order
-    /// every time.
+    /// [`Evaluator::eval`] runs) and require the same rows in the same
+    /// order every time.
     fn assert_batch_invariant(plan: &LogicalPlan, cat: &Catalog, doc: Option<&Document>) {
-        let want = run(plan, cat, doc, usize::MAX, EvalConfig::default());
-        for eval in [
-            EvalConfig::default(),
-            EvalConfig {
-                use_stacktree: false,
-                ..Default::default()
-            },
-            EvalConfig {
-                use_twigstack: false,
-                ..Default::default()
-            },
-        ] {
-            for bs in [1usize, 2, 3, 7, 1024, usize::MAX] {
-                let got = run(plan, cat, doc, bs, eval);
-                assert_eq!(got, want, "batch_size={bs} {eval:?} plan={plan}");
-            }
+        let want = run(plan, cat, doc, usize::MAX);
+        for bs in [1usize, 2, 3, 7, 1024, usize::MAX] {
+            let got = run(plan, cat, doc, bs);
+            assert_eq!(got, want, "batch_size={bs} plan={plan}");
         }
     }
 
@@ -1651,7 +1626,7 @@ mod tests {
         ]);
         assert_batch_invariant(&plan, &cat, Some(&doc));
         // not vacuous: two books, one title each
-        let got = run(&plan, &cat, Some(&doc), 2, EvalConfig::default());
+        let got = run(&plan, &cat, Some(&doc), 2);
         assert_eq!(got.len(), 2);
     }
 
@@ -1817,15 +1792,9 @@ mod tests {
 
     /// Drain `plan` over the bib sample with profiling on; the rows and
     /// the per-node slots.
-    fn profiled(
-        plan: &LogicalPlan,
-        cat: &Catalog,
-        batch_size: usize,
-        eval: EvalConfig,
-    ) -> (Relation, Vec<OpStats>) {
+    fn profiled(plan: &LogicalPlan, cat: &Catalog, batch_size: usize) -> (Relation, Vec<OpStats>) {
         let cfg = CursorConfig {
             batch_size,
-            eval,
             profiling: true,
         };
         let doc = bib_sample();
@@ -1852,8 +1821,8 @@ mod tests {
                 JoinKind::Inner,
             )
             .project(&["a_v"]);
-        let plain = run(&plan, &cat, None, 1, EvalConfig::default());
-        let (rel, ops) = profiled(&plan, &cat, 1, EvalConfig::default());
+        let plain = run(&plan, &cat, None, 1);
+        let (rel, ops) = profiled(&plan, &cat, 1);
         assert_eq!(rel, plain, "profiling must not change results");
         // one slot per node, pre-order: project → join → {rename → scan} × 2
         assert_eq!(ops.len(), plan.size());
@@ -1886,7 +1855,7 @@ mod tests {
             .sort(&["ID"])
             .twig_join(Vec::new())
             .project(&["ID"]);
-        let (rel, ops) = profiled(&plan, &cat, 1, EvalConfig::default());
+        let (rel, ops) = profiled(&plan, &cat, 1);
         assert_eq!(rel.len(), 2);
         assert_eq!(ops.len(), plan.size());
         let labels: Vec<&str> = ops.iter().map(|o| o.label.as_str()).collect();
@@ -1904,7 +1873,7 @@ mod tests {
     #[test]
     fn twig_cascade_arm_counts_a_fallback_on_the_twig_node() {
         let (_doc, cat) = setup();
-        let twig = LogicalPlan::scan("book")
+        let flat = LogicalPlan::scan("book")
             .rename(&["b_id", "b_t", "b_v", "b_c"])
             .twig_join(vec![TwigStep::new(
                 LogicalPlan::scan("author").rename(&["a_id", "a_t", "a_v", "a_c"]),
@@ -1912,14 +1881,34 @@ mod tests {
                 "a_id",
                 Axis::Child,
             )]);
-        let (on, ops) = profiled(&twig, &cat, 1024, EvalConfig::default());
+        let (_, ops) = profiled(&flat, &cat, 1024);
         assert_eq!(ops[0].cells.metrics.borrow().twig_fallbacks, 0);
-        let off = EvalConfig {
-            use_twigstack: false,
-            ..Default::default()
-        };
-        let (rel, ops) = profiled(&twig, &cat, 1024, off);
-        assert_eq!(rel, on);
+        // a step off an ID inside a nested collection: a shape the
+        // holistic merge does not cover, so the twig binds its cascade
+        let nested = LogicalPlan::scan("library").struct_nest_join(
+            LogicalPlan::scan("book"),
+            "ID",
+            "ID",
+            Axis::Child,
+            false,
+            "books",
+        );
+        let twig = nested.clone().twig_join(vec![TwigStep::new(
+            LogicalPlan::scan("author"),
+            "books.ID",
+            "ID",
+            Axis::Child,
+        )]);
+        let cascade = nested.struct_join(
+            LogicalPlan::scan("author"),
+            "books.ID",
+            "ID",
+            Axis::Child,
+            JoinKind::Inner,
+        );
+        let (rel, ops) = profiled(&twig, &cat, 1024);
+        assert!(!rel.is_empty());
+        assert_eq!(rel, run(&cascade, &cat, None, 1024));
         assert_eq!(ops.len(), twig.size());
         let m = *ops[0].cells.metrics.borrow();
         assert_eq!(m.twig_fallbacks, 1, "{m:?}");
@@ -1979,7 +1968,7 @@ mod tests {
     fn dedup_over_a_declared_set_is_no_breaker() {
         let cat = set_catalog();
         let flagged = |plan: &LogicalPlan| {
-            let (rel, ops) = profiled(plan, &cat, 1, EvalConfig::default());
+            let (rel, ops) = profiled(plan, &cat, 1);
             let flags: Vec<String> = ops
                 .iter()
                 .filter(|o| o.breaker)
@@ -2117,8 +2106,8 @@ mod tests {
         );
         let titles = cat.get("title").unwrap().len();
         for batch in [1usize, 2, 1024, usize::MAX] {
-            let (rel, ops) = profiled(&twig, &cat, batch, EvalConfig::default());
-            assert_eq!(rel, run(&twig, &cat, None, batch, EvalConfig::default()));
+            let (rel, ops) = profiled(&twig, &cat, batch);
+            assert_eq!(rel, run(&twig, &cat, None, batch));
             assert_eq!(ops.len(), twig.size());
             let slots: Vec<(&str, u64, u64)> = ops
                 .iter()

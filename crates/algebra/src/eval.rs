@@ -7,9 +7,8 @@
 //! when it compiles a plan and applies the bound operator to each batch.
 //! [`Evaluator::eval`] is that tree drained at an unbounded batch.
 //!
-//! Physical choices: structural joins run the `StackTree` merge when inputs
-//! are (or are made) ID-sorted, with a nested-loop fallback selectable via
-//! [`EvalConfig`] as the oracle; value joins whose predicate has an
+//! Physical choices: structural joins run the `StackTree` merge over
+//! ID-sorted, packed inputs; value joins whose predicate has an
 //! equality conjunct between the two inputs build an in-memory hash table
 //! over the right input and probe it (the `hashjoin` module), and run the
 //! nested loop only when there is no such conjunct (`<`, `contains`, `∨`,
@@ -34,7 +33,7 @@ use crate::plan::{
 };
 use crate::pred::{cmp_values, BoundPred, NO_TUPLE};
 use crate::simd::{IdColumns, DEFAULT_BLOCK};
-use crate::stacktree::{nested_loop_pairs, stack_tree_pairs};
+use crate::stacktree::stack_tree_pairs;
 use crate::twig::{twig_join, TwigPattern};
 use crate::value::{Collection, Field, FieldKind, Schema, Tuple, Value};
 use crate::xmlgen::Template;
@@ -162,27 +161,6 @@ impl Catalog {
     }
 }
 
-/// Physical-layer knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct EvalConfig {
-    /// Use the StackTree merge for structural joins (`false` = nested loop,
-    /// for the ablation bench).
-    pub use_stacktree: bool,
-    /// Evaluate [`LogicalPlan::TwigJoin`] with the holistic multi-way
-    /// merge (`false` = desugar to the binary cascade: the correctness
-    /// oracle; no engine path sets it).
-    pub use_twigstack: bool,
-}
-
-impl Default for EvalConfig {
-    fn default() -> Self {
-        EvalConfig {
-            use_stacktree: true,
-            use_twigstack: true,
-        }
-    }
-}
-
 /// Evaluation errors: unknown relations/attributes, type misuse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvalError {
@@ -225,23 +203,17 @@ impl std::error::Error for EvalError {}
 pub struct Evaluator<'a> {
     pub catalog: &'a Catalog,
     pub doc: Option<&'a Document>,
-    pub config: EvalConfig,
 }
 
 impl<'a> Evaluator<'a> {
     pub fn new(catalog: &'a Catalog) -> Evaluator<'a> {
-        Evaluator {
-            catalog,
-            doc: None,
-            config: EvalConfig::default(),
-        }
+        Evaluator { catalog, doc: None }
     }
 
     pub fn with_document(catalog: &'a Catalog, doc: &'a Document) -> Evaluator<'a> {
         Evaluator {
             catalog,
             doc: Some(doc),
-            config: EvalConfig::default(),
         }
     }
 
@@ -249,7 +221,6 @@ impl<'a> Evaluator<'a> {
     pub fn eval(&self, plan: &LogicalPlan) -> Result<Relation, EvalError> {
         let cfg = CursorConfig {
             batch_size: usize::MAX,
-            eval: self.config,
             ..CursorConfig::default()
         };
         build_cursor(plan, self.catalog, self.doc, &cfg)?.collect()
@@ -746,7 +717,6 @@ impl Binary {
     // ------------------------------------------------------------------
     // structural joins
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn struct_join(
         left: &Schema,
         right: &Schema,
@@ -755,7 +725,6 @@ impl Binary {
         axis: Axis,
         kind: JoinKind,
         nest_as: Option<&str>,
-        use_stacktree: bool,
     ) -> Result<Binary, EvalError> {
         let lidx = resolve(left, left_attr)?;
         let ridx = resolve(right, right_attr)?;
@@ -768,12 +737,7 @@ impl Binary {
         let (rcol, arity) = (ridx[0], right.arity());
         Ok(Binary::new(schema, move |tuples, _| {
             // the right side's sorted (sid, row) stream, packed once
-            let ids = id_stream(&tuples, rcol)?;
-            let ids = if use_stacktree {
-                RightIds::Packed(IdColumns::from_pairs(&ids, DEFAULT_BLOCK))
-            } else {
-                RightIds::Pairs(ids)
-            };
+            let ids = IdColumns::from_pairs(&id_stream(&tuples, rcol)?, DEFAULT_BLOCK);
             let right = StructRight { tuples, ids, arity };
             Ok(probe(move |left, m| {
                 map_struct_join(left, &lidx, &right, axis, kind, m)
@@ -785,15 +749,9 @@ impl Binary {
 /// The resident right side of a structural join.
 struct StructRight {
     tuples: Vec<Tuple>,
-    ids: RightIds,
+    /// Its sorted `(sid, row)` stream, packed for the StackTree merge.
+    ids: IdColumns,
     arity: usize,
-}
-
-/// Its ID stream: packed for the StackTree merge, or as plain pairs for
-/// the nested loop ([`EvalConfig::use_stacktree`] off).
-enum RightIds {
-    Packed(IdColumns),
-    Pairs(Vec<(StructuralId, u32)>),
 }
 
 /// Flat structural join: gather the left batch's sorted (sid, row)
@@ -806,21 +764,10 @@ fn flat_struct_join(
     kind: JoinKind,
     m: Metrics<'_>,
 ) -> Result<Vec<Tuple>, EvalError> {
-    let lids = id_stream(left, lcol)?;
-    let pairs = match &right.ids {
-        RightIds::Packed(rc) => {
-            let lc = IdColumns::from_pairs(&lids, DEFAULT_BLOCK);
-            match m {
-                Some(m) => stack_tree_pairs(&lc, rc, axis, m),
-                None => stack_tree_pairs(&lc, rc, axis, &mut NoMeter),
-            }
-        }
-        RightIds::Pairs(rids) => {
-            if let Some(m) = m {
-                m.comparisons((lids.len() * rids.len()) as u64);
-            }
-            nested_loop_pairs(&lids, rids, axis)
-        }
+    let lc = IdColumns::from_pairs(&id_stream(left, lcol)?, DEFAULT_BLOCK);
+    let pairs = match m {
+        Some(m) => stack_tree_pairs(&lc, &right.ids, axis, m),
+        None => stack_tree_pairs(&lc, &right.ids, axis, &mut NoMeter),
     };
     let mut matches: Vec<Vec<usize>> = vec![Vec::new(); left.len()];
     for (li, ri) in pairs {
@@ -1037,7 +984,7 @@ fn reduce_tuple(mut t: Tuple, idx: &[usize], f: &mut dyn FnMut(&Value) -> bool) 
 }
 
 /// The `(id, row)` stream of top-level ID column `col` in `pre` order —
-/// what [`IdColumns::from_pairs`] packs and [`nested_loop_pairs`] reads.
+/// what [`IdColumns::from_pairs`] packs.
 /// Rows whose value is not an ID (`⊥`) are left out. This is the one
 /// place row numbers narrow to the kernels' 32 bits, so it is the one
 /// place that can refuse an input for its size.
@@ -1576,7 +1523,6 @@ mod tests {
     #[test]
     fn stacktree_matches_nested_loop() {
         let (_doc, cat) = setup();
-        let mut ev = Evaluator::new(&cat);
         let p = LogicalPlan::scan("library").struct_join(
             LogicalPlan::scan("author"),
             "ID",
@@ -1584,10 +1530,20 @@ mod tests {
             Axis::Descendant,
             JoinKind::Inner,
         );
-        let a = ev.eval(&p).unwrap();
-        ev.config.use_stacktree = false;
-        let b = ev.eval(&p).unwrap();
-        assert_eq!(a.len(), b.len());
+        let got = Evaluator::new(&cat).eval(&p).unwrap();
+        let (lib, auth) = (cat.get("library").unwrap(), cat.get("author").unwrap());
+        let mut pairs = crate::stacktree::nested_loop_pairs(
+            &id_stream(&lib.tuples, 0).unwrap(),
+            &id_stream(&auth.tuples, 0).unwrap(),
+            Axis::Descendant,
+        );
+        pairs.sort_unstable();
+        let want: Vec<Tuple> = pairs
+            .into_iter()
+            .map(|(l, a)| Tuple::new([lib.tuples[l].0.clone(), auth.tuples[a].0.clone()].concat()))
+            .collect();
+        assert!(!want.is_empty());
+        assert_eq!(got.tuples, want);
     }
 
     #[test]
@@ -2191,14 +2147,16 @@ mod tests {
             );
         let fused = crate::twig::fuse_struct_joins(&cascade);
         assert!(matches!(fused, LogicalPlan::TwigJoin { .. }));
-        let mut ev = Evaluator::new(&cat);
+        let ev = Evaluator::new(&cat);
         let via_twig = ev.eval(&fused).unwrap();
         let via_cascade = ev.eval(&cascade).unwrap();
         assert_eq!(via_twig, via_cascade, "tuples and order must agree");
         assert_eq!(via_twig.len(), 3); // 2 authors + 1 author, each with a title
-                                       // the toggle routes through the cascade and still agrees
-        ev.config.use_twigstack = false;
-        assert_eq!(ev.eval(&fused).unwrap(), via_cascade);
+        let LogicalPlan::TwigJoin { root, steps } = &fused else {
+            unreachable!("fused above")
+        };
+        let desugared = crate::twig::twig_to_cascade(root, steps);
+        assert_eq!(ev.eval(&desugared).unwrap(), via_twig);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use cursor::{
     build_cursor, is_pipeline_breaker, pipeline_breakers, Cursor, CursorConfig, OpCells, OpStats,
     Residency, StreamExec, TupleBatch,
 };
-pub use eval::{Catalog, EvalConfig, EvalError, Evaluator, Relation};
+pub use eval::{Catalog, EvalError, Evaluator, Relation};
 pub use obs::{ExecMetrics, Meter, NoMeter};
 pub use order::OrderSpec;
 pub use plan::{

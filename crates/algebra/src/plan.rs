@@ -711,6 +711,152 @@ impl LogicalPlan {
         }
     }
 
+    /// This node with each direct child plan replaced by `f` of it, in
+    /// [`LogicalPlan::child_plans`] order: the one-level step of every
+    /// bottom-up plan rewrite.
+    pub fn map_children(&self, mut f: impl FnMut(&LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        use LogicalPlan::*;
+        let mut g = |p: &LogicalPlan| Box::new(f(p));
+        match self {
+            Scan { .. } => self.clone(),
+            Select { input, pred } => Select {
+                input: g(input),
+                pred: pred.clone(),
+            },
+            Project {
+                input,
+                cols,
+                distinct,
+            } => Project {
+                input: g(input),
+                cols: cols.clone(),
+                distinct: *distinct,
+            },
+            Product { left, right } => Product {
+                left: g(left),
+                right: g(right),
+            },
+            Join {
+                left,
+                right,
+                pred,
+                kind,
+            } => Join {
+                left: g(left),
+                right: g(right),
+                pred: pred.clone(),
+                kind: *kind,
+            },
+            StructJoin {
+                left,
+                right,
+                left_attr,
+                right_attr,
+                axis,
+                kind,
+                nest_as,
+            } => StructJoin {
+                left: g(left),
+                right: g(right),
+                left_attr: left_attr.clone(),
+                right_attr: right_attr.clone(),
+                axis: *axis,
+                kind: *kind,
+                nest_as: nest_as.clone(),
+            },
+            TwigJoin { root, steps } => TwigJoin {
+                root: g(root),
+                steps: steps
+                    .iter()
+                    .map(|s| TwigStep {
+                        input: *g(&s.input),
+                        parent_attr: s.parent_attr.clone(),
+                        attr: s.attr.clone(),
+                        axis: s.axis,
+                    })
+                    .collect(),
+            },
+            Union { left, right } => Union {
+                left: g(left),
+                right: g(right),
+            },
+            Difference { left, right } => Difference {
+                left: g(left),
+                right: g(right),
+            },
+            GroupBy {
+                input,
+                keys,
+                nest_as,
+            } => GroupBy {
+                input: g(input),
+                keys: keys.clone(),
+                nest_as: nest_as.clone(),
+            },
+            Unnest { input, attr } => Unnest {
+                input: g(input),
+                attr: attr.clone(),
+            },
+            NestAll { input, as_name } => NestAll {
+                input: g(input),
+                as_name: as_name.clone(),
+            },
+            Sort { input, by } => Sort {
+                input: g(input),
+                by: by.clone(),
+            },
+            XmlTemplate { input, templ } => XmlTemplate {
+                input: g(input),
+                templ: templ.clone(),
+            },
+            Navigate {
+                input,
+                from_attr,
+                axis,
+                label,
+                as_prefix,
+                mode,
+            } => Navigate {
+                input: g(input),
+                from_attr: from_attr.clone(),
+                axis: *axis,
+                label: label.clone(),
+                as_prefix: as_prefix.clone(),
+                mode: *mode,
+            },
+            Fetch {
+                input,
+                id_attr,
+                what,
+                as_name,
+            } => Fetch {
+                input: g(input),
+                id_attr: id_attr.clone(),
+                what: *what,
+                as_name: as_name.clone(),
+            },
+            DeriveAncestorId {
+                input,
+                attr,
+                levels,
+                as_name,
+            } => DeriveAncestorId {
+                input: g(input),
+                attr: attr.clone(),
+                levels: *levels,
+                as_name: as_name.clone(),
+            },
+            Rename { input, names } => Rename {
+                input: g(input),
+                names: names.clone(),
+            },
+            CastSchema { input, schema } => CastSchema {
+                input: g(input),
+                schema: schema.clone(),
+            },
+        }
+    }
+
     /// Short operator label for this node alone (no recursion into
     /// children), used by profile trees: `Scan(v_items)`,
     /// `StructJoin(⋈,/)`, `twig(2 steps)`, … A value join is named after

@@ -11,8 +11,8 @@
 //! ID (which is how this function naturally emits them); `StackTreeAnc`
 //! output order is obtained by a stable re-sort on the ancestor index —
 //! the evaluator picks whichever order downstream operators need.
-//! [`nested_loop_pairs`] is the naive O(|L|·|R|) oracle, also kept for
-//! the physical-operator ablation bench.
+//! [`nested_loop_pairs`] is the naive O(|L|·|R|) oracle the merge is
+//! tested against.
 
 use obs::Meter;
 use xmltree::StructuralId;
@@ -163,8 +163,7 @@ pub fn stack_tree_pairs<M: Meter>(
 
 /// Naive nested-loop structural join over plain `(id, payload)` pairs;
 /// quadratic, order-insensitive, and independent of the columnar layout.
-/// Kept as the oracle the merge is tested against and as the baseline of
-/// the StackTree ablation (DESIGN.md §choices).
+/// Kept as the oracle the merge is tested against.
 pub fn nested_loop_pairs(
     anc: &[(StructuralId, u32)],
     desc: &[(StructuralId, u32)],

@@ -434,8 +434,7 @@ fn fill<M: Meter>(
 /// Desugar a [`LogicalPlan::TwigJoin`] into the equivalent left-deep
 /// cascade of binary `Inner` structural joins: the inverse of
 /// [`fuse_struct_joins`], and the logical reading of the cascade arm the
-/// twig cursor binds for `use_twigstack = false` and for shapes the
-/// holistic operator does not cover.
+/// twig cursor binds for shapes the holistic operator does not cover.
 pub fn twig_to_cascade(root: &LogicalPlan, steps: &[TwigStep]) -> LogicalPlan {
     steps.iter().fold(root.clone(), |acc, s| {
         acc.struct_join(
@@ -462,7 +461,6 @@ pub fn twig_to_cascade(root: &LogicalPlan, steps: &[TwigStep]) -> LogicalPlan {
 /// core.
 pub fn fuse_struct_joins(plan: &LogicalPlan) -> LogicalPlan {
     use LogicalPlan::*;
-    let rec = |p: &LogicalPlan| Box::new(fuse_struct_joins(p));
     match plan {
         StructJoin {
             left,
@@ -508,142 +506,7 @@ pub fn fuse_struct_joins(plan: &LogicalPlan) -> LogicalPlan {
                 }
             }
         }
-        Scan { .. } => plan.clone(),
-        Select { input, pred } => Select {
-            input: rec(input),
-            pred: pred.clone(),
-        },
-        Project {
-            input,
-            cols,
-            distinct,
-        } => Project {
-            input: rec(input),
-            cols: cols.clone(),
-            distinct: *distinct,
-        },
-        Product { left, right } => Product {
-            left: rec(left),
-            right: rec(right),
-        },
-        Join {
-            left,
-            right,
-            pred,
-            kind,
-        } => Join {
-            left: rec(left),
-            right: rec(right),
-            pred: pred.clone(),
-            kind: *kind,
-        },
-        StructJoin {
-            left,
-            right,
-            left_attr,
-            right_attr,
-            axis,
-            kind,
-            nest_as,
-        } => StructJoin {
-            left: rec(left),
-            right: rec(right),
-            left_attr: left_attr.clone(),
-            right_attr: right_attr.clone(),
-            axis: *axis,
-            kind: *kind,
-            nest_as: nest_as.clone(),
-        },
-        TwigJoin { root, steps } => TwigJoin {
-            root: rec(root),
-            steps: steps
-                .iter()
-                .map(|s| TwigStep {
-                    input: fuse_struct_joins(&s.input),
-                    parent_attr: s.parent_attr.clone(),
-                    attr: s.attr.clone(),
-                    axis: s.axis,
-                })
-                .collect(),
-        },
-        Union { left, right } => Union {
-            left: rec(left),
-            right: rec(right),
-        },
-        Difference { left, right } => Difference {
-            left: rec(left),
-            right: rec(right),
-        },
-        GroupBy {
-            input,
-            keys,
-            nest_as,
-        } => GroupBy {
-            input: rec(input),
-            keys: keys.clone(),
-            nest_as: nest_as.clone(),
-        },
-        Unnest { input, attr } => Unnest {
-            input: rec(input),
-            attr: attr.clone(),
-        },
-        NestAll { input, as_name } => NestAll {
-            input: rec(input),
-            as_name: as_name.clone(),
-        },
-        Sort { input, by } => Sort {
-            input: rec(input),
-            by: by.clone(),
-        },
-        XmlTemplate { input, templ } => XmlTemplate {
-            input: rec(input),
-            templ: templ.clone(),
-        },
-        Navigate {
-            input,
-            from_attr,
-            axis,
-            label,
-            as_prefix,
-            mode,
-        } => Navigate {
-            input: rec(input),
-            from_attr: from_attr.clone(),
-            axis: *axis,
-            label: label.clone(),
-            as_prefix: as_prefix.clone(),
-            mode: *mode,
-        },
-        Fetch {
-            input,
-            id_attr,
-            what,
-            as_name,
-        } => Fetch {
-            input: rec(input),
-            id_attr: id_attr.clone(),
-            what: *what,
-            as_name: as_name.clone(),
-        },
-        DeriveAncestorId {
-            input,
-            attr,
-            levels,
-            as_name,
-        } => DeriveAncestorId {
-            input: rec(input),
-            attr: attr.clone(),
-            levels: *levels,
-            as_name: as_name.clone(),
-        },
-        Rename { input, names } => Rename {
-            input: rec(input),
-            names: names.clone(),
-        },
-        CastSchema { input, schema } => CastSchema {
-            input: rec(input),
-            schema: schema.clone(),
-        },
+        _ => plan.map_children(fuse_struct_joins),
     }
 }
 

@@ -1,4 +1,4 @@
-//! Profiling overhead on the E10 twig workloads.
+//! Profiling overhead on the twig workloads of `uload_bench::twig`.
 //!
 //! Two price points per workload, both the one executor drained at an
 //! unbounded batch:
@@ -14,7 +14,7 @@
 
 use algebra::{build_cursor, CursorConfig, Evaluator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use uload_bench::experiments::{twig_catalog, twig_workloads};
+use uload_bench::twig::{twig_catalog, twig_workloads};
 
 fn profiling_price_points(c: &mut Criterion) {
     let doc = xmltree::generate::xmark(15, 42);
@@ -22,7 +22,6 @@ fn profiling_price_points(c: &mut Criterion) {
     let metered = CursorConfig {
         batch_size: usize::MAX,
         profiling: true,
-        ..CursorConfig::default()
     };
     let mut g = c.benchmark_group("profiling_overhead");
     g.sample_size(10);

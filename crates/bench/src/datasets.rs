@@ -6,20 +6,6 @@
 use summary::Summary;
 use xmltree::{generate, Document};
 
-/// One row of the Figure 4.13 table.
-#[derive(Debug, Clone)]
-pub struct DatasetRow {
-    pub name: &'static str,
-    /// Number of nodes (`N` in the table).
-    pub n: usize,
-    /// Summary size `|S|`.
-    pub summary_size: usize,
-    /// Strong (`+`/`1`) edges `n_s`.
-    pub strong_edges: usize,
-    /// One-to-one edges `n_1`.
-    pub one_to_one_edges: usize,
-}
-
 /// A named document + its summary.
 pub struct Dataset {
     pub name: &'static str,
@@ -31,16 +17,6 @@ impl Dataset {
     fn new(name: &'static str, doc: Document) -> Dataset {
         let summary = Summary::of_document(&doc);
         Dataset { name, doc, summary }
-    }
-
-    pub fn row(&self) -> DatasetRow {
-        DatasetRow {
-            name: self.name,
-            n: self.doc.len(),
-            summary_size: self.summary.len(),
-            strong_edges: self.summary.strong_edge_count(),
-            one_to_one_edges: self.summary.one_to_one_edge_count(),
-        }
     }
 }
 
@@ -109,21 +85,21 @@ mod tests {
 
     #[test]
     fn dblp_summaries_are_small_and_constrained() {
-        let d = dblp_small();
-        let row = d.row();
-        assert!(row.summary_size < 80);
-        assert!(row.strong_edges > 10, "{row:?}");
-        assert!(row.one_to_one_edges > 5, "{row:?}");
+        let s = dblp_small().summary;
+        assert!(s.len() < 80);
+        assert!(s.strong_edge_count() > 10);
+        assert!(s.one_to_one_edge_count() > 5);
     }
 
     #[test]
     fn table_has_eight_rows() {
         // use the cheap datasets only to keep the test fast
-        let rows: Vec<DatasetRow> =
-            vec![shakespeare().row(), xmark_small().row(), dblp_small().row()];
-        for r in &rows {
-            assert!(r.n > 0 && r.summary_size > 0);
-            assert!(r.strong_edges >= r.one_to_one_edges || r.strong_edges > 0);
+        for d in [shakespeare(), xmark_small(), dblp_small()] {
+            let s = &d.summary;
+            assert!(!d.doc.is_empty() && !s.is_empty());
+            assert!(
+                s.strong_edge_count() >= s.one_to_one_edge_count() || s.strong_edge_count() > 0
+            );
         }
     }
 }

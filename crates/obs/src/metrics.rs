@@ -20,8 +20,9 @@ pub struct ExecMetrics {
     /// High-water mark of the per-node solution lists of the holistic
     /// twig operator (total entries resident across all pattern nodes).
     pub solutions_high_water: u64,
-    /// Times a `TwigJoin` fell back to the binary cascade (uncovered
-    /// shape, or `use_twigstack` off).
+    /// Times a `TwigJoin` fell back to the binary cascade: a shape the
+    /// holistic merge does not cover (a step off an ID inside a nested
+    /// collection, or two steps off different ID columns of one input).
     pub twig_fallbacks: u64,
     /// Stream elements the join kernels' seeks jumped over (never
     /// touched by the merge).

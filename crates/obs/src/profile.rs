@@ -262,8 +262,8 @@ pub struct SessionProfile {
 }
 
 impl SessionProfile {
-    /// The JSON form (one `STATS` line on the wire; validated against
-    /// `schemas/bench_server.schema.json`'s `cacheCounters` shapes).
+    /// The JSON form (one `STATS` line on the wire; its cache counters
+    /// have the shapes of `schemas/metrics.schema.json`'s `caches`).
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("session_id", Json::Num(self.session_id as f64)),

@@ -542,7 +542,6 @@ impl Uload {
         let ccfg = CursorConfig {
             batch_size: self.config.batch_size,
             profiling,
-            ..CursorConfig::default()
         };
         if !prep.breakers.is_empty() {
             tracing::debug!(

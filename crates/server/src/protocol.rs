@@ -34,9 +34,14 @@
 //! `BYE`.
 //!
 //! Row payloads and error messages are escaped so embedded newlines
-//! cannot break framing ([`escape`]/[`unescape`]).
+//! cannot break framing ([`escape`]/[`unescape`]). A request line holds
+//! at most [`MAX_FRAME_BYTES`] before its newline; the server answers a
+//! longer one with `ERR frame exceeds …` and closes the session.
 
 use storage::DocumentVersion;
+
+/// The longest request line the server reads, newline excluded: 1 MiB.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Escape a payload for single-line transport: `\` → `\\`,
 /// newline → `\n`, carriage return → `\r`.

@@ -9,7 +9,7 @@
 //! in one [`ServerState`] shared by `Arc`.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,6 +26,7 @@ use crate::conn::{is_poll_timeout, BindAddr, Conn, Listener};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
     cancelled_line, done_line, err_line, parse_request, prepared_line, row_line, Request,
+    MAX_FRAME_BYTES,
 };
 use crate::slowlog::{SlowDisposition, SlowLog, SlowQueryEntry};
 
@@ -552,13 +553,13 @@ fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::R
     // during mid-stream cancel polling) read may have already consumed
     // a line fragment, which must survive until the newline arrives on
     // a later read. Cleared only once a complete line is parsed.
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut counters = SessionCounters::default();
     tracing::debug!(target: "uload::server", "session {id} started");
 
     loop {
         loop {
-            match reader.read_line(&mut line) {
+            match read_frame(&mut reader, &mut line) {
                 Ok(0) => return Ok(()), // client hung up
                 Ok(_) => break,
                 Err(ref e) if is_poll_timeout(e) => {
@@ -566,10 +567,15 @@ fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::R
                         return Ok(());
                     }
                 }
+                // the rest of an oversized frame cannot be told apart
+                // from the next request: refuse it and end the session
+                Err(e) if e.kind() == ErrorKind::InvalidData => {
+                    return send(&mut writer, &err_line(&e.to_string()));
+                }
                 Err(e) => return Err(e),
             }
         }
-        let req = parse_request(&line);
+        let req = parse_frame(&line);
         line.clear();
         let req = match req {
             Ok(r) => r,
@@ -750,7 +756,7 @@ fn execute(
     prep: &PreparedQuery,
     reader: &mut BufReader<Box<dyn Conn>>,
     writer: &mut BufWriter<Box<dyn Conn>>,
-    line: &mut String,
+    line: &mut Vec<u8>,
     counters: &mut SessionCounters,
 ) -> std::io::Result<ExecEnd> {
     let started = Instant::now();
@@ -1015,22 +1021,53 @@ enum Poll {
     Disconnect,
 }
 
+/// Read the next piece of one request line into `frame`, as
+/// [`BufRead::read_until`] does up to a newline: `Ok(0)` at end of
+/// stream, and on a timeout the bytes that did arrive stay in `frame`
+/// for the next call. A frame that grows past [`MAX_FRAME_BYTES`]
+/// without its newline is refused with an `InvalidData` error, so one
+/// client cannot grow the buffer without bound.
+fn read_frame(
+    reader: &mut BufReader<Box<dyn Conn>>,
+    frame: &mut Vec<u8>,
+) -> std::io::Result<usize> {
+    // one byte past the cap: room for the newline of a full-size frame
+    let room = (MAX_FRAME_BYTES + 1).saturating_sub(frame.len()) as u64;
+    let read = reader.by_ref().take(room).read_until(b'\n', frame);
+    if frame.len() > MAX_FRAME_BYTES && frame.last() != Some(&b'\n') {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("frame exceeds {MAX_FRAME_BYTES} bytes without a newline"),
+        ));
+    }
+    read
+}
+
+/// Parse one request line read by [`read_frame`].
+fn parse_frame(frame: &[u8]) -> std::result::Result<Request, String> {
+    std::str::from_utf8(frame)
+        .map_err(|_| "request line is not valid UTF-8".to_string())
+        .and_then(parse_request)
+}
+
 /// Non-blocking peek for a `CANCEL` between batches. A partial line
 /// (no newline yet) stays in the session's persistent `line` buffer
 /// across polls — and across the end of the stream, so a `CANCEL`
 /// whose tail arrives late still parses (as a no-op cancel) in the
-/// main loop. Any complete non-`CANCEL` line mid-stream is ignored.
-fn poll_cancel(reader: &mut BufReader<Box<dyn Conn>>, line: &mut String) -> std::io::Result<Poll> {
+/// main loop. Any complete non-`CANCEL` line mid-stream is ignored; an
+/// oversized one stays in the buffer, and the main loop refuses it once
+/// the stream has ended.
+fn poll_cancel(reader: &mut BufReader<Box<dyn Conn>>, line: &mut Vec<u8>) -> std::io::Result<Poll> {
     reader.get_ref().set_nonblocking_d(true)?;
     let mut out = Poll::Quiet;
     loop {
-        match reader.read_line(line) {
+        match read_frame(reader, line) {
             Ok(0) => {
                 out = Poll::Disconnect;
                 break;
             }
             Ok(_) => {
-                let cancel = matches!(parse_request(line), Ok(Request::Cancel));
+                let cancel = matches!(parse_frame(line), Ok(Request::Cancel));
                 line.clear();
                 if cancel {
                     out = Poll::Cancel;
@@ -1038,7 +1075,7 @@ fn poll_cancel(reader: &mut BufReader<Box<dyn Conn>>, line: &mut String) -> std:
                 }
                 // anything else sent mid-stream is swallowed
             }
-            Err(ref e) if is_poll_timeout(e) => break,
+            Err(ref e) if is_poll_timeout(e) || e.kind() == ErrorKind::InvalidData => break,
             Err(e) => {
                 reader.get_ref().set_nonblocking_d(false)?;
                 return Err(e);

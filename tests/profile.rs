@@ -245,7 +245,7 @@ proptest! {
         let pool: [&'static str; 10] =
             ["site", "regions", "item", "name", "description",
              "parlist", "listitem", "text", "keyword", "mailbox"];
-        let mut w = uload_bench::experiments::TwigWorkload {
+        let mut w = uload_bench::twig::TwigWorkload {
             name: "prop".into(),
             labels: Vec::new(),
             parents: Vec::new(),
@@ -261,11 +261,11 @@ proptest! {
         if streams.iter().any(|s| s.is_empty()) {
             return Ok(()); // label absent: no ids_* relation to scan
         }
-        let cat = uload_bench::experiments::twig_catalog(&doc);
+        let cat = uload_bench::twig::twig_catalog(&doc);
         let plan = w.twig_plan();
         let plain = Evaluator::new(&cat).eval(&plan).unwrap();
         for batch_size in [7, usize::MAX] {
-            let ccfg = algebra::CursorConfig { batch_size, profiling: true, ..Default::default() };
+            let ccfg = algebra::CursorConfig { batch_size, profiling: true };
             let mut exec = algebra::build_cursor(&plan, &cat, None, &ccfg).unwrap();
             let mut tuples = Vec::new();
             while let Some(b) = exec.next_batch().unwrap() {

@@ -176,7 +176,7 @@ proptest! {
         };
         // random tree pattern: node k hangs off a random earlier node
         // with a random Child/Descendant axis
-        let mut w = uload_bench::experiments::TwigWorkload {
+        let mut w = uload_bench::twig::TwigWorkload {
             name: "prop".into(),
             labels: Vec::new(),
             parents: Vec::new(),
@@ -194,27 +194,25 @@ proptest! {
         let cols = w.columns(&idx);
         let refs: Vec<&algebra::IdColumns> = cols.iter().collect();
         let twig = algebra::twig_join(&pattern, &refs, &mut algebra::NoMeter);
-        let mut stack = uload_bench::experiments::cascade_solutions(
+        let mut stack = uload_bench::twig::cascade_solutions(
             &w.parents, &w.axes, &streams, Some(&cols));
         stack.sort_unstable();
-        let mut nested = uload_bench::experiments::cascade_solutions(
+        let mut nested = uload_bench::twig::cascade_solutions(
             &w.parents, &w.axes, &streams, None);
         nested.sort_unstable();
         prop_assert_eq!(&twig, &stack, "twig vs StackTree cascade on {:?}", w.labels);
         prop_assert_eq!(&stack, &nested, "StackTree vs nested loop on {:?}", w.labels);
 
         // planner path: the fused plan over the catalog-registered ID
-        // streams, with and without the holistic operator (labels absent
-        // from the document have no ids_* relation, so skip those specs)
+        // streams against its binary cascade (labels absent from the
+        // document have no ids_* relation, so skip those specs)
         if streams.iter().all(|s| !s.is_empty()) {
-            let cat = uload_bench::experiments::twig_catalog(&doc);
-            let plan = w.twig_plan();
-            let on = algebra::Evaluator::new(&cat).eval(&plan).unwrap();
-            let mut off_ev = algebra::Evaluator::new(&cat);
-            off_ev.config.use_twigstack = false;
-            let off = off_ev.eval(&plan).unwrap();
+            let cat = uload_bench::twig::twig_catalog(&doc);
+            let ev = algebra::Evaluator::new(&cat);
+            let on = ev.eval(&w.twig_plan()).unwrap();
+            let cascade = ev.eval(&w.cascade_plan()).unwrap();
             prop_assert_eq!(on.tuples.len(), twig.len());
-            prop_assert_eq!(on, off, "planner twig vs cascade fallback on {:?}", w.labels);
+            prop_assert_eq!(on, cascade, "planner twig vs its cascade on {:?}", w.labels);
         }
     }
 }
@@ -226,14 +224,11 @@ proptest! {
     /// into batches: one row at a time, a few, the default, or everything
     /// at once (what `Evaluator::eval` runs) give the same rows in the
     /// same order on random XMark and DBLP twig plans — the fused
-    /// holistic form and the binary cascade — and so do the oracle arms,
-    /// the nested-loop structural join and the cascade in place of the
-    /// holistic twig.
+    /// holistic form and the binary cascade it desugars to.
     #[test]
     fn results_are_batch_size_invariant(
         spec in prop::collection::vec((0usize..10, 0usize..8, 0usize..2), 2..7),
         dblp_sel in 0usize..2,
-        batch_pick in 0usize..4,
     ) {
         let dblp = dblp_sel == 1;
         let doc = if dblp { generate::dblp(6, 7) } else { generate::xmark(3, 7) };
@@ -244,7 +239,7 @@ proptest! {
             ["site", "regions", "item", "name", "description",
              "parlist", "listitem", "text", "keyword", "mailbox"]
         };
-        let mut w = uload_bench::experiments::TwigWorkload {
+        let mut w = uload_bench::twig::TwigWorkload {
             name: "prop".into(),
             labels: Vec::new(),
             parents: Vec::new(),
@@ -259,32 +254,19 @@ proptest! {
         if w.streams(&idx).iter().any(|s| s.is_empty()) {
             return Ok(()); // label absent: no ids_* relation to scan
         }
-        let cat = uload_bench::experiments::twig_catalog(&doc);
-        let run = |plan: &algebra::LogicalPlan, batch_size: usize, eval: algebra::EvalConfig| {
-            let ccfg = algebra::CursorConfig { batch_size, eval, ..Default::default() };
+        let cat = uload_bench::twig::twig_catalog(&doc);
+        let run = |plan: &algebra::LogicalPlan, batch_size: usize| {
+            let ccfg = algebra::CursorConfig { batch_size, ..Default::default() };
             algebra::build_cursor(plan, &cat, None, &ccfg).unwrap().collect().unwrap()
         };
-        let default = algebra::EvalConfig::default();
-        let nested_loop = algebra::EvalConfig { use_stacktree: false, ..default };
-        let cascade_arm = algebra::EvalConfig { use_twigstack: false, ..default };
-        let sizes = [1usize, 2, 7, 1024];
-        let want = run(&w.twig_plan(), usize::MAX, default);
+        let want = run(&w.twig_plan(), usize::MAX);
         prop_assert_eq!(&algebra::Evaluator::new(&cat).eval(&w.twig_plan()).unwrap(), &want);
         for plan in [w.twig_plan(), w.cascade_plan()] {
-            for batch_size in sizes.into_iter().chain([usize::MAX]) {
+            for batch_size in [1usize, 2, 7, 1024, usize::MAX] {
                 prop_assert_eq!(
-                    &run(&plan, batch_size, default), &want,
+                    &run(&plan, batch_size), &want,
                     "batch {} changed the answer on {:?}", batch_size, w.labels
                 );
-            }
-            // the oracles, at one drawn batch size and unbounded
-            for eval in [nested_loop, cascade_arm] {
-                for batch_size in [sizes[batch_pick], usize::MAX] {
-                    prop_assert_eq!(
-                        &run(&plan, batch_size, eval), &want,
-                        "{:?} at batch {} disagrees on {:?}", eval, batch_size, w.labels
-                    );
-                }
             }
         }
         // value joins whose key columns sit inside nested collections
@@ -333,8 +315,8 @@ proptest! {
 #[test]
 fn bounded_batches_bound_residency_on_a_multiplying_star() {
     let doc = generate::xmark(3, 11);
-    let cat = uload_bench::experiments::twig_catalog(&doc);
-    let plan = uload_bench::experiments::TwigWorkload {
+    let cat = uload_bench::twig::twig_catalog(&doc);
+    let plan = uload_bench::twig::TwigWorkload {
         name: "deep_star_kw3".into(),
         labels: vec!["site", "item", "keyword", "keyword", "keyword"],
         parents: vec![0, 0, 1, 1, 1],
@@ -454,7 +436,7 @@ proptest! {
             .map(|s| s.iter().enumerate().map(|(i, &sid)| (sid, i as u32)).collect())
             .collect();
         let labels: Vec<&str> = drawn.iter().map(|&n| doc.label(n)).collect();
-        let mut oracle = uload_bench::experiments::cascade_solutions(
+        let mut oracle = uload_bench::twig::cascade_solutions(
             &parents, &axes, &streams, None);
         oracle.sort_unstable();
 
@@ -469,7 +451,7 @@ proptest! {
                 &twig, &oracle,
                 "twig_join (block {}) vs nested loop on {:?} {:?} {:?}", block, labels, parents, axes
             );
-            let mut stack = uload_bench::experiments::cascade_solutions(
+            let mut stack = uload_bench::twig::cascade_solutions(
                 &parents, &axes, &streams, Some(&cols));
             stack.sort_unstable();
             prop_assert_eq!(
@@ -488,8 +470,8 @@ proptest! {
     /// (as a view column legitimately does) stay exact through the
     /// evaluator: the merge seeks over a *non-strictly* pre-sorted
     /// stream, and duplicates straddling fence-block boundaries must not
-    /// cause over-pruning. The default path and the nested-loop oracle
-    /// must return identical relations.
+    /// cause over-pruning. The evaluator must return exactly the rows
+    /// the nested-loop kernel pairs, left row by left row.
     #[test]
     fn struct_join_with_duplicate_ids_matches_oracle(
         pair_sel in 0usize..5,
@@ -522,9 +504,19 @@ proptest! {
                 .collect();
             Relation::new(Schema::atoms(&["ID"]), tuples)
         };
+        let (anc, desc) = (duplicated(anc_l), duplicated(desc_l));
+        let ids = |r: &Relation| -> Vec<(xmltree::StructuralId, u32)> {
+            r.tuples.iter().enumerate().map(|(i, t)| (t.get(0).as_id().unwrap(), i as u32)).collect()
+        };
+        let mut pairs = algebra::nested_loop_pairs(&ids(&anc), &ids(&desc), axis);
+        pairs.sort_unstable();
+        let oracle: Vec<Tuple> = pairs
+            .into_iter()
+            .map(|(a, d)| Tuple::new(vec![anc.tuples[a].get(0).clone(), desc.tuples[d].get(0).clone()]))
+            .collect();
         let mut cat = Catalog::new();
-        cat.insert("anc_dup", duplicated(anc_l));
-        cat.insert("desc_dup", duplicated(desc_l));
+        cat.insert("anc_dup", anc);
+        cat.insert("desc_dup", desc);
         let plan = LogicalPlan::scan("anc_dup").rename(&["A"]).struct_join(
             LogicalPlan::scan("desc_dup").rename(&["B"]),
             "A",
@@ -533,12 +525,9 @@ proptest! {
             JoinKind::Inner,
         );
 
-        let mut oracle_ev = algebra::Evaluator::new(&cat);
-        oracle_ev.config.use_stacktree = false; // nested loop
-        let oracle = oracle_ev.eval(&plan).unwrap();
         let got = algebra::Evaluator::new(&cat).eval(&plan).unwrap();
         prop_assert_eq!(
-            &got, &oracle,
+            &got.tuples, &oracle,
             "{} {:?} {} dropped or invented pairs",
             anc_l, axis, desc_l
         );

@@ -274,6 +274,42 @@ fn deeply_nested_query_answers_err_and_the_session_keeps_serving() {
 }
 
 #[test]
+fn oversized_frame_answers_err_closes_the_session_and_the_server_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    // over a Unix socket the ERR line, queued before the close, is read
+    // before the reset the unread rest of the frame may cause (a TCP
+    // reset can discard it)
+    let path = std::env::temp_dir().join(format!("uload-frame-test-{}.sock", std::process::id()));
+    let config = ServerConfig::default().with_addr(BindAddr::Unix(path.clone()));
+    let server = start(generate::xmark(2, 13), 64, config);
+    let conn = UnixStream::connect(&path).unwrap();
+    let mut w = conn.try_clone().unwrap();
+    // "QUERY " and 2 MiB with no newline; the server stops reading at
+    // the cap, so the tail may meet a closed socket
+    let flood = std::thread::spawn(move || {
+        let _ = w.write_all(b"QUERY ");
+        let _ = w.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut r = BufReader::new(conn);
+    let mut reply = String::new();
+    r.read_line(&mut reply).unwrap();
+    assert!(reply.starts_with("ERR frame exceeds"), "{reply}");
+    reply.clear();
+    // closed: end of stream, or a reset for the bytes it never read
+    match r.read_line(&mut reply) {
+        Ok(n) => assert_eq!(n, 0, "session left open: {reply}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    flood.join().unwrap();
+    let mut other = Client::connect(server.addr()).unwrap();
+    assert!(other.stats_json().unwrap().starts_with('{'));
+    other.quit().unwrap();
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn document_swap_invalidates_through_the_version_key() {
     let server = start(generate::xmark(2, 13), 64, ServerConfig::default());
     let mut c = Client::connect(server.addr()).unwrap();

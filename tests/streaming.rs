@@ -163,11 +163,19 @@ fn stream_profile_reports_executor_counters() {
     assert!(p2.ops.is_empty());
 }
 
+/// `plan` with every `TwigJoin` desugared to its binary cascade.
+fn desugar_twigs(plan: &algebra::LogicalPlan) -> algebra::LogicalPlan {
+    match plan.map_children(desugar_twigs) {
+        algebra::LogicalPlan::TwigJoin { root, steps } => algebra::twig_to_cascade(&root, &steps),
+        other => other,
+    }
+}
+
 #[test]
 fn query_streams_what_the_cascade_oracle_answers() {
     // join-only rewriting over two single-node views: the prepared plan
-    // always fuses into a twig, streamed three rows a batch; the
-    // `use_twigstack = false` oracle runs the same plan as the cascade
+    // always fuses into a twig, streamed three rows a batch; the oracle
+    // runs the same plan with the twig desugared to its cascade
     let doc = generate::xmark(2, 13);
     let mut cfg = EngineConfig::default();
     cfg.rewrite.allow_navigation = false;
@@ -184,10 +192,11 @@ fn query_streams_what_the_cascade_oracle_answers() {
     let prep = u.prepare_query(q).unwrap();
     assert!(prep.plan().to_string().contains("twig("), "{}", prep.plan());
     let streamed: Vec<String> = u.query(q, &doc).unwrap().collect::<Result<_>>().unwrap();
-    let mut ccfg = algebra::CursorConfig::default();
-    ccfg.eval.use_twigstack = false;
+    let cascade = desugar_twigs(prep.plan());
+    assert!(!cascade.to_string().contains("twig("), "{cascade}");
+    let ccfg = algebra::CursorConfig::default();
     let oracle: Vec<String> =
-        algebra::build_cursor(prep.plan(), u.store().catalog(), Some(&doc), &ccfg)
+        algebra::build_cursor(&cascade, u.store().catalog(), Some(&doc), &ccfg)
             .unwrap()
             .collect()
             .unwrap()
