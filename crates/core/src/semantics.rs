@@ -19,15 +19,28 @@
 //! carries `ID` plus the columns the XAM stores or tests
 //! ([`build_catalog`]), and `Π_χ` skips duplicate elimination when the
 //! IDs it keeps already tell all tuples apart ([`final_projection`]).
+//!
+//! A *chain* XAM — one path of plain `/` joins below a single `/` or `//`
+//! edge from `⊤`, no value formula, kept IDs that form a key — is what a
+//! path- or tag-partitioned store is made of (§2.1). [`evaluate`] reads
+//! it off the document instead of running the join tree
+//! ([`Route::Posting`]): each node of the leaf's label posting climbs
+//! its parent pointers once per chain node, and only the bindings that
+//! match build the stored columns. The rows come out in the join tree's
+//! order, lexicographic by the bound nodes' `pre` from the top down —
+//! by top node, then leaf, since a child chain's leaf fixes every node
+//! above it. The relation is the join tree's, row for row.
+
+use std::collections::HashMap;
 
 use algebra::{
     eval::{derived, ColumnDemand},
     Axis, Catalog, EvalError, Evaluator, JoinKind, LogicalPlan, Operand, Path, Predicate, Relation,
-    Value,
+    Schema, Tuple, Value,
 };
-use xmltree::{Document, NodeKind};
+use xmltree::{Document, NodeId, NodeKind};
 
-use crate::ast::{EdgeSem, Formula, FormulaConst, Xam, XamNodeId};
+use crate::ast::{EdgeSem, Formula, FormulaConst, Xam, XamEdge, XamNodeId};
 
 /// Which stored item a result column corresponds to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -334,9 +347,173 @@ pub fn final_projection(xam: &Xam, plan: LogicalPlan) -> LogicalPlan {
     }
 }
 
+/// How [`evaluate`] computes `⟦χ⟧_d` for a XAM; both give the same
+/// relation, row for row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// A chain XAM read off its leaf's label posting and the parent
+    /// pointers.
+    Posting,
+    /// [`build_join_plan`] under [`final_projection`], over
+    /// [`build_catalog`].
+    JoinTree,
+}
+
+impl Route {
+    /// The route [`evaluate`] takes for `xam`.
+    pub fn of(xam: &Xam) -> Route {
+        if chain(xam).is_some() {
+            Route::Posting
+        } else {
+            Route::JoinTree
+        }
+    }
+}
+
+impl std::fmt::Display for Route {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Route::Posting => "posting",
+            Route::JoinTree => "join_tree",
+        })
+    }
+}
+
+/// The nodes of a chain XAM, top down: `⊤` has one child, on a `/` or
+/// `//` plain-join edge, every node below has at most one child, on a
+/// `/` plain-join edge, no node tests its value, and the kept IDs form a
+/// key (a chain that is no key needs `Π_χ`'s hash pass).
+fn chain(xam: &Xam) -> Option<Vec<XamNodeId>> {
+    let &[top] = xam.children(XamNodeId::TOP) else {
+        return None;
+    };
+    if xam.node(top).edge.sem != EdgeSem::Join {
+        return None;
+    }
+    let mut chain = vec![top];
+    let mut n = top;
+    loop {
+        if xam.node(n).value_predicate != Formula::True {
+            return None;
+        }
+        match xam.children(n) {
+            [] => break,
+            &[c] if xam.node(c).edge == XamEdge::child() => {
+                chain.push(c);
+                n = c;
+            }
+            _ => return None,
+        }
+    }
+    kept_ids_form_a_key(xam).then_some(chain)
+}
+
+/// `⟦χ⟧_d` of the chain XAM whose nodes, top down, are `chain`
+/// ([`Route::Posting`]).
+fn evaluate_chain(xam: &Xam, chain: &[XamNodeId], doc: &Document) -> Relation {
+    let columns = output_columns(xam);
+    let names: Vec<&str> = columns.iter().map(|c| c.path.as_str()).collect();
+    let schema = Schema::atoms(&names);
+    // each node's kind and interned label (`None` for `*`); a label the
+    // document lacks matches nothing
+    let mut steps = Vec::with_capacity(chain.len());
+    for &n in chain {
+        let node = xam.node(n);
+        let kind = if node.is_attribute {
+            NodeKind::Attribute
+        } else {
+            NodeKind::Element
+        };
+        let label = match node.tag_predicate.as_deref() {
+            None => None,
+            Some(tag) => match doc.find_label(tag) {
+                Some(id) => Some(id),
+                None => return Relation::empty(schema),
+            },
+        };
+        steps.push((kind, label));
+    }
+    // where each stored column reads its node's binding
+    let reads: Vec<(usize, StoredAttr)> = columns
+        .iter()
+        .map(|c| {
+            let at = chain.iter().position(|&n| n == c.node);
+            (at.expect("a chain XAM's columns are its nodes'"), c.attr)
+        })
+        .collect();
+    let rooted = xam.node(chain[0]).edge.axis == Axis::Child;
+    let leaf = xam.node(chain[chain.len() - 1]);
+    let (leaf_kind, _) = steps[chain.len() - 1];
+    let mut bound = vec![NodeId::ROOT; chain.len()];
+    let mut tags: HashMap<u32, Value> = HashMap::new();
+    let mut buf = String::new();
+    // the stored values, row after row: the tuples are allocated after
+    // the strings, next to each other, as the join tree's `π` allocates
+    // them (a scan of the view reads them in a row)
+    let mut values: Vec<Value> = Vec::new();
+    let mut rows = 0;
+    // each row's top node, where rows can come out of the join tree's order
+    let mut tops: Vec<NodeId> = Vec::new();
+    let track_tops = !rooted && chain.len() > 1;
+    'leaves: for &n in doc.label_posting(leaf.tag_predicate.as_deref(), leaf_kind) {
+        let mut cur = n;
+        bound[chain.len() - 1] = n;
+        for (i, &(kind, label)) in steps.iter().enumerate().rev().skip(1) {
+            match doc.parent(cur) {
+                Some(p) if doc.kind(p) == kind && label.is_none_or(|l| doc.label_id(p) == l) => {
+                    bound[i] = p;
+                    cur = p;
+                }
+                _ => continue 'leaves,
+            }
+        }
+        // `/` from ⊤ binds the root element only
+        if rooted && cur != doc.root() {
+            continue;
+        }
+        values.extend(reads.iter().map(|&(i, attr)| {
+            let n = bound[i];
+            match attr {
+                StoredAttr::Id => Value::Id(doc.structural_id(n)),
+                StoredAttr::Tag => tags
+                    .entry(doc.label_id(n))
+                    .or_insert_with(|| Value::str(doc.label(n)))
+                    .clone(),
+                StoredAttr::Val => {
+                    buf.clear();
+                    doc.write_value(n, &mut buf);
+                    Value::str(&buf)
+                }
+                StoredAttr::Cont => {
+                    buf.clear();
+                    xmltree::parser::serialize_node(doc, n, &mut buf);
+                    Value::str(&buf)
+                }
+            }
+        }));
+        rows += 1;
+        if track_tops {
+            tops.push(bound[0]);
+        }
+    }
+    let mut values = values.into_iter();
+    let mut tuples: Vec<Tuple> = (0..rows)
+        .map(|_| Tuple::new(values.by_ref().take(reads.len()).collect()))
+        .collect();
+    // the rows are in leaf order, the join tree's by top node first: they
+    // differ only where a `//`-rooted chain's top label nests in itself
+    if !tops.is_sorted() {
+        let mut rows: Vec<(NodeId, Tuple)> = tops.into_iter().zip(tuples).collect();
+        rows.sort_by_key(|&(top, _)| top);
+        tuples = rows.into_iter().map(|(_, t)| t).collect();
+    }
+    Relation::new(schema, tuples)
+}
+
 /// Evaluate a XAM (without access restrictions) over a document:
 /// `⟦χ⟧_d`, a nested relation whose schema is given by
-/// [`output_columns`].
+/// [`output_columns`]. A chain XAM is read off the label postings
+/// ([`Route::Posting`]), any other runs its join tree.
 ///
 /// ```
 /// let doc = xmltree::generate::bib_sample();
@@ -345,6 +522,9 @@ pub fn final_projection(xam: &Xam, plan: LogicalPlan) -> LogicalPlan {
 /// assert_eq!(rel.len(), 2); // both books have titles
 /// ```
 pub fn evaluate(xam: &Xam, doc: &Document) -> Result<Relation, EvalError> {
+    if let Some(chain) = chain(xam) {
+        return Ok(evaluate_chain(xam, &chain, doc));
+    }
     let cat = build_catalog(xam, doc);
     let plan = final_projection(xam, build_join_plan(xam));
     Evaluator::with_document(&cat, doc).eval(&plan)
@@ -466,6 +646,105 @@ mod tests {
         let rel = evaluate(&xam, &doc).unwrap();
         assert_eq!(rel.len(), 2); // 2 books × 1 thesis
         assert_eq!(rel.schema.arity(), 2);
+    }
+
+    /// The views of a tag- and a path-partitioned store (§2.1) over
+    /// `doc`: `//l[id:s]` per element label, `/l1{ /l2{ … [id:s,val] } }`
+    /// per rooted label path.
+    fn partition_views(doc: &Document) -> std::collections::BTreeSet<String> {
+        let mut views = std::collections::BTreeSet::new();
+        for n in doc.all_nodes() {
+            if doc.kind(n) == NodeKind::Text {
+                continue;
+            }
+            if doc.kind(n) == NodeKind::Element {
+                views.insert(format!("//{}[id:s]", doc.label(n)));
+            }
+            let path = doc.label_path(n);
+            let steps: Vec<&str> = path[1..].split('/').collect();
+            let mut text = String::new();
+            for (i, step) in steps.iter().enumerate() {
+                text.push_str(if i == 0 { "/" } else { "{ /" });
+                text.push_str(step);
+            }
+            text.push_str("[id:s,val]");
+            text.push_str(&" }".repeat(steps.len() - 1));
+            views.insert(text);
+        }
+        views
+    }
+
+    /// Which XAMs `evaluate` reads off the postings: every view of a tag-
+    /// or path-partitioned store, and the chains below; anything with a
+    /// branch, a value formula, an edge other than a plain `/` join below
+    /// `⊤`, or kept IDs that are no key runs the join tree.
+    #[test]
+    fn chains_take_the_posting_route() {
+        for doc in [
+            xmltree::generate::xmark(2, 7),
+            xmltree::generate::dblp(20, 7),
+            xmltree::generate::bib_document_with_sections(),
+        ] {
+            let views = partition_views(&doc);
+            assert!(views.len() >= 10);
+            for text in views {
+                let xam = parse_xam(&text).unwrap();
+                assert_eq!(Route::of(&xam), Route::Posting, "{text}");
+            }
+        }
+        for text in [
+            "//*[id:s]{ /@*[id:s,val] }",
+            "/lib{ /book{ /@year[id:s,val] } }",
+            "//sec[id:s]{ /sec[id:s]{ /p[id:s] } }",
+            "//a{ /b[id:s] }",
+            "/a[tag,cont]",
+            "/lib{ /*[tag]{ /author[id:s] } }",
+        ] {
+            assert_eq!(
+                Route::of(&parse_xam(text).unwrap()),
+                Route::Posting,
+                "{text}"
+            );
+        }
+        for text in [
+            "//*[tag]{ /*[tag] }",
+            "//b[tag,val]",
+            "//book{ /title[val] }",
+            "//a[id:s]{ /b[id:s]{ /c } }",
+            r#"/lib{ /book{ /title[id:s,val="Next"] } }"#,
+            "//a{ //b[id:s] }",
+            "//a[id:s]{ /b[id:s], /c[id:s] }",
+            "//a[id:s]{ /? b[id:s] }",
+            "//a[id:s]{ /n b[id:s] }",
+            "//a[id:s]{ /s b }",
+        ] {
+            assert_eq!(
+                Route::of(&parse_xam(text).unwrap()),
+                Route::JoinTree,
+                "{text}"
+            );
+        }
+    }
+
+    /// Over a recursive label the join tree is top-node major: the
+    /// posting route sorts its leaf-ordered rows to match.
+    #[test]
+    fn posting_route_keeps_the_join_tree_order() {
+        let doc = xmltree::parse_document("<r><a><a><b>1</b></a><b>2</b></a><a><b>3</b></a></r>")
+            .unwrap();
+        let xam = parse_xam("//a{ /b[id:s] }").unwrap();
+        assert_eq!(Route::of(&xam), Route::Posting);
+        let rel = evaluate(&xam, &doc).unwrap();
+        let pres: Vec<u32> = rel
+            .tuples
+            .iter()
+            .map(|t| t.get(0).as_id().unwrap().pre)
+            .collect();
+        assert_eq!(pres, [5, 3, 8]);
+        let join_tree = Evaluator::with_document(&build_catalog(&xam, &doc), &doc)
+            .eval(&final_projection(&xam, build_join_plan(&xam)))
+            .unwrap();
+        assert_eq!(rel, join_tree);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! once against [`Conn`] and bind to either family via [`BindAddr`].
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -37,8 +37,9 @@ pub trait Conn: Read + Write + Send {
     fn set_nonblocking_d(&self, nb: bool) -> std::io::Result<()>;
     /// An independently-owned handle onto the same socket.
     fn try_clone_box(&self) -> std::io::Result<Box<dyn Conn>>;
-    /// Shut both directions down (unblocks a peer mid-read).
-    fn shutdown_both(&self) -> std::io::Result<()>;
+    /// Shut one or both directions down (`Write`: the peer reads end of
+    /// stream once it has read what was sent).
+    fn shutdown_d(&self, how: Shutdown) -> std::io::Result<()>;
 }
 
 impl Conn for TcpStream {
@@ -51,8 +52,8 @@ impl Conn for TcpStream {
     fn try_clone_box(&self) -> std::io::Result<Box<dyn Conn>> {
         Ok(Box::new(self.try_clone()?))
     }
-    fn shutdown_both(&self) -> std::io::Result<()> {
-        self.shutdown(std::net::Shutdown::Both)
+    fn shutdown_d(&self, how: Shutdown) -> std::io::Result<()> {
+        self.shutdown(how)
     }
 }
 
@@ -66,8 +67,8 @@ impl Conn for UnixStream {
     fn try_clone_box(&self) -> std::io::Result<Box<dyn Conn>> {
         Ok(Box::new(self.try_clone()?))
     }
-    fn shutdown_both(&self) -> std::io::Result<()> {
-        self.shutdown(std::net::Shutdown::Both)
+    fn shutdown_d(&self, how: Shutdown) -> std::io::Result<()> {
+        self.shutdown(how)
     }
 }
 

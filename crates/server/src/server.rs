@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::net::Shutdown;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -570,7 +571,8 @@ fn session_loop(id: u64, conn: Box<dyn Conn>, state: &ServerState) -> std::io::R
                 // the rest of an oversized frame cannot be told apart
                 // from the next request: refuse it and end the session
                 Err(e) if e.kind() == ErrorKind::InvalidData => {
-                    return send(&mut writer, &err_line(&e.to_string()));
+                    send(&mut writer, &err_line(&e.to_string()))?;
+                    return close_refused(&mut reader, state.config.idle_poll);
                 }
                 Err(e) => return Err(e),
             }
@@ -1041,6 +1043,31 @@ fn read_frame(
         ));
     }
     read
+}
+
+/// End a session that refused an oversized frame with a clean close, not
+/// a reset: shut the write side (the peer reads the `ERR` line, then end
+/// of stream), then read and discard what the peer still sends — at most
+/// [`MAX_FRAME_BYTES`] more, within one `deadline` — so that closing the
+/// socket finds no unread bytes to answer with a reset.
+fn close_refused(reader: &mut BufReader<Box<dyn Conn>>, deadline: Duration) -> std::io::Result<()> {
+    reader.get_ref().shutdown_d(Shutdown::Write)?;
+    let until = Instant::now() + deadline;
+    let mut left = MAX_FRAME_BYTES;
+    let mut chunk = [0u8; 8 << 10];
+    while left > 0 {
+        let wait = until.saturating_duration_since(Instant::now());
+        if wait.is_zero() {
+            break;
+        }
+        reader.get_ref().set_read_timeout_d(Some(wait))?;
+        let take = left.min(chunk.len());
+        match reader.read(&mut chunk[..take]) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left -= n,
+        }
+    }
+    Ok(())
 }
 
 /// Parse one request line read by [`read_frame`].

@@ -228,7 +228,9 @@ mod tests {
     use crate::MaterializedStore;
     use algebra::eval::{derived, ColumnDemand};
     use algebra::{Catalog, Evaluator, LogicalPlan, Path, Relation};
-    use xam_core::semantics::{base_name, build_join_plan, output_columns};
+    use xam_core::semantics::{
+        base_name, build_catalog, build_join_plan, final_projection, output_columns, Route,
+    };
     use xmltree::generate::{bib_document, bib_sample, dblp, xmark};
     use xmltree::Document;
 
@@ -262,19 +264,43 @@ mod tests {
         Evaluator::with_document(&cat, doc).eval(&plan).unwrap()
     }
 
+    /// Tag and path partitioning load by posting: each stored relation
+    /// equals, row for row, the eager oracle's and the explicit join
+    /// tree's, and is declared with the key of its ID column. `r` nests
+    /// `a` in itself and `b` in `a` at two depths.
     #[test]
     fn partition_models_materialize_as_the_eager_evaluator_did() {
-        for doc in [xmark(15, 42), dblp(200, 42)] {
+        let recursive = xmltree::parse_document(concat!(
+            "<r><a><a><b>1</b></a><b>2</b></a><a><b k=\"x\">3</b></a>",
+            "<c><a><b>4</b><a><a><b>5</b></a></a></a></c></r>",
+        ))
+        .unwrap();
+        for (doc, min_views) in [(xmark(15, 42), 40), (dblp(200, 42), 40), (recursive, 10)] {
             let s = Summary::of_document(&doc);
             let mut views = tag_partition_model(&s);
             views.extend(path_partition_model(&s));
             assert!(
-                views.len() > 40,
+                views.len() > min_views,
                 "tag and path views of every label and path"
             );
+            let mut store = MaterializedStore::new();
             for (name, xam) in views {
-                let stored = xam_core::evaluate(&xam, &doc).unwrap();
-                assert!(stored == evaluate_eagerly(&xam, &doc), "{name} ← {xam}");
+                assert_eq!(Route::of(&xam), Route::Posting, "{name} ← {xam}");
+                store.add_view(name.clone(), xam.clone(), &doc).unwrap();
+                let stored = store.relation(&name).unwrap();
+                assert!(*stored == evaluate_eagerly(&xam, &doc), "{name} ← {xam}");
+                let join_tree = Evaluator::with_document(&build_catalog(&xam, &doc), &doc)
+                    .eval(&final_projection(&xam, build_join_plan(&xam)))
+                    .unwrap();
+                assert!(*stored == join_tree, "{name} ← {xam}");
+                assert_eq!(
+                    store.catalog().declared_key(&name),
+                    Some(&[0][..]),
+                    "{name} ← {xam}"
+                );
+                let ids: std::collections::HashSet<_> =
+                    stored.tuples.iter().map(|t| t.get(0).as_id()).collect();
+                assert_eq!(ids.len(), stored.len(), "{name} ← {xam}");
             }
         }
     }

@@ -8,8 +8,10 @@
 //! definitions; the execution layer scans the materialized relations
 //! through an [`algebra::Catalog`].
 
-use algebra::{Catalog, EvalError, OrderSpec, Relation};
-use xam_core::semantics::{OutputColumn, StoredAttr};
+use std::cmp::Ordering;
+
+use algebra::{order::value_cmp, Catalog, EvalError, FieldKind, OrderSpec, Relation};
+use xam_core::semantics::{OutputColumn, Route, StoredAttr};
 use xam_core::Xam;
 use xmltree::Document;
 
@@ -40,14 +42,12 @@ impl MaterializedStore {
         let rel = span.in_scope(|| xam_core::evaluate(&xam, doc))?;
         tracing::debug!(
             target: "uload::storage",
-            "materialized view `{name}` ← {xam}: {} tuples",
+            "materialized view `{name}` by {}, {} tuples ← {xam}",
+            Route::of(&xam),
             rel.len()
         );
         let columns = xam_core::semantics::output_columns(&xam);
-        let order = columns
-            .first()
-            .map(|c| OrderSpec::by(c.path.clone()))
-            .unwrap_or_default();
+        let order = declared_order(&rel);
         let key = view_key(&xam, &columns, &rel);
         self.catalog.insert_ordered(name.clone(), rel, order);
         let key: Vec<&str> = key.iter().map(String::as_str).collect();
@@ -106,6 +106,25 @@ impl MaterializedStore {
 
     pub fn is_empty(&self) -> bool {
         self.defs.is_empty()
+    }
+}
+
+/// The order a materialized view is declared with: its first column,
+/// when that is an atom and the rows are sorted on it under `Sort`'s
+/// order. The join tree sorts on the top node's bindings, so a first
+/// column of a node below it, or a `Tag`/`Val`/`Cont`, need not be.
+fn declared_order(rel: &Relation) -> OrderSpec {
+    match rel.schema.fields.first() {
+        Some(first)
+            if first.kind == FieldKind::Atom
+                && rel
+                    .tuples
+                    .windows(2)
+                    .all(|w| value_cmp(w[0].get(0), w[1].get(0)) != Ordering::Greater) =>
+        {
+            OrderSpec::by(first.name.clone())
+        }
+        _ => OrderSpec::none(),
     }
 }
 
@@ -188,6 +207,40 @@ mod tests {
         assert!(store.catalog().declared_key("v_titles").is_some());
         assert_eq!(orders(&store), before);
         assert_eq!(store.len(), 2);
+    }
+
+    /// A view declares the order of its first column only when its rows
+    /// are in it. `a` nests in itself, so `//a{ /b[id:s] }` holds `b` at
+    /// pre 5, 3, 8: a `Sort` on `b_ID` over it must not be elided.
+    #[test]
+    fn declared_order_holds_of_the_stored_rows() {
+        let doc = xmltree::parse_document("<r><a><a><b>1</b></a><b>2</b></a><a><b>3</b></a></r>")
+            .unwrap();
+        let mut store = MaterializedStore::new();
+        for (name, text, sorted) in [
+            ("v_b", "//a{ /b[id:s] }", false),
+            ("v_ab", "//a[id:s]{ /b[id:s] }", true),
+            ("v_b_val", "//a{ /b[val] }", false),
+            ("v_a_tag", "//a[tag]{ /b[id:s] }", true),
+            ("v_b_first", "//b[id:s]", true),
+        ] {
+            store
+                .add_view(name, parse_xam(text).unwrap(), &doc)
+                .unwrap();
+            let rel = store.relation(name).unwrap();
+            let first = &rel.schema.fields[0].name;
+            let in_order = rel
+                .tuples
+                .windows(2)
+                .all(|w| value_cmp(w[0].get(0), w[1].get(0)) != Ordering::Greater);
+            assert_eq!(in_order, sorted, "{text}");
+            let declared = store.catalog().declared_order(name).unwrap();
+            assert_eq!(
+                declared.satisfies(&algebra::Path::new(first)),
+                sorted,
+                "{text}"
+            );
+        }
     }
 
     /// A view is keyed on its ID columns plus the items of the nodes that

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use summary::Summary;
 use uload_bench::pattern_gen::{self, GenConfig};
 use xam_core::semantics::{
-    build_catalog, build_join_plan, final_projection, output_columns, StoredAttr,
+    build_catalog, build_join_plan, final_projection, output_columns, Route, StoredAttr,
 };
 use xam_core::{parse_xam, EdgeSem, IdKind, Xam};
 use xmltree::{Document, DocumentBuilder};
@@ -260,12 +260,10 @@ proptest! {
     }
 }
 
-/// The shapes demand pruning and the dedup shortcut can get wrong,
-/// spelled out. Two books share a title and an author, `sec` nests in
-/// itself, one book has no year and one editor no affiliation.
-#[test]
-fn forced_cases_match_embeddings() {
-    let lib = xmltree::parse_document(concat!(
+/// Two books share a title and an author, `sec` nests in itself, one
+/// book has no year and one editor no affiliation.
+fn lib_document() -> Document {
+    xmltree::parse_document(concat!(
         "<lib>",
         r#"<book year="1999" lang="en"><title>Data on the Web</title><author>Abiteboul</author>"#,
         "<author>Suciu</author><editor><affil>INRIA</affil></editor></book>",
@@ -275,7 +273,14 @@ fn forced_cases_match_embeddings() {
         "<sec><sec><p>1</p></sec><p>2</p></sec></thesis>",
         "</lib>",
     ))
-    .unwrap();
+    .unwrap()
+}
+
+/// The shapes demand pruning and the dedup shortcut can get wrong,
+/// spelled out over [`lib_document`].
+#[test]
+fn forced_cases_match_embeddings() {
+    let lib = lib_document();
     let cases = [
         // value predicate on a node that does not store Val
         r#"//book[id:s]{ /@year[val="1999"] }"#,
@@ -321,4 +326,68 @@ fn forced_cases_match_embeddings() {
     assert_eq!(titles.len(), 2, "three books, two distinct titles");
     let ps = xam_core::evaluate(&parse_xam("//sec{ //p[id:s] }").unwrap(), &lib).unwrap();
     assert_eq!(ps.len(), 2, "`1` lies under both `sec`s, once in the view");
+}
+
+/// Chain XAMs, which `evaluate` reads off the label postings, and the
+/// chains next to them that must stay on the join tree; `check` holds
+/// either to the join tree's relation row for row. In `r`, `a` nests in
+/// itself, so `//a{ /b }`'s join tree is `a`-major: `b` at pre 5, 3, 8,
+/// not the posting's 3, 5, 8.
+#[test]
+fn forced_chain_cases_match_embeddings() {
+    let lib = lib_document();
+    let r =
+        xmltree::parse_document("<r><a><a><b>1</b></a><b>2</b></a><a><b>3</b></a></r>").unwrap();
+    let posting = [
+        // `*` nodes
+        (&lib, "//*[id:s]{ /*[id:s,tag] }"),
+        (&lib, "/lib{ /*[tag]{ /author[id:s,val] } }"),
+        (&lib, "//*[id:s]{ /@*[id:s,val] }"),
+        // an attribute leaf
+        (&lib, "/lib{ /book{ /@year[id:s,val] } }"),
+        // `/`-rooted, top label not the root's
+        (&lib, "/book{ /title[id:s] }"),
+        (&lib, "/thesis[id:s]"),
+        // nothing stored: one empty tuple per binding
+        (&lib, "/lib"),
+        (&r, "/lib"),
+        // recursive labels under `//`
+        (&lib, "//sec[id:s]{ /sec[id:s]{ /p[id:s] } }"),
+        (&lib, "//sec{ /p[id:s,cont] }"),
+        (&r, "//a{ /b[id:s] }"),
+        (&r, "//a[id:s,tag]{ /b[id:s,val] }"),
+        (&r, "//*{ /a{ /b[id:s] } }"),
+        // a label the document lacks
+        (&r, "//a{ /c[id:s] }"),
+    ];
+    let join_tree = [
+        // a value formula
+        (
+            &lib,
+            r#"/lib{ /book{ /title[id:s,val="Data on the Web"] } }"#,
+        ),
+        // kept IDs that are no key
+        (&lib, "//*[tag]{ /*[tag] }"),
+        (&lib, "//title[tag,val]"),
+        (&r, "//a{ /b[val] }"),
+        // `//` below the top
+        (&r, "//a{ //b[id:s] }"),
+    ];
+    for (route, cases) in [
+        (Route::Posting, &posting[..]),
+        (Route::JoinTree, &join_tree[..]),
+    ] {
+        for &(doc, text) in cases {
+            let xam = parse_xam(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(Route::of(&xam), route, "{text}");
+            check(&xam, doc).unwrap_or_else(|why| panic!("{text}: {why}"));
+        }
+    }
+    let bs = xam_core::evaluate(&parse_xam("//a{ /b[id:s] }").unwrap(), &r).unwrap();
+    let pres: Vec<u32> = bs
+        .tuples
+        .iter()
+        .map(|t| t.get(0).as_id().unwrap().pre)
+        .collect();
+    assert_eq!(pres, [5, 3, 8]);
 }

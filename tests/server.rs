@@ -273,40 +273,69 @@ fn deeply_nested_query_answers_err_and_the_session_keeps_serving() {
     server.wait();
 }
 
-#[test]
-fn oversized_frame_answers_err_closes_the_session_and_the_server_keeps_serving() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixStream;
-    // over a Unix socket the ERR line, queued before the close, is read
-    // before the reset the unread rest of the frame may cause (a TCP
-    // reset can discard it)
-    let path = std::env::temp_dir().join(format!("uload-frame-test-{}.sock", std::process::id()));
-    let config = ServerConfig::default().with_addr(BindAddr::Unix(path.clone()));
-    let server = start(generate::xmark(2, 13), 64, config);
-    let conn = UnixStream::connect(&path).unwrap();
-    let mut w = conn.try_clone().unwrap();
-    // "QUERY " and 2 MiB with no newline; the server stops reading at
-    // the cap, so the tail may meet a closed socket
+/// Send `QUERY ` and 1.5 MiB with no newline over `conn` and read the
+/// answer: the `ERR` line, then end of stream. The session shuts its
+/// write side and reads the rest of the frame before it closes, so
+/// every byte sent is taken and no reset reaches the client; then the
+/// server still serves a new session.
+fn oversized_frame_gets_err_then_end_of_stream<S>(server: ServerHandle, conn: S, writer: S)
+where
+    S: std::io::Read + std::io::Write + Send + 'static,
+{
+    use std::io::{BufRead, BufReader};
+    use uload::server::protocol::MAX_FRAME_BYTES;
     let flood = std::thread::spawn(move || {
-        let _ = w.write_all(b"QUERY ");
-        let _ = w.write_all(&vec![b'x'; 2 << 20]);
+        let mut w = writer;
+        w.write_all(b"QUERY ")?;
+        w.write_all(&vec![b'x'; MAX_FRAME_BYTES + MAX_FRAME_BYTES / 2])
     });
     let mut r = BufReader::new(conn);
     let mut reply = String::new();
     r.read_line(&mut reply).unwrap();
     assert!(reply.starts_with("ERR frame exceeds"), "{reply}");
     reply.clear();
-    // closed: end of stream, or a reset for the bytes it never read
-    match r.read_line(&mut reply) {
-        Ok(n) => assert_eq!(n, 0, "session left open: {reply}"),
-        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
-    }
-    flood.join().unwrap();
+    assert_eq!(
+        r.read_line(&mut reply).unwrap(),
+        0,
+        "session left open: {reply}"
+    );
+    flood.join().unwrap().unwrap();
     let mut other = Client::connect(server.addr()).unwrap();
     assert!(other.stats_json().unwrap().starts_with('{'));
     other.quit().unwrap();
     server.shutdown();
     server.wait();
+}
+
+/// The session drains the refused frame for one idle poll: long enough
+/// here for the flood to arrive whole on a loaded test machine.
+const DRAIN_POLL: Duration = Duration::from_millis(250);
+
+#[test]
+fn oversized_frame_answers_err_closes_the_session_and_the_server_keeps_serving() {
+    use std::os::unix::net::UnixStream;
+    let path = std::env::temp_dir().join(format!("uload-frame-test-{}.sock", std::process::id()));
+    let config = ServerConfig::default()
+        .with_addr(BindAddr::Unix(path.clone()))
+        .with_idle_poll(DRAIN_POLL);
+    let server = start(generate::xmark(2, 13), 64, config);
+    let conn = UnixStream::connect(&path).unwrap();
+    let writer = conn.try_clone().unwrap();
+    oversized_frame_gets_err_then_end_of_stream(server, conn, writer);
+}
+
+/// Over TCP a reset can discard the `ERR` line before the client reads
+/// it; the clean close delivers it.
+#[test]
+fn oversized_frame_over_tcp_answers_err_then_end_of_stream() {
+    let config = ServerConfig::default().with_idle_poll(DRAIN_POLL);
+    let server = start(generate::xmark(2, 13), 64, config);
+    let BindAddr::Tcp(addr) = server.addr().clone() else {
+        panic!("the default server listens on TCP");
+    };
+    let conn = std::net::TcpStream::connect(addr.as_str()).unwrap();
+    let writer = conn.try_clone().unwrap();
+    oversized_frame_gets_err_then_end_of_stream(server, conn, writer);
 }
 
 #[test]
