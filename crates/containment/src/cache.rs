@@ -1,22 +1,22 @@
-//! Shared canonical-model and verdict cache.
+//! Shared containment-verdict and path-annotation cache.
 //!
 //! Containment, minimization and rewriting all revolve around the same
-//! two expensive computations: enumerating canonical models `mod_S(p)`
-//! and deciding verdicts `p ⊆_S q`. During rewriting the *same* query
-//! pattern is checked against hundreds of candidate rewritings, and
+//! two expensive computations: deciding verdicts `p ⊆_S q` (by
+//! enumerating canonical models `mod_S(p)`) and annotating pattern
+//! nodes with the summary paths they can reach. During rewriting the
+//! *same* query pattern is checked against hundreds of candidate rewritings, and
 //! minimization re-decides equivalence for overlapping contraction
 //! chains — both workloads hit the same `(pattern, summary)` pairs over
-//! and over. [`CanonicalCache`] memoizes three result classes across
+//! and over. [`CanonicalCache`] memoizes two result classes across
 //! those call sites, keyed by structural fingerprints so the cache is
 //! shared freely between threads and engine layers:
 //!
 //! * containment verdicts keyed by `(p, p_rets, q, q_rets, S)`,
-//! * full canonical models keyed by `(p, S)`,
 //! * per-node path annotations keyed by `(p, S)`.
 //!
 //! Eviction is LRU over an access tick; lookups take a read lock only
-//! (recency is bumped through an atomic inside the entry), so concurrent
-//! workers in the parallel engine share one cache without serializing.
+//! (recency is bumped through an atomic inside the entry), so the
+//! server's concurrent sessions share one cache without serializing.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -29,7 +29,6 @@ use parking_lot::RwLock;
 use summary::{Summary, SummaryNodeId};
 use xam_core::ast::{Xam, XamNodeId};
 
-use crate::canonical::{CanonicalTree, ModelStats};
 use crate::ContainmentOutcome;
 
 // ------------------------------------------------------------------
@@ -167,24 +166,22 @@ struct VerdictKey {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ModelKey {
+struct PatternKey {
     p: u64,
     s: u64,
 }
 
 /// A point-in-time snapshot of cache effectiveness counters, with the
-/// occupancy of each of the three memo maps.
+/// occupancy of each of the two memo maps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
-    /// Entries currently resident across all three maps.
+    /// Entries currently resident across both maps.
     pub entries: usize,
     /// Containment verdicts resident.
     pub verdict_entries: usize,
-    /// Canonical models resident.
-    pub model_entries: usize,
     /// Path-annotation vectors resident.
     pub annotation_entries: usize,
 }
@@ -200,15 +197,11 @@ impl CacheStats {
     }
 }
 
-/// A memoized canonical model: its trees plus enumeration statistics.
-type CachedModel = Arc<(Vec<CanonicalTree>, ModelStats)>;
-
 /// The shared cache. Cheap to share by reference (all interior
 /// mutability); wrap in [`Arc`] to share across owners.
 pub struct CanonicalCache {
     verdicts: RwLock<LruMap<VerdictKey, ContainmentOutcome>>,
-    models: RwLock<LruMap<ModelKey, CachedModel>>,
-    annotations: RwLock<LruMap<ModelKey, Arc<Vec<HashSet<SummaryNodeId>>>>>,
+    annotations: RwLock<LruMap<PatternKey, Arc<Vec<HashSet<SummaryNodeId>>>>>,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -234,15 +227,13 @@ impl Default for CanonicalCache {
 }
 
 impl CanonicalCache {
-    /// A cache holding up to `capacity` verdicts. Canonical models and
-    /// annotations are bulkier, so their maps are bounded at
-    /// `capacity / 8` entries (at least 16).
+    /// A cache holding up to `capacity` verdicts. Annotations are
+    /// bulkier, so their map is bounded at `capacity / 8` entries (at
+    /// least 16).
     pub fn new(capacity: usize) -> Self {
-        let heavy = (capacity / 8).max(16);
         CanonicalCache {
             verdicts: RwLock::new(LruMap::new(capacity.max(1))),
-            models: RwLock::new(LruMap::new(heavy)),
-            annotations: RwLock::new(LruMap::new(heavy)),
+            annotations: RwLock::new(LruMap::new((capacity / 8).max(16))),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -270,15 +261,13 @@ impl CanonicalCache {
 
     pub fn stats(&self) -> CacheStats {
         let verdict_entries = self.verdicts.read().len();
-        let model_entries = self.models.read().len();
         let annotation_entries = self.annotations.read().len();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: verdict_entries + model_entries + annotation_entries,
+            entries: verdict_entries + annotation_entries,
             verdict_entries,
-            model_entries,
             annotation_entries,
         }
     }
@@ -326,33 +315,6 @@ impl CanonicalCache {
         self.note_eviction(evicted);
     }
 
-    // -- canonical models ------------------------------------------
-
-    /// Memoized [`crate::canonical::canonical_model`]. `summary_fp` lets
-    /// callers amortize the summary fingerprint; pass `None` to have it
-    /// computed here.
-    pub fn canonical_model(
-        &self,
-        p: &Xam,
-        s: &Summary,
-        summary_fp: Option<u64>,
-    ) -> Arc<(Vec<CanonicalTree>, ModelStats)> {
-        let key = ModelKey {
-            p: pattern_fingerprint(p),
-            s: summary_fp.unwrap_or_else(|| summary_fingerprint(s)),
-        };
-        if let Some(m) = self.models.read().get(&key, self.next_tick()) {
-            self.note(true);
-            return m;
-        }
-        self.note(false);
-        let built = Arc::new(crate::canonical::canonical_model(p, s));
-        let tick = self.next_tick();
-        let evicted = self.models.write().insert(key, built.clone(), tick);
-        self.note_eviction(evicted);
-        built
-    }
-
     // -- path annotations ------------------------------------------
 
     /// Memoized per-node path annotations of a whole pattern (indexed by
@@ -363,7 +325,7 @@ impl CanonicalCache {
         s: &Summary,
         summary_fp: Option<u64>,
     ) -> Arc<Vec<HashSet<SummaryNodeId>>> {
-        let key = ModelKey {
+        let key = PatternKey {
             p: pattern_fingerprint(p),
             s: summary_fp.unwrap_or_else(|| summary_fingerprint(s)),
         };
@@ -463,7 +425,6 @@ mod tests {
         assert_eq!(s.misses, 1);
         assert!(s.hit_rate() > 0.49 && s.hit_rate() < 0.51);
         assert_eq!(s.verdict_entries, 1);
-        assert_eq!(s.model_entries, 0);
         assert_eq!(s.annotation_entries, 0);
         assert_eq!(s.entries, 1);
     }
@@ -485,25 +446,6 @@ mod tests {
         assert!(cache.get_verdict(1, 0, 0, 0, 0).is_some());
         assert!(cache.get_verdict(2, 0, 0, 0, 0).is_none());
         assert!(cache.get_verdict(3, 0, 0, 0, 0).is_some());
-    }
-
-    #[test]
-    fn model_cache_returns_shared_arc() {
-        let s = s_of("<a><b><c/></b></a>");
-        let p = parse_xam("//b[id:s]").unwrap();
-        let cache = CanonicalCache::default();
-        let m1 = cache.canonical_model(&p, &s, None);
-        let m2 = cache.canonical_model(&p, &s, None);
-        assert!(Arc::ptr_eq(&m1, &m2));
-        assert_eq!(m1.1.size, m1.0.len());
-        let s = cache.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.model_entries, 1);
-        assert_eq!(s.verdict_entries, 0);
-        assert_eq!(
-            s.entries,
-            s.verdict_entries + s.model_entries + s.annotation_entries
-        );
     }
 
     #[test]

@@ -108,63 +108,6 @@ pub fn for_each_embedding<F: FnMut(&SummaryEmbedding) -> bool>(
     assign(xam, s, &order, 0, &mut cur, visit)
 }
 
-/// The candidate summary images of the pattern's *first* pre-order node
-/// (whose parent is `⊤`). The parallel engine partitions this list
-/// across workers: each worker enumerates the embeddings rooted at its
-/// share via [`for_each_embedding_from`], and the union over all
-/// candidates is exactly the enumeration of [`for_each_embedding`].
-pub fn root_candidates(xam: &Xam, s: &Summary) -> Vec<SummaryNodeId> {
-    match xam.pattern_nodes().next() {
-        Some(first) => candidates(xam, first, s, None),
-        None => Vec::new(),
-    }
-}
-
-/// As [`for_each_embedding`], but with the first pre-order pattern
-/// node's image pinned to `first` (which must come from
-/// [`root_candidates`]). Used to split the enumeration across workers.
-pub fn for_each_embedding_from<F: FnMut(&SummaryEmbedding) -> bool>(
-    xam: &Xam,
-    s: &Summary,
-    first: SummaryNodeId,
-    visit: &mut F,
-) -> bool {
-    fn assign<F: FnMut(&SummaryEmbedding) -> bool>(
-        xam: &Xam,
-        s: &Summary,
-        order: &[XamNodeId],
-        idx: usize,
-        cur: &mut SummaryEmbedding,
-        visit: &mut F,
-    ) -> bool {
-        if idx == order.len() {
-            return visit(cur);
-        }
-        let pn = order[idx];
-        let parent = xam.parent(pn).unwrap();
-        let parent_image = if parent == XamNodeId::TOP {
-            None
-        } else {
-            cur[parent.index()]
-        };
-        for c in candidates(xam, pn, s, parent_image) {
-            cur[pn.index()] = Some(c);
-            if !assign(xam, s, order, idx + 1, cur, visit) {
-                return false;
-            }
-        }
-        cur[pn.index()] = None;
-        true
-    }
-    let order: Vec<XamNodeId> = xam.pattern_nodes().collect();
-    if order.is_empty() {
-        return visit(&vec![None; xam.len()]);
-    }
-    let mut cur: SummaryEmbedding = vec![None; xam.len()];
-    cur[order[0].index()] = Some(first);
-    assign(xam, s, &order, 1, &mut cur, visit)
-}
-
 /// Collect all strict embeddings (convenience wrapper).
 pub fn embeddings(xam: &Xam, s: &Summary) -> Vec<SummaryEmbedding> {
     let mut out = Vec::new();

@@ -26,9 +26,7 @@ pub mod minimize;
 pub mod pattern_eval;
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
 use summary::{Summary, SummaryNodeId};
 use xam_core::ast::{Formula, Xam, XamNodeId};
 
@@ -84,9 +82,9 @@ fn attr_signature(p: &Xam) -> Vec<(bool, bool, bool, bool)> {
 /// Knobs of a containment decision — the one options struct behind the
 /// unified [`contain`] entry point.
 ///
-/// The default (`ContainOptions::default()`) is the sequential,
-/// uncached decision with return nodes taken from each pattern in
-/// pre-order — the behaviour of the historical `contained_in` family.
+/// The default (`ContainOptions::default()`) is the uncached decision
+/// with return nodes taken from each pattern in pre-order — the
+/// behaviour of the historical `contained_in` family.
 ///
 /// Configured the same way as every options struct in the workspace
 /// (`rewriting::EngineConfig`, `uload_server::ServerConfig`): start
@@ -95,16 +93,12 @@ fn attr_signature(p: &Xam) -> Vec<(bool, bool, bool, bool)> {
 /// ```
 /// use containment::{CanonicalCache, ContainOptions};
 /// let cache = CanonicalCache::new(256);
-/// let opts = ContainOptions::default().with_threads(4).with_cache(&cache);
-/// assert_eq!(opts.threads, 4);
+/// let opts = ContainOptions::default().with_cache(&cache);
+/// assert!(opts.cache.is_some());
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ContainOptions<'a> {
-    /// Worker threads for the canonical-model enumeration. `0` and `1`
-    /// both mean sequential. Parallelism only changes wall-clock time:
-    /// the verdict is identical (the canonical model is a set).
-    pub threads: usize,
-    /// Shared memo for verdicts/models; `None` disables caching.
+    /// Shared verdict memo; `None` disables caching.
     pub cache: Option<&'a CanonicalCache>,
     /// Fingerprint of the summary if the caller amortized it
     /// ([`cache::summary_fingerprint`]); computed on demand otherwise.
@@ -117,18 +111,8 @@ pub struct ContainOptions<'a> {
 }
 
 impl<'a> ContainOptions<'a> {
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     pub fn with_cache(mut self, cache: &'a CanonicalCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    pub fn with_summary_fp(mut self, fp: u64) -> Self {
-        self.summary_fp = Some(fp);
         self
     }
 
@@ -139,8 +123,8 @@ impl<'a> ContainOptions<'a> {
 }
 
 /// Decide `p ⊆_S q` (full pattern language). This is the single
-/// containment entry point; threading, caching and return-node
-/// alignment are selected through [`ContainOptions`].
+/// containment entry point; caching and return-node alignment are
+/// selected through [`ContainOptions`].
 pub fn contain(p: &Xam, q: &Xam, s: &Summary, opts: &ContainOptions) -> ContainmentOutcome {
     let (own_p, own_q);
     let (p_rets, q_rets): (&[XamNodeId], &[XamNodeId]) = match opts.aligned {
@@ -171,7 +155,7 @@ pub fn contain(p: &Xam, q: &Xam, s: &Summary, opts: &ContainOptions) -> Containm
             );
             return hit;
         }
-        let outcome = decide(p, q, s, p_rets, q_rets, opts.threads);
+        let outcome = decide(p, q, s, p_rets, q_rets);
         tracing::debug!(
             target: "uload::containment",
             "decided p ⊆ q: contained={} after {}/{} canonical trees",
@@ -182,7 +166,7 @@ pub fn contain(p: &Xam, q: &Xam, s: &Summary, opts: &ContainOptions) -> Containm
         cache.put_verdict(key.0, key.1, key.2, key.3, key.4, outcome);
         outcome
     } else {
-        let outcome = decide(p, q, s, p_rets, q_rets, opts.threads);
+        let outcome = decide(p, q, s, p_rets, q_rets);
         tracing::trace!(
             target: "uload::containment",
             "decided p ⊆ q (uncached): contained={} after {}/{} canonical trees",
@@ -200,7 +184,6 @@ fn decide(
     s: &Summary,
     p_rets: &[XamNodeId],
     q_rets: &[XamNodeId],
-    threads: usize,
 ) -> ContainmentOutcome {
     // 1. attribute signatures must agree position-wise (Prop 4.4.3)
     if attr_signature_of(p, p_rets) != attr_signature_of(q, q_rets) {
@@ -221,21 +204,6 @@ fn decide(
         };
     }
     // 3. canonical-model check with early exit
-    let roots = canonical::root_candidates(p, s);
-    if threads > 1 && roots.len() > 1 {
-        canonical_check_parallel(p, q, s, p_rets, q_rets, &roots, threads)
-    } else {
-        canonical_check_seq(p, q, s, p_rets, q_rets)
-    }
-}
-
-fn canonical_check_seq(
-    p: &Xam,
-    q: &Xam,
-    s: &Summary,
-    p_rets: &[XamNodeId],
-    q_rets: &[XamNodeId],
-) -> ContainmentOutcome {
     let erasures = canonical::erasure_sets(p);
     let mut seen: HashSet<u64> = HashSet::new();
     let mut checked = 0usize;
@@ -269,96 +237,12 @@ fn canonical_check_seq(
     }
 }
 
-/// The parallel canonical-model check: the first pattern node's summary
-/// candidates are dealt round-robin to `threads` scoped workers, each of
-/// which enumerates the embeddings rooted at its share. Duplicate trees
-/// are eliminated through a shared key set, so exactly one worker checks
-/// each distinct canonical tree; a shared flag broadcasts the early exit
-/// on a negative answer. The verdict — and, for positive answers, the
-/// model size — is bit-identical to the sequential check, because both
-/// compute the same duplicate-free set of accepted canonical trees.
-fn canonical_check_parallel(
-    p: &Xam,
-    q: &Xam,
-    s: &Summary,
-    p_rets: &[XamNodeId],
-    q_rets: &[XamNodeId],
-    roots: &[SummaryNodeId],
-    threads: usize,
-) -> ContainmentOutcome {
-    let erasures = canonical::erasure_sets(p);
-    let failed = AtomicBool::new(false);
-    let seen: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
-    let checked = AtomicUsize::new(0);
-    let workers = threads.min(roots.len());
-    crossbeam::thread::scope(|scope| {
-        for w in 0..workers {
-            let my: Vec<SummaryNodeId> = roots.iter().copied().skip(w).step_by(workers).collect();
-            let (failed, seen, checked, erasures) = (&failed, &seen, &checked, &erasures);
-            scope.spawn(move || {
-                for first in my {
-                    if failed.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    canonical::for_each_embedding_from(p, s, first, &mut |e| {
-                        if failed.load(Ordering::Relaxed) {
-                            return false;
-                        }
-                        for f in erasures.iter() {
-                            let t = canonical::canonical_tree_with_rets(p, s, e, f, p_rets);
-                            let key = t.key();
-                            if seen.lock().contains(&key) {
-                                continue;
-                            }
-                            if !f.is_empty()
-                                && !pattern_eval::accepts_tuple_with_rets(
-                                    p,
-                                    s,
-                                    &t,
-                                    &t.return_tuple,
-                                    p_rets,
-                                )
-                            {
-                                continue;
-                            }
-                            // two workers may race to the same fresh tree:
-                            // the one whose insert wins does the check
-                            if !seen.lock().insert(key) {
-                                continue;
-                            }
-                            checked.fetch_add(1, Ordering::Relaxed);
-                            if !pattern_eval::accepts_tuple_with_rets(
-                                q,
-                                s,
-                                &t,
-                                &t.return_tuple,
-                                q_rets,
-                            ) {
-                                failed.store(true, Ordering::Relaxed);
-                                return false;
-                            }
-                        }
-                        true
-                    });
-                }
-            });
-        }
-    });
-    let model_size = seen.into_inner().len();
-    ContainmentOutcome {
-        contained: !failed.load(Ordering::Relaxed),
-        trees_checked: checked.load(Ordering::Relaxed),
-        model_size,
-    }
-}
-
 /// `S`-equivalence: two-way containment (Definition 4.4.1).
 pub fn equivalent(p: &Xam, q: &Xam, s: &Summary) -> bool {
     equivalent_with(p, q, s, &ContainOptions::default())
 }
 
-/// [`equivalent`] under explicit [`ContainOptions`] (shared cache,
-/// worker threads).
+/// [`equivalent`] under explicit [`ContainOptions`] (shared cache).
 pub fn equivalent_with(p: &Xam, q: &Xam, s: &Summary, opts: &ContainOptions) -> bool {
     contain(p, q, s, opts).contained && contain(q, p, s, opts).contained
 }
@@ -862,38 +746,6 @@ mod tests {
         let pos = contain(&p, &p, &s, &ContainOptions::default());
         assert!(pos.contained);
         assert!(neg.trees_checked <= pos.trees_checked);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        // wide summary so the root-candidate split actually distributes
-        let s = s_of("<r><a><x/></a><b><x/></b><c><x/></c><d><x/></d><e><x/></e><f><x/></f></r>");
-        let pats = [
-            "//x[id:s]",
-            "//*[id:s]",
-            "//*{ /x[id:s] }",
-            "//a{ /x[id:s] }",
-            "//b[id:s]{ /? x }",
-        ];
-        for pp in &pats {
-            for qq in &pats {
-                let p = parse_xam(pp).unwrap();
-                let q = parse_xam(qq).unwrap();
-                let seq = contain(&p, &q, &s, &ContainOptions::default());
-                for threads in [2, 4, 7] {
-                    let par = contain(&p, &q, &s, &ContainOptions::default().with_threads(threads));
-                    assert_eq!(seq.contained, par.contained, "{pp} vs {qq} @{threads}");
-                    if seq.contained {
-                        // positive runs enumerate the full model: sizes match
-                        assert_eq!(seq.model_size, par.model_size, "{pp} vs {qq} @{threads}");
-                        assert_eq!(
-                            seq.trees_checked, par.trees_checked,
-                            "{pp} vs {qq} @{threads}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

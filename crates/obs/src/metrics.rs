@@ -29,10 +29,6 @@ pub struct ExecMetrics {
     pub elements_skipped: u64,
     /// Fence blocks a seek cleared whole without scanning them.
     pub blocks_pruned: u64,
-    /// Summary-compatible stream partitions actually opened by scans.
-    pub partitions_opened: u64,
-    /// Total stream partitions the same scans could have opened.
-    pub partitions_total: u64,
     /// Lane-wide column blocks examined by the range kernels
     /// (`algebra::simd`).
     pub batches_scanned: u64,
@@ -50,8 +46,6 @@ impl ExecMetrics {
         self.twig_fallbacks += other.twig_fallbacks;
         self.elements_skipped += other.elements_skipped;
         self.blocks_pruned += other.blocks_pruned;
-        self.partitions_opened += other.partitions_opened;
-        self.partitions_total += other.partitions_total;
         self.batches_scanned += other.batches_scanned;
         self.vector_compares += other.vector_compares;
     }
@@ -82,9 +76,6 @@ pub trait Meter {
     /// A seek stepped over `n` fence blocks without descending.
     #[inline(always)]
     fn blocks_pruned(&mut self, _n: u64) {}
-    /// A partitioned scan opened `opened` of `total` stream partitions.
-    #[inline(always)]
-    fn partitions(&mut self, _opened: u64, _total: u64) {}
     /// A vectorized kernel examined `n` lane-wide column blocks.
     #[inline(always)]
     fn batches(&mut self, _n: u64) {}
@@ -129,11 +120,6 @@ impl Meter for ExecMetrics {
         self.blocks_pruned += n;
     }
     #[inline]
-    fn partitions(&mut self, opened: u64, total: u64) {
-        self.partitions_opened += opened;
-        self.partitions_total += total;
-    }
-    #[inline]
     fn batches(&mut self, n: u64) {
         self.batches_scanned += n;
     }
@@ -153,15 +139,13 @@ pub struct CacheCounters {
     pub evictions: u64,
     /// Verdict-map entries resident.
     pub verdict_entries: usize,
-    /// Canonical-model-map entries resident.
-    pub model_entries: usize,
     /// Path-annotation-map entries resident.
     pub annotation_entries: usize,
 }
 
 impl CacheCounters {
     pub fn entries(&self) -> usize {
-        self.verdict_entries + self.model_entries + self.annotation_entries
+        self.verdict_entries + self.annotation_entries
     }
 
     pub fn hit_rate(&self) -> f64 {
@@ -217,8 +201,6 @@ mod tests {
             twig_fallbacks: 0,
             elements_skipped: 40,
             blocks_pruned: 2,
-            partitions_opened: 1,
-            partitions_total: 4,
             batches_scanned: 8,
             vector_compares: 512,
         };
@@ -229,8 +211,6 @@ mod tests {
             twig_fallbacks: 1,
             elements_skipped: 60,
             blocks_pruned: 3,
-            partitions_opened: 2,
-            partitions_total: 6,
             batches_scanned: 2,
             vector_compares: 128,
         };
@@ -241,8 +221,6 @@ mod tests {
         assert_eq!(a.twig_fallbacks, 1);
         assert_eq!(a.elements_skipped, 100);
         assert_eq!(a.blocks_pruned, 5);
-        assert_eq!(a.partitions_opened, 3);
-        assert_eq!(a.partitions_total, 10);
         assert_eq!(a.batches_scanned, 10);
         assert_eq!(a.vector_compares, 640);
         assert!(!a.is_zero());
@@ -259,7 +237,6 @@ mod tests {
             m.note_fallback();
             m.skipped(11);
             m.blocks_pruned(2);
-            m.partitions(1, 5);
             m.batches(3);
             m.vector_compares(192);
         }
@@ -271,8 +248,6 @@ mod tests {
         assert_eq!(m.twig_fallbacks, 1);
         assert_eq!(m.elements_skipped, 11);
         assert_eq!(m.blocks_pruned, 2);
-        assert_eq!(m.partitions_opened, 1);
-        assert_eq!(m.partitions_total, 5);
         assert_eq!(m.batches_scanned, 3);
         assert_eq!(m.vector_compares, 192);
         kernel(&mut NoMeter); // must simply compile and do nothing
@@ -285,10 +260,9 @@ mod tests {
             misses: 1,
             evictions: 0,
             verdict_entries: 5,
-            model_entries: 2,
             annotation_entries: 1,
         };
-        assert_eq!(c.entries(), 8);
+        assert_eq!(c.entries(), 6);
         assert!((c.hit_rate() - 0.75).abs() < 1e-9);
         assert_eq!(CacheCounters::default().hit_rate(), 0.0);
     }

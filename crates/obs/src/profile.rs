@@ -75,14 +75,6 @@ impl PlanNodeProfile {
                 Json::Num(self.metrics.blocks_pruned as f64),
             ),
             (
-                "partitions_opened",
-                Json::Num(self.metrics.partitions_opened as f64),
-            ),
-            (
-                "partitions_total",
-                Json::Num(self.metrics.partitions_total as f64),
-            ),
-            (
                 "batches_scanned",
                 Json::Num(self.metrics.batches_scanned as f64),
             ),
@@ -141,14 +133,6 @@ impl OpStreamProfile {
             (
                 "blocks_pruned",
                 Json::Num(self.metrics.blocks_pruned as f64),
-            ),
-            (
-                "partitions_opened",
-                Json::Num(self.metrics.partitions_opened as f64),
-            ),
-            (
-                "partitions_total",
-                Json::Num(self.metrics.partitions_total as f64),
             ),
             (
                 "batches_scanned",
@@ -317,14 +301,6 @@ impl SessionProfile {
                         "vector_compares",
                         Json::Num(self.exec.vector_compares as f64),
                     ),
-                    (
-                        "partitions_opened",
-                        Json::Num(self.exec.partitions_opened as f64),
-                    ),
-                    (
-                        "partitions_total",
-                        Json::Num(self.exec.partitions_total as f64),
-                    ),
                     ("twig_fallbacks", Json::Num(self.exec.twig_fallbacks as f64)),
                     (
                         "stack_high_water",
@@ -369,13 +345,12 @@ impl QueryProfile {
         if let Some(cache) = &self.cache {
             let _ = writeln!(
                 out,
-                "cache: hits={} misses={} evictions={} entries={} (verdicts={} models={} annotations={})",
+                "cache: hits={} misses={} evictions={} entries={} (verdicts={} annotations={})",
                 cache.hits,
                 cache.misses,
                 cache.evictions,
                 cache.entries(),
                 cache.verdict_entries,
-                cache.model_entries,
                 cache.annotation_entries
             );
         }
@@ -437,7 +412,6 @@ impl QueryProfile {
                     ("misses", Json::Num(c.misses as f64)),
                     ("evictions", Json::Num(c.evictions as f64)),
                     ("verdict_entries", Json::Num(c.verdict_entries as f64)),
-                    ("model_entries", Json::Num(c.model_entries as f64)),
                     ("annotation_entries", Json::Num(c.annotation_entries as f64)),
                 ]),
                 None => Json::Null,
@@ -486,13 +460,6 @@ fn render_node(
     }
     if node.metrics.blocks_pruned > 0 {
         let _ = write!(extras, " blocks={}", node.metrics.blocks_pruned);
-    }
-    if node.metrics.partitions_total > 0 {
-        let _ = write!(
-            extras,
-            " parts={}/{}",
-            node.metrics.partitions_opened, node.metrics.partitions_total
-        );
     }
     if node.metrics.batches_scanned > 0 {
         let _ = write!(extras, " vbatches={}", node.metrics.batches_scanned);
@@ -543,8 +510,6 @@ mod tests {
                     stack_high_water: 4,
                     elements_skipped: 75,
                     blocks_pruned: 3,
-                    partitions_opened: 2,
-                    partitions_total: 5,
                     batches_scanned: 7,
                     vector_compares: 448,
                     ..ExecMetrics::default()
@@ -578,7 +543,6 @@ mod tests {
                 misses: 3,
                 evictions: 0,
                 verdict_entries: 3,
-                model_entries: 1,
                 annotation_entries: 0,
             }),
             streamed: Some(StreamProfile {
@@ -625,7 +589,6 @@ mod tests {
         assert!(text.contains("cmp=200"));
         assert!(text.contains("skip=75"));
         assert!(text.contains("blocks=3"));
-        assert!(text.contains("parts=2/5"));
         assert!(text.contains("vbatches=7"));
         assert!(text.contains("vcmp=448"));
         assert!(text.contains("cache: hits=2"));

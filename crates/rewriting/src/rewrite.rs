@@ -34,15 +34,13 @@ use xam_core::semantics::{output_columns, StoredAttr};
 use crate::planpat::PlanPattern;
 use crate::viewindex::{Annotations, ViewIndex};
 
-/// Execution context of the rewriting search: worker threads and the
-/// shared containment cache. Distinct from [`RewriteConfig`] (which
-/// bounds *what* is searched) — this only controls *how fast* and
-/// never changes the produced rewriting set.
+/// Execution context of the rewriting search: the shared containment
+/// cache. Distinct from [`RewriteConfig`] (which bounds *what* is
+/// searched) — this only controls *how fast* and never changes the
+/// produced rewriting set.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineOptions<'a> {
-    /// Worker threads for candidate verification. `0`/`1` = sequential.
-    pub threads: usize,
-    /// Shared canonical-model/verdict cache; `None` disables caching.
+    /// Shared verdict/annotation cache; `None` disables caching.
     pub cache: Option<&'a CanonicalCache>,
     /// Amortized fingerprint of the summary (see
     /// [`containment::cache::summary_fingerprint`]).
@@ -50,9 +48,8 @@ pub struct EngineOptions<'a> {
 }
 
 impl<'a> EngineOptions<'a> {
-    fn contain_opts(&self, threads: usize) -> ContainOptions<'a> {
+    fn contain_opts(&self) -> ContainOptions<'a> {
         ContainOptions {
-            threads,
             cache: self.cache,
             summary_fp: self.summary_fp,
             aligned: None,
@@ -143,11 +140,10 @@ pub fn rewrite_with_config(
 }
 
 /// As [`rewrite_with_config`] with an execution context: candidate
-/// verification fans out over [`EngineOptions::threads`] scoped workers
-/// and memoizes through the shared cache. The produced rewriting set is
-/// identical to the sequential run — candidates are generated, deduped
-/// and merged in one stable order; only the verification wall-clock
-/// changes. Builds a [`ViewIndex`] over `views` for this call.
+/// verification memoizes through the shared cache. The produced
+/// rewriting set is identical to the uncached run — the cache changes
+/// only the verification wall-clock. Builds a [`ViewIndex`] over `views`
+/// for this call.
 pub fn rewrite_with_engine(
     q: &Xam,
     views: &[(String, Xam)],
@@ -209,8 +205,7 @@ pub(crate) fn rewrite_indexed(
     // distinct mappings frequently induce the *same* verification pattern
     // (symmetric view orders, interchangeable mapping variants): the
     // expensive containment checks run once per distinct pattern, in
-    // first-appearance order — workers return indexed verdicts, so the
-    // merge below is independent of scheduling
+    // first-appearance order
     let prepared: Vec<PreparedCandidate> = candidates
         .into_iter()
         .map(|(pp, qmap)| {
@@ -260,10 +255,7 @@ pub(crate) fn rewrite_indexed(
 
 /// Verify the deduped candidates: forward (`vp ⊆ q`, required) and
 /// backward (`q ⊆ vp`, only checked when forward holds) containment,
-/// aligned on the query's return order. With more than one candidate and
-/// `threads > 1` the work is dealt round-robin to scoped workers; each
-/// returns `(index, verdict)` pairs, so assembly is order-independent.
-/// A lone candidate instead parallelizes *inside* the containment check.
+/// aligned on the query's return order.
 fn verify_candidates(
     q: &Xam,
     q_rets: &[XamNodeId],
@@ -271,40 +263,15 @@ fn verify_candidates(
     unique: &[(&Xam, &[XamNodeId])],
     eng: &EngineOptions,
 ) -> Vec<(bool, bool)> {
-    let one = |vp: &Xam, p_rets: &[XamNodeId], inner_threads: usize| -> (bool, bool) {
-        let opts = eng.contain_opts(inner_threads);
-        let fwd = contain(vp, q, s, &opts.with_aligned(p_rets, q_rets)).contained;
-        let bwd = fwd && contain(q, vp, s, &opts.with_aligned(q_rets, p_rets)).contained;
-        (fwd, bwd)
-    };
-    if eng.threads <= 1 || unique.len() <= 1 {
-        return unique
-            .iter()
-            .map(|(vp, p_rets)| one(vp, p_rets, eng.threads))
-            .collect();
-    }
-    let workers = eng.threads.min(unique.len());
-    let mut verdicts = vec![(false, false); unique.len()];
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let one = &one;
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    for (i, (vp, p_rets)) in unique.iter().enumerate().skip(w).step_by(workers) {
-                        mine.push((i, one(vp, p_rets, 1)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, v) in h.join().expect("verification worker panicked") {
-                verdicts[i] = v;
-            }
-        }
-    });
-    verdicts
+    let opts = eng.contain_opts();
+    unique
+        .iter()
+        .map(|(vp, p_rets)| {
+            let fwd = contain(vp, q, s, &opts.with_aligned(p_rets, q_rets)).contained;
+            let bwd = fwd && contain(q, vp, s, &opts.with_aligned(q_rets, p_rets)).contained;
+            (fwd, bwd)
+        })
+        .collect()
 }
 
 // --------------------------------------------------------------------

@@ -59,8 +59,6 @@ pub struct ServerMetrics {
     pub exec_blocks_pruned: Arc<Counter>,
     pub exec_batches_scanned: Arc<Counter>,
     pub exec_vector_compares: Arc<Counter>,
-    pub exec_partitions_opened: Arc<Counter>,
-    pub exec_partitions_total: Arc<Counter>,
     pub exec_twig_fallbacks: Arc<Counter>,
 }
 
@@ -95,8 +93,6 @@ impl ServerMetrics {
             exec_blocks_pruned: registry.counter("exec.blocks_pruned_total"),
             exec_batches_scanned: registry.counter("exec.batches_scanned_total"),
             exec_vector_compares: registry.counter("exec.vector_compares_total"),
-            exec_partitions_opened: registry.counter("exec.partitions_opened_total"),
-            exec_partitions_total: registry.counter("exec.partitions_total"),
             exec_twig_fallbacks: registry.counter("exec.twig_fallbacks_total"),
             registry,
         }
@@ -130,8 +126,6 @@ impl ServerMetrics {
         self.exec_blocks_pruned.add(m.blocks_pruned);
         self.exec_batches_scanned.add(m.batches_scanned);
         self.exec_vector_compares.add(m.vector_compares);
-        self.exec_partitions_opened.add(m.partitions_opened);
-        self.exec_partitions_total.add(m.partitions_total);
         self.exec_twig_fallbacks.add(m.twig_fallbacks);
     }
 }

@@ -300,10 +300,7 @@ impl ServerState {
                 ("hits", Json::Num(s.hits as f64)),
                 ("misses", Json::Num(s.misses as f64)),
                 ("evictions", Json::Num(s.evictions as f64)),
-                (
-                    "entries",
-                    Json::Num((s.verdict_entries + s.model_entries + s.annotation_entries) as f64),
-                ),
+                ("entries", Json::Num(s.entries as f64)),
             ]),
             None => Json::Null,
         };
@@ -525,7 +522,6 @@ fn session_profile(id: u64, c: &SessionCounters, state: &ServerState) -> Session
             misses: s.misses,
             evictions: s.evictions,
             verdict_entries: s.verdict_entries,
-            model_entries: s.model_entries,
             annotation_entries: s.annotation_entries,
         }),
         exec: c.exec,

@@ -10,57 +10,17 @@
 //! free and the catalog entries can declare `OrderSpec::by("ID")` —
 //! letting the evaluator skip its defensive re-sort.
 //!
-//! Two access-method refinements ride on top of the plain columns:
-//!
-//! * every column is also kept packed as [`IdColumns`]
-//!   ([`IdStreamIndex::columnar`]) — the layout the join kernels read,
-//!   whose sorted `pre` column and `max_post` fences let lookups jump
-//!   over irrelevant stream regions instead of scanning them;
-//! * [`IdStreamIndex::build_with_summary`] additionally splits each
-//!   column into per-summary-path partitions (φ of Definition 4.2.1),
-//!   and [`IdStreamIndex::pruned_stream`] reassembles, in pre order,
-//!   only the partitions a query pattern can actually touch — the
-//!   partition selection of `summary::matching`.
+//! Every column is also kept packed as [`IdColumns`]
+//! ([`IdStreamIndex::columnar`]) — the layout the join kernels read,
+//! whose sorted `pre` column and `max_post` fences let lookups jump over
+//! irrelevant stream regions instead of scanning them.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use algebra::{IdColumns, OrderSpec, Relation, Schema, Tuple, TupleBatch, Value};
-use summary::{Summary, SummaryNodeId};
 use xmltree::{Document, NodeKind, StructuralId};
 
 use algebra::Catalog;
-
-/// Keep-fraction above which [`IdStreamIndex::pruned_stream`] serves the
-/// whole column instead of merging partitions: when the summary keeps
-/// more than 3/4 of a column, the k-way heap merge and the repacking of
-/// its output cost more than the scan they save, so the stored column is
-/// served as it is.
-const KEEP_FALLBACK_NUM: usize = 3;
-const KEEP_FALLBACK_DEN: usize = 4;
-
-/// One summary-path slice of a column: the IDs (in document order) of
-/// exactly the nodes classified to `path`.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    pub path: SummaryNodeId,
-    pub ids: Vec<StructuralId>,
-}
-
-/// A pruned scan's result: the merged IDs plus how many of the column's
-/// partitions were opened to produce them — the `partitions_opened /
-/// partitions_total` figures of the execution metrics. The stream is
-/// packed, so it is fenced and seekable by construction and seeks
-/// compose with pruning: either the stored column (fallback case) or the
-/// merged output.
-#[derive(Debug, Clone)]
-pub struct PrunedStream {
-    /// Pre-sorted merge of the selected partitions; payloads are
-    /// positions in the merged stream.
-    pub cols: IdColumns,
-    pub opened: usize,
-    pub total: usize,
-}
 
 #[derive(Debug, Clone)]
 struct Column {
@@ -69,13 +29,10 @@ struct Column {
     /// kernels read. Kept alongside the array-of-structs `ids` so
     /// `scan_slices` can stay zero-copy.
     cols: IdColumns,
-    /// Summary-path partitions, sorted by path id; empty when the index
-    /// was built without a summary.
-    partitions: Vec<Partition>,
 }
 
 /// The index: one sorted `Vec<StructuralId>` column per `(label, kind)`,
-/// each also packed and (optionally) split into summary-path partitions.
+/// each also packed.
 #[derive(Debug, Default, Clone)]
 pub struct IdStreamIndex {
     columns: HashMap<(String, NodeKind), Column>,
@@ -85,26 +42,8 @@ impl IdStreamIndex {
     /// Build all columns in one walk over the document's postings
     /// (document order is pre order, so every column is born sorted).
     pub fn build(doc: &Document) -> IdStreamIndex {
-        IdStreamIndex::build_inner(doc, None)
-    }
-
-    /// [`IdStreamIndex::build`] plus per-summary-path partitioning of
-    /// every column, using the φ classification of `summary`. A document
-    /// that does not conform to the summary gets unpartitioned columns
-    /// (pruned scans then degrade to full scans, never to wrong ones).
-    pub fn build_with_summary(doc: &Document, summary: &Summary) -> IdStreamIndex {
-        IdStreamIndex::build_inner(doc, summary.classify(doc).as_deref())
-    }
-
-    fn build_inner(doc: &Document, phi: Option<&[SummaryNodeId]>) -> IdStreamIndex {
         let span = tracing::debug_span!(target: "uload::storage", "idstream_build");
         let _g = span.enter();
-        // scratch for partitioning one posting: summary path → its slot
-        // in that posting's partition list
-        let path_count = phi.map_or(0, |phi| {
-            phi.iter().map(|p| p.index() + 1).max().unwrap_or(0)
-        });
-        let mut slot_of: Vec<Option<usize>> = vec![None; path_count];
         let columns = doc
             .postings()
             // text nodes carry no label worth indexing
@@ -112,42 +51,16 @@ impl IdStreamIndex {
             .map(|(label, kind, posting)| {
                 let ids: Vec<StructuralId> =
                     posting.iter().map(|&n| doc.structural_id(n)).collect();
-                let mut partitions: Vec<Partition> = Vec::new();
-                if let Some(phi) = phi {
-                    for (&n, &sid) in posting.iter().zip(&ids) {
-                        let path = phi[n.index()];
-                        let slot = *slot_of[path.index()].get_or_insert_with(|| {
-                            partitions.push(Partition {
-                                path,
-                                ids: Vec::new(),
-                            });
-                            partitions.len() - 1
-                        });
-                        partitions[slot].ids.push(sid);
-                    }
-                    for p in &partitions {
-                        slot_of[p.path.index()] = None;
-                    }
-                    partitions.sort_by_key(|p| p.path);
-                }
                 let cols = IdColumns::from_sids(&ids);
-                (
-                    (label.to_string(), kind),
-                    Column {
-                        ids,
-                        cols,
-                        partitions,
-                    },
-                )
+                ((label.to_string(), kind), Column { ids, cols })
             })
             .collect();
         let idx = IdStreamIndex { columns };
         tracing::debug!(
             target: "uload::storage",
-            "built ID-stream index: {} columns, {} ids, partitioned: {}",
+            "built ID-stream index: {} columns, {} ids",
             idx.len(),
-            idx.total_ids(),
-            phi.is_some()
+            idx.total_ids()
         );
         idx
     }
@@ -177,85 +90,6 @@ impl IdStreamIndex {
     /// matching the order of [`IdStreamIndex::stream`].
     pub fn columnar(&self, label: &str, kind: NodeKind) -> Option<&IdColumns> {
         self.column(label, kind).map(|c| &c.cols)
-    }
-
-    /// The column's summary-path partitions (empty unless built with
-    /// [`IdStreamIndex::build_with_summary`]).
-    pub fn partitions(&self, label: &str, kind: NodeKind) -> &[Partition] {
-        self.column(label, kind)
-            .map(|c| c.partitions.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Reassemble, in pre order, only the partitions whose summary path
-    /// is in `allowed` (which must be sorted — `summary::matching`
-    /// returns its candidate sets sorted). Without partitions the whole
-    /// column is returned and `opened == total == 0` signals that no
-    /// pruning was available.
-    ///
-    /// When the selected partitions hold more than
-    /// `KEEP_FALLBACK_NUM/KEEP_FALLBACK_DEN` of the column, the scan
-    /// serves the whole stored column instead: the merge would cost
-    /// more than the few elements it removes. `opened == total` reports
-    /// the declined pruning honestly. Genuinely pruned merges are packed
-    /// afresh, so seeks compose either way.
-    pub fn pruned_stream(
-        &self,
-        label: &str,
-        kind: NodeKind,
-        allowed: &[SummaryNodeId],
-    ) -> PrunedStream {
-        debug_assert!(allowed.windows(2).all(|w| w[0] <= w[1]));
-        let Some(c) = self.column(label, kind) else {
-            return PrunedStream {
-                cols: IdColumns::default(),
-                opened: 0,
-                total: 0,
-            };
-        };
-        if c.partitions.is_empty() {
-            return PrunedStream {
-                cols: c.cols.clone(),
-                opened: 0,
-                total: 0,
-            };
-        }
-        let selected: Vec<&Partition> = c
-            .partitions
-            .iter()
-            .filter(|p| allowed.binary_search(&p.path).is_ok())
-            .collect();
-        let kept: usize = selected.iter().map(|p| p.ids.len()).sum();
-        if kept * KEEP_FALLBACK_DEN > c.ids.len() * KEEP_FALLBACK_NUM {
-            return PrunedStream {
-                cols: c.cols.clone(),
-                opened: c.partitions.len(),
-                total: c.partitions.len(),
-            };
-        }
-        // k-way merge by pre rank via a min-heap of partition heads;
-        // partitions are individually sorted, so each element costs
-        // O(log k) instead of a linear scan over all open cursors
-        let mut ids = Vec::with_capacity(kept);
-        let mut cursors = vec![0usize; selected.len()];
-        let mut heap: BinaryHeap<Reverse<(u32, usize)>> = selected
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.ids.is_empty())
-            .map(|(i, p)| Reverse((p.ids[0].pre, i)))
-            .collect();
-        while let Some(Reverse((_, i))) = heap.pop() {
-            ids.push(selected[i].ids[cursors[i]]);
-            cursors[i] += 1;
-            if let Some(next) = selected[i].ids.get(cursors[i]) {
-                heap.push(Reverse((next.pre, i)));
-            }
-        }
-        PrunedStream {
-            cols: IdColumns::from_sids(&ids),
-            opened: selected.len(),
-            total: c.partitions.len(),
-        }
     }
 
     /// Number of distinct `(label, kind)` columns.
@@ -340,12 +174,7 @@ impl IdStreamIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use algebra::NoMeter;
     use xmltree::generate;
-
-    fn sids(cols: &IdColumns) -> Vec<StructuralId> {
-        (0..cols.len()).map(|i| cols.sid(i)).collect()
-    }
 
     #[test]
     fn columns_match_label_scans() {
@@ -421,100 +250,6 @@ mod tests {
             rel.tuples[0].get(0).as_id().unwrap(),
             idx.elements("item")[0]
         );
-    }
-
-    #[test]
-    fn summary_partitions_cover_each_column_exactly() {
-        let doc = generate::xmark(2, 9);
-        let s = Summary::of_document(&doc);
-        let idx = IdStreamIndex::build_with_summary(&doc, &s);
-        for label in ["keyword", "item", "text"] {
-            let parts = idx.partitions(label, NodeKind::Element);
-            assert!(!parts.is_empty(), "{label} must be partitioned");
-            let total: usize = parts.iter().map(|p| p.ids.len()).sum();
-            assert_eq!(total, idx.elements(label).len(), "{label}");
-            // partitions hold the φ classification: every id's label path
-            // is the partition's summary path
-            for p in parts {
-                assert_eq!(s.label(p.path), label);
-            }
-        }
-        // unsummarized build has no partitions
-        let plain = IdStreamIndex::build(&doc);
-        assert!(plain.partitions("keyword", NodeKind::Element).is_empty());
-    }
-
-    #[test]
-    fn pruned_streams_merge_selected_partitions_in_pre_order() {
-        let doc = generate::xmark(2, 9);
-        let s = Summary::of_document(&doc);
-        let idx = IdStreamIndex::build_with_summary(&doc, &s);
-        let parts = idx.partitions("keyword", NodeKind::Element);
-        assert!(parts.len() >= 2, "need several keyword paths");
-        // all partitions selected ⇒ keep-fraction fallback: the full
-        // stored column, opened == total
-        let all: Vec<SummaryNodeId> = parts.iter().map(|p| p.path).collect();
-        let full = idx.pruned_stream("keyword", NodeKind::Element, &all);
-        assert_eq!(sids(&full.cols), idx.elements("keyword"));
-        assert_eq!(full.opened, full.total);
-        // a single small partition (under the keep-fraction threshold)
-        // comes back verbatim, still pre-sorted
-        let small = parts.iter().min_by_key(|p| p.ids.len()).unwrap();
-        assert!(small.ids.len() * 4 <= idx.elements("keyword").len() * 3);
-        let one = idx.pruned_stream("keyword", NodeKind::Element, &[small.path]);
-        assert_eq!(sids(&one.cols), small.ids);
-        assert_eq!(one.opened, 1);
-        assert!(one.cols.pre().windows(2).all(|w| w[0] < w[1]));
-        // nothing selected → empty stream, zero opened
-        let none = idx.pruned_stream("keyword", NodeKind::Element, &[]);
-        assert!(none.cols.is_empty());
-        assert_eq!(none.opened, 0);
-        assert_eq!(none.total, parts.len());
-        // unpartitioned index: full column, opened == total == 0
-        let plain = IdStreamIndex::build(&doc);
-        let fallback = plain.pruned_stream("keyword", NodeKind::Element, &[]);
-        assert_eq!(sids(&fallback.cols), plain.elements("keyword"));
-        assert_eq!((fallback.opened, fallback.total), (0, 0));
-    }
-
-    #[test]
-    fn pruned_streams_carry_composable_fences() {
-        // a genuinely pruned merge must arrive fenced over exactly the
-        // merged output, positions as payloads, so seeks compose with
-        // pruning
-        let doc = generate::xmark(3, 11);
-        let s = Summary::of_document(&doc);
-        let idx = IdStreamIndex::build_with_summary(&doc, &s);
-        let parts = idx.partitions("keyword", NodeKind::Element);
-        let mut chosen: Vec<SummaryNodeId> = Vec::new();
-        let mut kept = 0usize;
-        let limit = idx.elements("keyword").len() / 2;
-        for p in parts {
-            if kept + p.ids.len() <= limit {
-                chosen.push(p.path);
-                kept += p.ids.len();
-            }
-        }
-        chosen.sort_unstable();
-        assert!(!chosen.is_empty(), "need a sub-threshold selection");
-        let pruned = idx.pruned_stream("keyword", NodeKind::Element, &chosen);
-        let ids = sids(&pruned.cols);
-        assert_eq!(ids.len(), kept);
-        assert!(ids.len() < idx.elements("keyword").len());
-        assert!((0..ids.len()).all(|i| pruned.cols.payload(i) == i));
-        // both seeks land where a linear scan of the merged stream does
-        for &anchor in idx.elements("item").iter().step_by(3) {
-            let gt = ids
-                .iter()
-                .position(|s| s.pre > anchor.pre)
-                .unwrap_or(ids.len());
-            assert_eq!(pruned.cols.seek_pre_gt(0, anchor.pre, &mut NoMeter), gt);
-            let past = ids
-                .iter()
-                .position(|s| s.pre > anchor.pre && s.post > anchor.post)
-                .unwrap_or(ids.len());
-            assert_eq!(pruned.cols.seek_past(0, anchor, &mut NoMeter), past);
-        }
     }
 
     #[test]

@@ -16,11 +16,6 @@
 //! structural constraints for the containment (Chapter 4) and rewriting
 //! (Chapter 5) algorithms.
 
-pub mod matching;
-pub mod stats;
-
-pub use matching::{compatible_nodes, PatternAxis};
-
 use std::collections::HashMap;
 use std::fmt;
 

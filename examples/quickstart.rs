@@ -90,25 +90,24 @@ fn main() -> Result<()> {
     );
     stream.close();
 
-    // 6. the engine scales up: worker threads + a shared canonical-model
-    //    cache, same answers (the parallel merge order is deterministic)
-    let mut par = Uload::builder()
+    // 6. a larger shared containment cache changes only planning time,
+    //    never the answers
+    let mut cached = Uload::builder()
         .document(&doc)
-        .threads(4)
         .cache_capacity(1024)
         .build()?;
-    par.add_view_text(
+    cached.add_view_text(
         "v_books",
         r#"//book[id:s]{ /n? t:title[cont], /s @year[val="1999"] }"#,
         &doc,
     )?;
-    let (par_answers, _) = par.answer(
+    let (cached_answers, _) = cached.answer(
         r#"for $b in doc("bib.xml")//book where $b/@year = "1999" return <hit>{$b/title}</hit>"#,
         &doc,
     )?;
-    assert_eq!(answers, par_answers);
-    if let Some(stats) = par.cache_stats() {
-        println!("parallel engine agrees; cache: {stats:?}");
+    assert_eq!(answers, cached_answers);
+    if let Some(stats) = cached.cache_stats() {
+        println!("cached engine agrees; cache: {stats:?}");
     }
     Ok(())
 }

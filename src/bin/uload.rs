@@ -7,7 +7,7 @@
 //! uload rewrite <file.xml> '<xquery>' '<name>=<xam>' [more views…] [--limit N]
 //!                                          # answer the query from views only
 //!                                          # (--limit streams and stops early)
-//! uload contain <file.xml> '<xam p>' '<xam q>' [--threads N]
+//! uload contain <file.xml> '<xam p>' '<xam q>'
 //!                                          # decide p ⊆_S q under the summary
 //! uload serve <file.xml> [--addr HOST:PORT | --unix PATH] [--slow-ms N] ['<name>=<xam>'…]
 //!                                          # serve the document to clients
@@ -52,7 +52,7 @@ fn usage() -> Error {
         "usage:\n  uload summary <file.xml>\n  uload xam <file.xml> '<xam>'\n  \
          uload query <file.xml> '<xquery>'\n  \
          uload rewrite <file.xml> '<xquery>' '<name>=<xam>'… [--limit N]\n  \
-         uload contain <file.xml> '<xam p>' '<xam q>' [--threads N]\n  \
+         uload contain <file.xml> '<xam p>' '<xam q>'\n  \
          uload serve <file.xml> [--addr HOST:PORT | --unix PATH] [--slow-ms N] ['<name>=<xam>'…]\n  \
          uload client <ADDR> (query '<xquery>' | explain '<xquery>' | stats | metrics | slowlog | shutdown)"
             .to_string(),
@@ -186,16 +186,10 @@ fn run(args: &[String]) -> Result<()> {
             let s = Summary::of_document(&doc);
             let p = parse_xam(args.get(2).ok_or_else(usage)?)?;
             let q = parse_xam(args.get(3).ok_or_else(usage)?)?;
-            let threads = match args.get(4).map(String::as_str) {
-                Some("--threads") => args
-                    .get(5)
-                    .ok_or_else(usage)?
-                    .parse::<usize>()
-                    .map_err(|e| Error::Config(format!("--threads: {e}")))?,
-                Some(other) => return Err(Error::Config(format!("unknown flag `{other}`"))),
-                None => 1,
-            };
-            let opts = ContainOptions::default().with_threads(threads);
+            if let Some(other) = args.get(4) {
+                return Err(Error::Config(format!("unknown flag `{other}`")));
+            }
+            let opts = ContainOptions::default();
             let fwd = contain(&p, &q, &s, &opts);
             let bwd = contain(&q, &p, &s, &opts);
             println!(

@@ -145,7 +145,7 @@ fn cache_stats_expose_per_map_occupancy() {
     assert!(stats.hits + stats.misses > 0, "{stats:?}");
     assert_eq!(
         stats.entries,
-        stats.verdict_entries + stats.model_entries + stats.annotation_entries,
+        stats.verdict_entries + stats.annotation_entries,
         "{stats:?}"
     );
     assert!(stats.entries > 0, "{stats:?}");

@@ -338,6 +338,73 @@ fn oversized_frame_over_tcp_answers_err_then_end_of_stream() {
     oversized_frame_gets_err_then_end_of_stream(server, conn, writer);
 }
 
+/// An oversized frame that arrives while a stream is in flight leaves
+/// the stream whole: the session finishes it (every row, then `DONE`)
+/// and only then refuses the frame with `ERR`, then end of stream. The
+/// flood runs on its own thread, so the client never blocks on a write
+/// the server will not take until the stream ends.
+#[test]
+fn oversized_frame_mid_stream_is_refused_after_the_stream_ends() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    use uload::server::protocol::{escape, MAX_FRAME_BYTES};
+    let path =
+        std::env::temp_dir().join(format!("uload-midframe-test-{}.sock", std::process::id()));
+    // one-row batches and a per-batch throttle keep the stream in flight
+    // while the flood arrives
+    let config = ServerConfig::default()
+        .with_addr(BindAddr::Unix(path.clone()))
+        .with_idle_poll(DRAIN_POLL)
+        .with_stream_throttle(Duration::from_millis(5));
+    let server = start(generate::xmark(3, 13), 1, config);
+    let mut conn = UnixStream::connect(&path).unwrap();
+    let writer = conn.try_clone().unwrap();
+    conn.write_all(format!("QUERY {}\n", escape(QUERY)).as_bytes())
+        .unwrap();
+    let mut r = BufReader::new(conn);
+    let mut line = String::new();
+    r.read_line(&mut line).unwrap();
+    assert!(line.starts_with("ROW "), "{line}");
+    let mut rows = 1usize;
+    let flood = std::thread::spawn(move || {
+        let mut w = writer;
+        w.write_all(&vec![b'x'; MAX_FRAME_BYTES * 3 / 2])
+    });
+    let done = loop {
+        line.clear();
+        assert!(r.read_line(&mut line).unwrap() > 0, "stream cut short");
+        if line.starts_with("ROW ") {
+            rows += 1;
+        } else {
+            break line.clone();
+        }
+    };
+    assert!(done.starts_with("DONE "), "{done}");
+    assert!(done.contains(&format!("rows={rows} ")), "{done}");
+    line.clear();
+    r.read_line(&mut line).unwrap();
+    assert_eq!(
+        line.trim_end(),
+        format!("ERR frame exceeds {MAX_FRAME_BYTES} bytes without a newline")
+    );
+    line.clear();
+    assert_eq!(
+        r.read_line(&mut line).unwrap(),
+        0,
+        "session left open: {line}"
+    );
+    flood.join().unwrap().unwrap();
+
+    // every row arrived: a second session gets the same count, and its
+    // STATS is answered
+    let mut other = Client::connect(server.addr()).unwrap();
+    assert_eq!(other.query(QUERY).unwrap().rows.len(), rows);
+    assert!(other.stats_json().unwrap().starts_with('{'));
+    other.quit().unwrap();
+    server.shutdown();
+    server.wait();
+}
+
 #[test]
 fn document_swap_invalidates_through_the_version_key() {
     let server = start(generate::xmark(2, 13), 64, ServerConfig::default());
